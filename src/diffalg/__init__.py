@@ -3,7 +3,7 @@ kernels with several commuting derivations, Ackermann-type realization
 bounds, and the geometric axiom-condition checkers, plus a CLI."""
 
 from .bounds import ackermann, bound_C
-from .coeff import Coefficient, FieldMode, coeff_arith, derive_base
+from .coeff import Coefficient, FieldMode
 from .dpoly import Context, DiffPolynomial, derivation_image, parse_poly, print_poly
 from .errors import (ContextError, DiffAlgError, FileFormatError, ParseError,
                      ResourceBudgetError)

@@ -203,7 +203,7 @@ def run(argv=None):
         print(json.dumps({"error": "resource", "message": str(exc)},
                          sort_keys=True), file=sys.stdout)
         return EXIT_RESOURCE
-    except (ParseError, ContextError, OSError) as exc:
+    except (ParseError, ContextError, OSError, UnicodeDecodeError) as exc:
         print(json.dumps({"error": "usage", "message": str(exc)},
                          sort_keys=True), file=sys.stdout)
         return EXIT_USAGE

@@ -36,10 +36,6 @@ class FieldMode:
 
 # --- integer polynomials as {exponent tuple: int} dicts -------------------
 
-def _pzero():
-    return {}
-
-
 def _pconst(c, nv):
     return {(0,) * nv: c} if c else {}
 
@@ -326,13 +322,6 @@ class Coefficient:
 
     # -- rendering -----------------------------------------------------------
 
-    def as_fraction(self):
-        """(p, q) integers when the value is a rational constant, else None."""
-        if not self.is_constant():
-            return None
-        nv = self.nv
-        return (_pconstant_of(self.num, nv), _pconstant_of(self.den, nv))
-
     def render(self):
         """(negative, magnitude_text, is_one) for the printer.
 
@@ -360,20 +349,3 @@ class Coefficient:
     def __repr__(self):
         return "Coefficient(%s)" % self
 
-
-def coeff_arith(a, b, op):
-    """Dispatch helper mirroring the four field operations by name."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ContextError("unknown operation %r" % (op,))
-
-
-def derive_base(a, k):
-    """The base-field derivation delta_k applied to a."""
-    return a.derive(k)

@@ -1,8 +1,11 @@
 """Differential polynomials in the indeterminates x_i^xi.
 
 A variable is the pair (i, xi) with 1 <= i <= n and xi a multi-index of
-length m.  Monomials are sorted tuples of ((i, xi), exponent) pairs and a
-polynomial is a sparse map from monomials to Coefficients.
+length m.  A monomial is a tuple of ((i, xi), exponent) pairs with positive
+exponents, sorted by ascending var_rank; the constant monomial is ().  A
+polynomial is a sparse map from monomials to Coefficients.  The mono_*
+helpers below are the library's only monomial arithmetic, and grevlex_key
+is the default order, the one used for printing.
 
 Text grammar (also used for printing):
 
@@ -19,6 +22,7 @@ round-trippable.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .coeff import Coefficient, FieldMode
@@ -58,6 +62,7 @@ class Context:
         return Context(n=n, m=self.m, mode=self.mode)
 
 
+@functools.lru_cache(maxsize=None)
 def var_rank(v):
     """Canonical significance rank of a variable; larger = more significant."""
     i, xi = v
@@ -71,6 +76,53 @@ def var_str(v):
 
 def _mono_key(exps):
     return tuple(sorted(exps.items(), key=lambda kv: var_rank(kv[0])))
+
+
+# --- monomial arithmetic and the grevlex key --------------------------------
+
+
+def mono_mul(a, b):
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    return _mono_key(exps)
+
+
+def mono_div(a, b):
+    """a / b, or None when b does not divide a."""
+    exps = dict(a)
+    for v, e in b:
+        have = exps.get(v, 0)
+        if have < e:
+            return None
+        if have == e:
+            del exps[v]
+        else:
+            exps[v] = have - e
+    return _mono_key(exps)
+
+
+def mono_lcm(a, b):
+    exps = dict(a)
+    for v, e in b:
+        if exps.get(v, 0) < e:
+            exps[v] = e
+    return _mono_key(exps)
+
+
+def mono_coprime(a, b):
+    vb = {v for v, _ in b}
+    return all(v not in vb for v, _ in a)
+
+
+def mono_deg(a):
+    return sum(e for _, e in a)
+
+
+def grevlex_key(mono):
+    """Graded reverse lex: higher degree wins, then the smaller exponent in
+    the least significant variable where the monomials differ."""
+    return (mono_deg(mono), tuple((var_rank(v), -e) for v, e in mono))
 
 
 class DiffPolynomial:
@@ -141,9 +193,6 @@ class DiffPolynomial:
         levels = [deg(v[1]) for v in self.variables()]
         return max(levels) if levels else -1
 
-    def total_degree(self):
-        return max((sum(e for _, e in mono) for mono in self.terms), default=0)
-
     def degree_in(self, v):
         best = 0
         for mono in self.terms:
@@ -203,12 +252,8 @@ class DiffPolynomial:
         self._check(other)
         terms = {}
         for ma, ca in self.terms.items():
-            ea = dict(ma)
             for mb, cb in other.terms.items():
-                exps = dict(ea)
-                for v, e in mb:
-                    exps[v] = exps.get(v, 0) + e
-                mono = _mono_key(exps)
+                mono = mono_mul(ma, mb)
                 c = ca * cb
                 if mono in terms:
                     c = terms[mono] + c
@@ -245,15 +290,10 @@ class DiffPolynomial:
         self.ctx.check_var(v)
         terms = {}
         for mono, c in self.terms.items():
-            exps = dict(mono)
-            e = exps.get(v, 0)
+            e = dict(mono).get(v, 0)
             if e == 0:
                 continue
-            if e == 1:
-                del exps[v]
-            else:
-                exps[v] = e - 1
-            nmono = _mono_key(exps)
+            nmono = mono_div(mono, ((v, 1),))
             nc = c.scale_int(e)
             if nmono in terms:
                 nc = terms[nmono] + nc
@@ -348,9 +388,8 @@ def print_poly(f, order=None, vstr=var_str):
     """Canonical text form: terms in descending monomial order."""
     if f.is_zero():
         return "0"
-    from .groebner import MonomialOrder  # local import to avoid a cycle
-    order = order or MonomialOrder.grevlex()
-    monos = sorted(f.terms, key=order.sort_key, reverse=True)
+    key = order.sort_key if order is not None else grevlex_key
+    monos = sorted(f.terms, key=key, reverse=True)
     pieces = []
     for idx, mono in enumerate(monos):
         neg, text, is_one = f.terms[mono].render()

@@ -9,56 +9,33 @@ presentation-independent.
 """
 from __future__ import annotations
 
-import functools
+import heapq
 from dataclasses import dataclass, field
 
-from .dpoly import Context, DiffPolynomial, var_rank, _mono_key
+from .dpoly import (Context, DiffPolynomial, grevlex_key, mono_coprime,
+                    mono_div, mono_lcm, var_rank)
 from .errors import ContextError
 
 
-# --- monomial helpers (monomials are sorted ((var, exp), ...) tuples) ------
-
-
-def mono_mul(a, b):
-    exps = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return _mono_key(exps)
-
-
-def mono_div(a, b):
-    """a / b, or None when b does not divide a."""
-    exps = dict(a)
-    for v, e in b:
-        have = exps.get(v, 0)
-        if have < e:
-            return None
-        if have == e:
-            del exps[v]
-        else:
-            exps[v] = have - e
-    return _mono_key(exps)
-
-
-def mono_lcm(a, b):
-    exps = dict(a)
-    for v, e in b:
-        if exps.get(v, 0) < e:
-            exps[v] = e
-    return _mono_key(exps)
-
-
-def mono_coprime(a, b):
-    vb = {v for v, _ in b}
-    return all(v not in vb for v, _ in a)
-
-
-def mono_deg(a):
-    return sum(e for _, e in a)
+def _lex_key(mono):
+    return tuple((var_rank(v), e) for v, e in reversed(mono))
 
 
 class MonomialOrder:
-    """A total order on monomials; instances are compare functions."""
+    """A total order on monomials, given as a plain-tuple sort key.
+
+    A monomial sorts below another exactly when its ``sort_key`` does:
+
+    - grevlex: ``(degree, ((var_rank(v), -e) for v, e in mono))``, the
+      pairs in ascending rank;
+    - lex: ``((var_rank(v), e) for v, e in reversed(mono))``, most
+      significant variable first;
+    - lex with ``seq``: as lex, with significance ``(1, -position)`` for the
+      variables of ``seq`` (most significant first) and ``(0, var_rank(v))``
+      for the rest, pairs sorted by descending significance;
+    - block: ``(grevlex key of the eliminated part, grevlex key of the
+      rest)``, so the eliminated block is compared first.
+    """
 
     def __init__(self, kind, seq=None, leading=None):
         if kind not in ("lex", "grevlex", "block"):
@@ -68,7 +45,15 @@ class MonomialOrder:
         self.seq = tuple(seq) if seq is not None else None
         # leading (eliminated) variable block (block order only)
         self.leading = frozenset(leading) if leading is not None else None
-        self._key = functools.cmp_to_key(self.compare)
+        if kind == "grevlex":
+            self.sort_key = grevlex_key
+        elif kind == "block":
+            self.sort_key = self._block_key
+        elif self.seq is None:
+            self.sort_key = _lex_key
+        else:
+            self._position = {v: p for p, v in enumerate(self.seq)}
+            self.sort_key = self._seq_lex_key
 
     @classmethod
     def grevlex(cls):
@@ -82,60 +67,19 @@ class MonomialOrder:
     def block_elim(cls, eliminate):
         return cls("block", leading=eliminate)
 
-    # comparisons return -1 / 0 / 1
+    def _significance(self, v):
+        pos = self._position.get(v)
+        return (0, var_rank(v)) if pos is None else (1, -pos)
 
-    @staticmethod
-    def _grevlex_cmp(a, b):
-        da, db = mono_deg(a), mono_deg(b)
-        if da != db:
-            return -1 if da < db else 1
-        ea, eb = dict(a), dict(b)
-        for v in sorted(set(ea) | set(eb), key=var_rank):
-            d = ea.get(v, 0) - eb.get(v, 0)
-            if d:
-                # smaller exponent in the least significant variable wins
-                return 1 if d < 0 else -1
-        return 0
+    def _seq_lex_key(self, mono):
+        return tuple(sorted(((self._significance(v), e) for v, e in mono),
+                            reverse=True))
 
-    def _lex_cmp(self, a, b):
-        ea, eb = dict(a), dict(b)
-        if self.seq is not None:
-            vs = list(self.seq)
-            rest = sorted((set(ea) | set(eb)) - set(vs),
-                          key=var_rank, reverse=True)
-            vs += rest
-        else:
-            vs = sorted(set(ea) | set(eb), key=var_rank, reverse=True)
-        for v in vs:
-            d = ea.get(v, 0) - eb.get(v, 0)
-            if d:
-                return -1 if d < 0 else 1
-        return 0
-
-    def _block_cmp(self, a, b):
+    def _block_key(self, mono):
         lead = self.leading
-
-        def split(mono):
-            inner = tuple(t for t in mono if t[0] in lead)
-            outer = tuple(t for t in mono if t[0] not in lead)
-            return inner, outer
-
-        ia, oa = split(a)
-        ib, ob = split(b)
-        c = self._grevlex_cmp(ia, ib)
-        if c:
-            return c
-        return self._grevlex_cmp(oa, ob)
-
-    def compare(self, a, b):
-        if self.kind == "grevlex":
-            return self._grevlex_cmp(a, b)
-        if self.kind == "lex":
-            return self._lex_cmp(a, b)
-        return self._block_cmp(a, b)
-
-    def sort_key(self, mono):
-        return self._key(mono)
+        inner = tuple(t for t in mono if t[0] in lead)
+        outer = tuple(t for t in mono if t[0] not in lead)
+        return (grevlex_key(inner), grevlex_key(outer))
 
 
 # --- division and Buchberger ------------------------------------------------
@@ -189,26 +133,25 @@ def buchberger(gens, order):
     """Reduced Groebner basis of the ideal generated by gens.
 
     Classic Buchberger with the coprimality and chain criteria; pairs are
-    processed in a deterministic (lcm order, index) queue, and the final
+    processed from a heap of (lcm sort key, i, j), and the final
     reduction makes the result the unique reduced basis for the order.
     """
     G = [g for g in gens if not g.is_zero()]
     if not G:
         return []
-    ctx = G[0].ctx
     lms = [leading_term(g, order)[0] for g in G]
+    pairs = []
 
-    def pair_key(pair):
-        i, j = pair
-        return (order.sort_key(mono_lcm(lms[i], lms[j])), i, j)
+    def push_pair(i, j):
+        heapq.heappush(pairs, (order.sort_key(mono_lcm(lms[i], lms[j])), i, j))
 
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+    for i in range(len(G)):
+        for j in range(i + 1, len(G)):
+            push_pair(i, j)
     done = set()
     while pairs:
-        pair = min(pairs, key=pair_key)
-        pairs.discard(pair)
-        i, j = pair
-        done.add(pair)
+        _, i, j = heapq.heappop(pairs)
+        done.add((i, j))
         if mono_coprime(lms[i], lms[j]):
             continue
         lcm = mono_lcm(lms[i], lms[j])
@@ -232,7 +175,7 @@ def buchberger(gens, order):
         G.append(s)
         lms.append(leading_term(s, order)[0])
         for k in range(t):
-            pairs.add((k, t))
+            push_pair(k, t)
     return _reduce_basis(G, order)
 
 

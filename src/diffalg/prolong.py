@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeff import derive_base
 from .dpoly import DiffPolynomial, derivation_image
 from .errors import ContextError
 from .groebner import IdealPresentation
@@ -73,7 +72,7 @@ def point_in_prolongation(point, system, derivatives=None):
     derivatives = dict(derivatives or {})
     for k in system.ks:
         if k not in derivatives:
-            derivatives[k] = [derive_base(a, k) for a in point]
+            derivatives[k] = [a.derive(k) for a in point]
         elif len(derivatives[k]) != n:
             raise ContextError("derivative data for k=%d has wrong arity" % k)
     values = {}

@@ -160,6 +160,22 @@ def test_usage_errors(capsys, tmp_path):
     assert json.loads(out)["error"] == "usage"
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-containment", "{path}", "--shape", "naive"],
+    ["kernel-check", "{path}"],
+    ["kernel-prolong", "{path}", "--to", "2"],
+    ["prolong-variety", "{path}", "--all"],
+    ["compile-formula", "{path}", "--m", "2"],
+], ids=lambda argv: argv[0])
+def test_non_utf8_input_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("m=1 n=1 gamma=1 mode=constants\n# caf\xe9\n"
+                     .encode("latin-1"))
+    code, out = invoke(capsys, [a.format(path=path) for a in argv])
+    assert code == EXIT_USAGE
+    assert json.loads(out)["error"] == "usage"
+
+
 def test_resource_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("DIFFALG_BIT_BUDGET", "64")
     code, out = invoke(capsys, ["bounds", "3", "4", "1"])

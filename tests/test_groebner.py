@@ -2,9 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffalg.coeff import FieldMode
-from diffalg.dpoly import Context, parse_poly, print_poly
+from diffalg.dpoly import Context, DiffPolynomial, parse_poly, print_poly
 from diffalg.groebner import (IdealPresentation, MonomialOrder, buchberger,
                               elimination_ideal, normal_form, radical_member)
 
@@ -146,3 +147,80 @@ def test_rational_mode_coefficients():
     I = IdealPresentation(ctx, [parse_poly("t1*x1_[0] - 1", ctx)])
     nf = I.normal_form(parse_poly("x1_[0]", ctx))
     assert nf == parse_poly("1/t1", ctx)
+
+
+# --- monomial orders against dense exponent-vector references -------------
+
+M22 = Context(n=2, m=2, mode=FieldMode("constants", 2))
+# The variables of M22 up to level 2, most significant first: higher level
+# wins, then the later multi-index of the level ((1,1) after (2,0)), then
+# the larger coordinate index.
+DENSE_VARS = [(2, (1, 1)), (1, (1, 1)), (2, (2, 0)), (1, (2, 0)),
+              (2, (0, 1)), (1, (0, 1)), (2, (1, 0)), (1, (1, 0)),
+              (2, (0, 0)), (1, (0, 0))]
+
+
+def _dense_lex(exps):
+    return tuple(exps)
+
+
+def _dense_grevlex(exps):
+    # higher degree wins; on a tie, the monomial whose last nonzero entry
+    # of the difference is negative is the larger one
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def _reference_key(kind, arg):
+    idx = {v: k for k, v in enumerate(DENSE_VARS)}
+    if kind == "grevlex":
+        return _dense_grevlex
+    if kind == "lex":
+        return _dense_lex
+    if kind == "seq":
+        perm = [idx[v] for v in arg]
+        perm += [k for k in range(len(DENSE_VARS)) if k not in perm]
+        return lambda exps: tuple(exps[k] for k in perm)
+    inner = [idx[v] for v in DENSE_VARS if v in arg]
+    outer = [idx[v] for v in DENSE_VARS if v not in arg]
+    return lambda exps: (_dense_grevlex([exps[k] for k in inner]),
+                         _dense_grevlex([exps[k] for k in outer]))
+
+
+def _order(kind, arg):
+    if kind == "grevlex":
+        return MonomialOrder.grevlex()
+    if kind == "lex":
+        return MonomialOrder.lex()
+    if kind == "seq":
+        return MonomialOrder.lex(seq=arg)
+    return MonomialOrder.block_elim(arg)
+
+
+def _monomial(exps):
+    f = DiffPolynomial.from_int(M22, 1)
+    for (i, xi), e in zip(DENSE_VARS, exps):
+        f = f * DiffPolynomial.var(M22, i, xi) ** e
+    (mono,) = f.terms
+    return mono
+
+
+_orders = st.one_of(
+    st.tuples(st.sampled_from(["grevlex", "lex"]), st.none()),
+    st.tuples(st.just("seq"),
+              st.lists(st.sampled_from(DENSE_VARS), unique=True, max_size=4)),
+    st.tuples(st.just("block"), st.sets(st.sampled_from(DENSE_VARS))))
+
+
+@given(order=_orders,
+       dense=st.lists(st.lists(st.integers(0, 3), min_size=len(DENSE_VARS),
+                               max_size=len(DENSE_VARS)).map(tuple),
+                      min_size=2, max_size=12, unique=True))
+@settings(max_examples=150, deadline=None)
+def test_sort_keys_match_dense_reference_orders(order, dense):
+    kind, arg = order
+    key = _order(kind, arg).sort_key
+    reference = _reference_key(kind, arg)
+    monos = {exps: _monomial(exps) for exps in dense}
+    assert [monos[e] for e in sorted(dense, key=reference)] == \
+        sorted(monos.values(), key=key)
+    assert len({key(m) for m in monos.values()}) == len(monos)
