@@ -22,7 +22,8 @@ from .dpoly import (Context, DiffPolynomial, derivation_image, parse_poly,
 from .errors import ContextError, ParseError, ResourceBudgetError
 from .groebner import IdealPresentation, elimination_ideal
 from .indices import CoordinateMaps, coordinate_maps, deg, gamma_set
-from .kernels import KernelPresentation, kernel_prolong_once, kernel_validate
+from .kernels import (KernelPresentation, kernel_prolong_once,
+                      kernel_validate, violation)
 
 
 @dataclass(frozen=True)
@@ -92,11 +93,7 @@ def containment_check(W, kind, n=None, m=None):
             cond = derivation_image(g, k)
             nf = W.normal_form(cond)
             if not nf.is_zero():
-                witnesses.append({
-                    "generator": print_poly(g),
-                    "k": k,
-                    "normal_form": print_poly(nf),
-                })
+                witnesses.append(violation(g, k, nf))
     return ContainmentVerdict(
         holds=not witnesses,
         witnesses=witnesses,
@@ -241,7 +238,10 @@ def compile_formula(rho_text, m):
         raise ParseError("formula mentions no differential variables")
     mode = FieldMode("rational" if has_base else "constants", m)
     ctx = Context(n=t, m=m, mode=mode)
-    tree = _FormulaParser(tz, ctx).parse()
+    try:
+        tree = _FormulaParser(tz, ctx).parse()
+    except RecursionError:
+        raise ParseError("formula nested too deeply") from None
     formula = DiffFormula(t=t, r=r, m=m, tree=tree, ctx=ctx)
     if r == 0:
         return CompiledFormula(formula=formula, n=t,

@@ -46,6 +46,14 @@ def ackermann(x, y, bit_budget_=None):
     if x < 0 or y < 0:
         raise ContextError("ackermann arguments must be naturals")
     budget = bit_budget() if bit_budget_ is None else bit_budget_
+    try:
+        return _ackermann(x, y, budget)
+    except RecursionError:
+        raise ResourceBudgetError("Ackermann recursion too deep: the value is "
+                                  "over the %d-bit budget" % budget) from None
+
+
+def _ackermann(x, y, budget):
     if x == 0:
         return y + 1
     if x == 1:
@@ -59,9 +67,9 @@ def ackermann(x, y, bit_budget_=None):
     if key in _ack_memo:
         return _ack_memo[key]
     if y == 0:
-        val = ackermann(x - 1, 1, budget)
+        val = _ackermann(x - 1, 1, budget)
     else:
-        val = ackermann(x - 1, ackermann(x, y - 1, budget), budget)
+        val = _ackermann(x - 1, _ackermann(x, y - 1, budget), budget)
     _ack_memo[key] = val
     return val
 

@@ -593,7 +593,9 @@ class _ExprParser:
 def parse_poly(text, ctx):
     """Parse one polynomial in the grammar above."""
     tz = _Tokenizer(text)
-    parser = _ExprParser(tz, ctx)
-    value = parser.parse_expr()
+    try:
+        value = _ExprParser(tz, ctx).parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     tz.expect("EOF")
     return value

@@ -259,17 +259,15 @@ class IdealPresentation:
 def elimination_ideal(I, keep):
     """Generators of I intersected with the subring on `keep` variables.
 
-    Uses a block order eliminating the complement; the returned
-    presentation's generators are its reduced grevlex basis.
+    Uses a block order eliminating the complement (plain grevlex when
+    nothing is eliminated); the returned presentation's generators are its
+    reduced grevlex basis.
     """
     keep = set(keep)
     # variables we keep but that never occur in I are harmless
     eliminate = I.variables() - keep
-    if not eliminate:
-        gb = buchberger(I.generators, MonomialOrder.grevlex())
-        return IdealPresentation(I.ctx, list(gb), MonomialOrder.grevlex(),
-                                 _gb=list(gb))
-    order = MonomialOrder.block_elim(eliminate)
+    order = (MonomialOrder.block_elim(eliminate) if eliminate
+             else MonomialOrder.grevlex())
     gb = buchberger(I.generators, order)
     kept = [g for g in gb if g.variables() <= keep]
     # restricted to the kept variables the block order is plain grevlex,
@@ -278,15 +276,26 @@ def elimination_ideal(I, keep):
                              _gb=list(kept))
 
 
+def rabinowitsch(gens, h, order):
+    """Reduced basis of gens + (1 - h*z), z a fresh level-0 coordinate.
+
+    Returns (ctx2, basis), z being coordinate n+1 of ctx2.  The ideal
+    presents the localization of (gens) at h; it is (1) exactly when h lies
+    in the radical of (gens).
+    """
+    ctx = h.ctx
+    ctx2 = ctx.with_n(ctx.n + 1)
+    z = DiffPolynomial.var(ctx2, ctx2.n, (0,) * ctx2.m)
+    gens2 = [g.with_context(ctx2) for g in gens]
+    gens2.append(DiffPolynomial.from_int(ctx2, 1) - h.with_context(ctx2) * z)
+    return ctx2, buchberger(gens2, order)
+
+
 def radical_member(f, I):
     """Rabinowitsch test: f in the radical of I."""
     if f.ctx != I.ctx:
         raise ContextError("polynomial in wrong context")
     if f.is_zero():
         return True
-    ctx2 = I.ctx.with_n(I.ctx.n + 1)
-    z = DiffPolynomial.var(ctx2, ctx2.n, (0,) * ctx2.m)
-    gens = [g.with_context(ctx2) for g in I.generators]
-    gens.append(z * f.with_context(ctx2) - 1)
-    gb = buchberger(gens, MonomialOrder.grevlex())
+    _, gb = rabinowitsch(I.generators, f, MonomialOrder.grevlex())
     return len(gb) == 1 and gb[0].is_constant()

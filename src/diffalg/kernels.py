@@ -6,7 +6,8 @@ D_k x_i^xi = x_i^(xi + unit k).  Prolonging by one introduces unknowns for
 the level r+1 derivatives and decides the joint linear system over the
 fraction field of the quotient; zero tests go through saturation by the
 `inverted` multiplicative set (the pivot denominators accumulated so far),
-encoded with the auxiliary-variable trick 1 - g*z.
+encoded with the auxiliary-variable trick 1 - g*z.  The prolongation
+validates its input from its own rows.
 
 Primality of the presented ideal is assumed, not verified: the obstruction
 verdict is sound regardless, but a "prolonged" verdict is certified only
@@ -14,12 +15,14 @@ modulo that assumption.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import bounds
 from .dpoly import Context, DiffPolynomial, derivation_image, print_poly, var_rank
 from .errors import ContextError, DiffAlgError
-from .groebner import IdealPresentation, MonomialOrder, buchberger, normal_form
+from .groebner import (IdealPresentation, MonomialOrder, normal_form,
+                       rabinowitsch)
 from .indices import deg, gamma_set
 
 
@@ -89,41 +92,33 @@ class KernelPresentation:
     # -- zero tests in the kernel's field -----------------------------------
 
     def _saturation_basis(self):
-        """GB of ideal + (1 - g*z) for g the product of the inverted set."""
+        """GB of ideal + (1 - g*z), g the product of inverted, or ()."""
         factors = []
-        seen = set()
         for h in self.inverted:
             nf = self.ideal.normal_form(h)
-            if nf.is_zero() or nf.is_constant():
-                continue
-            key = print_poly(nf)
-            if key not in seen:
-                seen.add(key)
+            if not nf.is_constant() and nf not in factors:
                 factors.append(nf)
         if not factors:
-            return None
-        ctx2 = self.ctx.with_n(self.ctx.n + 1)
-        g = DiffPolynomial.from_int(ctx2, 1)
-        for h in factors:
-            g = g * h.with_context(ctx2)
-        z = DiffPolynomial.var(ctx2, ctx2.n, (0,) * ctx2.m)
-        gens = [h.with_context(ctx2) for h in self.ideal.reduced_gb]
-        gens.append(DiffPolynomial.from_int(ctx2, 1) - g * z)
-        order = MonomialOrder.lex()
-        return ctx2, buchberger(gens, order), order
+            return ()
+        g = math.prod(factors[1:], start=factors[0])
+        return rabinowitsch(self.ideal.reduced_gb, g, self.ideal.order)
 
     def is_zero_mod(self, f):
         """Is f zero in the kernel's field (quotient localized at inverted)?"""
         if self.ideal.normal_form(f).is_zero():
             return True
-        if not self.inverted:
-            return False
         if self._sat_cache is None:
             self._sat_cache = self._saturation_basis()
-        if self._sat_cache is None:
+        if not self._sat_cache:
             return False
-        ctx2, gb, order = self._sat_cache
-        return normal_form(f.with_context(ctx2), gb, order).is_zero()
+        ctx2, gb = self._sat_cache
+        return normal_form(f.with_context(ctx2), gb,
+                           self.ideal.order).is_zero()
+
+
+def violation(f, k, nf):
+    """Report entry: the D_k-image of f has nonzero normal form nf."""
+    return {"generator": print_poly(f), "k": k, "normal_form": print_poly(nf)}
 
 
 def kernel_validate(Kp):
@@ -140,11 +135,7 @@ def kernel_validate(Kp):
         for k in range(1, Kp.m + 1):
             img = derivation_image(f, k)
             if not Kp.is_zero_mod(img):
-                violations.append({
-                    "generator": print_poly(f),
-                    "k": k,
-                    "normal_form": print_poly(Kp.ideal.normal_form(img)),
-                })
+                violations.append(violation(f, k, Kp.ideal.normal_form(img)))
     return ValidationReport(valid=not violations, violations=violations)
 
 
@@ -156,6 +147,13 @@ class _Row:
     const: DiffPolynomial
     provenance: set
 
+    def relation(self):
+        """const + sum coeffs[u] * u, the unknowns in var_rank order."""
+        rel = self.const
+        for u, p in sorted(self.coeffs.items(), key=lambda t: var_rank(t[0])):
+            rel = rel + p * DiffPolynomial.var(rel.ctx, *u)
+        return rel
+
 
 def _split_linear(img, unknowns, ideal):
     """Separate a D_k-image into per-unknown coefficients and a constant part.
@@ -164,20 +162,20 @@ def _split_linear(img, unknowns, ideal):
     one, because the image is affine-linear in the shifted top variables.
     """
     ctx = img.ctx
-    coeffs = {}
-    const = DiffPolynomial.zero(ctx)
+    coeff_terms = {}
+    const_terms = {}
     for mono, c in img.terms.items():
         hit = [v for v, _ in mono if v in unknowns]
         if not hit:
-            const = const + DiffPolynomial(ctx, {mono: c})
+            const_terms[mono] = c
             continue
         (u,) = hit
         rest = tuple(t for t in mono if t[0] != u)
-        coeffs.setdefault(u, DiffPolynomial.zero(ctx))
-        coeffs[u] = coeffs[u] + DiffPolynomial(ctx, {rest: c})
-    coeffs = {u: ideal.normal_form(p) for u, p in coeffs.items()}
+        coeff_terms.setdefault(u, {})[rest] = c
+    coeffs = {u: ideal.normal_form(DiffPolynomial(ctx, terms))
+              for u, terms in coeff_terms.items()}
     coeffs = {u: p for u, p in coeffs.items() if not p.is_zero()}
-    return coeffs, ideal.normal_form(const)
+    return coeffs, ideal.normal_form(DiffPolynomial(ctx, const_terms))
 
 
 def kernel_prolong_once(Kp):
@@ -187,47 +185,43 @@ def kernel_prolong_once(Kp):
     eliminates over the kernel's fraction field (pivot denominators join the
     inverted set), and on success adjoins the triangular pivot relations;
     unknowns untouched by any pivot stay free as new transcendentals.
+    Validates its input from its own rows, since a generator below the top
+    level has its reduced D_k-image as row constant: raises
+    KernelValidationError with `kernel_validate`'s report before pivoting.
     """
-    report = kernel_validate(Kp)
-    if not report.valid:
-        raise KernelValidationError(report)
     ctx, r = Kp.ctx, Kp.r
     top = [xi for xi in gamma_set(ctx.m, r + 1) if deg(xi) == r + 1]
     unknowns = [(i, xi) for xi in top for i in range(1, ctx.n + 1)]
     unknown_set = set(unknowns)
 
     rows = []
+    violations = []
     gb = Kp.ideal.reduced_gb
     for idx, f in enumerate(gb):
+        below_top = f.max_level() <= r - 1
         for k in range(1, ctx.m + 1):
             img = derivation_image(f, k)
             coeffs, const = _split_linear(img, unknown_set, Kp.ideal)
+            if below_top and not Kp.is_zero_mod(const):
+                violations.append(violation(f, k, const))
             if coeffs or not const.is_zero():
                 rows.append(_Row(coeffs=coeffs, const=const,
                                  provenance={(idx, k)}))
+    if violations:
+        raise KernelValidationError(ValidationReport(False, violations))
 
-    inverted = list(Kp.inverted)
-    scratch = KernelPresentation(ctx=ctx, r=r, ideal=Kp.ideal,
-                                 inverted=inverted)
-
-    def refresh():
-        scratch._sat_cache = None
-
+    localized = Kp  # the kernel's field, localized at the pivots so far
     solved = []
     for u in sorted(unknowns, key=var_rank):
-        pivot = None
-        for row in rows:
-            c = row.coeffs.get(u)
-            if c is not None and not scratch.is_zero_mod(c):
-                pivot = row
-                break
+        pivot = next((row for row in rows if u in row.coeffs
+                      and not localized.is_zero_mod(row.coeffs[u])), None)
         if pivot is None:
             continue
         rows.remove(pivot)
         d = pivot.coeffs[u]
         if not d.is_constant():
-            inverted.append(d)
-            refresh()
+            localized = KernelPresentation(ctx=ctx, r=r, ideal=Kp.ideal,
+                                           inverted=localized.inverted + [d])
         for row in rows:
             c = row.coeffs.get(u)
             if c is None or c.is_zero():
@@ -242,34 +236,21 @@ def kernel_prolong_once(Kp):
             row.coeffs = new_coeffs
             row.const = Kp.ideal.normal_form(d * row.const - c * pivot.const)
             row.provenance |= pivot.provenance
-        solved.append((u, pivot))
+        solved.append(pivot)
 
     for row in rows:
         # all unknown coefficients are zero in the kernel's field here
-        if not scratch.is_zero_mod(row.const):
-            relation = row.const
-            for v, p in sorted(row.coeffs.items(), key=lambda t: var_rank(t[0])):
-                relation = relation + p * DiffPolynomial.var(ctx, v[0], v[1])
+        if not localized.is_zero_mod(row.const):
             witness = ObstructionWitness(
-                relation=relation,
+                relation=row.relation(),
                 normal_form=Kp.ideal.normal_form(row.const),
                 provenance=sorted(row.provenance),
             )
             return ProlongResult(status="obstructed", witness=witness)
 
-    new_gens = list(gb)
-    for u, pivot in solved:
-        rel = pivot.const
-        for v, p in sorted(pivot.coeffs.items(), key=lambda t: var_rank(t[0])):
-            rel = rel + p * DiffPolynomial.var(ctx, v[0], v[1])
-        new_gens.append(rel)
-    new_inverted = []
-    seen = set()
-    for h in inverted:
-        key = print_poly(h)
-        if key not in seen:
-            seen.add(key)
-            new_inverted.append(h)
+    new_gens = list(gb) + [pivot.relation() for pivot in solved]
+    inverted = localized.inverted
+    new_inverted = [h for i, h in enumerate(inverted) if h not in inverted[:i]]
     next_kernel = KernelPresentation(
         ctx=ctx, r=r + 1,
         ideal=IdealPresentation(ctx, new_gens),

@@ -53,6 +53,24 @@ def test_ackermann_budget():
         ackermann(4, 3, bit_budget_=1 << 20)
 
 
+@pytest.fixture
+def default_recursion_limit():
+    """naive_ackermann raises the limit for the whole process; deep
+    arguments must meet the interpreter's default, as in the CLI."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+def test_too_deep_recursion_is_over_budget(default_recursion_limit):
+    with pytest.raises(ResourceBudgetError):
+        ackermann(5, 1)  # A(4, 65533): 65,533 frames deep
+    with pytest.raises(ResourceBudgetError):
+        bound_C(1, 7, 1)
+    assert bound_C(1, 6, 1) == 65533
+
+
 def test_ackermann_rejects_negative():
     with pytest.raises(ContextError):
         ackermann(-1, 0)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diffalg
 from diffalg.cli import (EXIT_NEGATIVE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
                          run)
 from diffalg.files import load_ideal_text, load_kernel_text
@@ -174,6 +179,60 @@ def test_non_utf8_input_is_a_usage_error(capsys, tmp_path, argv):
     code, out = invoke(capsys, [a.format(path=path) for a in argv])
     assert code == EXIT_USAGE
     assert json.loads(out)["error"] == "usage"
+
+
+def run_cli_process(argv):
+    """Run the CLI in a fresh interpreter, at the default recursion limit."""
+    src = str(Path(diffalg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "diffalg.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("argv,text,code,error", [
+    (["prolong-variety", "{path}", "--all"],
+     "m=1 n=1 gamma=0 mode=constants\n" + "(" * 250 + "x1_[0]" + ")" * 250,
+     EXIT_USAGE, "usage"),
+    (["prolong-variety", "{path}", "--all"],
+     "m=1 n=1 gamma=0 mode=constants\n" + "-" * 1500 + "x1_[0]",
+     EXIT_USAGE, "usage"),
+    (["compile-formula", "{path}", "--m", "1"], "!" * 1500 + "x1 = 0",
+     EXIT_USAGE, "usage"),
+    (["bounds", "1", "7", "1"], None, EXIT_RESOURCE, "resource"),
+    (["bounds", "2", "6", "1"], None, EXIT_RESOURCE, "resource"),
+    (["kernel-check", "{path}"],
+     "m=10 n=1 length=1 mode=constants\nx1_[0,0,0,0,0,0,0,0,0,1] - 1",
+     EXIT_RESOURCE, "resource"),
+], ids=["parens", "minus-signs", "negations", "bounds-1-7-1", "bounds-2-6-1",
+        "kernel-check-m10"])
+def test_deep_recursion_is_an_error_exit(tmp_path, argv, text, code, error):
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text + "\n")
+    proc = run_cli_process([a.format(path=path) for a in argv])
+    assert proc.stderr == ""
+    assert proc.returncode == code
+    assert json.loads(proc.stdout)["error"] == error
+
+
+@pytest.mark.parametrize("text,target,code,stdout", [
+    ("m=1 n=1 length=1 mode=constants\nx1_[0]*x1_[1] - 2\n", "3", EXIT_OK,
+     '{"bound":1,"final_generators":["x1_[0]*x1_[1] - 2",'
+     '"1/2*x1_[1]^3 + x1_[2]","-3/4*x1_[1]^5 + x1_[3]"],"final_length":3,'
+     '"realization_guaranteed":true,"status":"prolonged","target_length":3}'),
+    (KERNEL_COUNTEREXAMPLE, "2", EXIT_NEGATIVE,
+     '{"bound":2,"final_length":1,"realization_guaranteed":false,'
+     '"status":"obstructed","target_length":2,"witness":{"normal_form":"-1",'
+     '"provenance":[[0,2],[1,1]],"relation":"-1"}}'),
+], ids=["saturating", "obstructed"])
+def test_kernel_prolong_stdout_pinned(tmp_path, capsys, text, target, code,
+                                      stdout):
+    path = tmp_path / "k.kernel"
+    path.write_text(text)
+    assert invoke(capsys, ["kernel-prolong", str(path), "--to", target]) == (
+        code, stdout + "\n")
 
 
 def test_resource_budget_exit_code(capsys, monkeypatch):

@@ -87,6 +87,31 @@ def test_prolong_requires_valid_kernel():
     assert exc.value.report.violations
 
 
+SATURATION_DECIDES = ["x1_[0]*x1_[1] - x1_[0]", "x1_[0]*x1_[2]"]
+
+
+@pytest.mark.parametrize("make,normal_forms", [
+    (lambda: make_kernel(C1, 2, ["x1_[0]", "x1_[1] - 1"]), ["1", "x1_[2]"]),
+    (lambda: make_kernel(C1, 2, SATURATION_DECIDES), ["x1_[1]^2 - x1_[1]"]),
+    (lambda: make_kernel(C1, 2, SATURATION_DECIDES,
+                         [parse_poly("x1_[0]", C1)]), []),
+    (lambda: kernel_corpus()[4], []),
+    (lambda: kernel_corpus()[9], []),
+], ids=["r2-violations", "no-inverted", "inverted", "corpus4", "corpus9"])
+def test_prolong_validates_like_kernel_validate(make, normal_forms):
+    """kernel_prolong_once reads validation off its rows; kernel_validate,
+    which computes the D_k-images on its own, is the reference."""
+    report = kernel_validate(make())
+    assert [v["normal_form"] for v in report.violations] == normal_forms
+    if report.valid:
+        kernel_prolong_once(make())
+        return
+    with pytest.raises(KernelValidationError) as exc:
+        kernel_prolong_once(make())
+    assert exc.value.report.valid is False
+    assert exc.value.report.violations == report.violations
+
+
 def test_prolong_to_quadratic_ode():
     K = make_kernel(C1, 1, ["x1_[1] - x1_[0]^2"])
     result, info = kernel_prolong_to(K, 3)
