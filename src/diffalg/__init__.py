@@ -9,15 +9,15 @@ from .errors import (ContextError, DiffAlgError, FileFormatError, ParseError,
                      ResourceBudgetError)
 from .groebner import (IdealPresentation, MonomialOrder, buchberger,
                        elimination_ideal, normal_form, radical_member)
-from .indices import (CoordinateMaps, GammaSet, coordinate_maps, deg,
-                      gamma_set, shift, unit_index)
+from .indices import (CoordinateMaps, coordinate_maps, deg, gamma_set, shift,
+                      unit_index)
 from .kernels import (KernelPresentation, KernelValidationError,
                       ProlongResult, kernel_prolong_once, kernel_prolong_to,
                       kernel_validate, realization_bound)
 from .prolong import (ProlongationSystem, point_in_prolongation,
                       prolong_delta, prolong_one)
-from .axioms import (AxiomShape, CompiledFormula, ContainmentVerdict,
-                     DiffFormula, atom_rho_text, axiom_shape, compile_formula,
+from .axioms import (CompiledFormula, ContainmentVerdict, DiffFormula,
+                     atom_rho_text, axiom_shape, compile_formula,
                      containment_check, counterexample_demo)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,31 +17,17 @@ from dataclasses import dataclass
 
 from . import bounds
 from .coeff import FieldMode
-from .dpoly import (Context, DiffPolynomial, derivation_image, parse_poly,
-                    print_poly, _ExprParser, _Tokenizer)
+from .dpoly import (Context, derivation_image, parse_poly, print_poly,
+                    _ExprParser, _Tokenizer)
 from .errors import ContextError, ParseError, ResourceBudgetError
 from .groebner import IdealPresentation, elimination_ideal
-from .indices import CoordinateMaps, coordinate_maps, deg, gamma_set
-from .kernels import (KernelPresentation, kernel_prolong_once,
-                      kernel_validate, violation)
+from .indices import coordinate_maps, deg, gamma_set
+from .kernels import KernelPresentation, kernel_prolong_once, violation
 
 
-@dataclass(frozen=True)
-class AxiomShape:
-    """Instance parameters of one axiom-scheme instance."""
-
-    n: int
-    m: int
-    C: int
-    alpha: int
-    beta: int
-    maps: CoordinateMaps
-
-
-def axiom_shape(n, m, bit_budget=None):
-    maps = coordinate_maps(n, m, bit_budget=bit_budget)
-    return AxiomShape(n=n, m=m, C=maps.C, alpha=maps.alpha, beta=maps.beta,
-                      maps=maps)
+def axiom_shape(n, m):
+    """The (n, m) axiom-scheme instance: n, m, C, alpha, beta and the maps."""
+    return coordinate_maps(n, m)
 
 
 @dataclass
@@ -278,7 +264,6 @@ def counterexample_demo(mode_kind="constants"):
     W = IdealPresentation(ctx, gens)
     verdict = containment_check(W, "naive")
     kernel = KernelPresentation(ctx=ctx, r=1, ideal=W)
-    validation = kernel_validate(kernel)
     result = kernel_prolong_once(kernel)
     report = {
         "mode": mode_kind,
@@ -289,7 +274,7 @@ def counterexample_demo(mode_kind="constants"):
         "containment": verdict.to_json(),
         "kernel": {
             "length": 1,
-            "valid": validation.valid,
+            "valid": True,  # kernel_prolong_once raises on an invalid kernel
             "status": result.status,
         },
         "narrative": [
@@ -302,9 +287,5 @@ def counterexample_demo(mode_kind="constants"):
         ],
     }
     if result.status == "obstructed":
-        report["kernel"]["witness"] = {
-            "relation": print_poly(result.witness.relation),
-            "normal_form": print_poly(result.witness.normal_form),
-            "provenance": [list(p) for p in result.witness.provenance],
-        }
+        report["kernel"]["witness"] = result.witness.to_json()
     return report

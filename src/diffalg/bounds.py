@@ -1,8 +1,9 @@
 """The Ackermann function and the realization-length bound C_{r,m}^n.
 
-Everything here is exact big-integer arithmetic.  A configurable bit budget
-(env var DIFFALG_BIT_BUDGET, default 2^20 bits) guards against the m >= 4
-blowups; hitting it raises ResourceBudgetError rather than truncating.
+Everything here is exact big-integer arithmetic.  A bit budget (env var
+DIFFALG_BIT_BUDGET, default 2^20 bits) guards against the m >= 4 blowups;
+hitting it raises ResourceBudgetError rather than truncating.  Each public
+function reads the budget once and passes it down.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ def _pow2(e, budget):
     return 1 << e
 
 
-def ackermann(x, y, bit_budget_=None):
+def ackermann(x, y):
     """A(x, y) with closed forms for x <= 3 and memoized recursion above.
 
     The closed forms (y+1, y+2, 2y+3, 2^{y+3}-3) each follow from the
@@ -45,7 +46,11 @@ def ackermann(x, y, bit_budget_=None):
     """
     if x < 0 or y < 0:
         raise ContextError("ackermann arguments must be naturals")
-    budget = bit_budget() if bit_budget_ is None else bit_budget_
+    return _ack(x, y, bit_budget())
+
+
+def _ack(x, y, budget):
+    """_ackermann, with a too-deep recursion reported as over the budget."""
     try:
         return _ackermann(x, y, budget)
     except RecursionError:
@@ -81,7 +86,7 @@ def _c1_recursive(r, m, budget):
             "C^1 recursion over %d steps exceeds the iteration budget" % r)
     value = 0
     for _ in range(r):
-        value = ackermann(m - 1, value, budget)
+        value = _ack(m - 1, value, budget)
     return value
 
 
@@ -96,33 +101,29 @@ def _c1(r, m, budget):
     return _c1_recursive(r, m, budget)
 
 
-def bound_C(r, m, n, bit_budget=None, force_recursive=False):
+def bound_C(r, m, n):
     """The realization bound C_{r,m}^n.
 
     C_{0,m}^1 = 0, C_{r,m}^1 = A(m-1, C_{r-1,m}^1), and
-    C_{r,m}^n = C_{C_{r,m}^{n-1}, m}^1.  With force_recursive the m <= 3
-    closed forms are bypassed (used for cross-checks in tests).
+    C_{r,m}^n = C_{C_{r,m}^{n-1}, m}^1.
     """
     if m < 1 or n < 1:
         raise ContextError("m and n must be >= 1")
     if r < 0:
         raise ContextError("r must be >= 0")
-    budget = bit_budget if bit_budget is not None else globals()["bit_budget"]()
+    budget = bit_budget()
     value = r
     for _ in range(n):
-        if force_recursive:
-            value = _c1_recursive(value, m, budget)
-        else:
-            value = _c1(value, m, budget)
+        value = _c1(value, m, budget)
     return value
 
 
-def closed_form(r, m, n, bit_budget_=None):
+def closed_form(r, m, n):
     """The paper's closed forms where available, else None.
 
     C_{r,1}^n = r; C_{r,2}^n = 2^n * r; C_{r,3}^1 = 3(2^r - 1).
     """
-    budget = bit_budget() if bit_budget_ is None else bit_budget_
+    budget = bit_budget()
     if m == 1:
         return r
     if m == 2:

@@ -8,6 +8,7 @@ so identical invocations produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -93,11 +94,7 @@ def _cmd_kernel_prolong(args):
     out = {"status": result.status, "target_length": target}
     out.update(info)
     if result.status == "obstructed":
-        out["witness"] = {
-            "relation": print_poly(result.witness.relation),
-            "normal_form": print_poly(result.witness.normal_form),
-            "provenance": [list(p) for p in result.witness.provenance],
-        }
+        out["witness"] = result.witness.to_json()
         return EXIT_NEGATIVE, out
     out["final_generators"] = [print_poly(g)
                                for g in result.next.ideal.reduced_gb]
@@ -191,10 +188,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first run and reused by later runs."""
+    return build_parser()
+
+
 def run(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

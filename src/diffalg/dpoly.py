@@ -384,12 +384,11 @@ def _mono_str(mono, vstr):
                     for v, e in mono)
 
 
-def print_poly(f, order=None, vstr=var_str):
-    """Canonical text form: terms in descending monomial order."""
+def print_poly(f, vstr=var_str):
+    """Canonical text form: terms in descending grevlex order."""
     if f.is_zero():
         return "0"
-    key = order.sort_key if order is not None else grevlex_key
-    monos = sorted(f.terms, key=key, reverse=True)
+    monos = sorted(f.terms, key=grevlex_key, reverse=True)
     pieces = []
     for idx, mono in enumerate(monos):
         neg, text, is_one = f.terms[mono].render()

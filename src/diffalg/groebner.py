@@ -30,50 +30,34 @@ class MonomialOrder:
       pairs in ascending rank;
     - lex: ``((var_rank(v), e) for v, e in reversed(mono))``, most
       significant variable first;
-    - lex with ``seq``: as lex, with significance ``(1, -position)`` for the
-      variables of ``seq`` (most significant first) and ``(0, var_rank(v))``
-      for the rest, pairs sorted by descending significance;
     - block: ``(grevlex key of the eliminated part, grevlex key of the
       rest)``, so the eliminated block is compared first.
     """
 
-    def __init__(self, kind, seq=None, leading=None):
+    def __init__(self, kind, leading=None):
         if kind not in ("lex", "grevlex", "block"):
             raise ContextError("unknown monomial order %r" % (kind,))
         self.kind = kind
-        # explicit variable sequence, most significant first (lex only)
-        self.seq = tuple(seq) if seq is not None else None
         # leading (eliminated) variable block (block order only)
         self.leading = frozenset(leading) if leading is not None else None
         if kind == "grevlex":
             self.sort_key = grevlex_key
         elif kind == "block":
             self.sort_key = self._block_key
-        elif self.seq is None:
-            self.sort_key = _lex_key
         else:
-            self._position = {v: p for p, v in enumerate(self.seq)}
-            self.sort_key = self._seq_lex_key
+            self.sort_key = _lex_key
 
     @classmethod
     def grevlex(cls):
         return cls("grevlex")
 
     @classmethod
-    def lex(cls, seq=None):
-        return cls("lex", seq=seq)
+    def lex(cls):
+        return cls("lex")
 
     @classmethod
     def block_elim(cls, eliminate):
         return cls("block", leading=eliminate)
-
-    def _significance(self, v):
-        pos = self._position.get(v)
-        return (0, var_rank(v)) if pos is None else (1, -pos)
-
-    def _seq_lex_key(self, mono):
-        return tuple(sorted(((self._significance(v), e) for v, e in mono),
-                            reverse=True))
 
     def _block_key(self, mono):
         lead = self.leading

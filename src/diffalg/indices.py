@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ContextError, ResourceBudgetError
 from . import bounds
@@ -44,24 +44,6 @@ def index_sort_key(xi):
     return (deg(xi), tuple(-e for e in xi))
 
 
-@dataclass(frozen=True)
-class GammaSet:
-    """All multi-indices of degree <= r in m slots, canonically ordered."""
-
-    m: int
-    r: int
-    elements: tuple = field(default=())
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, xi):
-        return len(xi) == self.m and deg(xi) <= self.r
-
-
 def gamma_set(m, r):
     """Enumerate Gamma(r) = {xi in N^m : deg xi <= r} in canonical order."""
     if m < 1:
@@ -84,22 +66,13 @@ def gamma_set(m, r):
 
     rec([], r)
     out.sort(key=index_sort_key)
-    return GammaSet(m=m, r=r, elements=tuple(out))
-
-
-def coordinate_layout(n, gamma):
-    """Canonical coordinate order for K^{n * |Gamma|}: xi-major, i-minor.
-
-    With this layout the Gamma(r') coordinates are a prefix of the Gamma(r)
-    ones for every r' <= r, which is what makes the projections "onto the
-    first ... coordinates".
-    """
-    return [(i, xi) for xi in gamma for i in range(1, n + 1)]
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class CoordinateMaps:
-    """Index bookkeeping for the ambient space K^{alpha(n,m)}.
+    """The shape of the (n, m) axiom-scheme instance: C = C_{1,m}^n, alpha,
+    beta and the index bookkeeping for the ambient space K^{alpha(n,m)}.
 
     pi_indices select the Gamma(C-1) block, psi_indices the Gamma(1) block,
     and phi_blocks[k] maps the Gamma(C-1) block through xi -> xi + k
@@ -117,20 +90,22 @@ class CoordinateMaps:
     phi_blocks: tuple
 
 
-def coordinate_maps(n, m, bit_budget=None):
+def coordinate_maps(n, m):
     """Build the coordinate maps pi, psi, phi for the (n, m) axiom shape."""
     if n < 1 or m < 1:
         raise ContextError("n and m must be >= 1")
-    C = bounds.bound_C(1, m, n, bit_budget=bit_budget)
+    C = bounds.bound_C(1, m, n)
     alpha = n * math.comb(C + m, m)
     beta = n * math.comb(C - 1 + m, m)
     if alpha > coord_budget():
         raise ResourceBudgetError(
             "alpha(%d,%d) = %d exceeds the coordinate budget" % (n, m, alpha))
-    big = gamma_set(m, C)
-    layout = coordinate_layout(n, big)
+    # xi-major, i-minor: the Gamma(r') coordinates are then a prefix of the
+    # Gamma(r) ones for every r' <= r, which is what makes the projections
+    # "onto the first ... coordinates"
+    layout = tuple((i, xi) for xi in gamma_set(m, C) for i in range(1, n + 1))
     pos = {v: idx for idx, v in enumerate(layout)}
-    small = gamma_set(m, C - 1) if C >= 1 else gamma_set(m, 0)
+    small = gamma_set(m, C - 1)
     pi = tuple(pos[(i, xi)] for xi in small for i in range(1, n + 1))
     one = gamma_set(m, 1)
     psi = tuple(pos[(i, xi)] for xi in one for i in range(1, n + 1))
@@ -139,5 +114,5 @@ def coordinate_maps(n, m, bit_budget=None):
         blocks.append(tuple(pos[(i, shift(xi, k))]
                             for xi in small for i in range(1, n + 1)))
     return CoordinateMaps(n=n, m=m, C=C, alpha=alpha, beta=beta,
-                          layout=tuple(layout), pi_indices=pi,
+                          layout=layout, pi_indices=pi,
                           psi_indices=psi, phi_blocks=tuple(blocks))

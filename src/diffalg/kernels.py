@@ -48,6 +48,13 @@ class ObstructionWitness:
     normal_form: DiffPolynomial  # of the relation's constant part, nonzero
     provenance: list  # of (generator index, k) pairs that fed the relation
 
+    def to_json(self):
+        return {
+            "relation": print_poly(self.relation),
+            "normal_form": print_poly(self.normal_form),
+            "provenance": [list(p) for p in self.provenance],
+        }
+
 
 @dataclass
 class ProlongResult:
@@ -76,7 +83,7 @@ class KernelPresentation:
         # kernels work under lex with higher-level derivatives most
         # significant: presentations where top derivatives are graphs over
         # the lower levels stay triangular, which grevlex destroys
-        if self.ideal.order.kind != "lex" or self.ideal.order.seq is not None:
+        if self.ideal.order.kind != "lex":
             self.ideal = IdealPresentation(self.ctx, self.ideal.generators,
                                            MonomialOrder.lex())
         self._sat_cache = None

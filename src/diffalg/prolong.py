@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dpoly import DiffPolynomial, derivation_image
+from .dpoly import derivation_image
 from .errors import ContextError
 from .groebner import IdealPresentation
 from .indices import unit_index
@@ -24,37 +24,31 @@ class ProlongationSystem:
     generators: list
 
 
-def _check_base(I):
-    for v in I.variables():
-        if sum(v[1]) != 0:
-            raise ContextError(
-                "prolongation base must use level-0 variables only, got %r"
-                % (v,))
-
-
 def prolong_one(I, k):
     """tau_{delta_k} of the variety presented by I."""
     if not 1 <= k <= I.ctx.m:
         raise ContextError("derivation index %d out of range 1..%d"
                            % (k, I.ctx.m))
-    _check_base(I)
-    gb = I.reduced_gb
-    gens = list(gb)
-    for g in gb:
-        gens.append(derivation_image(g, k))
-    return ProlongationSystem(base=I, ks=(k,), generators=gens)
+    return _prolong(I, (k,))
 
 
 def prolong_delta(I):
     """tau_Delta: the fibre product of all m single prolongations over X."""
-    _check_base(I)
+    return _prolong(I, tuple(range(1, I.ctx.m + 1)))
+
+
+def _prolong(I, ks):
+    """The reduced basis of I, then its D_k-images for each k in ks."""
+    for v in I.variables():
+        if sum(v[1]) != 0:
+            raise ContextError(
+                "prolongation base must use level-0 variables only, got %r"
+                % (v,))
     gb = I.reduced_gb
     gens = list(gb)
-    for k in range(1, I.ctx.m + 1):
-        for g in gb:
-            gens.append(derivation_image(g, k))
-    return ProlongationSystem(base=I, ks=tuple(range(1, I.ctx.m + 1)),
-                              generators=gens)
+    for k in ks:
+        gens.extend(derivation_image(g, k) for g in gb)
+    return ProlongationSystem(base=I, ks=ks, generators=gens)
 
 
 def point_in_prolongation(point, system, derivatives=None):

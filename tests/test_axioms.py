@@ -29,8 +29,8 @@ def test_axiom_shape_examples():
 
 def test_axiom_shape_consistency_with_maps():
     s = axiom_shape(2, 2)
-    assert s.alpha == len(s.maps.layout)
-    assert s.beta == len(s.maps.pi_indices)
+    assert s.alpha == len(s.layout)
+    assert s.beta == len(s.pi_indices)
 
 
 def test_containment_counterexample_holds():

@@ -1,0 +1,55 @@
+"""The names the benchmark calls and traces must stay resolvable.
+
+`bench/spans.py` patches the functions listed in its TARGETS, and the
+workloads call diffalg through its public package.  A rename or removal
+that would break `bench/run.py` fails here instead.  `bench/` is only read.
+"""
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+import diffalg
+import diffalg.cli
+import diffalg.files
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_spans():
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        return importlib.import_module("spans")
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+
+
+def resolve(obj, path):
+    for part in path.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_traced_targets_resolve():
+    spans = load_spans()
+    assert spans.TARGETS
+    for _, module, path in spans.TARGETS:
+        target = resolve(importlib.import_module("diffalg." + module), path)
+        assert callable(target), (module, path)
+
+
+@pytest.mark.parametrize("path", [
+    "Context", "FieldMode", "parse_poly", "print_poly", "buchberger",
+    "radical_member", "elimination_ideal", "kernel_prolong_to",
+    "files.load_ideal_text", "files.load_kernel_text", "cli.run",
+])
+def test_workload_names_resolve(path):
+    assert callable(resolve(diffalg, path))
+
+
+def test_workload_orders_build():
+    x1 = (1, (0,))
+    for order in (diffalg.MonomialOrder.grevlex(), diffalg.MonomialOrder.lex(),
+                  diffalg.MonomialOrder.block_elim({x1})):
+        assert callable(order.sort_key)

@@ -2,6 +2,7 @@ import sys
 
 import pytest
 
+from diffalg import bounds
 from diffalg.bounds import ackermann, bound_C, closed_form
 from diffalg.errors import ContextError, ResourceBudgetError
 
@@ -9,7 +10,6 @@ from diffalg.errors import ContextError, ResourceBudgetError
 def naive_ackermann(x, y):
     """Brute-force oracle: the recursive definition, memoized verbatim."""
     memo = {}
-    sys.setrecursionlimit(200_000)
 
     def a(x, y):
         if x == 0:
@@ -22,7 +22,12 @@ def naive_ackermann(x, y):
                 memo[key] = a(x - 1, a(x, y - 1))
         return memo[key]
 
-    return a(x, y)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(200_000)
+    try:
+        return a(x, y)
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def test_ackermann_examples():
@@ -31,6 +36,12 @@ def test_ackermann_examples():
     assert ackermann(3, 3) == 61       # frozen from the oracle
     assert naive_ackermann(2, 2) == 7
     assert naive_ackermann(3, 3) == 61
+
+
+def test_oracle_restores_recursion_limit():
+    old = sys.getrecursionlimit()
+    assert naive_ackermann(3, 3) == 61
+    assert sys.getrecursionlimit() == old
 
 
 @pytest.mark.parametrize("x", [0, 1, 2, 3])
@@ -48,15 +59,16 @@ def test_ackermann_above_closed_forms():
     assert ackermann(4, 1) == 65533
 
 
-def test_ackermann_budget():
+def test_ackermann_budget(monkeypatch):
+    monkeypatch.setenv("DIFFALG_BIT_BUDGET", str(1 << 20))
     with pytest.raises(ResourceBudgetError):
-        ackermann(4, 3, bit_budget_=1 << 20)
+        ackermann(4, 3)
 
 
 @pytest.fixture
 def default_recursion_limit():
-    """naive_ackermann raises the limit for the whole process; deep
-    arguments must meet the interpreter's default, as in the CLI."""
+    """Deep arguments must meet the interpreter's default limit, as in the
+    CLI, whatever limit the test process runs at."""
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     yield
@@ -85,16 +97,24 @@ def test_bound_examples():
     assert naive_ackermann(3, 0) == 5
 
 
+def recursive_bound(r, m, n):
+    """C_{r,m}^n with every C^1 step taken by the literal recursion,
+    bypassing the m <= 3 closed forms."""
+    for _ in range(n):
+        r = bounds._c1_recursive(r, m, bounds.bit_budget())
+    return r
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("r", list(range(9)))
 def test_closed_forms_vs_recursion(r, n):
     assert bound_C(r, 1, n) == r
-    assert bound_C(r, 1, n, force_recursive=True) == r
+    assert recursive_bound(r, 1, n) == r
     assert bound_C(r, 2, n) == (1 << n) * r
-    assert bound_C(r, 2, n, force_recursive=True) == (1 << n) * r
+    assert recursive_bound(r, 2, n) == (1 << n) * r
     if n == 1:
         assert bound_C(r, 3, 1) == 3 * ((1 << r) - 1)
-        assert bound_C(r, 3, 1, force_recursive=True) == 3 * ((1 << r) - 1)
+        assert recursive_bound(r, 3, 1) == 3 * ((1 << r) - 1)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (2, 2), (3, 1)])
@@ -108,9 +128,10 @@ def test_bound_m4_known_value():
     assert bound_C(3, 4, 1) == (1 << 256) - 3
 
 
-def test_bound_m4_budget_abort():
+def test_bound_m4_budget_abort(monkeypatch):
+    monkeypatch.setenv("DIFFALG_BIT_BUDGET", str(1 << 20))
     with pytest.raises(ResourceBudgetError):
-        bound_C(5, 4, 1, bit_budget=1 << 20)
+        bound_C(5, 4, 1)
 
 
 def test_bound_rejects_bad_args():

@@ -155,6 +155,56 @@ def test_demo_deterministic_stdout(capsys):
     assert json.loads(pretty) == json.loads(first)
 
 
+DEMO_NARRATIVE = (
+    '"narrative":["The projection of W onto the base coordinate is the whole '
+    'line, so W is contained in the prolongation of its projection with no '
+    'conditions to check.","Extending the kernel by one level forces the '
+    'mixed second derivative to equal both 0 (deriving y - 1) and 1 '
+    '(deriving z - x), an inconsistent pair of linear constraints."],')
+
+
+@pytest.mark.parametrize("argv,code,stdout", [
+    (["demo", "counterexample", "--mode", mode], EXIT_NEGATIVE,
+     '{"containment":{"elimination_generators":[],"holds":true,"note":'
+     '"projection handled via its Zariski closure (elimination ideal); the '
+     'base membership condition holds automatically for projections of '
+     'points of W","witnesses":[]},"kernel":{"length":1,"status":'
+     '"obstructed","valid":true,"witness":{"normal_form":"-1","provenance":'
+     '[[0,2],[1,1]],"relation":"-1"}},"mode":"%s",' % mode + DEMO_NARRATIVE
+     + '"variety":{"ambient":"K^3, coordinates x1_[0,0], x1_[1,0], '
+     'x1_[0,1]","generators":["x1_[1,0] - 1","x1_[0,1] - x1_[0,0]"]}}')
+    for mode in ("constants", "rational")
+] + [
+    (["axiom-shape", "2", "2"], EXIT_OK,
+     '{"C":4,"alpha":30,"beta":20,"m":2,"n":2}'),
+    (["gamma", "--m", "2", "--r", "2"], EXIT_OK,
+     '{"count":6,"elements":[[0,0],[1,0],[0,1],[2,0],[1,1],[0,2]],'
+     '"m":2,"r":2}'),
+], ids=["demo-constants", "demo-rational", "axiom-shape", "gamma"])
+def test_stdout_pinned(capsys, argv, code, stdout):
+    assert invoke(capsys, argv) == (code, stdout + "\n")
+
+
+def test_pretty_does_not_leak_into_the_next_call(capsys):
+    code, pretty = invoke(capsys, ["--pretty", "bounds", "1", "2", "1"])
+    assert code == EXIT_OK and "\n  " in pretty
+    assert invoke(capsys, ["bounds", "1", "2", "1"]) == (
+        EXIT_OK, '{"closed_form":2,"closed_form_agrees":true,"m":2,"n":1,'
+        '"r":1,"value":2}\n')
+
+
+def test_usage_error_does_not_leak_into_the_next_call(capsys, tmp_path):
+    path = tmp_path / "linear.kernel"
+    path.write_text(KERNEL_LINEAR)
+    valid = ["kernel-prolong", str(path), "--to", "2"]
+    fresh = run_cli_process(valid)
+    assert fresh.returncode == EXIT_OK
+    code, _ = invoke(capsys, ["kernel-prolong", str(path), "--to", "2",
+                              "--to-bound"])
+    assert code == EXIT_USAGE
+    assert invoke(capsys, valid) == (EXIT_OK, fresh.stdout)
+
+
 def test_usage_errors(capsys, tmp_path):
     code, _ = invoke(capsys, ["bounds", "2"])
     assert code == EXIT_USAGE
