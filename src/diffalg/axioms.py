@@ -21,7 +21,7 @@ from .dpoly import (Context, derivation_image, parse_poly, print_poly,
                     _ExprParser, _Tokenizer)
 from .errors import ContextError, ParseError, ResourceBudgetError
 from .groebner import IdealPresentation, elimination_ideal
-from .indices import coordinate_maps, deg, gamma_set
+from .indices import axiom_sizes, coordinate_maps, deg, gamma_set
 from .kernels import KernelPresentation, kernel_prolong_once, violation
 
 
@@ -236,9 +236,7 @@ def compile_formula(rho_text, m):
     alpha = beta = None
     note = None
     try:
-        C = bounds.bound_C(1, m, n)
-        alpha = n * math.comb(C + m, m)
-        beta = n * math.comb(C - 1 + m, m)
+        _, alpha, beta = axiom_sizes(n, m)
     except ResourceBudgetError as exc:
         note = str(exc)
     return CompiledFormula(formula=formula, n=n, algebraically_closed=False,

@@ -13,12 +13,12 @@ import json
 import sys
 
 from . import bounds
-from .axioms import (atom_rho_text, axiom_shape, compile_formula,
-                     containment_check, counterexample_demo)
+from .axioms import (atom_rho_text, compile_formula, containment_check,
+                     counterexample_demo)
 from .dpoly import print_poly
 from .errors import ParseError, ResourceBudgetError, ContextError
 from .files import load_ideal, load_kernel
-from .indices import gamma_set
+from .indices import axiom_sizes, check_coordinates, gamma_set
 from .kernels import (KernelValidationError, kernel_prolong_to,
                       kernel_validate, realization_bound)
 from .prolong import prolong_delta, prolong_one
@@ -52,9 +52,11 @@ def _cmd_gamma(args):
 
 
 def _cmd_axiom_shape(args):
-    shape = axiom_shape(args.n, args.m)
-    return EXIT_OK, {"n": shape.n, "m": shape.m, "C": shape.C,
-                     "alpha": shape.alpha, "beta": shape.beta}
+    # the sizes alone: the coordinate maps are not built, only budgeted
+    C, alpha, beta = axiom_sizes(args.n, args.m)
+    check_coordinates(args.n, args.m, alpha)
+    return EXIT_OK, {"n": args.n, "m": args.m, "C": C, "alpha": alpha,
+                     "beta": beta}
 
 
 def _cmd_prolong_variety(args):

@@ -1,12 +1,18 @@
 """Exact coefficients: K = Q (constants mode) or K = Q(t_1..t_m).
 
-A Coefficient is a fraction of integer-coefficient polynomials in the base
-variables t_1..t_m (no base variables at all in constants mode, so the
-fraction degenerates to a rational number).  Fractions are reduced
+In rational mode (m base variables t_1..t_m) a Coefficient is a fraction
+of integer-coefficient polynomials in the t_k.  Fractions are reduced
 best-effort only: integer content, common monomial content, and exact
 polynomial division when it happens to succeed.  Correctness never depends
 on reduction; equality is decided by cross-multiplication and the zero test
-is "numerator identically zero".
+is "numerator identically zero".  The printed form depends on the order of
+the operations that built a fraction, so callers that must print the same
+text keep that order.
+
+In constants mode (no base variables) a Coefficient is a rational number
+held as a reduced integer pair: den > 0 and gcd(num, den) == 1, so the form
+is canonical.  It is the private subclass _Q, which the constructors below
+return whenever nv == 0.
 """
 from __future__ import annotations
 
@@ -178,7 +184,8 @@ def _pstr(a, names):
 
 
 class Coefficient:
-    """An element of the base field K, kept as num/den integer polynomials."""
+    """An element of the base field K: num/den integer polynomials (ints in
+    the constants-mode subclass _Q)."""
 
     __slots__ = ("num", "den", "nv")
 
@@ -219,18 +226,26 @@ class Coefficient:
 
     @classmethod
     def zero(cls, nv):
+        if not nv:
+            return _Q(0, 1)
         return cls({}, _pconst(1, nv), nv, reduce=False)
 
     @classmethod
     def one(cls, nv):
+        if not nv:
+            return _Q(1, 1)
         return cls(_pconst(1, nv), _pconst(1, nv), nv, reduce=False)
 
     @classmethod
     def from_int(cls, value, nv):
+        if not nv:
+            return _Q(value, 1)
         return cls(_pconst(value, nv), _pconst(1, nv), nv, reduce=False)
 
     @classmethod
     def from_rational(cls, p, q, nv):
+        if not nv:
+            return _q(p, q)
         return cls(_pconst(p, nv), _pconst(q, nv), nv)
 
     @classmethod
@@ -309,9 +324,7 @@ class Coefficient:
         return Coefficient(_pscale(self.num, c), self.den, self.nv)
 
     def derive(self, k):
-        """d/dt_k by the quotient rule; zero when there are no base variables."""
-        if self.nv == 0:
-            return Coefficient.zero(0)
+        """d/dt_k by the quotient rule."""
         if not 1 <= k <= self.nv:
             raise ContextError("derivation index %d out of range 1..%d"
                                % (k, self.nv))
@@ -349,3 +362,88 @@ class Coefficient:
     def __repr__(self):
         return "Coefficient(%s)" % self
 
+
+def _q(num, den):
+    """The constants-mode coefficient num/den, reduced."""
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if den < 0:
+        num, den = -num, -den
+    g = math.gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    return _Q(num, den)
+
+
+class _Q(Coefficient):
+    """A constants-mode coefficient: num/den ints, den > 0, gcd 1.
+
+    It overrides the Coefficient operations that read num/den; the others
+    (-, **, bool, the nv check) are Coefficient's.
+    """
+
+    __slots__ = ()
+    nv = 0
+
+    def __init__(self, num, den):
+        # callers pass an already reduced pair; _q reduces any other
+        self.num = num
+        self.den = den
+
+    def is_zero(self):
+        return not self.num
+
+    def is_one(self):
+        return self.num == 1 and self.den == 1
+
+    def is_constant(self):
+        return True
+
+    def __eq__(self, other):
+        if not isinstance(other, Coefficient):
+            return NotImplemented
+        self._check(other)
+        return self.num == other.num and self.den == other.den
+
+    def __add__(self, other):
+        self._check(other)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d == 1:
+            return _Q(a + c, 1)
+        return _q(a * d + b * c, b * d)
+
+    def __neg__(self):
+        return _Q(-self.num, self.den)
+
+    def __mul__(self, other):
+        self._check(other)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d == 1:
+            return _Q(a * c, 1)
+        return _q(a * c, b * d)
+
+    def __truediv__(self, other):
+        self._check(other)
+        if not other.num:
+            raise ZeroDivisionError("division by zero coefficient")
+        return self * other.inverse()
+
+    def inverse(self):
+        if not self.num:
+            raise ZeroDivisionError("inverse of zero")
+        if self.num < 0:
+            return _Q(-self.den, -self.num)
+        return _Q(self.den, self.num)
+
+    def scale_int(self, c):
+        return _q(self.num * c, self.den)
+
+    def derive(self, k):
+        """Zero: a constant has no base variables to differentiate in."""
+        return _Q(0, 1)
+
+    def render(self):
+        num, den = abs(self.num), self.den
+        text = str(num) if den == 1 else "%d/%d" % (num, den)
+        return self.num < 0, text, num == 1 and den == 1

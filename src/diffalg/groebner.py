@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .dpoly import (Context, DiffPolynomial, grevlex_key, mono_coprime,
-                    mono_div, mono_lcm, var_rank)
+                    mono_div, mono_lcm, mono_mul, var_rank)
 from .errors import ContextError
 
 
@@ -80,26 +80,47 @@ def _mono_poly(ctx, mono, c):
 
 
 def normal_form(f, basis, order):
-    """Full remainder of f under multivariate division by basis."""
-    ctx = f.ctx
+    """Full remainder of f under multivariate division by basis.
+
+    Reduces in place in one {monomial: Coefficient} dict.  Each step does
+    the Coefficient operations of p - (c/lc)*x^q*g term by term, in the
+    same order, so rational-mode coefficients come out in the same form.
+    """
     if not basis:
         return f
-    leads = [(leading_term(g, order), g) for g in basis]
-    remainder = DiffPolynomial.zero(ctx)
-    p = f
-    while not p.is_zero():
-        mono, c = leading_term(p, order)
-        reduced = False
-        for (lm, lc), g in leads:
+    sort_key = order.sort_key
+    leads = []
+    for g in basis:
+        lm, lc = leading_term(g, order)
+        leads.append((lm, lc, [t for t in g.terms.items() if t[0] != lm]))
+    p = dict(f.terms)
+    keys = {mono: sort_key(mono) for mono in p}
+    remainder = {}
+    while p:
+        mono = max(p, key=keys.__getitem__)
+        c = p.pop(mono)
+        for lm, lc, tail in leads:
             q = mono_div(mono, lm)
             if q is not None:
-                p = p - _mono_poly(ctx, q, c / lc) * g
-                reduced = True
+                # the leading terms cancel exactly
+                k = c / lc
+                for mb, cb in tail:
+                    m = mono_mul(q, mb)
+                    v = -(k * cb)
+                    if m in p:
+                        s = p[m] + v
+                        if s.is_zero():
+                            del p[m]
+                        else:
+                            p[m] = s
+                    else:
+                        p[m] = v
+                        if m not in keys:
+                            keys[m] = sort_key(m)
                 break
-        if not reduced:
-            remainder = remainder + _mono_poly(ctx, mono, c)
-            p = p - _mono_poly(ctx, mono, c)
-    return remainder
+        else:
+            remainder[mono] = c
+    return DiffPolynomial(f.ctx, remainder)
 
 
 def _s_poly(f, g, order):

@@ -90,16 +90,26 @@ class CoordinateMaps:
     phi_blocks: tuple
 
 
-def coordinate_maps(n, m):
-    """Build the coordinate maps pi, psi, phi for the (n, m) axiom shape."""
+def axiom_sizes(n, m):
+    """(C, alpha, beta) of the (n, m) axiom shape: C = C_{1,m}^n and the
+    coordinate counts alpha = n*|Gamma(C)| and beta = n*|Gamma(C-1)|."""
     if n < 1 or m < 1:
         raise ContextError("n and m must be >= 1")
     C = bounds.bound_C(1, m, n)
-    alpha = n * math.comb(C + m, m)
-    beta = n * math.comb(C - 1 + m, m)
+    return C, n * math.comb(C + m, m), n * math.comb(C - 1 + m, m)
+
+
+def check_coordinates(n, m, alpha):
+    """Refuse an (n, m) shape whose alpha is over the coordinate budget."""
     if alpha > coord_budget():
         raise ResourceBudgetError(
             "alpha(%d,%d) = %d exceeds the coordinate budget" % (n, m, alpha))
+
+
+def coordinate_maps(n, m):
+    """Build the coordinate maps pi, psi, phi for the (n, m) axiom shape."""
+    C, alpha, beta = axiom_sizes(n, m)
+    check_coordinates(n, m, alpha)
     # xi-major, i-minor: the Gamma(r') coordinates are then a prefix of the
     # Gamma(r) ones for every r' <= r, which is what makes the projections
     # "onto the first ... coordinates"

@@ -7,8 +7,8 @@ from __future__ import annotations
 import random
 
 from diffalg.coeff import Coefficient, FieldMode
-from diffalg.dpoly import Context, DiffPolynomial, derivation_image
-from diffalg.groebner import IdealPresentation
+from diffalg.dpoly import Context, DiffPolynomial, derivation_image, mono_div
+from diffalg.groebner import IdealPresentation, leading_term
 from diffalg.kernels import KernelPresentation
 
 
@@ -166,3 +166,31 @@ def brute_force_solutions(I, variables, box=range(-4, 5)):
 
     rec({}, list(variables))
     return found
+
+
+def naive_normal_form(f, basis, order):
+    """Reference remainder: the textbook division loop on whole polynomials.
+
+    Each step subtracts (c/lc)*x^q*g as a DiffPolynomial and moves an
+    irreducible leading term to the remainder by adding and subtracting it,
+    which fixes the order of every Coefficient operation.
+    """
+    ctx = f.ctx
+    if not basis:
+        return f
+    leads = [(leading_term(g, order), g) for g in basis]
+    remainder = DiffPolynomial.zero(ctx)
+    p = f
+    while not p.is_zero():
+        mono, c = leading_term(p, order)
+        reduced = False
+        for (lm, lc), g in leads:
+            q = mono_div(mono, lm)
+            if q is not None:
+                p = p - DiffPolynomial(ctx, {q: c / lc}) * g
+                reduced = True
+                break
+        if not reduced:
+            remainder = remainder + DiffPolynomial(ctx, {mono: c})
+            p = p - DiffPolynomial(ctx, {mono: c})
+    return remainder

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,24 @@ def test_axiom_shape_command(capsys):
     assert code == EXIT_OK
     data = json.loads(out)
     assert (data["C"], data["alpha"], data["beta"]) == (4, 30, 20)
+
+
+def test_axiom_shape_builds_no_coordinates(capsys):
+    # alpha is 265,224: enumerating that many coordinates takes over a
+    # second, while the sizes follow from bound_C and binomials alone
+    start = time.perf_counter()
+    result = invoke(capsys, ["axiom-shape", "8", "2"])
+    elapsed = time.perf_counter() - start
+    assert result == (
+        EXIT_OK, '{"C":256,"alpha":265224,"beta":263168,"m":2,"n":8}\n')
+    assert elapsed < 0.1
+
+
+def test_axiom_shape_keeps_the_coordinate_budget(capsys, monkeypatch):
+    monkeypatch.setenv("DIFFALG_COORD_BUDGET", "10")
+    code, out = invoke(capsys, ["axiom-shape", "2", "2"])
+    assert code == EXIT_RESOURCE
+    assert json.loads(out)["error"] == "resource"
 
 
 def test_prolong_variety_command(tmp_path, capsys):

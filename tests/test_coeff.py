@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,3 +128,73 @@ def test_str_roundtrippable_forms():
     t2 = t(2, 2)
     assert str(t1 + t2) == "(t1 + t2)"
     assert str(Coefficient.one(2) / t2) == "1/(t2)"
+
+
+# --- constants mode against fractions.Fraction ------------------------------
+
+def _from_fraction(f):
+    return Coefficient.from_rational(f.numerator, f.denominator, 0)
+
+
+def _agrees(c, f):
+    """c is the canonical constants-mode form of the Fraction f."""
+    assert isinstance(c, Coefficient) and c.nv == 0
+    assert str(c) == str(f)
+    assert c == _from_fraction(f)
+    assert c.is_zero() == (f == 0) and bool(c) == (f != 0)
+    assert c.is_one() == (f == 1)
+    assert c.render() == (f < 0, str(abs(f)), abs(f) == 1)
+
+
+_fractions = st.fractions(max_denominator=10 ** 6)
+
+
+@given(a=_fractions, b=_fractions, e=st.integers(-6, 6),
+       k=st.integers(-50, 50), p=st.integers(-10 ** 9, 10 ** 9),
+       q=st.integers(-10 ** 9, 10 ** 9).filter(bool))
+@settings(max_examples=300, deadline=None)
+def test_constants_mode_matches_fraction(a, b, e, k, p, q):
+    x, y = _from_fraction(a), _from_fraction(b)
+    _agrees(x, a)
+    _agrees(Coefficient.from_rational(p, q, 0), Fraction(p, q))
+    _agrees(Coefficient.from_int(p, 0), Fraction(p))
+    _agrees(x + y, a + b)
+    _agrees(x - y, a - b)
+    _agrees(x * y, a * b)
+    _agrees(-x, -a)
+    _agrees(x.scale_int(k), a * k)
+    _agrees(x.derive(1), Fraction(0))
+    assert (x == y) == (a == b)
+    if b:
+        _agrees(x / y, a / b)
+        _agrees(y.inverse(), 1 / b)
+    if a or e >= 0:
+        _agrees(x ** e, a ** e)
+
+
+def test_constants_mode_render_signs_and_units():
+    assert Coefficient.from_int(-1, 0).render() == (True, "1", True)
+    assert not Coefficient.from_int(-1, 0).is_one()
+    assert Coefficient.one(0).render() == (False, "1", True)
+    assert Coefficient.zero(0).render() == (False, "0", False)
+    assert Q(-3, 2).render() == (True, "3/2", False)
+    assert Q(6, -4).render() == (True, "3/2", False)
+    assert Q(7, 1).render() == (False, "7", False)
+
+
+def test_constants_mode_errors():
+    zero = Coefficient.zero(0)
+    with pytest.raises(ZeroDivisionError):
+        Q(1) / zero
+    with pytest.raises(ZeroDivisionError):
+        zero.inverse()
+    with pytest.raises(ZeroDivisionError):
+        zero ** -2
+    with pytest.raises(ZeroDivisionError):
+        Coefficient.from_rational(1, 0, 0)
+    c, r = Q(3, 2), t(1, 1)
+    for mixed in (lambda: c + r, lambda: r + c, lambda: c - r, lambda: c * r,
+                  lambda: r * c, lambda: c / r, lambda: r / c, lambda: c == r,
+                  lambda: r == c):
+        with pytest.raises(ContextError):
+            mixed()

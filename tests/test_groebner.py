@@ -1,13 +1,16 @@
 import itertools
 import random
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from diffalg.coeff import FieldMode
+from diffalg.coeff import Coefficient, FieldMode
 from diffalg.dpoly import Context, DiffPolynomial, parse_poly, print_poly
 from diffalg.groebner import (IdealPresentation, MonomialOrder, buchberger,
                               elimination_ideal, normal_form, radical_member)
+
+from helpers import naive_normal_form
 
 C3 = Context(n=3, m=1, mode=FieldMode("constants", 1))
 C2 = Context(n=2, m=1, mode=FieldMode("constants", 1))
@@ -216,3 +219,103 @@ def test_sort_keys_match_dense_reference_orders(order, dense):
     assert [monos[e] for e in sorted(dense, key=reference)] == \
         sorted(monos.values(), key=key)
     assert len({key(m) for m in monos.values()}) == len(monos)
+
+
+# --- normal_form against the naive division loop, buchberger against sympy --
+
+XS = [X, Y, Z]
+# the block order eliminates x1, the least significant variable
+ORDERS = {"grevlex": MonomialOrder.grevlex(), "lex": LEX,
+          "block": MonomialOrder.block_elim({X})}
+
+
+def _coefficients(nv):
+    """Nonzero coefficients; in rational mode some have t1 in the
+    denominator, so reduction order shows in their printed form."""
+    def build(p, q, b, d):
+        c = Coefficient.from_rational(p, q, nv)
+        if nv:
+            t1 = Coefficient.base_var(1, nv)
+            c = c + Coefficient.from_int(b, nv) * t1
+            if d:
+                c = c / (t1 + Coefficient.from_int(d, nv))
+        return c
+
+    return st.builds(build, st.integers(-3, 3).filter(bool),
+                     st.sampled_from([1, 2, 3]), st.integers(-1, 1),
+                     st.integers(0, 2))
+
+
+def _polys(ctx, max_deg, max_terms):
+    def build(terms):
+        f = DiffPolynomial.zero(ctx)
+        for c, factors in terms:
+            term = DiffPolynomial.const(ctx, c)
+            for i, xi in factors:
+                term = term * DiffPolynomial.var(ctx, i, xi)
+            f = f + term
+        return f
+
+    term = st.tuples(_coefficients(ctx.nv),
+                     st.lists(st.sampled_from(XS), max_size=max_deg))
+    return st.lists(term, min_size=1, max_size=max_terms).map(build)
+
+
+def _ctx(mode):
+    return Context(n=3, m=1, mode=FieldMode(mode, 1))
+
+
+def _layout(f):
+    return [(mono, str(c)) for mono, c in f.terms.items()]
+
+
+@pytest.mark.parametrize("mode", ["constants", "rational"])
+@pytest.mark.parametrize("kind", sorted(ORDERS))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_normal_form_matches_naive_reference(mode, kind, data):
+    ctx, order = _ctx(mode), ORDERS[kind]
+    # rational-mode bases swell fast beyond two generators
+    gens = data.draw(st.lists(_polys(ctx, 2, 3), min_size=1,
+                              max_size=3 if mode == "constants" else 2))
+    gens = [g for g in gens if g]
+    f = data.draw(_polys(ctx, 4, 6))
+    for basis in (gens, buchberger(gens, order)):
+        got = normal_form(f, basis, order)
+        want = naive_normal_form(f, basis, order)
+        assert print_poly(got) == print_poly(want)
+        # the same terms in the same order, each coefficient in the same form
+        assert _layout(got) == _layout(want)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _sympy_expr(f, sympy):
+    return sympy.sympify(re.sub(r"x(\d+)_\[0\]", r"x\1",
+                                print_poly(f)).replace("^", "**"))
+
+
+@pytest.mark.parametrize("kind", sorted(ORDERS))
+@given(gens=st.lists(_polys(C3, 2, 3), min_size=1, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_buchberger_matches_sympy(sympy, kind, gens):
+    from sympy.polys.orderings import ProductOrder, grevlex
+
+    gens = [g for g in gens if g]
+    assume(gens)
+    # diffalg ranks x3 above x2 above x1
+    x3, x2, x1 = xs = sympy.symbols("x3 x2 x1")
+    order = kind
+    if kind == "block":
+        xs = (x1, x3, x2)
+        order = ProductOrder((grevlex, lambda m: m[:1]),
+                             (grevlex, lambda m: m[1:]))
+    want = sympy.groebner([_sympy_expr(g, sympy) for g in gens], *xs,
+                          order=order, domain="QQ").exprs
+    got = [_sympy_expr(g, sympy) for g in buchberger(gens, ORDERS[kind])]
+    assert len(got) == len(want)
+    for g in got:
+        assert any(sympy.expand(g - w) == 0 for w in want), g
