@@ -125,7 +125,9 @@ def _cmd_demo(args):
     return (EXIT_NEGATIVE if negative else EXIT_OK), report
 
 
+@functools.cache
 def build_parser():
+    """The parser, built on the first run and reused by later runs."""
     parser = argparse.ArgumentParser(
         prog="diffalg",
         description="Exact machinery for prolongation varieties, "
@@ -190,15 +192,9 @@ def build_parser():
     return parser
 
 
-@functools.cache
-def _parser():
-    """The parser, built on the first run and reused by later runs."""
-    return build_parser()
-
-
 def run(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

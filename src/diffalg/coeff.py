@@ -46,16 +46,8 @@ def _pconst(c, nv):
     return {(0,) * nv: c} if c else {}
 
 
-def _pis_zero(p):
-    return not p
-
-
 def _pis_const(p):
     return all(all(e == 0 for e in exps) for exps in p)
-
-
-def _pconstant_of(p, nv):
-    return p.get((0,) * nv, 0)
 
 
 def _padd(a, b):
@@ -84,12 +76,6 @@ def _pmul(a, b):
             elif exps in out:
                 del out[exps]
     return out
-
-
-def _pscale(a, c):
-    if c == 0:
-        return {}
-    return {exps: v * c for exps, v in a.items()}
 
 
 def _pcontent(a):
@@ -141,9 +127,9 @@ def _plead(a):
 
 def _pexact_div(a, b):
     """Exact polynomial quotient a / b, or None when it does not divide."""
-    if _pis_zero(b):
+    if not b:
         return None
-    if _pis_zero(a):
+    if not a:
         return {}
     q = {}
     r = dict(a)
@@ -190,7 +176,7 @@ class Coefficient:
     __slots__ = ("num", "den", "nv")
 
     def __init__(self, num, den, nv, reduce=True):
-        if _pis_zero(den):
+        if not den:
             raise ZeroDivisionError("zero denominator")
         if reduce:
             num, den = self._reduce(num, den)
@@ -200,7 +186,7 @@ class Coefficient:
 
     @staticmethod
     def _reduce(num, den):
-        if _pis_zero(num):
+        if not num:
             nv = len(next(iter(den)))
             return {}, _pconst(1, nv)
         g = math.gcd(_pcontent(num), _pcontent(den))
@@ -259,7 +245,7 @@ class Coefficient:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self):
-        return _pis_zero(self.num)
+        return not self.num
 
     def is_one(self):
         return self.num == self.den
@@ -321,7 +307,8 @@ class Coefficient:
         return Coefficient(self.den, self.num, self.nv)
 
     def scale_int(self, c):
-        return Coefficient(_pscale(self.num, c), self.den, self.nv)
+        num = {exps: v * c for exps, v in self.num.items()} if c else {}
+        return Coefficient(num, self.den, self.nv)
 
     def derive(self, k):
         """d/dt_k by the quotient rule."""
@@ -349,7 +336,7 @@ class Coefficient:
         if den_is_one:
             text = num_text
         elif _pis_const(self.den):
-            text = "%s/%d" % (num_text, _pconstant_of(self.den, self.nv))
+            text = "%s/%d" % (num_text, self.den[(0,) * self.nv])
         else:
             text = "%s/(%s)" % (num_text, _pstr(self.den, names))
         is_one = den_is_one and num == _pconst(1, self.nv)
@@ -379,8 +366,9 @@ def _q(num, den):
 class _Q(Coefficient):
     """A constants-mode coefficient: num/den ints, den > 0, gcd 1.
 
-    It overrides the Coefficient operations that read num/den; the others
-    (-, **, bool, the nv check) are Coefficient's.
+    It overrides the Coefficient operations that need num/den to be
+    polynomial dicts; the others (is_zero, -, **, bool, the nv check) are
+    Coefficient's.
     """
 
     __slots__ = ()
@@ -390,9 +378,6 @@ class _Q(Coefficient):
         # callers pass an already reduced pair; _q reduces any other
         self.num = num
         self.den = den
-
-    def is_zero(self):
-        return not self.num
 
     def is_one(self):
         return self.num == 1 and self.den == 1

@@ -193,14 +193,6 @@ class DiffPolynomial:
         levels = [deg(v[1]) for v in self.variables()]
         return max(levels) if levels else -1
 
-    def degree_in(self, v):
-        best = 0
-        for mono in self.terms:
-            for w, e in mono:
-                if w == v and e > best:
-                    best = e
-        return best
-
     def __eq__(self, other):
         if not isinstance(other, DiffPolynomial):
             return NotImplemented

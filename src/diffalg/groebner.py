@@ -75,10 +75,6 @@ def leading_term(f, order):
     return mono, f.terms[mono]
 
 
-def _mono_poly(ctx, mono, c):
-    return DiffPolynomial(ctx, {mono: c})
-
-
 def normal_form(f, basis, order):
     """Full remainder of f under multivariate division by basis.
 
@@ -130,8 +126,8 @@ def _s_poly(f, g, order):
     lcm = mono_lcm(lmf, lmg)
     uf = mono_div(lcm, lmf)
     ug = mono_div(lcm, lmg)
-    return (_mono_poly(ctx, uf, lcf.inverse()) * f
-            - _mono_poly(ctx, ug, lcg.inverse()) * g)
+    return (DiffPolynomial(ctx, {uf: lcf.inverse()}) * f
+            - DiffPolynomial(ctx, {ug: lcg.inverse()}) * g)
 
 
 def buchberger(gens, order):
@@ -239,20 +235,10 @@ class IdealPresentation:
             self._gb = buchberger(self.generators, self.order)
         return self._gb
 
-    def is_zero_ideal(self):
-        return not self.reduced_gb
-
-    def is_unit_ideal(self):
-        gb = self.reduced_gb
-        return len(gb) == 1 and gb[0].is_constant()
-
     def normal_form(self, f):
         if f.ctx != self.ctx:
             raise ContextError("polynomial in wrong context")
         return normal_form(f, self.reduced_gb, self.order)
-
-    def contains(self, f):
-        return self.normal_form(f).is_zero()
 
     def variables(self):
         out = set()

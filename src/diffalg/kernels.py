@@ -6,8 +6,9 @@ D_k x_i^xi = x_i^(xi + unit k).  Prolonging by one introduces unknowns for
 the level r+1 derivatives and decides the joint linear system over the
 fraction field of the quotient; zero tests go through saturation by the
 `inverted` multiplicative set (the pivot denominators accumulated so far),
-encoded with the auxiliary-variable trick 1 - g*z.  The prolongation
-validates its input from its own rows.
+encoded with the auxiliary-variable trick 1 - g*z.  `kernel_validate` is
+the one derivation-extension check; the prolongation runs it first and
+builds its rows from the top-level generators only.
 
 Primality of the presented ideal is assumed, not verified: the obstruction
 verdict is sound regardless, but a "prolonged" verdict is certified only
@@ -192,30 +193,30 @@ def kernel_prolong_once(Kp):
     eliminates over the kernel's fraction field (pivot denominators join the
     inverted set), and on success adjoins the triangular pivot relations;
     unknowns untouched by any pivot stay free as new transcendentals.
-    Validates its input from its own rows, since a generator below the top
-    level has its reduced D_k-image as row constant: raises
-    KernelValidationError with `kernel_validate`'s report before pivoting.
+    Raises KernelValidationError with `kernel_validate`'s report on an
+    invalid kernel.  Only top-level generators give rows: the D_k-image of
+    a lower one has no level-(r+1) unknown, so it never pivots, and its
+    constant, zero in the kernel's field once validated, stays zero.
     """
+    report = kernel_validate(Kp)
+    if not report.valid:
+        raise KernelValidationError(report)
     ctx, r = Kp.ctx, Kp.r
     top = [xi for xi in gamma_set(ctx.m, r + 1) if deg(xi) == r + 1]
     unknowns = [(i, xi) for xi in top for i in range(1, ctx.n + 1)]
     unknown_set = set(unknowns)
 
     rows = []
-    violations = []
     gb = Kp.ideal.reduced_gb
     for idx, f in enumerate(gb):
-        below_top = f.max_level() <= r - 1
+        if f.max_level() != r:
+            continue
         for k in range(1, ctx.m + 1):
-            img = derivation_image(f, k)
-            coeffs, const = _split_linear(img, unknown_set, Kp.ideal)
-            if below_top and not Kp.is_zero_mod(const):
-                violations.append(violation(f, k, const))
+            coeffs, const = _split_linear(derivation_image(f, k), unknown_set,
+                                          Kp.ideal)
             if coeffs or not const.is_zero():
                 rows.append(_Row(coeffs=coeffs, const=const,
                                  provenance={(idx, k)}))
-    if violations:
-        raise KernelValidationError(ValidationReport(False, violations))
 
     localized = Kp  # the kernel's field, localized at the pivots so far
     solved = []

@@ -69,7 +69,7 @@ def test_prolong_linear_ode():
     assert nxt.r == 2
     # the new level is pinned: u^(2) = x^(1)
     rel = parse_poly("x1_[2] - x1_[1]", nxt.ctx)
-    assert nxt.ideal.contains(rel)
+    assert nxt.ideal.normal_form(rel).is_zero()
 
 
 def test_prolong_zero_ideal_all_free():
@@ -77,7 +77,7 @@ def test_prolong_zero_ideal_all_free():
     result = kernel_prolong_once(K)
     assert result.status == "prolonged"
     assert result.next.r == 1
-    assert result.next.ideal.is_zero_ideal()
+    assert result.next.ideal.reduced_gb == []
 
 
 def test_prolong_requires_valid_kernel():
@@ -164,7 +164,7 @@ def test_corpus_prolonged_kernels_validate_and_contain(idx):
     nxt = result.next
     assert kernel_validate(nxt).valid
     for g in K.ideal.generators:
-        assert nxt.ideal.contains(g)
+        assert nxt.ideal.normal_form(g).is_zero()
 
 
 def test_ode_kernel_from_separant():
