@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import bounds
 from .coeff import FieldMode
 from .dpoly import (Context, derivation_image, parse_poly, print_poly,
                     _ExprParser, _Tokenizer)
 from .errors import ContextError, ParseError, ResourceBudgetError
 from .groebner import IdealPresentation, elimination_ideal
-from .indices import axiom_sizes, coordinate_maps, deg, gamma_set
+from .indices import (axiom_sizes, check_coordinates, coordinate_maps, deg,
+                      gamma_set)
 from .kernels import KernelPresentation, kernel_prolong_once, violation
 
 
@@ -52,6 +52,7 @@ def containment_check(W, kind, n=None, m=None):
     naive: W lives in the Gamma(1) layout K^{n(m+1)} and the projection
     keeps the level-0 coordinates.  sharp: W lives in the Gamma(C) layout
     K^{alpha(n,m)} with C = C_{1,m}^n and the projection keeps Gamma(C-1).
+    Either ambient must fit the coordinate budget.
     """
     ctx = W.ctx
     n = ctx.n if n is None else n
@@ -60,9 +61,10 @@ def containment_check(W, kind, n=None, m=None):
         raise ContextError("shape (n=%d, m=%d) does not match W's context "
                            "(n=%d, m=%d)" % (n, m, ctx.n, ctx.m))
     if kind == "naive":
-        max_level = 1
+        max_level, size, what = 1, n * (m + 1), "n(m+1)"
     elif kind == "sharp":
-        max_level = bounds.bound_C(1, m, n)
+        max_level, size, _ = axiom_sizes(n, m)
+        what = "alpha(%d,%d)" % (n, m)
     else:
         raise ContextError("unknown containment shape %r" % (kind,))
     for v in W.variables():
@@ -70,6 +72,7 @@ def containment_check(W, kind, n=None, m=None):
             raise ContextError(
                 "variable %r exceeds the %s ambient (levels <= %d)"
                 % (v, kind, max_level))
+    check_coordinates(what, size)
     keep_levels = gamma_set(m, max_level - 1) if max_level >= 1 else []
     keep = {(i, xi) for xi in keep_levels for i in range(1, n + 1)}
     J = elimination_ideal(W, keep)

@@ -91,11 +91,9 @@ def _c1_recursive(r, m, budget):
 
 
 def _c1(r, m, budget):
-    """C_{r,m}^1, via the closed forms for m <= 3."""
+    """C_{r,m}^1 for m != 2, via the closed forms for m = 1 and m = 3."""
     if m == 1:
         return r
-    if m == 2:
-        return 2 * r
     if m == 3:
         return 3 * (_pow2(r, budget) - 1)
     return _c1_recursive(r, m, budget)
@@ -105,16 +103,23 @@ def bound_C(r, m, n):
     """The realization bound C_{r,m}^n.
 
     C_{0,m}^1 = 0, C_{r,m}^1 = A(m-1, C_{r-1,m}^1), and
-    C_{r,m}^n = C_{C_{r,m}^{n-1}, m}^1.
+    C_{r,m}^n = C_{C_{r,m}^{n-1}, m}^1.  For m = 2 that is 2^n * r; other
+    m iterate C^1 until n steps or a fixed point, so a large n costs
+    nothing once the value stops changing.
     """
     if m < 1 or n < 1:
         raise ContextError("m and n must be >= 1")
     if r < 0:
         raise ContextError("r must be >= 0")
     budget = bit_budget()
+    if m == 2:
+        return _pow2(n, budget) * r if r else 0
     value = r
     for _ in range(n):
-        value = _c1(value, m, budget)
+        step = _c1(value, m, budget)
+        if step == value:
+            break
+        value = step
     return value
 
 

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success (and positive verdicts), 1 negative mathematical
 verdicts (containment fails, kernel obstructed or invalid), 2 usage or
-parse errors, 3 resource-budget errors.  Output is JSON with sorted keys,
-so identical invocations produce byte-identical stdout.
+parse errors (an input integer over Python's int-to-str digit limit
+among them), 3 resource-budget errors (an output integer over that limit
+among them).  Output is JSON with sorted keys, so identical invocations
+produce byte-identical stdout.
 """
 from __future__ import annotations
 
@@ -29,11 +31,15 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _emit(obj, pretty):
+def _dumps(obj, pretty):
     if pretty:
-        print(json.dumps(obj, sort_keys=True, indent=2))
-    else:
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        return json.dumps(obj, sort_keys=True, indent=2)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _error(kind, message, code):
+    print(json.dumps({"error": kind, "message": message}, sort_keys=True))
+    return code
 
 
 def _cmd_bounds(args):
@@ -54,7 +60,7 @@ def _cmd_gamma(args):
 def _cmd_axiom_shape(args):
     # the sizes alone: the coordinate maps are not built, only budgeted
     C, alpha, beta = axiom_sizes(args.n, args.m)
-    check_coordinates(args.n, args.m, alpha)
+    check_coordinates("alpha(%d,%d)" % (args.n, args.m), alpha)
     return EXIT_OK, {"n": args.n, "m": args.m, "C": C, "alpha": alpha,
                      "beta": beta}
 
@@ -199,15 +205,19 @@ def run(argv=None):
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         code, out = args.func(args)
+        text = _dumps(out, args.pretty)
     except ResourceBudgetError as exc:
-        print(json.dumps({"error": "resource", "message": str(exc)},
-                         sort_keys=True), file=sys.stdout)
-        return EXIT_RESOURCE
+        return _error("resource", str(exc), EXIT_RESOURCE)
     except (ParseError, ContextError, OSError, UnicodeDecodeError) as exc:
-        print(json.dumps({"error": "usage", "message": str(exc)},
-                         sort_keys=True), file=sys.stdout)
-        return EXIT_USAGE
-    _emit(out, args.pretty)
+        return _error("usage", str(exc), EXIT_USAGE)
+    except ValueError as exc:
+        # only CPython's refusal to print an int of too many digits
+        if "integer string conversion" not in str(exc):
+            raise
+        return _error("resource", "an output integer is over the %d-digit "
+                      "int-to-str limit" % sys.get_int_max_str_digits(),
+                      EXIT_RESOURCE)
+    print(text)
     return code
 
 

@@ -23,6 +23,7 @@ round-trippable.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 from .coeff import Coefficient, FieldMode
@@ -419,6 +420,11 @@ class _Tokenizer:
             self.pos += 1
         if start == self.pos:
             self._error("expected a number")
+        limit = sys.get_int_max_str_digits()
+        if limit and self.pos - start > limit:
+            # int() would refuse it with a ValueError and no position
+            self._error("integer of %d digits is over the %d-digit limit"
+                        % (self.pos - start, limit), start)
         return int(self.text[start:self.pos])
 
     def _scan_index_list(self):

@@ -99,17 +99,18 @@ def axiom_sizes(n, m):
     return C, n * math.comb(C + m, m), n * math.comb(C - 1 + m, m)
 
 
-def check_coordinates(n, m, alpha):
-    """Refuse an (n, m) shape whose alpha is over the coordinate budget."""
-    if alpha > coord_budget():
+def check_coordinates(what, count):
+    """Refuse an ambient of `count` coordinates, named `what`, over the
+    coordinate budget."""
+    if count > coord_budget():
         raise ResourceBudgetError(
-            "alpha(%d,%d) = %d exceeds the coordinate budget" % (n, m, alpha))
+            "%s = %d exceeds the coordinate budget" % (what, count))
 
 
 def coordinate_maps(n, m):
     """Build the coordinate maps pi, psi, phi for the (n, m) axiom shape."""
     C, alpha, beta = axiom_sizes(n, m)
-    check_coordinates(n, m, alpha)
+    check_coordinates("alpha(%d,%d)" % (n, m), alpha)
     # xi-major, i-minor: the Gamma(r') coordinates are then a prefix of the
     # Gamma(r) ones for every r' <= r, which is what makes the projections
     # "onto the first ... coordinates"

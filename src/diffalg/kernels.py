@@ -24,7 +24,7 @@ from .dpoly import Context, DiffPolynomial, derivation_image, print_poly, var_ra
 from .errors import ContextError, DiffAlgError
 from .groebner import (IdealPresentation, MonomialOrder, normal_form,
                        rabinowitsch)
-from .indices import deg, gamma_set
+from .indices import check_coordinates, deg, gamma_set
 
 
 class KernelValidationError(DiffAlgError):
@@ -194,15 +194,19 @@ def kernel_prolong_once(Kp):
     inverted set), and on success adjoins the triangular pivot relations;
     unknowns untouched by any pivot stay free as new transcendentals.
     Raises KernelValidationError with `kernel_validate`'s report on an
-    invalid kernel.  Only top-level generators give rows: the D_k-image of
-    a lower one has no level-(r+1) unknown, so it never pivots, and its
-    constant, zero in the kernel's field once validated, stays zero.
+    invalid kernel, and ResourceBudgetError when the level-(r+1) ambient
+    of n*|Gamma(r+1)| coordinates is over the coordinate budget.  Only
+    top-level generators give rows: the D_k-image of a lower one has no
+    level-(r+1) unknown, so it never pivots, and its constant, zero in the
+    kernel's field once validated, stays zero.
     """
     report = kernel_validate(Kp)
     if not report.valid:
         raise KernelValidationError(report)
     ctx, r = Kp.ctx, Kp.r
-    top = [xi for xi in gamma_set(ctx.m, r + 1) if deg(xi) == r + 1]
+    levels = gamma_set(ctx.m, r + 1)
+    check_coordinates("n*|Gamma(%d)|" % (r + 1), ctx.n * len(levels))
+    top = [xi for xi in levels if deg(xi) == r + 1]
     unknowns = [(i, xi) for xi in top for i in range(1, ctx.n + 1)]
     unknown_set = set(unknowns)
 

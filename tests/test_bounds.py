@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 
@@ -147,3 +148,16 @@ def test_closed_form_helper():
     assert closed_form(2, 3, 1) == 9
     assert closed_form(2, 3, 2) is None
     assert closed_form(1, 4, 1) is None
+
+
+@pytest.mark.parametrize("r,m,n,value", [
+    (1, 1, 10**12, 1),
+    (0, 3, 10**12, 0),
+    (2, 1, 10**8, 2),
+    (0, 2, 10**12, 0),
+])
+def test_bound_large_n_is_fast(monkeypatch, r, m, n, value):
+    monkeypatch.delenv("DIFFALG_BIT_BUDGET", raising=False)
+    start = time.perf_counter()
+    assert bound_C(r, m, n) == value
+    assert time.perf_counter() - start < 1

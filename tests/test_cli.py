@@ -36,6 +36,27 @@ x1_[1,0] - 1
 x1_[0,1] - x1_[0,0]
 """
 
+# invalid at length 2: D_1 x1_[0] = x1_[1] is 1, not 0, modulo the ideal
+KERNEL_INVALID = """\
+m=1 n=1 length=2 mode=constants
+x1_[0]
+x1_[1] - 1
+"""
+INVALID_VIOLATIONS = (
+    '[{"generator":"x1_[0]","k":1,"normal_form":"1"},'
+    '{"generator":"x1_[1] - 1","k":1,"normal_form":"x1_[2]"}]')
+
+# test_kernels' SATURATION_DECIDES with nothing inverted: inverting x1_[0]
+# would make it valid, so here the first generator's D_1-image stays nonzero
+KERNEL_SATURATION_DECIDES = """\
+m=1 n=1 length=2 mode=constants
+x1_[0]*x1_[1] - x1_[0]
+x1_[0]*x1_[2]
+"""
+SATURATION_VIOLATIONS = (
+    '[{"generator":"x1_[0]*x1_[1] - x1_[0]","k":1,'
+    '"normal_form":"x1_[1]^2 - x1_[1]"}]')
+
 
 def invoke(capsys, argv):
     code = run(argv)
@@ -251,9 +272,11 @@ def test_non_utf8_input_is_a_usage_error(capsys, tmp_path, argv):
 
 
 def run_cli_process(argv):
-    """Run the CLI in a fresh interpreter, at the default recursion limit."""
+    """Run the CLI in a fresh interpreter, at the default recursion limit
+    and the default int-to-str digit limit."""
     src = str(Path(diffalg.__file__).resolve().parents[1])
     env = dict(os.environ)
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "diffalg.cli", *argv],
@@ -295,13 +318,33 @@ def test_deep_recursion_is_an_error_exit(tmp_path, argv, text, code, error):
      '{"bound":2,"final_length":1,"realization_guaranteed":false,'
      '"status":"obstructed","target_length":2,"witness":{"normal_form":"-1",'
      '"provenance":[[0,2],[1,1]],"relation":"-1"}}'),
-], ids=["saturating", "obstructed"])
+    (KERNEL_INVALID, "3", EXIT_NEGATIVE,
+     '{"status":"invalid","violations":' + INVALID_VIOLATIONS + '}'),
+    (KERNEL_SATURATION_DECIDES, "3", EXIT_NEGATIVE,
+     '{"status":"invalid","violations":' + SATURATION_VIOLATIONS + '}'),
+], ids=["saturating", "obstructed", "invalid", "saturation-decides"])
 def test_kernel_prolong_stdout_pinned(tmp_path, capsys, text, target, code,
                                       stdout):
     path = tmp_path / "k.kernel"
     path.write_text(text)
     assert invoke(capsys, ["kernel-prolong", str(path), "--to", target]) == (
         code, stdout + "\n")
+
+
+@pytest.mark.parametrize("text,code,stdout", [
+    (KERNEL_LINEAR, EXIT_OK,
+     '{"length":1,"realization_bound":1,"valid":true,"violations":[]}'),
+    (KERNEL_INVALID, EXIT_NEGATIVE,
+     '{"length":2,"realization_bound":2,"valid":false,"violations":'
+     + INVALID_VIOLATIONS + '}'),
+    (KERNEL_SATURATION_DECIDES, EXIT_NEGATIVE,
+     '{"length":2,"realization_bound":2,"valid":false,"violations":'
+     + SATURATION_VIOLATIONS + '}'),
+], ids=["valid", "invalid", "saturation-decides"])
+def test_kernel_check_stdout_pinned(tmp_path, capsys, text, code, stdout):
+    path = tmp_path / "k.kernel"
+    path.write_text(text)
+    assert invoke(capsys, ["kernel-check", str(path)]) == (code, stdout + "\n")
 
 
 def test_resource_budget_exit_code(capsys, monkeypatch):
@@ -331,3 +374,106 @@ def test_ideal_file_roundtrip():
     kernel = load_kernel_text(KERNEL_COUNTEREXAMPLE)
     assert kernel.r == 1
     assert kernel.ctx.m == 2
+
+
+@pytest.mark.parametrize("argv,code,stdout", [
+    (["bounds", "1", "1", str(10**12)], EXIT_OK,
+     '{"closed_form":1,"closed_form_agrees":true,"m":1,"n":1000000000000,'
+     '"r":1,"value":1}'),
+    (["bounds", "0", "3", str(10**12)], EXIT_OK,
+     '{"closed_form":null,"closed_form_agrees":null,"m":3,'
+     '"n":1000000000000,"r":0,"value":0}'),
+    (["bounds", "1", "2", "2000000"], EXIT_RESOURCE,
+     '{"error": "resource", "message": "result needs about 2000001 bits, '
+     'over the 1048576-bit budget"}'),
+], ids=["m1", "m3-r0", "m2-over-budget"])
+def test_bounds_large_n_is_fast(capsys, monkeypatch, argv, code, stdout):
+    monkeypatch.delenv("DIFFALG_BIT_BUDGET", raising=False)
+    start = time.perf_counter()
+    assert invoke(capsys, argv) == (code, stdout + "\n")
+    assert time.perf_counter() - start < 1
+
+
+BIG = "7" * 5000
+INPUT_TOO_LONG = "integer of 5000 digits is over the 4300-digit limit"
+OUTPUT_TOO_LONG = "an output integer is over the 4300-digit int-to-str limit"
+
+
+@pytest.mark.parametrize("argv,text,code,error", [
+    (["prolong-variety", "{path}", "--all"],
+     "m=1 n=1 gamma=0 mode=constants\nx1_[0] - " + BIG, EXIT_USAGE,
+     {"error": "usage",
+      "message": "line 2: " + INPUT_TOO_LONG + " (at position 9)"}),
+    (["kernel-check", "{path}"],
+     "m=1 n=1 length=1 mode=constants\nx1_[1] - " + BIG, EXIT_USAGE,
+     {"error": "usage",
+      "message": "line 2: " + INPUT_TOO_LONG + " (at position 9)"}),
+    (["compile-formula", "{path}", "--m", "1"], "x1 = " + BIG, EXIT_USAGE,
+     {"error": "usage", "message": INPUT_TOO_LONG + " (at position 5)"}),
+    (["bounds", "1", "2", "20000"], None, EXIT_RESOURCE,
+     {"error": "resource", "message": OUTPUT_TOO_LONG}),
+    (["compile-formula", "{path}", "--m", "2"], "d[126,0]x1 = 0",
+     EXIT_RESOURCE, {"error": "resource", "message": OUTPUT_TOO_LONG}),
+    (["prolong-variety", "{path}", "--all"],
+     "m=1 n=1 gamma=0 mode=constants\nx1_[0] - 2^15000", EXIT_RESOURCE,
+     {"error": "resource", "message": OUTPUT_TOO_LONG}),
+], ids=["ideal-literal", "kernel-literal", "formula-literal", "bounds-value",
+        "formula-alpha", "generator-coefficient"])
+def test_oversized_integers_are_error_exits(tmp_path, argv, text, code,
+                                            error):
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text + "\n")
+    proc = run_cli_process([a.format(path=path) for a in argv])
+    assert proc.stderr == ""
+    assert proc.returncode == code
+    assert json.loads(proc.stdout) == error
+
+
+@pytest.mark.parametrize("n,error", [(3, None), (4, "n*|Gamma(2)| = 12")],
+                         ids=["fits", "over"])
+def test_kernel_prolong_keeps_the_coordinate_budget(tmp_path, capsys,
+                                                    monkeypatch, n, error):
+    # an m = 1 kernel's level-2 ambient has n*|Gamma(2)| = 3n coordinates
+    monkeypatch.setenv("DIFFALG_COORD_BUDGET", "10")
+    path = tmp_path / "k.kernel"
+    path.write_text("m=1 n=%d length=1 mode=constants\nx1_[1] - x1_[0]\n" % n)
+    code, out = invoke(capsys, ["kernel-prolong", str(path), "--to", "2"])
+    if error is None:
+        assert (code, json.loads(out)["status"]) == (EXIT_OK, "prolonged")
+    else:
+        assert (code, json.loads(out)) == (EXIT_RESOURCE, {
+            "error": "resource",
+            "message": error + " exceeds the coordinate budget"})
+
+
+SHARP_2_2 = "m=2 n=2 gamma=1 mode=constants\nx1_[0,0] - x2_[0,0]\n"
+
+
+@pytest.mark.parametrize("shape,text,budget,error", [
+    # naive: n(m+1) coordinates
+    ("naive", "m=1 n=5 gamma=1 mode=constants\nx1_[0]*x5_[1] - 1\n", 10,
+     None),
+    ("naive", "m=1 n=6 gamma=1 mode=constants\nx1_[0]*x6_[1] - 1\n", 10,
+     "n(m+1) = 12"),
+    # sharp: alpha(n,m) coordinates, refused exactly where axiom-shape is
+    ("sharp", SHARP_2_2, 30, None),
+    ("sharp", SHARP_2_2, 29, "alpha(2,2) = 30"),
+], ids=["naive-fits", "naive-over", "sharp-fits", "sharp-over"])
+def test_check_containment_keeps_the_coordinate_budget(
+        tmp_path, capsys, monkeypatch, shape, text, budget, error):
+    monkeypatch.setenv("DIFFALG_COORD_BUDGET", str(budget))
+    path = tmp_path / "w.ideal"
+    path.write_text(text)
+    code, out = invoke(capsys, ["check-containment", str(path),
+                                "--shape", shape])
+    if error is None:
+        assert code in (EXIT_OK, EXIT_NEGATIVE)
+        assert "holds" in json.loads(out)
+    else:
+        assert (code, json.loads(out)) == (EXIT_RESOURCE, {
+            "error": "resource",
+            "message": error + " exceeds the coordinate budget"})
+    if shape == "sharp":
+        assert invoke(capsys, ["axiom-shape", "2", "2"])[0] == (
+            EXIT_OK if error is None else EXIT_RESOURCE)

@@ -99,8 +99,8 @@ SATURATION_DECIDES = ["x1_[0]*x1_[1] - x1_[0]", "x1_[0]*x1_[2]"]
     (lambda: kernel_corpus()[9], []),
 ], ids=["r2-violations", "no-inverted", "inverted", "corpus4", "corpus9"])
 def test_prolong_validates_like_kernel_validate(make, normal_forms):
-    """kernel_prolong_once reads validation off its rows; kernel_validate,
-    which computes the D_k-images on its own, is the reference."""
+    """kernel_prolong_once goes on exactly when kernel_validate's report is
+    valid, and otherwise raises with that same report."""
     report = kernel_validate(make())
     assert [v["normal_form"] for v in report.violations] == normal_forms
     if report.valid:
