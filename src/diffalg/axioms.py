@@ -46,7 +46,7 @@ class ContainmentVerdict:
         }
 
 
-def containment_check(W, kind, n=None, m=None):
+def containment_check(W, kind):
     """Check W inside tau_Delta of its projection, naive or full shape.
 
     naive: W lives in the Gamma(1) layout K^{n(m+1)} and the projection
@@ -54,12 +54,7 @@ def containment_check(W, kind, n=None, m=None):
     K^{alpha(n,m)} with C = C_{1,m}^n and the projection keeps Gamma(C-1).
     Either ambient must fit the coordinate budget.
     """
-    ctx = W.ctx
-    n = ctx.n if n is None else n
-    m = ctx.m if m is None else m
-    if n != ctx.n or m != ctx.m:
-        raise ContextError("shape (n=%d, m=%d) does not match W's context "
-                           "(n=%d, m=%d)" % (n, m, ctx.n, ctx.m))
+    n, m = W.ctx.n, W.ctx.m
     if kind == "naive":
         max_level, size, what = 1, n * (m + 1), "n(m+1)"
     elif kind == "sharp":

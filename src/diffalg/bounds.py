@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import ContextError, ResourceBudgetError
+from .errors import ContextError, ResourceBudgetError, _size_text
 
 DEFAULT_BIT_BUDGET = 1 << 20
 
@@ -25,12 +25,9 @@ def bit_budget():
 
 def _check_bits(approx_bits, budget):
     if approx_bits > budget:
-        # approx_bits itself can be astronomical; never render it in decimal
-        size = ("~2^%d" % approx_bits.bit_length()
-                if approx_bits.bit_length() > 64 else str(approx_bits))
         raise ResourceBudgetError(
             "result needs about %s bits, over the %d-bit budget"
-            % (size, budget))
+            % (_size_text(approx_bits), budget))
 
 
 def _pow2(e, budget):

@@ -91,16 +91,15 @@ def mono_mul(a, b):
 
 def mono_div(a, b):
     """a / b, or None when b does not divide a."""
-    exps = dict(a)
-    for v, e in b:
-        have = exps.get(v, 0)
-        if have < e:
+    need = dict(b)
+    out = []
+    for v, e in a:
+        e -= need.pop(v, 0)
+        if e < 0:
             return None
-        if have == e:
-            del exps[v]
-        else:
-            exps[v] = have - e
-    return _mono_key(exps)
+        if e:
+            out.append((v, e))
+    return None if need else tuple(out)
 
 
 def mono_lcm(a, b):
@@ -416,7 +415,7 @@ class _Tokenizer:
 
     def _scan_int(self):
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if start == self.pos:
             self._error("expected a number")
@@ -449,7 +448,7 @@ class _Tokenizer:
             if ch.isspace():
                 self.pos += 1
                 continue
-            if ch.isdigit():
+            if ch.isdecimal():
                 self.tokens.append(("INT", self._scan_int(), start))
             elif ch == "x":
                 self.pos += 1

@@ -29,5 +29,12 @@ class ResourceBudgetError(DiffAlgError):
     """
 
 
+def _size_text(value):
+    """value in decimal, or as ~2^k once it has over 64 bits: a budget
+    message must never render an astronomical integer in decimal."""
+    bits = value.bit_length()
+    return "~2^%d" % bits if bits > 64 else str(value)
+
+
 class FileFormatError(ParseError):
     """Malformed ideal/kernel file."""

@@ -119,10 +119,9 @@ def normal_form(f, basis, order):
     return DiffPolynomial(f.ctx, remainder)
 
 
-def _s_poly(f, g, order):
+def _s_poly(f, g, lead_f, lead_g):
     ctx = f.ctx
-    lmf, lcf = leading_term(f, order)
-    lmg, lcg = leading_term(g, order)
+    (lmf, lcf), (lmg, lcg) = lead_f, lead_g
     lcm = mono_lcm(lmf, lmg)
     uf = mono_div(lcm, lmf)
     ug = mono_div(lcm, lmg)
@@ -133,18 +132,19 @@ def _s_poly(f, g, order):
 def buchberger(gens, order):
     """Reduced Groebner basis of the ideal generated by gens.
 
-    Classic Buchberger with the coprimality and chain criteria; pairs are
-    processed from a heap of (lcm sort key, i, j), and the final
-    reduction makes the result the unique reduced basis for the order.
+    Classic Buchberger with the coprimality and chain criteria, pairs taken
+    from a heap of (lcm sort key, i, j) and each (lm, lc) computed once; the
+    final reduction gives the unique reduced basis, ascending by lm.
     """
     G = [g for g in gens if not g.is_zero()]
     if not G:
         return []
-    lms = [leading_term(g, order)[0] for g in G]
+    leads = [leading_term(g, order) for g in G]
     pairs = []
 
     def push_pair(i, j):
-        heapq.heappush(pairs, (order.sort_key(mono_lcm(lms[i], lms[j])), i, j))
+        lcm = mono_lcm(leads[i][0], leads[j][0])
+        heapq.heappush(pairs, (order.sort_key(lcm), i, j))
 
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
@@ -153,14 +153,14 @@ def buchberger(gens, order):
     while pairs:
         _, i, j = heapq.heappop(pairs)
         done.add((i, j))
-        if mono_coprime(lms[i], lms[j]):
+        if mono_coprime(leads[i][0], leads[j][0]):
             continue
-        lcm = mono_lcm(lms[i], lms[j])
+        lcm = mono_lcm(leads[i][0], leads[j][0])
         chain = False
         for k in range(len(G)):
             if k in (i, j):
                 continue
-            if mono_div(lcm, lms[k]) is None:
+            if mono_div(lcm, leads[k][0]) is None:
                 continue
             pik = (min(i, k), max(i, k))
             pjk = (min(j, k), max(j, k))
@@ -169,46 +169,35 @@ def buchberger(gens, order):
                 break
         if chain:
             continue
-        s = normal_form(_s_poly(G[i], G[j], order), G, order)
+        s = normal_form(_s_poly(G[i], G[j], leads[i], leads[j]), G, order)
         if s.is_zero():
             continue
         t = len(G)
         G.append(s)
-        lms.append(leading_term(s, order)[0])
+        leads.append(leading_term(s, order))
         for k in range(t):
             push_pair(k, t)
-    return _reduce_basis(G, order)
+    return _reduce_basis(G, leads, order)
 
 
-def _reduce_basis(G, order):
-    """Minimalize, tail-reduce, normalize monic, sort ascending by lm."""
-    lms = [leading_term(g, order)[0] for g in G]
-    keep = []
-    for i, lm in enumerate(lms):
-        redundant = False
-        for j, other in enumerate(lms):
-            if i == j:
-                continue
-            if mono_div(lm, other) is not None:
-                # break ties deterministically so exactly one survives
-                if other != lm or j < i:
-                    redundant = True
-                    break
-        if not redundant:
-            keep.append(G[i])
+def _reduce_basis(G, leads, order):
+    """Reduced basis, ascending by lm, of a Groebner basis G with (lm, lc)
+    leads, in one pass in stable lm order.  Each element whose lm no kept lm
+    divides is tail-reduced against the kept elements, unreduced and in G
+    order, and made monic.  A lm never exceeds a term it divides, so later
+    elements reduce no tail, and G order keeps normal_form's choice of
+    divisor.  A constant sorts first and leaves the basis [1].
+    """
+    kept = []
     reduced = []
-    for idx, g in enumerate(keep):
-        others = keep[:idx] + keep[idx + 1:]
-        r = normal_form(g, others, order) if others else g
-        if r.is_zero():
+    for i in sorted(range(len(G)), key=lambda i: order.sort_key(leads[i][0])):
+        lm, lc = leads[i]
+        if any(mono_div(lm, leads[k][0]) is not None for k in kept):
             continue
-        _, lc = leading_term(r, order)
+        r = (normal_form(G[i], [G[k] for k in sorted(kept)], order) if kept
+             else G[i])
         reduced.append(r.scale(lc.inverse()))
-    reduced.sort(key=lambda g: order.sort_key(leading_term(g, order)[0]))
-    # unit ideal collapses to {1}
-    for g in reduced:
-        if g.is_constant():
-            return [DiffPolynomial.from_int(g.ctx, 1)]
+        kept.append(i)
     return reduced
 
 

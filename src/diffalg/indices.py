@@ -11,7 +11,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .errors import ContextError, ResourceBudgetError
+from .errors import ContextError, ResourceBudgetError, _size_text
 from . import bounds
 
 DEFAULT_COORD_BUDGET = 1_000_000
@@ -50,11 +50,8 @@ def gamma_set(m, r):
         raise ContextError("m must be >= 1, got %d" % m)
     if r < 0:
         raise ContextError("r must be >= 0, got %d" % r)
-    count = math.comb(r + m, m)
-    if count > coord_budget():
-        raise ResourceBudgetError(
-            "Gamma(%d) in %d slots has %d elements, over the coordinate budget"
-            % (r, m, count))
+    check_coordinates("|Gamma(%s)| in %d slots" % (_size_text(r), m),
+                      math.comb(r + m, m))
     out = []
 
     def rec(prefix, remaining):
@@ -104,7 +101,8 @@ def check_coordinates(what, count):
     coordinate budget."""
     if count > coord_budget():
         raise ResourceBudgetError(
-            "%s = %d exceeds the coordinate budget" % (what, count))
+            "%s = %s exceeds the coordinate budget"
+            % (what, _size_text(count)))
 
 
 def coordinate_maps(n, m):

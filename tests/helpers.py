@@ -8,7 +8,7 @@ import random
 
 from diffalg.coeff import Coefficient, FieldMode
 from diffalg.dpoly import Context, DiffPolynomial, derivation_image, mono_div
-from diffalg.groebner import IdealPresentation, leading_term
+from diffalg.groebner import IdealPresentation, leading_term, normal_form
 from diffalg.kernels import KernelPresentation
 
 
@@ -194,3 +194,38 @@ def naive_normal_form(f, basis, order):
             remainder = remainder + DiffPolynomial(ctx, {mono: c})
             p = p - DiffPolynomial(ctx, {mono: c})
     return remainder
+
+
+def naive_reduce_basis(G, order):
+    """Reference inter-reduction of a Groebner basis G: all-pairs
+    minimalization with a tie-break, each survivor tail-reduced against all
+    the others in G order, made monic, then sorted by lm; the unit ideal is
+    collapsed to [1] at the end."""
+    lms = [leading_term(g, order)[0] for g in G]
+    keep = []
+    for i, lm in enumerate(lms):
+        redundant = False
+        for j, other in enumerate(lms):
+            if i == j:
+                continue
+            if mono_div(lm, other) is not None:
+                # break ties deterministically so exactly one survives
+                if other != lm or j < i:
+                    redundant = True
+                    break
+        if not redundant:
+            keep.append(G[i])
+    reduced = []
+    for idx, g in enumerate(keep):
+        others = keep[:idx] + keep[idx + 1:]
+        r = normal_form(g, others, order) if others else g
+        if r.is_zero():
+            continue
+        _, lc = leading_term(r, order)
+        reduced.append(r.scale(lc.inverse()))
+    reduced.sort(key=lambda g: order.sort_key(leading_term(g, order)[0]))
+    # unit ideal collapses to {1}
+    for g in reduced:
+        if g.is_constant():
+            return [DiffPolynomial.from_int(g.ctx, 1)]
+    return reduced

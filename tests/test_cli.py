@@ -477,3 +477,36 @@ def test_check_containment_keeps_the_coordinate_budget(
     if shape == "sharp":
         assert invoke(capsys, ["axiom-shape", "2", "2"])[0] == (
             EXIT_OK if error is None else EXIT_RESOURCE)
+
+
+@pytest.mark.parametrize("poly,error", [
+    ("x1_[0]² - 1", "unexpected character '²' (at position 6)"),
+    ("x1_[0]^① - 1", "unexpected character '①' (at position 7)"),
+    ("x1_[0]^٣ - 1", None),
+], ids=["superscript-two", "circled-one", "arabic-indic-three"])
+def test_only_decimal_digits_scan_as_numbers(tmp_path, capsys, poly, error):
+    # '²' and '①' are digits to str.isdigit but not to int(); the
+    # Arabic-Indic '٣' is a decimal digit that int() reads as 3
+    path = tmp_path / "u.ideal"
+    path.write_text("m=1 n=1 gamma=0 mode=constants\n%s\n" % poly,
+                    encoding="utf-8")
+    code, out = invoke(capsys, ["prolong-variety", str(path), "--all"])
+    if error is None:
+        assert (code, json.loads(out)["generators"]) == (
+            EXIT_OK, ["x1_[0]^3 - 1", "3*x1_[0]^2*x1_[1]"])
+    else:
+        assert (code, json.loads(out)) == (
+            EXIT_USAGE, {"error": "usage", "message": "line 2: " + error})
+
+
+@pytest.mark.parametrize("argv", [
+    ["axiom-shape", "8001", "2"],
+    ["gamma", "--m", "2", "--r", "9" * 4001],
+], ids=["axiom-shape", "gamma"])
+def test_huge_coordinate_counts_name_the_budget(argv):
+    # both counts have over 4,300 decimal digits
+    proc = run_cli_process(argv)
+    assert (proc.stderr, proc.returncode) == ("", EXIT_RESOURCE)
+    out = json.loads(proc.stdout)
+    assert out["error"] == "resource"
+    assert out["message"].endswith("exceeds the coordinate budget")

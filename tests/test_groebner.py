@@ -7,10 +7,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from diffalg.coeff import Coefficient, FieldMode
 from diffalg.dpoly import Context, DiffPolynomial, parse_poly, print_poly
-from diffalg.groebner import (IdealPresentation, MonomialOrder, buchberger,
-                              elimination_ideal, normal_form, radical_member)
+from diffalg.groebner import (IdealPresentation, MonomialOrder, _reduce_basis,
+                              buchberger, elimination_ideal, leading_term,
+                              normal_form, radical_member)
 
-from helpers import naive_normal_form
+from helpers import naive_normal_form, naive_reduce_basis
 
 C3 = Context(n=3, m=1, mode=FieldMode("constants", 1))
 C2 = Context(n=2, m=1, mode=FieldMode("constants", 1))
@@ -230,21 +231,36 @@ ORDERS = {"grevlex": MonomialOrder.grevlex(), "lex": LEX,
           "block": MonomialOrder.block_elim({X})}
 
 
+def _coefficient(p, q, b, d, nv):
+    """(p/q + b*t1)/(t1 + d), the t1 parts in rational mode only; d = 0
+    leaves out the division."""
+    c = Coefficient.from_rational(p, q, nv)
+    if nv:
+        t1 = Coefficient.base_var(1, nv)
+        c = c + Coefficient.from_int(b, nv) * t1
+        if d:
+            c = c / (t1 + Coefficient.from_int(d, nv))
+    return c
+
+
 def _coefficients(nv):
     """Nonzero coefficients; in rational mode some have t1 in the
     denominator, so reduction order shows in their printed form."""
-    def build(p, q, b, d):
-        c = Coefficient.from_rational(p, q, nv)
-        if nv:
-            t1 = Coefficient.base_var(1, nv)
-            c = c + Coefficient.from_int(b, nv) * t1
-            if d:
-                c = c / (t1 + Coefficient.from_int(d, nv))
-        return c
-
-    return st.builds(build, st.integers(-3, 3).filter(bool),
+    return st.builds(_coefficient, st.integers(-3, 3).filter(bool),
                      st.sampled_from([1, 2, 3]), st.integers(-1, 1),
-                     st.integers(0, 2))
+                     st.integers(0, 2), st.just(nv))
+
+
+def _random_coefficient(rng, nv):
+    return _coefficient(rng.choice([-3, -2, -1, 1, 2, 3]),
+                        rng.choice([1, 2, 3]), rng.randint(-1, 1),
+                        rng.randint(0, 2), nv)
+
+
+def _times_variables(rng, g):
+    for i, xi in rng.choices(XS, k=rng.randint(0, 2)):
+        g = g * DiffPolynomial.var(g.ctx, i, xi)
+    return g
 
 
 def _polys(ctx, max_deg, max_terms):
@@ -287,6 +303,85 @@ def test_normal_form_matches_naive_reference(mode, kind, data):
         assert print_poly(got) == print_poly(want)
         # the same terms in the same order, each coefficient in the same form
         assert _layout(got) == _layout(want)
+
+
+def _unreduced_basis(rng, basis, order):
+    """The reduced basis (ascending by lm) padded into an unreduced
+    Groebner basis of the same ideal: each element rescaled and, where it
+    keeps its lead, summed with a multiple of a smaller element, then
+    monomial multiples and a duplicate, all shuffled."""
+    nv = basis[0].ctx.nv
+
+    def lead_key(g):
+        return order.sort_key(leading_term(g, order)[0])
+
+    G = []
+    for g in basis:
+        g = g.scale(_random_coefficient(rng, nv))
+        below = [h for h in G if lead_key(h) < lead_key(g)]
+        if below:
+            h = rng.choice(below).scale(_random_coefficient(rng, nv))
+            hx = _times_variables(rng, h)
+            g = g + (hx if lead_key(hx) < lead_key(g) else h)
+        G.append(g)
+    for g in rng.sample(G, rng.randint(0, min(2, len(G)))):
+        G.append(_times_variables(rng, g).scale(_random_coefficient(rng, nv)))
+    G.append(rng.choice(G))
+    rng.shuffle(G)
+    return G
+
+
+def _check_reduce_basis(G, basis, order):
+    got = _reduce_basis(G, [leading_term(g, order) for g in G], order)
+    want = naive_reduce_basis(G, order)
+    assert [print_poly(g) for g in got] == [print_poly(g) for g in want]
+    assert got == basis
+
+
+@pytest.mark.parametrize("mode", ["constants", "rational"])
+@pytest.mark.parametrize("kind", sorted(ORDERS))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_reduce_basis_matches_naive_reference(mode, kind, data):
+    ctx, order = _ctx(mode), ORDERS[kind]
+    gens = data.draw(st.lists(_polys(ctx, 2, 3), min_size=1,
+                              max_size=3 if mode == "constants" else 2))
+    basis = buchberger([g for g in gens if g], order)
+    assume(basis)
+    rng = data.draw(st.randoms(use_true_random=False))
+    _check_reduce_basis(_unreduced_basis(rng, basis, order), basis, order)
+
+
+@pytest.mark.parametrize("kind", sorted(ORDERS))
+def test_reduce_basis_keeps_the_rational_forms(kind):
+    # Three rational generators give bases where several kept leads divide
+    # one tail term and sums build uncancelled factors: on some of these
+    # seeds, tail reduction against the already reduced elements, or
+    # against the kept ones in lm order, would print a coefficient in
+    # another form than the reference.
+    ctx, order = _ctx("rational"), ORDERS[kind]
+    for seed in range(40):
+        rng = random.Random(seed)
+        gens = []
+        for _ in range(3):
+            f = DiffPolynomial.zero(ctx)
+            for _ in range(rng.randint(1, 3)):
+                c = DiffPolynomial.const(ctx, _random_coefficient(rng, ctx.nv))
+                f = f + _times_variables(rng, c)
+            gens.append(f)
+        basis = buchberger(gens, order)
+        if basis:
+            _check_reduce_basis(_unreduced_basis(rng, basis, order), basis,
+                                order)
+
+
+@pytest.mark.parametrize("kind", sorted(ORDERS))
+def test_rational_unit_ideal_reduces_to_one(kind):
+    ctx = _ctx("rational")
+    unit = parse_poly("(t1^2+3)/(t1+2)", ctx)
+    for gens in ([unit], [parse_poly("x1_[0]", ctx), unit]):
+        gb = buchberger(gens, ORDERS[kind])
+        assert [print_poly(g) for g in gb] == ["1"]
 
 
 @pytest.fixture(scope="module")
