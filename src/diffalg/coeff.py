@@ -9,6 +9,14 @@ is "numerator identically zero".  The printed form depends on the order of
 the operations that built a fraction, so callers that must print the same
 text keep that order.
 
+An integer polynomial has denominator exactly 1, and reduction leaves such
+a fraction as it is.  So + and * of two denominator-1 operands, and
+scale_int and derive of one, build their result directly and skip the
+reduction; inside the reduction a constant denominator skips the
+exact-division attempt.  The num and den dicts are shared between
+Coefficients (the denominator-1 values of one nv all hold one unit dict)
+and are never mutated.
+
 In constants mode (no base variables) a Coefficient is a rational number
 held as a reduced integer pair: den > 0 and gcd(num, den) == 1, so the form
 is canonical.  It is the private subclass _Q, which the constructors below
@@ -16,6 +24,7 @@ return whenever nv == 0.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +53,12 @@ class FieldMode:
 
 def _pconst(c, nv):
     return {(0,) * nv: c} if c else {}
+
+
+@functools.lru_cache(maxsize=None)
+def _unit(nv):
+    """The constant polynomial 1, one shared dict per nv: never mutate it."""
+    return {(0,) * nv: 1}
 
 
 def _pis_const(p):
@@ -145,6 +160,12 @@ def _pexact_div(a, b):
     return q
 
 
+@functools.lru_cache(maxsize=None)
+def _names(nv):
+    """The printed names t1..t<nv> of the base variables."""
+    return tuple("t%d" % (j + 1) for j in range(nv))
+
+
 def _pstr(a, names):
     """Render an integer polynomial, terms lex-descending."""
     if not a:
@@ -186,13 +207,20 @@ class Coefficient:
 
     @staticmethod
     def _reduce(num, den):
+        nv = len(next(iter(den)))
         if not num:
-            nv = len(next(iter(den)))
-            return {}, _pconst(1, nv)
+            return {}, _unit(nv)
         g = math.gcd(_pcontent(num), _pcontent(den))
         if g > 1:
             num = {e: c // g for e, c in num.items()}
             den = {e: c // g for e, c in den.items()}
+        if len(den) == 1 and _pis_const(den):
+            # the content of num is now coprime to the constant c, so c
+            # divides num exactly only when it is 1 or -1
+            c = next(iter(den.values()))
+            if c == 1 or c == -1:
+                return (num if c == 1 else _pneg(num)), _unit(nv)
+            return (num, den) if c > 0 else (_pneg(num), _pneg(den))
         mn = _pmonomial_content(num)
         md = _pmonomial_content(den)
         common = tuple(min(x, y) for x, y in zip(mn, md))
@@ -201,7 +229,7 @@ class Coefficient:
         q = _pexact_div(num, den)
         if q is not None:
             num = q
-            den = _pconst(1, len(next(iter(den))))
+            den = _unit(nv)
         # sign convention: lex-leading coefficient of the denominator positive
         if _plead(den)[1] < 0:
             num = _pneg(num)
@@ -214,19 +242,19 @@ class Coefficient:
     def zero(cls, nv):
         if not nv:
             return _Q(0, 1)
-        return cls({}, _pconst(1, nv), nv, reduce=False)
+        return cls({}, _unit(nv), nv, reduce=False)
 
     @classmethod
     def one(cls, nv):
         if not nv:
             return _Q(1, 1)
-        return cls(_pconst(1, nv), _pconst(1, nv), nv, reduce=False)
+        return cls(_unit(nv), _unit(nv), nv, reduce=False)
 
     @classmethod
     def from_int(cls, value, nv):
         if not nv:
             return _Q(value, 1)
-        return cls(_pconst(value, nv), _pconst(1, nv), nv, reduce=False)
+        return cls(_pconst(value, nv), _unit(nv), nv, reduce=False)
 
     @classmethod
     def from_rational(cls, p, q, nv):
@@ -240,7 +268,7 @@ class Coefficient:
         if not 1 <= k <= nv:
             raise ContextError("base variable t%d out of range 1..%d" % (k, nv))
         exps = tuple(1 if j == k - 1 else 0 for j in range(nv))
-        return cls({exps: 1}, _pconst(1, nv), nv, reduce=False)
+        return cls({exps: 1}, _unit(nv), nv, reduce=False)
 
     # -- predicates ----------------------------------------------------------
 
@@ -272,6 +300,10 @@ class Coefficient:
 
     def __add__(self, other):
         self._check(other)
+        one = _unit(self.nv)
+        if self.den == one == other.den:
+            return Coefficient(_padd(self.num, other.num), one, self.nv,
+                               reduce=False)
         num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
         return Coefficient(num, _pmul(self.den, other.den), self.nv)
 
@@ -283,6 +315,10 @@ class Coefficient:
 
     def __mul__(self, other):
         self._check(other)
+        one = _unit(self.nv)
+        if self.den == one == other.den:
+            return Coefficient(_pmul(self.num, other.num), one, self.nv,
+                               reduce=False)
         return Coefficient(_pmul(self.num, other.num),
                            _pmul(self.den, other.den), self.nv)
 
@@ -308,6 +344,9 @@ class Coefficient:
 
     def scale_int(self, c):
         num = {exps: v * c for exps, v in self.num.items()} if c else {}
+        one = _unit(self.nv)
+        if self.den == one:
+            return Coefficient(num, one, self.nv, reduce=False)
         return Coefficient(num, self.den, self.nv)
 
     def derive(self, k):
@@ -316,6 +355,9 @@ class Coefficient:
             raise ContextError("derivation index %d out of range 1..%d"
                                % (k, self.nv))
         dn = _pderiv(self.num, k)
+        one = _unit(self.nv)
+        if self.den == one:
+            return Coefficient(dn, one, self.nv, reduce=False)
         dd = _pderiv(self.den, k)
         num = _padd(_pmul(dn, self.den), _pneg(_pmul(self.num, dd)))
         return Coefficient(num, _pmul(self.den, self.den), self.nv)
@@ -327,10 +369,10 @@ class Coefficient:
 
         The magnitude text is a valid factor in the polynomial grammar.
         """
-        names = ["t%d" % (j + 1) for j in range(self.nv)]
+        names = _names(self.nv)
         neg = _plead(self.num)[1] < 0 if not self.is_zero() else False
         num = _pneg(self.num) if neg else self.num
-        den_is_one = self.den == _pconst(1, self.nv)
+        den_is_one = self.den == _unit(self.nv)
         num_text = (_pstr(num, names) if len(num) <= 1
                     else "(" + _pstr(num, names) + ")")
         if den_is_one:
@@ -339,7 +381,7 @@ class Coefficient:
             text = "%s/%d" % (num_text, self.den[(0,) * self.nv])
         else:
             text = "%s/(%s)" % (num_text, _pstr(self.den, names))
-        is_one = den_is_one and num == _pconst(1, self.nv)
+        is_one = den_is_one and num == _unit(self.nv)
         return neg, text, is_one
 
     def __str__(self):

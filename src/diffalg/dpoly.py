@@ -4,8 +4,9 @@ A variable is the pair (i, xi) with 1 <= i <= n and xi a multi-index of
 length m.  A monomial is a tuple of ((i, xi), exponent) pairs with positive
 exponents, sorted by ascending var_rank; the constant monomial is ().  A
 polynomial is a sparse map from monomials to Coefficients.  The mono_*
-helpers below are the library's only monomial arithmetic, and grevlex_key
-is the default order, the one used for printing.
+helpers below are the library's only monomial arithmetic; mono_mul and
+mono_lcm merge the two rank-sorted tuples, with no dict and no re-sort.
+grevlex_key is the default order, the one used for printing.
 
 Text grammar (also used for printing):
 
@@ -23,6 +24,7 @@ round-trippable.
 from __future__ import annotations
 
 import functools
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -75,18 +77,34 @@ def var_str(v):
     return "x%d_[%s]" % (i, ",".join(str(e) for e in xi))
 
 
-def _mono_key(exps):
-    return tuple(sorted(exps.items(), key=lambda kv: var_rank(kv[0])))
-
-
 # --- monomial arithmetic and the grevlex key --------------------------------
 
 
+def _mono_merge(a, b, combine):
+    """Merge two rank-sorted monomials; combine(ea, eb) sets the exponent of
+    a variable that occurs in both."""
+    if not a or not b:
+        return a or b
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va == vb:
+            out.append((va, combine(ea, eb)))
+            i += 1
+            j += 1
+        elif var_rank(va) < var_rank(vb):
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
+
+
 def mono_mul(a, b):
-    exps = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return _mono_key(exps)
+    return _mono_merge(a, b, operator.add)
 
 
 def mono_div(a, b):
@@ -103,11 +121,7 @@ def mono_div(a, b):
 
 
 def mono_lcm(a, b):
-    exps = dict(a)
-    for v, e in b:
-        if exps.get(v, 0) < e:
-            exps[v] = e
-    return _mono_key(exps)
+    return _mono_merge(a, b, max)
 
 
 def mono_coprime(a, b):
@@ -282,9 +296,11 @@ class DiffPolynomial:
         self.ctx.check_var(v)
         terms = {}
         for mono, c in self.terms.items():
-            e = dict(mono).get(v, 0)
-            if e == 0:
-                continue
+            for w, e in mono:
+                if w == v:
+                    break
+            else:
+                continue  # v does not occur in this term
             nmono = mono_div(mono, ((v, 1),))
             nc = c.scale_int(e)
             if nmono in terms:

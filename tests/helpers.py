@@ -4,10 +4,14 @@ Everything is seeded; corpora are deterministic across runs.
 """
 from __future__ import annotations
 
+import math
 import random
 
-from diffalg.coeff import Coefficient, FieldMode
-from diffalg.dpoly import Context, DiffPolynomial, derivation_image, mono_div
+from diffalg.coeff import (Coefficient, FieldMode, _pconst, _pcontent,
+                           _pexact_div, _plead, _pmonomial_content, _pneg,
+                           _pshift_down)
+from diffalg.dpoly import (Context, DiffPolynomial, derivation_image,
+                           mono_div, var_rank)
 from diffalg.groebner import IdealPresentation, leading_term, normal_form
 from diffalg.kernels import KernelPresentation
 
@@ -229,3 +233,52 @@ def naive_reduce_basis(G, order):
         if g.is_constant():
             return [DiffPolynomial.from_int(g.ctx, 1)]
     return reduced
+
+
+def reference_reduce(num, den):
+    """Reference rational-mode reduction: Coefficient._reduce with no
+    shortcut, so every denominator, constant or not, goes through the
+    monomial shift and the exact-division attempt."""
+    if not num:
+        nv = len(next(iter(den)))
+        return {}, _pconst(1, nv)
+    g = math.gcd(_pcontent(num), _pcontent(den))
+    if g > 1:
+        num = {e: c // g for e, c in num.items()}
+        den = {e: c // g for e, c in den.items()}
+    mn = _pmonomial_content(num)
+    md = _pmonomial_content(den)
+    common = tuple(min(x, y) for x, y in zip(mn, md))
+    num = _pshift_down(num, common)
+    den = _pshift_down(den, common)
+    q = _pexact_div(num, den)
+    if q is not None:
+        num = q
+        den = _pconst(1, len(next(iter(den))))
+    # sign convention: lex-leading coefficient of the denominator positive
+    if _plead(den)[1] < 0:
+        num = _pneg(num)
+        den = _pneg(den)
+    return num, den
+
+
+def _reference_mono(exps):
+    return tuple(sorted(exps.items(), key=lambda kv: var_rank(kv[0])))
+
+
+def reference_mono_mul(a, b):
+    """Reference monomial product: add exponents in a dict, sort by rank."""
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    return _reference_mono(exps)
+
+
+def reference_mono_lcm(a, b):
+    """Reference monomial lcm: take the larger exponent in a dict, sort by
+    rank."""
+    exps = dict(a)
+    for v, e in b:
+        if exps.get(v, 0) < e:
+            exps[v] = e
+    return _reference_mono(exps)

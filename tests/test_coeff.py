@@ -1,11 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffalg.coeff import Coefficient, FieldMode
+from diffalg import coeff as coeff_module
+from diffalg.coeff import (Coefficient, FieldMode, _padd, _pderiv,
+                           _pexact_div, _pmul, _pneg)
 from diffalg.errors import ContextError
+from helpers import reference_reduce
 
 
 def Q(p, q=1, nv=0):
@@ -198,3 +202,101 @@ def test_constants_mode_errors():
                   lambda: r == c):
         with pytest.raises(ContextError):
             mixed()
+
+
+# --- rational-mode shortcuts against the full reduction ---------------------
+
+def _int_polys(nv):
+    """Integer polynomials in nv base variables as {exponents: int} dicts."""
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * nv),
+                           st.integers(-6, 6).filter(bool), max_size=4)
+
+
+def _one(nv):
+    """A fresh denominator-1 dict, not the one coeff.py shares."""
+    return {(0,) * nv: 1}
+
+
+def _full(num, den, nv):
+    """(num, den) reduced with no shortcut, checked against the constructor."""
+    ref = reference_reduce(num, den)
+    c = Coefficient(num, den, nv)
+    assert (c.num, c.den) == ref
+    return ref
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_denominator_one_shortcuts_match_full_reduction(data):
+    nv = data.draw(st.integers(1, 2))
+    an = data.draw(_int_polys(nv))
+    bn = data.draw(st.one_of(_int_polys(nv),
+                             st.just({e: -v for e, v in an.items()})))
+    k = data.draw(st.integers(1, nv))
+    s = data.draw(st.integers(-5, 5))
+    a = Coefficient(an, _one(nv), nv)
+    b = Coefficient(bn, _one(nv), nv)
+    one = _one(nv)
+    cases = [
+        (a + b, _padd(_pmul(an, one), _pmul(bn, one)), _pmul(one, one)),
+        (a - b, _padd(_pmul(an, one), _pmul(_pneg(bn), one)), _pmul(one, one)),
+        (a - a, _padd(_pmul(an, one), _pmul(_pneg(an), one)), _pmul(one, one)),
+        (a * b, _pmul(an, bn), _pmul(one, one)),
+        (a.scale_int(s), {e: v * s for e, v in an.items()} if s else {}, one),
+        (a.derive(k), _padd(_pmul(_pderiv(an, k), one),
+                            _pneg(_pmul(an, _pderiv(one, k)))),
+         _pmul(one, one)),
+    ]
+    for got, num, den in cases:
+        assert got.den == one
+        assert (got.num, got.den) == _full(num, den, nv)
+        if not num:
+            assert (got.num, got.den) == ({}, one)
+
+
+@pytest.mark.parametrize("nv", [1, 2])
+@pytest.mark.parametrize("c", [1, -1, 2, -2, 3, -6, 12])
+def test_constant_denominator_reduction_matches_exact_division(nv, c):
+    rng = random.Random(31 * nv + c)
+    checked = 0
+    for _ in range(40):
+        num = {tuple(rng.randint(0, 2) for _ in range(nv)):
+               rng.choice([-1, 1]) * rng.randint(1, 30) for _ in range(3)}
+        if math.gcd(*num.values(), c) != 1:
+            continue  # the case under test: num's content coprime to c
+        den = {(0,) * nv: c}
+        assert Coefficient._reduce(num, den) == reference_reduce(num, den)
+        checked += 1
+    assert checked >= 10
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_constant_denominator_reduction_property(data):
+    nv = data.draw(st.integers(1, 2))
+    num = data.draw(_int_polys(nv))
+    den = {(0,) * nv: data.draw(st.integers(-12, 12).filter(bool))}
+    assert Coefficient._reduce(num, den) == reference_reduce(num, den)
+
+
+def test_parsing_integer_polynomials_skips_reduction(monkeypatch):
+    from diffalg.dpoly import Context, parse_poly
+    calls = {"_pexact_div": 0, "_reduce": 0}
+    reduce = Coefficient._reduce
+
+    def counting_div(a, b):
+        calls["_pexact_div"] += 1
+        return _pexact_div(a, b)
+
+    def counting_reduce(num, den):
+        calls["_reduce"] += 1
+        return reduce(num, den)
+
+    monkeypatch.setattr(coeff_module, "_pexact_div", counting_div)
+    monkeypatch.setattr(Coefficient, "_reduce", staticmethod(counting_reduce))
+    ctx = Context(n=2, m=1, mode=FieldMode("rational", 1))
+    parse_poly("(x1_[0] + x2_[0] + t1)^20", ctx)
+    assert calls == {"_pexact_div": 0, "_reduce": 0}
+    # the counters do see a denominator that is not constant
+    parse_poly("x1_[0]/(t1 + 1)", ctx)
+    assert calls["_pexact_div"] and calls["_reduce"]

@@ -4,8 +4,10 @@ import pytest
 
 from diffalg.coeff import Coefficient, FieldMode
 from diffalg.dpoly import (Context, DiffPolynomial, derivation_image,
-                           parse_poly, print_poly)
+                           mono_lcm, mono_mul, parse_poly, print_poly,
+                           var_rank)
 from diffalg.errors import ContextError, ParseError
+from helpers import reference_mono_lcm, reference_mono_mul
 
 CONST2 = Context(n=1, m=2, mode=FieldMode("constants", 2))
 RAT2 = Context(n=2, m=2, mode=FieldMode("rational", 2))
@@ -176,3 +178,32 @@ def test_print_zero_and_signs():
     assert print_poly(DiffPolynomial.zero(CONST1)) == "0"
     f = parse_poly("-x1_[0] + 2", CONST1)
     assert print_poly(f) == "-x1_[0] + 2"
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_mono_mul_and_lcm_match_dict_and_sort(m):
+    rng = random.Random(70 + m)
+    variables = [(i, xi) for i in (1, 2) for xi in _indices(m, 2)]
+
+    def monomial(pool):
+        chosen = rng.sample(pool, rng.randint(0, min(4, len(pool))))
+        return tuple(sorted(((v, rng.randint(1, 4)) for v in chosen),
+                            key=lambda ve: var_rank(ve[0])))
+
+    for trial in range(300):
+        if trial % 3 == 0:  # disjoint variables
+            half = rng.sample(variables, len(variables) // 2)
+            rest = [v for v in variables if v not in half]
+            a, b = monomial(half), monomial(rest)
+        elif trial % 3 == 1:  # at least one shared variable
+            a, b = monomial(variables), monomial(variables)
+            if a:
+                b = reference_mono_mul(b, (a[0],))
+        else:
+            a, b = monomial(variables), monomial(variables)
+        for got, want in ((mono_mul(a, b), reference_mono_mul(a, b)),
+                          (mono_lcm(a, b), reference_mono_lcm(a, b))):
+            assert got == want
+            ranks = [var_rank(v) for v, _ in got]
+            assert all(x < y for x, y in zip(ranks, ranks[1:]))
+    assert mono_mul((), ()) == mono_lcm((), ()) == ()
