@@ -7,8 +7,9 @@ from .coeff import Coefficient, FieldMode
 from .dpoly import Context, DiffPolynomial, derivation_image, parse_poly, print_poly
 from .errors import (ContextError, DiffAlgError, FileFormatError, ParseError,
                      ResourceBudgetError)
-from .groebner import (IdealPresentation, MonomialOrder, buchberger,
-                       elimination_ideal, normal_form, radical_member)
+from .groebner import (DivisorBasis, IdealPresentation, MonomialOrder,
+                       buchberger, elimination_ideal, normal_form,
+                       radical_member)
 from .indices import (CoordinateMaps, coordinate_maps, deg, gamma_set, shift,
                       unit_index)
 from .kernels import (KernelPresentation, KernelValidationError,

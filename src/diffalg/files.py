@@ -13,7 +13,7 @@ from __future__ import annotations
 from .coeff import FieldMode
 from .dpoly import Context, parse_poly
 from .errors import FileFormatError, ParseError
-from .groebner import IdealPresentation
+from .groebner import IdealPresentation, MonomialOrder
 from .indices import deg
 from .kernels import KernelPresentation
 
@@ -82,8 +82,9 @@ def load_kernel_text(text):
     fields, lines = _read(text)
     ctx, gamma, length = _context(fields, need_length=True)
     gens = _parse_generators(lines, ctx, min(gamma, length))
-    return KernelPresentation(ctx=ctx, r=length,
-                              ideal=IdealPresentation(ctx, gens))
+    return KernelPresentation(
+        ctx=ctx, r=length,
+        ideal=IdealPresentation(ctx, gens, MonomialOrder.lex()))
 
 
 def load_ideal(path):

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from . import bounds
 from .dpoly import Context, DiffPolynomial, derivation_image, print_poly, var_rank
 from .errors import ContextError, DiffAlgError
-from .groebner import (IdealPresentation, MonomialOrder, normal_form,
-                       rabinowitsch)
+from .groebner import (DivisorBasis, IdealPresentation, MonomialOrder,
+                       normal_form, rabinowitsch)
 from .indices import check_coordinates, deg, gamma_set
 
 
@@ -83,7 +83,9 @@ class KernelPresentation:
                     % (v, self.r))
         # kernels work under lex with higher-level derivatives most
         # significant: presentations where top derivatives are graphs over
-        # the lower levels stay triangular, which grevlex destroys
+        # the lower levels stay triangular, which grevlex destroys.  The
+        # kernel loader and the prolongation build lex ideals; this
+        # rebuild serves other callers.
         if self.ideal.order.kind != "lex":
             self.ideal = IdealPresentation(self.ctx, self.ideal.generators,
                                            MonomialOrder.lex())
@@ -100,7 +102,8 @@ class KernelPresentation:
     # -- zero tests in the kernel's field -----------------------------------
 
     def _saturation_basis(self):
-        """GB of ideal + (1 - g*z), g the product of inverted, or ()."""
+        """(ctx2, DivisorBasis of the reduced basis of ideal + (1 - g*z)),
+        g the product of inverted, or ()."""
         factors = []
         for h in self.inverted:
             nf = self.ideal.normal_form(h)
@@ -109,7 +112,9 @@ class KernelPresentation:
         if not factors:
             return ()
         g = math.prod(factors[1:], start=factors[0])
-        return rabinowitsch(self.ideal.reduced_gb, g, self.ideal.order)
+        gb = self.ideal.reduced_gb
+        ctx2, sat = rabinowitsch(gb, g, self.ideal.order, len(gb))
+        return ctx2, DivisorBasis(self.ideal.order, sat)
 
     def is_zero_mod(self, f):
         """Is f zero in the kernel's field (quotient localized at inverted)?"""
@@ -119,9 +124,8 @@ class KernelPresentation:
             self._sat_cache = self._saturation_basis()
         if not self._sat_cache:
             return False
-        ctx2, gb = self._sat_cache
-        return normal_form(f.with_context(ctx2), gb,
-                           self.ideal.order).is_zero()
+        ctx2, sat = self._sat_cache
+        return normal_form(f.with_context(ctx2), sat).is_zero()
 
 
 def violation(f, k, nf):
@@ -260,12 +264,15 @@ def kernel_prolong_once(Kp):
             )
             return ProlongResult(status="obstructed", witness=witness)
 
+    # gb is a reduced lex basis: as buchberger's prefix it is neither
+    # re-paired nor re-reduced, only completed with the pivot relations
     new_gens = list(gb) + [pivot.relation() for pivot in solved]
     inverted = localized.inverted
     new_inverted = [h for i, h in enumerate(inverted) if h not in inverted[:i]]
     next_kernel = KernelPresentation(
         ctx=ctx, r=r + 1,
-        ideal=IdealPresentation(ctx, new_gens),
+        ideal=IdealPresentation(ctx, new_gens, MonomialOrder.lex(),
+                                _prefix=len(gb)),
         inverted=new_inverted)
     return ProlongResult(status="prolonged", next=next_kernel)
 

@@ -12,7 +12,8 @@ from diffalg.coeff import (Coefficient, FieldMode, _pconst, _pcontent,
                            _pshift_down)
 from diffalg.dpoly import (Context, DiffPolynomial, derivation_image,
                            mono_div, var_rank)
-from diffalg.groebner import IdealPresentation, leading_term, normal_form
+from diffalg.groebner import (DivisorBasis, IdealPresentation, leading_term,
+                              normal_form)
 from diffalg.kernels import KernelPresentation
 
 
@@ -222,7 +223,7 @@ def naive_reduce_basis(G, order):
     reduced = []
     for idx, g in enumerate(keep):
         others = keep[:idx] + keep[idx + 1:]
-        r = normal_form(g, others, order) if others else g
+        r = normal_form(g, DivisorBasis(order, others)) if others else g
         if r.is_zero():
             continue
         _, lc = leading_term(r, order)

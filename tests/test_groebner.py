@@ -5,11 +5,13 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from diffalg import groebner
 from diffalg.coeff import Coefficient, FieldMode
 from diffalg.dpoly import Context, DiffPolynomial, parse_poly, print_poly
-from diffalg.groebner import (IdealPresentation, MonomialOrder, _reduce_basis,
-                              buchberger, elimination_ideal, leading_term,
-                              normal_form, radical_member)
+from diffalg.groebner import (DivisorBasis, IdealPresentation, MonomialOrder,
+                              _reduce_basis, buchberger, elimination_ideal,
+                              leading_term, normal_form, radical_member)
+from diffalg.kernels import KernelPresentation
 
 from helpers import naive_normal_form, naive_reduce_basis
 
@@ -42,17 +44,18 @@ def test_small_closure_gives_canonical_normal_forms():
     # normal forms are canonical: equal polynomials reduce identically
     f = p("x1_[0]^2 + x1_[0]*x2_[0] + x2_[0]", C2)
     g = p("x2_[0]", C2)
-    assert normal_form(f, gb, order) == normal_form(g, gb, order)
+    divisors = DivisorBasis(order, gb)
+    assert normal_form(f, divisors) == normal_form(g, divisors)
 
 
 def test_twisted_cubic_lex():
     gens = [p("x2_[0] - x3_[0]^2"), p("x1_[0] - x3_[0]^3")]
     gb = buchberger(gens, LEX)
     target = p("x1_[0]^2 - x2_[0]^3")
-    assert normal_form(target, gb, LEX).is_zero()
+    assert normal_form(target, DivisorBasis(LEX, gb)).is_zero()
     elim_part = [g for g in gb if g.variables() <= {X, Y}]
-    assert elim_part and all(normal_form(target, elim_part, LEX).is_zero()
-                             for _ in [0])
+    assert elim_part and normal_form(target,
+                                     DivisorBasis(LEX, elim_part)).is_zero()
     # derived oracle: x1^2 - x2^3 vanishes under the parametrization
     check = target.substitute({Y: p("x3_[0]^2"), X: p("x3_[0]^3")})
     assert check.is_zero()
@@ -298,11 +301,49 @@ def test_normal_form_matches_naive_reference(mode, kind, data):
     gens = [g for g in gens if g]
     f = data.draw(_polys(ctx, 4, 6))
     for basis in (gens, buchberger(gens, order)):
-        got = normal_form(f, basis, order)
-        want = naive_normal_form(f, basis, order)
-        assert print_poly(got) == print_poly(want)
-        # the same terms in the same order, each coefficient in the same form
-        assert _layout(got) == _layout(want)
+        _check_normal_form(normal_form(f, DivisorBasis(order, basis)), f,
+                           basis, order)
+    # the basis an IdealPresentation prepares once and divides by
+    I = IdealPresentation(ctx, gens, order)
+    _check_normal_form(I.normal_form(f), f, I.reduced_gb, order)
+    if kind == "lex":
+        # the saturation basis a kernel prepares for is_zero_mod
+        h = data.draw(_polys(ctx, 1, 2))
+        K = KernelPresentation(ctx=ctx, r=0, ideal=I, inverted=[h])
+        verdict = K.is_zero_mod(f)
+        if K._sat_cache:
+            ctx2, sat = K._sat_cache
+            f2 = f.with_context(ctx2)
+            want = _check_normal_form(normal_form(f2, sat), f2, sat.polys,
+                                      order)
+            assert verdict == want.is_zero()
+
+
+def _check_normal_form(got, f, basis, order):
+    """got, a remainder of f by prepared divisors, against the naive loop
+    over the same basis; returns the reference remainder."""
+    want = naive_normal_form(f, basis, order)
+    assert print_poly(got) == print_poly(want)
+    # the same terms in the same order, each coefficient in the same form
+    assert _layout(got) == _layout(want)
+    return want
+
+
+def test_ideal_normal_form_prepares_each_leading_term_once(monkeypatch):
+    I = IdealPresentation(C3, [p("x2_[0] - x3_[0]^2"), p("x1_[0] - x3_[0]^3"),
+                               p("x1_[0]*x2_[0] - 1")], LEX)
+    gb = I.reduced_gb
+    calls = []
+
+    def counting(f, order):
+        calls.append(f)
+        return leading_term(f, order)
+
+    monkeypatch.setattr(groebner, "leading_term", counting)
+    rng = random.Random(3)
+    for _ in range(10):
+        I.normal_form(_random_poly(rng, C3))
+    assert len(gb) > 1 and len(calls) == len(gb)
 
 
 def _unreduced_basis(rng, basis, order):
@@ -332,7 +373,7 @@ def _unreduced_basis(rng, basis, order):
 
 
 def _check_reduce_basis(G, basis, order):
-    got = _reduce_basis(G, [leading_term(g, order) for g in G], order)
+    got = _reduce_basis(DivisorBasis(order, G))
     want = naive_reduce_basis(G, order)
     assert [print_poly(g) for g in got] == [print_poly(g) for g in want]
     assert got == basis
@@ -373,6 +414,55 @@ def test_reduce_basis_keeps_the_rational_forms(kind):
         if basis:
             _check_reduce_basis(_unreduced_basis(rng, basis, order), basis,
                                 order)
+
+
+def _lead_dividing(ctx, gb):
+    """c*d + e with d a divisor of a term of an element of gb and e a
+    constant: its lead d divides that element's lm or a tail term, so the
+    element is dropped or tail-reduced, unless d is its own lm."""
+    @st.composite
+    def build(draw):
+        g = draw(st.sampled_from(gb))
+        mono = draw(st.sampled_from(sorted(g.terms)))
+        d = tuple((v, k) for v, e in mono
+                  for k in [draw(st.integers(0, e))] if k)
+        c, e = draw(_coefficients(ctx.nv)), draw(_coefficients(ctx.nv))
+        return DiffPolynomial(ctx, {d: c}) + DiffPolynomial.const(ctx, e)
+    return build()
+
+
+@pytest.mark.parametrize("mode", ["constants", "rational"])
+@pytest.mark.parametrize("kind", sorted(ORDERS))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_buchberger_prefix_matches_from_scratch(mode, kind, data):
+    ctx, order = _ctx(mode), ORDERS[kind]
+    gens = data.draw(st.lists(_polys(ctx, 2, 3), min_size=1,
+                              max_size=3 if mode == "constants" else 2))
+    gb = buchberger([g for g in gens if g], order)
+    assume(gb)
+    new = data.draw(st.lists(st.one_of(_polys(ctx, 2, 3), _polys(ctx, 1, 2),
+                                       _lead_dividing(ctx, gb)),
+                             min_size=1, max_size=2))
+    _check_prefix(gb, new, order)
+
+
+@pytest.mark.parametrize("kind", sorted(ORDERS))
+def test_buchberger_prefix_reorders_its_first_element(kind):
+    # The lone element keeps its generator's ascending term order.  From
+    # scratch the new, smaller x2_[0] is kept first, so the old element
+    # comes out of normal_form in descending order: it must here too.
+    ctx = _ctx("constants")
+    gb = buchberger([p("1 + x3_[0]", ctx)], ORDERS[kind])
+    assert _layout(gb[0])[0][0] == ()
+    _check_prefix(gb, [p("x2_[0] - 2", ctx)], ORDERS[kind])
+
+
+def _check_prefix(gb, new, order):
+    got = buchberger(gb + new, order, len(gb))
+    want = buchberger(gb + new, order)
+    assert [print_poly(g) for g in got] == [print_poly(g) for g in want]
+    assert [_layout(g) for g in got] == [_layout(g) for g in want]
 
 
 @pytest.mark.parametrize("kind", sorted(ORDERS))

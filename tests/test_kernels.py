@@ -6,7 +6,7 @@ import pytest
 from diffalg.coeff import FieldMode
 from diffalg.dpoly import Context, DiffPolynomial, parse_poly, print_poly
 from diffalg.errors import ContextError
-from diffalg.groebner import IdealPresentation
+from diffalg.groebner import IdealPresentation, MonomialOrder, buchberger
 from diffalg.kernels import (KernelPresentation, KernelValidationError,
                              kernel_prolong_once, kernel_prolong_to,
                              kernel_validate, realization_bound)
@@ -165,6 +165,26 @@ def test_corpus_prolonged_kernels_validate_and_contain(idx):
     assert kernel_validate(nxt).valid
     for g in K.ideal.generators:
         assert nxt.ideal.normal_form(g).is_zero()
+
+
+@pytest.mark.parametrize("idx", range(0, 50, 6))
+def test_prolongation_keeps_the_old_basis_verbatim(idx):
+    # The new relations' lex leads carry a level-(r+1) unknown, so none
+    # divides a term of the old basis: its elements come through as they
+    # are, and the basis is the one computed from scratch.
+    K = kernel_corpus()[idx]
+    for _ in range(2):
+        gb = K.ideal.reduced_gb
+        result = kernel_prolong_once(K)
+        assert result.status == "prolonged"
+        K = result.next
+        got = K.ideal.reduced_gb
+        assert all(any(g is h for h in got) for g in gb)
+        want = buchberger(K.ideal.generators, MonomialOrder.lex())
+        assert [print_poly(g) for g in got] == [print_poly(g) for g in want]
+        # the same terms in the same order, each coefficient in the same form
+        assert ([[(m, str(c)) for m, c in g.terms.items()] for g in got]
+                == [[(m, str(c)) for m, c in g.terms.items()] for g in want])
 
 
 def test_ode_kernel_from_separant():
