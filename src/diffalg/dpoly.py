@@ -124,11 +124,6 @@ def mono_lcm(a, b):
     return _mono_merge(a, b, max)
 
 
-def mono_coprime(a, b):
-    vb = {v for v, _ in b}
-    return all(v not in vb for v, _ in a)
-
-
 def mono_deg(a):
     return sum(e for _, e in a)
 
@@ -291,26 +286,6 @@ class DiffPolynomial:
 
     # -- calculus ---------------------------------------------------------------
 
-    def partial_derivative(self, v):
-        """Formal d/dv for a variable v = (i, xi)."""
-        self.ctx.check_var(v)
-        terms = {}
-        for mono, c in self.terms.items():
-            for w, e in mono:
-                if w == v:
-                    break
-            else:
-                continue  # v does not occur in this term
-            nmono = mono_div(mono, ((v, 1),))
-            nc = c.scale_int(e)
-            if nmono in terms:
-                nc = terms[nmono] + nc
-            if nc.is_zero():
-                terms.pop(nmono, None)
-            else:
-                terms[nmono] = nc
-        return DiffPolynomial(self.ctx, terms)
-
     def coeff_derivative(self, k):
         """f^{delta_k}: apply delta_k to every coefficient, variables fixed."""
         if not 1 <= k <= self.ctx.m:
@@ -371,17 +346,34 @@ def derivation_image(f, k):
 
     Used by prolongations (variables at level 0), kernel validation and
     kernel prolongation (shifted variables may leave the presented range;
-    the context itself does not bound levels).
+    the context itself does not bound levels).  Built in one dict in the
+    order of that sum: f^{delta_k}, then per variable v in ascending
+    var_rank the terms of f in dict order, each adding e*c at
+    mono/v * x^(xi+k), e the exponent of v.
     """
     ctx = f.ctx
-    out = f.coeff_derivative(k)
+    terms = f.coeff_derivative(k).terms
     for v in sorted(f.variables(), key=var_rank):
-        pd = f.partial_derivative(v)
-        if pd.is_zero():
-            continue
         i, xi = v
-        out = out + pd * DiffPolynomial.var(ctx, i, shift(xi, k))
-    return out
+        up = (((i, shift(xi, k)), 1),)
+        ctx.check_var(up[0][0])
+        for mono, c in f.terms.items():
+            for w, e in mono:
+                if w == v:
+                    break
+            else:
+                continue  # v does not occur in this term
+            m = mono_mul(mono_div(mono, ((v, 1),)), up)
+            ec = c.scale_int(e)
+            if m in terms:
+                s = terms[m] + ec
+                if s.is_zero():
+                    del terms[m]
+                else:
+                    terms[m] = s
+            else:
+                terms[m] = ec
+    return DiffPolynomial(ctx, terms)
 
 
 # --- printing -----------------------------------------------------------------

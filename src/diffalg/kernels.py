@@ -113,8 +113,9 @@ class KernelPresentation:
             return ()
         g = math.prod(factors[1:], start=factors[0])
         gb = self.ideal.reduced_gb
-        ctx2, sat = rabinowitsch(gb, g, self.ideal.order, len(gb))
-        return ctx2, DivisorBasis(self.ideal.order, sat)
+        lms = []
+        ctx2, sat = rabinowitsch(gb, g, self.ideal.order, len(gb), lms)
+        return ctx2, DivisorBasis(self.ideal.order, sat, lms)
 
     def is_zero_mod(self, f):
         """Is f zero in the kernel's field (quotient localized at inverted)?"""

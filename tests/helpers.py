@@ -4,16 +4,19 @@ Everything is seeded; corpora are deterministic across runs.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import random
 
+from diffalg import groebner
 from diffalg.coeff import (Coefficient, FieldMode, _pconst, _pcontent,
                            _pexact_div, _plead, _pmonomial_content, _pneg,
                            _pshift_down)
 from diffalg.dpoly import (Context, DiffPolynomial, derivation_image,
-                           mono_div, var_rank)
+                           mono_div, mono_lcm, var_rank)
 from diffalg.groebner import (DivisorBasis, IdealPresentation, leading_term,
                               normal_form)
+from diffalg.indices import shift
 from diffalg.kernels import KernelPresentation
 
 
@@ -283,3 +286,115 @@ def reference_mono_lcm(a, b):
         if exps.get(v, 0) < e:
             exps[v] = e
     return _reference_mono(exps)
+
+
+def _coprime(a, b):
+    vb = {v for v, _ in b}
+    return all(v not in vb for v, _ in a)
+
+
+def reference_buchberger(gens, order, prefix=0, coprime_queries=None):
+    """Reference pair loop for groebner.buchberger: every pair, coprime
+    ones included, goes on the heap of (lcm sort key, i, j), and a pair is
+    done once it is popped; coprime pairs are skipped when popped.
+
+    S-polynomials are reduced through groebner.normal_form, looked up when
+    called, so a test can log the reductions.  Each chain-criterion
+    question about a coprime pair outside the prefix is appended to
+    `coprime_queries`, when given, as (done, sorts below the pair being
+    processed, popped before a pair that sorts below it was queued).
+    """
+    G = DivisorBasis(order, [g for g in gens if not g.is_zero()])
+    if not G:
+        return []
+    polys, leads = G.polys, G.leads
+    pairs = []
+    queued = []  # every heap entry, in the order queued
+    popped_at = {}  # (i, j): len(queued) when it was popped
+    current = None
+
+    def entry(i, j):
+        return (order.sort_key(mono_lcm(leads[i][0], leads[j][0])), i, j)
+
+    def push(i, j):
+        queued.append(entry(i, j))
+        heapq.heappush(pairs, queued[-1])
+
+    def is_done(a, b):
+        pair = (a, b) if a < b else (b, a)
+        if pair[1] < prefix:
+            return True
+        done = pair in popped_at
+        if coprime_queries is not None and _coprime(leads[a][0],
+                                                    leads[b][0]):
+            mine = entry(*pair)
+            coprime_queries.append((
+                done, mine < current,
+                done and any(q < mine for q in queued[popped_at[pair]:])))
+        return done
+
+    for j in range(prefix, len(G)):
+        for i in range(j):
+            push(i, j)
+    while pairs:
+        current = heapq.heappop(pairs)
+        _, i, j = current
+        popped_at[(i, j)] = len(queued)
+        if _coprime(leads[i][0], leads[j][0]):
+            continue
+        lcm = mono_lcm(leads[i][0], leads[j][0])
+        chain = False
+        for k in range(len(G)):
+            if k in (i, j):
+                continue
+            if mono_div(lcm, leads[k][0]) is None:
+                continue
+            if is_done(i, k) and is_done(j, k):
+                chain = True
+                break
+        if chain:
+            continue
+        s = groebner.normal_form(
+            groebner._s_poly(polys[i], polys[j], leads[i], leads[j]), G)
+        if s.is_zero():
+            continue
+        t = len(G)
+        G.append(s)
+        for k in range(t):
+            push(k, t)
+    return groebner._reduce_basis(G, prefix)
+
+
+def _partial_derivative(f, v):
+    """Formal d/dv of f for a variable v = (i, xi)."""
+    terms = {}
+    for mono, c in f.terms.items():
+        for w, e in mono:
+            if w == v:
+                break
+        else:
+            continue  # v does not occur in this term
+        nmono = mono_div(mono, ((v, 1),))
+        nc = c.scale_int(e)
+        if nmono in terms:
+            nc = terms[nmono] + nc
+        if nc.is_zero():
+            terms.pop(nmono, None)
+        else:
+            terms[nmono] = nc
+    return DiffPolynomial(f.ctx, terms)
+
+
+def reference_derivation_image(f, k):
+    """Reference D_k-image: f^{delta_k} plus, per variable in ascending
+    var_rank, the partial derivative times the shifted variable, each added
+    as a whole polynomial."""
+    ctx = f.ctx
+    out = f.coeff_derivative(k)
+    for v in sorted(f.variables(), key=var_rank):
+        pd = _partial_derivative(f, v)
+        if pd.is_zero():
+            continue
+        i, xi = v
+        out = out + pd * DiffPolynomial.var(ctx, i, shift(xi, k))
+    return out

@@ -53,3 +53,17 @@ def test_workload_orders_build():
     for order in (diffalg.MonomialOrder.grevlex(), diffalg.MonomialOrder.lex(),
                   diffalg.MonomialOrder.block_elim({x1})):
         assert callable(order.sort_key)
+
+
+def test_buchberger_returns_a_list_of_the_basis():
+    # the tracer takes len() of the result as the basis size and the
+    # groebner-classic renderer iterates it
+    ctx = diffalg.Context(n=3, m=1, mode=diffalg.FieldMode("constants", 1))
+    gens = [diffalg.parse_poly(text, ctx)
+            for text in ("x2_[0] - x3_[0]^2", "x1_[0] - x3_[0]^3")]
+    gb = diffalg.buchberger(gens, diffalg.MonomialOrder.lex())
+    assert type(gb) is list
+    assert [diffalg.print_poly(g) for g in gb] == [
+        "x2_[0]^3 - x1_[0]^2", "-x2_[0]^2 + x1_[0]*x3_[0]",
+        "x2_[0]*x3_[0] - x1_[0]", "x3_[0]^2 - x2_[0]"]
+    assert len(gb) == 4

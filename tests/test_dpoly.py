@@ -1,13 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffalg.coeff import Coefficient, FieldMode
 from diffalg.dpoly import (Context, DiffPolynomial, derivation_image,
                            mono_lcm, mono_mul, parse_poly, print_poly,
                            var_rank)
 from diffalg.errors import ContextError, ParseError
-from helpers import reference_mono_lcm, reference_mono_mul
+from helpers import (reference_derivation_image, reference_mono_lcm,
+                     reference_mono_mul)
 
 CONST2 = Context(n=1, m=2, mode=FieldMode("constants", 2))
 RAT2 = Context(n=2, m=2, mode=FieldMode("rational", 2))
@@ -62,17 +64,6 @@ def test_parse_division_restrictions():
         parse_poly("1/x1_[0]", RAT1)
     with pytest.raises(ParseError):
         parse_poly("x1_[0]/0", RAT1)
-
-
-def test_partial_derivative_examples():
-    x = parse_poly("x1_[0]", CONST1)
-    v0, v1 = (1, (0,)), (1, (1,))
-    f = parse_poly("x1_[0]^2", CONST1)
-    assert f.partial_derivative(v0) == 2 * x
-    g = parse_poly("x1_[0]*x1_[1]", CONST1)
-    assert g.partial_derivative(v1) == x
-    h = parse_poly("t1*x1_[0]^3", RAT1)
-    assert h.partial_derivative(v0) == parse_poly("3*t1*x1_[0]^2", RAT1)
 
 
 def test_coeff_derivative_examples():
@@ -157,11 +148,6 @@ def test_coeff_derivative_is_a_derivation(seed):
 def test_derivative_operators_commute(seed):
     rng = random.Random(300 + seed)
     f = _random_poly(rng, RAT2)
-    vs = sorted(f.variables())
-    if len(vs) >= 2:
-        a, b = vs[0], vs[1]
-        assert (f.partial_derivative(a).partial_derivative(b)
-                == f.partial_derivative(b).partial_derivative(a))
     assert (f.coeff_derivative(1).coeff_derivative(2)
             == f.coeff_derivative(2).coeff_derivative(1))
 
@@ -172,6 +158,70 @@ def test_derivation_image_leibniz():
     g = _random_poly(rng, RAT1, levels=1)
     assert (derivation_image(f * g, 1)
             == f * derivation_image(g, 1) + g * derivation_image(f, 1))
+
+
+def _image_coefficient(p, q, a, b, d):
+    """(p/q + a*t1 + b*t2)/(t1 + d) over RAT2; d = 0 leaves out the
+    division."""
+    nv = RAT2.nv
+    c = Coefficient.from_rational(p, q, nv)
+    c = c + Coefficient.from_int(a, nv) * Coefficient.base_var(1, nv)
+    c = c + Coefficient.from_int(b, nv) * Coefficient.base_var(2, nv)
+    if d:
+        c = c / (Coefficient.base_var(1, nv) + Coefficient.from_int(d, nv))
+    return c
+
+
+def _image_poly(terms):
+    f = DiffPolynomial.zero(RAT2)
+    for c, factors in terms:
+        term = DiffPolynomial.const(RAT2, c)
+        for i, xi in factors:
+            term = term * DiffPolynomial.var(RAT2, i, xi)
+        f = f + term
+    return f
+
+
+_image_terms = st.lists(st.tuples(
+    st.builds(_image_coefficient, st.integers(-2, 2), st.sampled_from([1, 2, 3]),
+              st.integers(-1, 1), st.integers(-1, 1), st.integers(0, 2)),
+    st.lists(st.sampled_from([(i, xi) for i in (1, 2)
+                              for xi in _indices(2, 1)]), max_size=3)),
+    min_size=1, max_size=5)
+
+
+def _coefficient_forms(f):
+    return [(mono, c.num, c.den) for mono, c in f.terms.items()]
+
+
+@given(terms=_image_terms, k=st.sampled_from([1, 2]))
+@settings(max_examples=150, deadline=None)
+def test_derivation_image_matches_reference(terms, k):
+    f = _image_poly(terms)
+    got, want = derivation_image(f, k), reference_derivation_image(f, k)
+    assert print_poly(got) == print_poly(want)
+    assert [(m, str(c)) for m, c in got.terms.items()] == \
+        [(m, str(c)) for m, c in want.terms.items()]
+    assert _coefficient_forms(got) == _coefficient_forms(want)
+
+
+def test_derivation_image_examples():
+    # sum_v df/dv * x^(xi+k) + f^{delta_k}
+    f = parse_poly("t1*x1_[0]^3 + x1_[0]*x2_[1]", RAT1)
+    assert print_poly(derivation_image(f, 1)) == \
+        "3*t1*x1_[0]^2*x1_[1] + x1_[0]^3 + x1_[1]*x2_[1] + x1_[0]*x2_[2]"
+    assert derivation_image(parse_poly("x1_[0]^2", CONST1), 1) == \
+        parse_poly("2*x1_[0]*x1_[1]", CONST1)
+
+
+def test_derivation_image_cancels_like_the_reference():
+    # the coefficient derivative of t1*x1_[1,0] cancels the x1_[1,0] term
+    # that D_1 of -x1_[0,0] adds
+    f = parse_poly("t1*x1_[1,0] - x1_[0,0]", RAT2)
+    got = derivation_image(f, 1)
+    assert print_poly(got) == "t1*x1_[2,0]"
+    assert _coefficient_forms(got) == \
+        _coefficient_forms(reference_derivation_image(f, 1))
 
 
 def test_print_zero_and_signs():

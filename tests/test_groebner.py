@@ -13,7 +13,8 @@ from diffalg.groebner import (DivisorBasis, IdealPresentation, MonomialOrder,
                               leading_term, normal_form, radical_member)
 from diffalg.kernels import KernelPresentation
 
-from helpers import naive_normal_form, naive_reduce_basis
+from helpers import (naive_normal_form, naive_reduce_basis,
+                     reference_buchberger)
 
 C3 = Context(n=3, m=1, mode=FieldMode("constants", 1))
 C2 = Context(n=2, m=1, mode=FieldMode("constants", 1))
@@ -229,6 +230,8 @@ def test_sort_keys_match_dense_reference_orders(order, dense):
 # --- normal_form against the naive division loop, buchberger against sympy --
 
 XS = [X, Y, Z]
+# in the context of every generated basis, but in no generator
+W = (4, (0,))
 # the block order eliminates x1, the least significant variable
 ORDERS = {"grevlex": MonomialOrder.grevlex(), "lex": LEX,
           "block": MonomialOrder.block_elim({X})}
@@ -266,7 +269,7 @@ def _times_variables(rng, g):
     return g
 
 
-def _polys(ctx, max_deg, max_terms):
+def _polys(ctx, max_deg, max_terms, variables=XS):
     def build(terms):
         f = DiffPolynomial.zero(ctx)
         for c, factors in terms:
@@ -277,12 +280,12 @@ def _polys(ctx, max_deg, max_terms):
         return f
 
     term = st.tuples(_coefficients(ctx.nv),
-                     st.lists(st.sampled_from(XS), max_size=max_deg))
+                     st.lists(st.sampled_from(variables), max_size=max_deg))
     return st.lists(term, min_size=1, max_size=max_terms).map(build)
 
 
 def _ctx(mode):
-    return Context(n=3, m=1, mode=FieldMode(mode, 1))
+    return Context(n=4, m=1, mode=FieldMode(mode, 1))
 
 
 def _layout(f):
@@ -299,7 +302,8 @@ def test_normal_form_matches_naive_reference(mode, kind, data):
     gens = data.draw(st.lists(_polys(ctx, 2, 3), min_size=1,
                               max_size=3 if mode == "constants" else 2))
     gens = [g for g in gens if g]
-    f = data.draw(_polys(ctx, 4, 6))
+    # the dividend may carry x4_[0], which no lead has
+    f = data.draw(_polys(ctx, 4, 6, XS + [W]))
     for basis in (gens, buchberger(gens, order)):
         _check_normal_form(normal_form(f, DivisorBasis(order, basis)), f,
                            basis, order)
@@ -330,6 +334,8 @@ def _check_normal_form(got, f, basis, order):
 
 
 def test_ideal_normal_form_prepares_each_leading_term_once(monkeypatch):
+    # buchberger hands over the leading monomials its final reduction has,
+    # so dividing by the reduced basis derives no leading term again
     I = IdealPresentation(C3, [p("x2_[0] - x3_[0]^2"), p("x1_[0] - x3_[0]^3"),
                                p("x1_[0]*x2_[0] - 1")], LEX)
     gb = I.reduced_gb
@@ -343,7 +349,16 @@ def test_ideal_normal_form_prepares_each_leading_term_once(monkeypatch):
     rng = random.Random(3)
     for _ in range(10):
         I.normal_form(_random_poly(rng, C3))
-    assert len(gb) > 1 and len(calls) == len(gb)
+    assert len(gb) > 1 and calls == []
+    monkeypatch.undo()
+    # the same leads, tails and masks as derived from scratch
+    prepared, want = I.divisors, DivisorBasis(LEX, gb)
+    assert prepared.polys == gb
+    assert [(lm, str(lc), [(m, str(c)) for m, c in tail])
+            for lm, lc, tail in prepared.leads] == \
+        [(lm, str(lc), [(m, str(c)) for m, c in tail])
+         for lm, lc, tail in want.leads]
+    assert prepared.masks == want.masks and prepared.bits == want.bits
 
 
 def _unreduced_basis(rng, basis, order):
@@ -463,6 +478,135 @@ def _check_prefix(gb, new, order):
     want = buchberger(gb + new, order)
     assert [print_poly(g) for g in got] == [print_poly(g) for g in want]
     assert [_layout(g) for g in got] == [_layout(g) for g in want]
+
+
+def _logged_buchberger(fn, gens, order, prefix, *extra):
+    """fn(gens, order, prefix, *extra) with every groebner.normal_form
+    call logged as the layouts of its dividend and remainder and the
+    number of divisors; returns (log, basis)."""
+    log = []
+    real = groebner.normal_form
+
+    def logging(f, basis):
+        r = real(f, basis)
+        log.append((_layout(f), len(basis), _layout(r)))
+        return r
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "normal_form", logging)
+        basis = fn(gens, order, prefix, *extra)
+    return log, basis
+
+
+def _check_pair_sequence(gens, order, prefix=0):
+    """buchberger reduces the same S-pairs in the same order as the loop
+    that queues every pair, and returns the same basis; returns the
+    reference's coprime-pair questions."""
+    queries = []
+    want_log, want = _logged_buchberger(reference_buchberger, gens, order,
+                                        prefix, queries)
+    got_log, got = _logged_buchberger(buchberger, gens, order, prefix)
+    assert got_log == want_log
+    assert [print_poly(g) for g in got] == [print_poly(g) for g in want]
+    assert [_layout(g) for g in got] == [_layout(g) for g in want]
+    # the rule buchberger decides coprime pairs by: done exactly when
+    # sorting below the pair being processed
+    assert all(done == below for done, below, _ in queries)
+    return queries
+
+
+@pytest.mark.parametrize("mode", ["constants", "rational"])
+@pytest.mark.parametrize("kind", sorted(ORDERS))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_buchberger_pair_sequence_matches_reference(mode, kind, data):
+    ctx, order = _ctx(mode), ORDERS[kind]
+    gens = data.draw(st.lists(_polys(ctx, 2, 3), min_size=1,
+                              max_size=4 if mode == "constants" else 2))
+    gens = [g for g in gens if g]
+    if data.draw(st.booleans(), label="reduced prefix"):
+        gb = buchberger(gens, order)
+        assume(gb)
+        new = data.draw(st.lists(st.one_of(_polys(ctx, 2, 3),
+                                           _lead_dividing(ctx, gb)),
+                                 min_size=1, max_size=2))
+        _check_pair_sequence(gb + new, order, len(gb))
+    else:
+        _check_pair_sequence(gens, order)
+
+
+def test_buchberger_coprime_pair_popped_before_a_smaller_pair_is_queued():
+    # The coprime leads x3_[0] and x2_[0] pair first and are popped; the
+    # S-polynomials then add elements whose pairs sort below that pair, and
+    # the chain criterion asks about it while processing one of them.  It
+    # is done, as it sorts below the pair being processed.
+    ctx = _ctx("constants")
+    gens = [p("x3_[0] + 2", ctx), p("x2_[0] - 1", ctx),
+            p("x2_[0]*x3_[0]", ctx)]
+    queries = _check_pair_sequence(gens, ORDERS["grevlex"])
+    assert (True, True, True) in queries
+
+
+@pytest.mark.parametrize("kind", sorted(ORDERS))
+def test_buchberger_queues_no_coprime_pair(monkeypatch, kind):
+    # the heap gets exactly the pairs whose leads share a variable
+    ctx, order = _ctx("constants"), ORDERS[kind]
+    gens = [p("x1_[0]^2 - x2_[0]", ctx), p("x3_[0]^2 - 1", ctx),
+            p("x1_[0]*x3_[0] - x4_[0]", ctx), p("x4_[0]^2 - x2_[0]", ctx)]
+    bases, pushed = [], []
+    real_init, real_push = DivisorBasis.__init__, groebner.heapq.heappush
+
+    def tracking(self, *args):
+        bases.append(self)
+        real_init(self, *args)
+
+    def recording(heap, item):
+        pushed.append(item[1:])
+        real_push(heap, item)
+
+    monkeypatch.setattr(DivisorBasis, "__init__", tracking)
+    monkeypatch.setattr(groebner.heapq, "heappush", recording)
+    buchberger(gens, order)
+    monkeypatch.undo()
+    lms = [lm for lm, _, _ in bases[0].leads]  # the basis the pairs index
+    shared = {(i, j) for j in range(len(lms)) for i in range(j)
+              if {v for v, _ in lms[i]} & {v for v, _ in lms[j]}}
+    assert 0 < len(shared) < len(lms) * (len(lms) - 1) // 2
+    assert sorted(pushed) == sorted(shared)
+
+
+@pytest.mark.parametrize("kind", sorted(ORDERS))
+def test_normal_form_screens_divisors_by_support(monkeypatch, kind):
+    # a divisor is tried only when every variable of its lm is in the term
+    ctx, order = _ctx("constants"), ORDERS[kind]
+    rng = random.Random(11)
+    basis = buchberger([p("x1_[0]^2 - x2_[0]", ctx), p("x2_[0]*x3_[0] - 1", ctx),
+                        p("x3_[0]^3 + x1_[0]", ctx)], order)
+    divisors = DivisorBasis(order, basis)
+    dividends = []
+    for _ in range(20):
+        f = DiffPolynomial.zero(ctx)
+        for _ in range(rng.randint(1, 5)):
+            term = DiffPolynomial.from_int(ctx, rng.randint(1, 5))
+            for i in rng.choices([1, 2, 3, 4], k=rng.randint(0, 4)):
+                term = term * DiffPolynomial.var(ctx, i, (0,))
+            f = f + term
+        dividends.append(f)
+    calls = []
+    real = groebner.mono_div
+
+    def recording(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(groebner, "mono_div", recording)
+    got = [normal_form(f, divisors) for f in dividends]
+    monkeypatch.undo()
+    assert calls
+    for a, b in calls:
+        assert {v for v, _ in b} <= {v for v, _ in a}
+    for f, r in zip(dividends, got):
+        _check_normal_form(r, f, basis, order)
 
 
 @pytest.mark.parametrize("kind", sorted(ORDERS))
