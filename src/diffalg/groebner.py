@@ -25,13 +25,14 @@ reduction order and every coefficient operation are those of the loop
 that queues every pair and tests every divisor.  `buchberger` also takes
 a reduced prefix of its input, as iterated kernel prolongation produces
 it: a reduced basis plus new relations is completed without re-pairing or
-re-reducing the old elements.
+re-reducing the old elements, and with the leads handed over for it.
 """
 from __future__ import annotations
 
 import bisect
 import heapq
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .dpoly import (Context, DiffPolynomial, grevlex_key, mono_div,
                     mono_lcm, mono_mul, var_rank)
@@ -110,14 +111,15 @@ class DivisorBasis:
     """
 
     def __init__(self, order, polys=(), lms=None):
-        """The divisors polys, in order; `lms`, when given, holds their
-        leading monomials, so none is derived again."""
+        """The divisors polys, in order; `lms`, when given, holds the
+        leading monomials of the first len(lms) of them, so none of those
+        is derived again."""
         self.order = order
         self.polys = []
         self.leads = []
         self.masks = []
         self.bits = {}
-        for g, lm in zip(polys, lms or [None] * len(polys)):
+        for g, lm in zip_longest(polys, lms or ()):
             self.append(g, lm)
 
     def __len__(self):
@@ -217,7 +219,7 @@ def _s_poly(f, g, lead_f, lead_g):
             - DiffPolynomial(ctx, {ug: lcg.inverse()}) * g)
 
 
-def buchberger(gens, order, prefix=0, lms=None):
+def buchberger(gens, order, prefix=0, lms=None, prefix_lms=None):
     """Reduced Groebner basis of the ideal generated by gens, as a list.
 
     Classic Buchberger with the coprimality and chain criteria, pairs taken
@@ -242,13 +244,15 @@ def buchberger(gens, order, prefix=0, lms=None):
     with a later element are then queued (pairs within the prefix count as
     done for the chain criterion), and the final reduction keeps each
     prefix element as it is unless a new lead divides one of its terms.
-    The result is the same basis as with prefix 0.
+    The result is the same basis as with prefix 0.  `prefix_lms`, when
+    given, holds the prefix's leading monomials, as `lms` received them
+    when the prefix was computed, so none is derived again.
 
     `lms`, when given a list, receives the leading monomial of each
     element of the result, which the final reduction has in hand, so
     `DivisorBasis(order, basis, lms)` derives no leading term again.
     """
-    G = DivisorBasis(order, [g for g in gens if not g.is_zero()])
+    G = DivisorBasis(order, [g for g in gens if not g.is_zero()], prefix_lms)
     if not G:
         return []
     polys, leads, masks = G.polys, G.leads, G.masks
@@ -365,8 +369,9 @@ class IdealPresentation:
     """Finite generator list plus its cached reduced Groebner basis and the
     DivisorBasis of that basis, which `normal_form` divides by.
 
-    `_prefix` is passed to `buchberger`: the first `_prefix` generators
-    may be a reduced basis under `order`, as `buchberger` returns it.
+    `_prefix` and `_prefix_lms` are passed to `buchberger`: the first
+    `_prefix` generators may be a reduced basis under `order`, as
+    `buchberger` returns it, and `_prefix_lms` its leading monomials.
     """
 
     ctx: Context
@@ -374,6 +379,7 @@ class IdealPresentation:
     order: MonomialOrder = field(default_factory=MonomialOrder.grevlex)
     _gb: list = field(default=None, repr=False)
     _prefix: int = field(default=0, repr=False)
+    _prefix_lms: list = field(default=None, repr=False, compare=False)
     _divisors: DivisorBasis = field(default=None, init=False, repr=False,
                                     compare=False)
     _lms: list = field(default=None, init=False, repr=False, compare=False)
@@ -388,7 +394,7 @@ class IdealPresentation:
         if self._gb is None:
             self._lms = []
             self._gb = buchberger(self.generators, self.order, self._prefix,
-                                  self._lms)
+                                  self._lms, self._prefix_lms)
         return self._gb
 
     @property
@@ -433,21 +439,22 @@ def elimination_ideal(I, keep):
                              _gb=list(kept))
 
 
-def rabinowitsch(gens, h, order, prefix=0, lms=None):
+def rabinowitsch(gens, h, order, prefix=0, lms=None, prefix_lms=None):
     """Reduced basis of gens + (1 - h*z), z a fresh level-0 coordinate.
 
     Returns (ctx2, basis), z being coordinate n+1 of ctx2.  The ideal
     presents the localization of (gens) at h; it is (1) exactly when h lies
-    in the radical of (gens).  `prefix` and `lms` are passed to
-    `buchberger`: the first `prefix` gens may be a reduced basis under
-    `order`, and `lms` receives the leading monomials of the basis.
+    in the radical of (gens).  `prefix`, `lms` and `prefix_lms` are
+    passed to `buchberger`: the first `prefix` gens may be a reduced basis
+    under `order`, with leading monomials `prefix_lms`, and `lms` receives
+    the leading monomials of the basis.
     """
     ctx = h.ctx
     ctx2 = ctx.with_n(ctx.n + 1)
     z = DiffPolynomial.var(ctx2, ctx2.n, (0,) * ctx2.m)
     gens2 = [g.with_context(ctx2) for g in gens]
     gens2.append(DiffPolynomial.from_int(ctx2, 1) - h.with_context(ctx2) * z)
-    return ctx2, buchberger(gens2, order, prefix, lms)
+    return ctx2, buchberger(gens2, order, prefix, lms, prefix_lms)
 
 
 def radical_member(f, I):

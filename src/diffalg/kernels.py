@@ -7,7 +7,8 @@ the level r+1 derivatives and decides the joint linear system over the
 fraction field of the quotient; zero tests go through saturation by the
 `inverted` multiplicative set (the pivot denominators accumulated so far),
 encoded with the auxiliary-variable trick 1 - g*z.  `kernel_validate` is
-the one derivation-extension check; the prolongation runs it first and
+the one derivation-extension check; the prolongation runs it on every input
+it did not produce itself (its results are valid by construction) and
 builds its rows from the top-level generators only.
 
 Primality of the presented ideal is assumed, not verified: the obstruction
@@ -66,10 +67,20 @@ class ProlongResult:
 
 @dataclass
 class KernelPresentation:
+    """A length-r kernel: a lex ideal over the levels <= r, read in its
+    fraction field localized at `inverted`.
+
+    `validated` is set only by `kernel_prolong_once`, on the kernel it
+    returns, which meets the derivation-extension criterion by
+    construction; any other kernel is validated before it is prolonged.
+    """
+
     ctx: Context
     r: int
     ideal: IdealPresentation
     inverted: list = field(default_factory=list)
+    validated: bool = field(default=False, init=False, compare=False,
+                            repr=False)
 
     def __post_init__(self):
         if self.r < 0:
@@ -114,7 +125,8 @@ class KernelPresentation:
         g = math.prod(factors[1:], start=factors[0])
         gb = self.ideal.reduced_gb
         lms = []
-        ctx2, sat = rabinowitsch(gb, g, self.ideal.order, len(gb), lms)
+        ctx2, sat = rabinowitsch(gb, g, self.ideal.order, len(gb), lms,
+                                 self.ideal._lms)
         return ctx2, DivisorBasis(self.ideal.order, sat, lms)
 
     def is_zero_mod(self, f):
@@ -204,10 +216,24 @@ def kernel_prolong_once(Kp):
     top-level generators give rows: the D_k-image of a lower one has no
     level-(r+1) unknown, so it never pivots, and its constant, zero in the
     kernel's field once validated, stays zero.
+
+    The kernel returned is valid by construction and carries `validated`,
+    so it is not checked again when it is prolonged in turn.  Let I be
+    Kp's ideal, I' the next one and S' the new inverted set.  After
+    localizing at S', every pivot is a unit.  The pivot relations are then
+    triangular over the pivot unknowns, so I'_{S'} meets the ring of
+    levels <= r in exactly I_{S'}.  D_k maps I into I'_{S'}: for the lower
+    generators by Kp's validation, for the top-level ones by the rows, each
+    a unit combination of pivot relations plus rows that reduced to zero.
+    So every new basis element below level r+1 has its D_k-image in
+    I'_{S'}, and that is all `kernel_validate` checks.  This uses the
+    module's primality assumption: a pivot nonzero in Kp's field stays a
+    non-zero-divisor.
     """
-    report = kernel_validate(Kp)
-    if not report.valid:
-        raise KernelValidationError(report)
+    if not Kp.validated:
+        report = kernel_validate(Kp)
+        if not report.valid:
+            raise KernelValidationError(report)
     ctx, r = Kp.ctx, Kp.r
     levels = gamma_set(ctx.m, r + 1)
     check_coordinates("n*|Gamma(%d)|" % (r + 1), ctx.n * len(levels))
@@ -273,8 +299,9 @@ def kernel_prolong_once(Kp):
     next_kernel = KernelPresentation(
         ctx=ctx, r=r + 1,
         ideal=IdealPresentation(ctx, new_gens, MonomialOrder.lex(),
-                                _prefix=len(gb)),
+                                _prefix=len(gb), _prefix_lms=Kp.ideal._lms),
         inverted=new_inverted)
+    next_kernel.validated = True
     return ProlongResult(status="prolonged", next=next_kernel)
 
 

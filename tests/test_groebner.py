@@ -361,6 +361,33 @@ def test_ideal_normal_form_prepares_each_leading_term_once(monkeypatch):
     assert prepared.masks == want.masks and prepared.bits == want.bits
 
 
+@pytest.mark.parametrize("mode", ["constants", "rational"])
+@pytest.mark.parametrize("kind", sorted(ORDERS))
+def test_buchberger_takes_the_prefix_leads(monkeypatch, mode, kind):
+    # completing a reduced prefix whose leads are handed over derives no
+    # lead of a prefix element, and gives the same basis and leads
+    ctx, order = _ctx(mode), ORDERS[kind]
+    prefix_lms = []
+    gb = buchberger([p("x2_[0] - x3_[0]^2", ctx), p("x1_[0] - x3_[0]^3", ctx),
+                     p("x4_[0]*x2_[0] + x1_[0]", ctx)], order, 0, prefix_lms)
+    gens = gb + [p("x1_[0]*x2_[0] - x4_[0]", ctx)]
+    want_lms = []
+    want = buchberger(gens, order, len(gb), want_lms)
+    calls = []
+
+    def counting(f, order):
+        calls.append(f)
+        return leading_term(f, order)
+
+    monkeypatch.setattr(groebner, "leading_term", counting)
+    got_lms = []
+    got = buchberger(gens, order, len(gb), got_lms, prefix_lms)
+    monkeypatch.undo()
+    assert calls and not [f for f in calls if any(f is g for g in gb)]
+    assert [_layout(g) for g in got] == [_layout(g) for g in want]
+    assert got_lms == want_lms
+
+
 def _unreduced_basis(rng, basis, order):
     """The reduced basis (ascending by lm) padded into an unreduced
     Groebner basis of the same ideal: each element rescaled and, where it

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from diffalg import files, groebner, kernels
 from diffalg.coeff import FieldMode
 from diffalg.dpoly import Context, DiffPolynomial, parse_poly, print_poly
 from diffalg.errors import ContextError
-from diffalg.groebner import IdealPresentation, MonomialOrder, buchberger
+from diffalg.groebner import (IdealPresentation, MonomialOrder, buchberger,
+                              leading_term)
 from diffalg.kernels import (KernelPresentation, KernelValidationError,
                              kernel_prolong_once, kernel_prolong_to,
                              kernel_validate, realization_bound)
@@ -219,3 +221,143 @@ def test_obstruction_soundness_randomized():
         nf = result.witness.normal_form
         assert nf.is_constant() and not nf.is_zero()
         assert not result.next
+
+
+# -- validity by construction ------------------------------------------------
+
+def m2_kernel(mode_kind, texts, inverted=(), n=1):
+    ctx = Context(n=n, m=2, mode=FieldMode(mode_kind, 2))
+    return make_kernel(ctx, 1, texts, [parse_poly(t, ctx) for t in inverted])
+
+
+CONSTRUCTION_CASES = {  # name: (kernel maker, levels added)
+    "ode-3-roots": (lambda: ode_kernel((3, -2, 0)), 3),
+    "ode-rational": (lambda: ode_kernel((1, 2), "rational"), 3),
+    "graph-rational": (lambda: graph_kernel(random.Random(7), "rational"), 2),
+    "implicit-t1": (lambda: make_kernel(
+        Context(n=1, m=1, mode=FieldMode("rational", 1)), 1,
+        ["x1_[0]*x1_[1] - 2*t1"]), 3),
+    "inverted-m1": (lambda: make_kernel(C1, 2, SATURATION_DECIDES,
+                                        [parse_poly("x1_[0]", C1)]), 2),
+    "zero-m2": (lambda: KernelPresentation(ctx=M2, r=0,
+                                           ideal=IdealPresentation(M2, [])),
+                3),
+    "rational-m2": (lambda: m2_kernel("rational", [
+        "x1_[1,0] - t1*x1_[0,0]", "x1_[0,1] + t2*x1_[0,0]"]), 2),
+    "riccati-m2": (lambda: m2_kernel("constants", [
+        "x1_[1,0] - x1_[0,0]^2", "x1_[0,1] + 2*x1_[0,0]^2"]), 2),
+    "implicit-m2": (lambda: m2_kernel("constants", [
+        "x1_[0,0]*x1_[1,0] - 3", "x1_[0,1]"]), 2),
+    "inverted-m2": (lambda: m2_kernel("rational", [
+        "x1_[0,0]*x1_[1,0] - t1", "x1_[0,0]*x1_[0,1] - 2*t2"],
+        inverted=["x1_[0,0]"]), 2),
+    "rotation-m2-n2": (lambda: m2_kernel("constants", [
+        "x1_[1,0] - 2*x2_[0,0]", "x2_[1,0] + x1_[0,0]",
+        "x1_[0,1] - 3*x1_[0,0]", "x2_[0,1] - 3*x2_[0,0]"], n=2), 2),
+}
+
+
+def produced_kernels(monkeypatch, K, s):
+    """Every kernel that kernel_prolong_to(K, s) produces, in order."""
+    produced = []
+
+    def recording(Kp):
+        result = real(Kp)
+        produced.append(result.next)
+        return result
+
+    real = kernels.kernel_prolong_once
+    monkeypatch.setattr(kernels, "kernel_prolong_once", recording)
+    result, _ = kernel_prolong_to(K, s)
+    monkeypatch.undo()
+    assert result.status == "prolonged" and len(produced) == s - K.r
+    return produced
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTION_CASES))
+def test_produced_kernels_are_valid(monkeypatch, name):
+    # what kernel_prolong_once no longer checks on its own results
+    make, levels = CONSTRUCTION_CASES[name]
+    K = make()
+    for nxt in produced_kernels(monkeypatch, K, K.r + levels):
+        assert nxt.validated
+        assert kernel_validate(nxt).valid
+    if name.startswith("inverted"):
+        assert nxt.inverted
+
+
+def test_corpus_produced_kernels_are_valid(monkeypatch):
+    for K in kernel_corpus():
+        for nxt in produced_kernels(monkeypatch, K, K.r + 3):
+            assert kernel_validate(nxt).valid
+
+
+def counting_validate(monkeypatch):
+    reports = []
+
+    def counting(Kp):
+        reports.append(real(Kp))
+        return reports[-1]
+
+    real = kernels.kernel_validate
+    monkeypatch.setattr(kernels, "kernel_validate", counting)
+    return reports
+
+
+def test_prolong_to_validates_a_loaded_kernel_once(monkeypatch):
+    K = files.load_kernel_text("m=2 n=1 length=1 mode=rational\n"
+                               "x1_[1,0] - t1*x1_[0,0]\n"
+                               "x1_[0,1] + t2*x1_[0,0]\n")
+    assert not K.validated
+    reports = counting_validate(monkeypatch)
+    result, info = kernel_prolong_to(K, K.r + 3)
+    assert result.status == "prolonged" and info["final_length"] == 4
+    assert len(reports) == 1 and reports[0].valid
+
+
+def test_only_produced_kernels_skip_validation(monkeypatch):
+    nxt = kernel_prolong_once(make_kernel(C1, 1, ["x1_[0]*x1_[1] - 1"])).next
+    hand = KernelPresentation(ctx=nxt.ctx, r=nxt.r, ideal=nxt.ideal,
+                              inverted=list(nxt.inverted))
+    # the flag takes no part in equality or repr, and no caller sets it
+    assert nxt.validated and not hand.validated
+    assert hand == nxt and repr(hand) == repr(nxt)
+    assert "validated" not in repr(nxt)
+    with pytest.raises(TypeError):
+        KernelPresentation(ctx=C1, r=1, ideal=nxt.ideal, validated=True)
+    reports = counting_validate(monkeypatch)
+    assert (kernel_prolong_once(hand).next.ideal.reduced_gb
+            == kernel_prolong_once(nxt).next.ideal.reduced_gb)
+    assert len(reports) == 1 and reports[0].valid
+
+
+def test_invalid_hand_built_kernel_still_raises(monkeypatch):
+    reports = counting_validate(monkeypatch)
+    K = make_kernel(C1, 2, SATURATION_DECIDES)
+    with pytest.raises(KernelValidationError) as exc:
+        kernel_prolong_once(K)
+    assert len(reports) == 1
+    assert exc.value.report.violations == reports[0].violations == [
+        {"generator": "x1_[0]*x1_[1] - x1_[0]", "k": 1,
+         "normal_form": "x1_[1]^2 - x1_[1]"}]
+
+
+def test_prolongation_derives_no_lead_of_a_prefix(monkeypatch):
+    # the next level's basis and its saturation basis complete a reduced
+    # prefix, and take its leads from the ideal that computed it
+    K = make_kernel(C1, 1, ["x1_[0]*x1_[1] - 1"])  # x1_[0] is inverted
+    K.ideal.reduced_gb
+    derived = []
+
+    def counting(f, order):
+        derived.append(print_poly(f))
+        return leading_term(f, order)
+
+    monkeypatch.setattr(groebner, "leading_term", counting)
+    nxt = kernel_prolong_once(K).next
+    gb = nxt.ideal.reduced_gb
+    assert nxt.inverted and derived
+    assert not set(derived) & {print_poly(g) for g in K.ideal.reduced_gb}
+    derived.clear()
+    assert nxt._saturation_basis()
+    assert derived and not set(derived) & {print_poly(g) for g in gb}
