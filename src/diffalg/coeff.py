@@ -11,8 +11,9 @@ text keep that order.
 
 An integer polynomial has denominator exactly 1, and reduction leaves such
 a fraction as it is.  So + and * of two denominator-1 operands, and
-scale_int and derive of one, build their result directly and skip the
-reduction; inside the reduction a constant denominator skips the
+scale_int and derive of one, skip the reduction and __init__ as well: after
+the nv check they build their result with `_integral`, which only sets the
+three slots.  Inside the reduction a constant denominator skips the
 exact-division attempt.  The num and den dicts are shared between
 Coefficients (the denominator-1 values of one nv all hold one unit dict)
 and are never mutated.
@@ -27,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import add
 
 from .errors import ContextError
 
@@ -84,7 +86,7 @@ def _pmul(a, b):
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            exps = tuple(x + y for x, y in zip(ea, eb))
+            exps = tuple(map(add, ea, eb))
             s = out.get(exps, 0) + ca * cb
             if s:
                 out[exps] = s
@@ -302,8 +304,7 @@ class Coefficient:
         self._check(other)
         one = _unit(self.nv)
         if self.den == one == other.den:
-            return Coefficient(_padd(self.num, other.num), one, self.nv,
-                               reduce=False)
+            return _integral(_padd(self.num, other.num), one, self.nv)
         num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
         return Coefficient(num, _pmul(self.den, other.den), self.nv)
 
@@ -317,8 +318,7 @@ class Coefficient:
         self._check(other)
         one = _unit(self.nv)
         if self.den == one == other.den:
-            return Coefficient(_pmul(self.num, other.num), one, self.nv,
-                               reduce=False)
+            return _integral(_pmul(self.num, other.num), one, self.nv)
         return Coefficient(_pmul(self.num, other.num),
                            _pmul(self.den, other.den), self.nv)
 
@@ -346,7 +346,7 @@ class Coefficient:
         num = {exps: v * c for exps, v in self.num.items()} if c else {}
         one = _unit(self.nv)
         if self.den == one:
-            return Coefficient(num, one, self.nv, reduce=False)
+            return _integral(num, one, self.nv)
         return Coefficient(num, self.den, self.nv)
 
     def derive(self, k):
@@ -357,7 +357,7 @@ class Coefficient:
         dn = _pderiv(self.num, k)
         one = _unit(self.nv)
         if self.den == one:
-            return Coefficient(dn, one, self.nv, reduce=False)
+            return _integral(dn, one, self.nv)
         dd = _pderiv(self.den, k)
         num = _padd(_pmul(dn, self.den), _pneg(_pmul(self.num, dd)))
         return Coefficient(num, _pmul(self.den, self.den), self.nv)
@@ -390,6 +390,16 @@ class Coefficient:
 
     def __repr__(self):
         return "Coefficient(%s)" % self
+
+
+def _integral(num, one, nv):
+    """The rational-mode coefficient num/1, one being _unit(nv), built
+    without __init__: it has nothing to check or reduce."""
+    c = object.__new__(Coefficient)
+    c.num = num
+    c.den = one
+    c.nv = nv
+    return c
 
 
 def _q(num, den):

@@ -4,9 +4,13 @@ A variable is the pair (i, xi) with 1 <= i <= n and xi a multi-index of
 length m.  A monomial is a tuple of ((i, xi), exponent) pairs with positive
 exponents, sorted by ascending var_rank; the constant monomial is ().  A
 polynomial is a sparse map from monomials to Coefficients.  The mono_*
-helpers below are the library's only monomial arithmetic; mono_mul and
-mono_lcm merge the two rank-sorted tuples, with no dict and no re-sort.
-grevlex_key is the default order, the one used for printing.
+helpers below do the library's monomial arithmetic on these tuples;
+mono_mul and mono_lcm merge the two rank-sorted tuples, with no dict and no
+re-sort.  The one other form is inside DiffPolynomial.__mul__: packed
+exponent keys, one integer per monomial with a bit slot per variable
+(`_packed`), which a product adds instead of merging tuples and turns back
+into tuples once per product term.  grevlex_key is the default order, the
+one used for printing.
 
 Text grammar (also used for printing):
 
@@ -72,6 +76,7 @@ def var_rank(v):
     return (index_sort_key(xi), i)
 
 
+@functools.lru_cache(maxsize=None)
 def var_str(v):
     i, xi = v
     return "x%d_[%s]" % (i, ",".join(str(e) for e in xi))
@@ -132,6 +137,60 @@ def grevlex_key(mono):
     """Graded reverse lex: higher degree wins, then the smaller exponent in
     the least significant variable where the monomials differ."""
     return (mono_deg(mono), tuple((var_rank(v), -e) for v, e in mono))
+
+
+def _top_exponent(terms, variables):
+    """The largest exponent in terms; adds their variables to the set."""
+    top = 0
+    for mono in terms:
+        for v, e in mono:
+            variables.add(v)
+            if e > top:
+                top = e
+    return top
+
+
+def _packed(a, b):
+    """Packed exponent keys for the product of the term dicts a and b.
+
+    Every variable of a or b gets a slot of w bits, in ascending var_rank,
+    w being the bit length of (largest exponent in a + largest in b).  A
+    monomial's key is the sum of its exponents, each shifted to its slot;
+    no slot of a key sum ka + kb can carry into the next.  Returns the
+    (key, coefficient) pairs of a and of b, in dict order, and the function
+    that turns a key sum back into its rank-sorted monomial.
+    """
+    variables = set()
+    top_a = _top_exponent(a, variables)
+    top_b = top_a if b is a else _top_exponent(b, variables)
+    w = (top_a + top_b).bit_length()
+    ranked = sorted(variables, key=var_rank)
+    shifts = {v: j * w for j, v in enumerate(ranked)}
+
+    def keyed(terms):
+        out = []
+        for mono, c in terms.items():
+            k = 0
+            for v, e in mono:
+                k |= e << shifts[v]
+            out.append((k, c))
+        return out
+
+    low = (1 << w) - 1
+
+    def unpack(k):
+        mono = []
+        for v in ranked:
+            if not k:
+                break
+            e = k & low
+            if e:
+                mono.append((v, e))
+            k >>= w
+        return tuple(mono)
+
+    keyed_a = keyed(a)
+    return keyed_a, keyed_a if b is a else keyed(b), unpack
 
 
 class DiffPolynomial:
@@ -246,23 +305,43 @@ class DiffPolynomial:
         return (-self) + other
 
     def __mul__(self, other):
+        """The product: for each term of self, then each of other, ca * cb
+        (self's coefficient on the left) is added to the term it meets, in
+        that order; a zero sum removes the term, so a later product there
+        inserts it again at the end.  A product of two nonzero field
+        elements is never zero, so a new monomial is always inserted.
+
+        Terms are keyed by packed exponents (`_packed`): the key ka + kb
+        stands for exactly mono_mul(ma, mb), so every lookup, removal and
+        insertion, the dict order and each Coefficient operation are those
+        of a dict keyed by tuple monomials.  The tuples are built once per
+        product term, at the end.  With a single-term operand no two
+        products meet, and the product is a shift of the other's terms.
+        """
         if isinstance(other, int):
             other = DiffPolynomial.from_int(self.ctx, other)
         if isinstance(other, Coefficient):
             return self.scale(other)
         self._check(other)
+        a, b = self.terms, other.terms
+        if len(a) == 1 or len(b) == 1:
+            return DiffPolynomial(self.ctx, {
+                mono_mul(ma, mb): ca * cb
+                for ma, ca in a.items() for mb, cb in b.items()})
+        keyed_a, keyed_b, unpack = _packed(a, b)
         terms = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = mono_mul(ma, mb)
+        for ka, ca in keyed_a:
+            for kb, cb in keyed_b:
+                k = ka + kb
                 c = ca * cb
-                if mono in terms:
-                    c = terms[mono] + c
-                if c.is_zero():
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = c
-        return DiffPolynomial(self.ctx, terms)
+                if k in terms:
+                    c = terms[k] + c
+                    if c.is_zero():
+                        del terms[k]
+                        continue
+                terms[k] = c
+        return DiffPolynomial(self.ctx, {unpack(k): c
+                                         for k, c in terms.items()})
 
     __rmul__ = __mul__
 

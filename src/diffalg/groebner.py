@@ -54,6 +54,8 @@ class MonomialOrder:
       significant variable first;
     - block: ``(grevlex key of the eliminated part, grevlex key of the
       rest)``, so the eliminated block is compared first.
+
+    Two orders are equal when their kind and eliminated block are.
     """
 
     def __init__(self, kind, leading=None):
@@ -80,6 +82,14 @@ class MonomialOrder:
     @classmethod
     def block_elim(cls, eliminate):
         return cls("block", leading=eliminate)
+
+    def __eq__(self, other):
+        if not isinstance(other, MonomialOrder):
+            return NotImplemented
+        return (self.kind, self.leading) == (other.kind, other.leading)
+
+    def __hash__(self):
+        return hash((self.kind, self.leading))
 
     def _block_key(self, mono):
         lead = self.leading
@@ -372,13 +382,15 @@ class IdealPresentation:
     `_prefix` and `_prefix_lms` are passed to `buchberger`: the first
     `_prefix` generators may be a reduced basis under `order`, as
     `buchberger` returns it, and `_prefix_lms` its leading monomials.
+    Equality compares the context, the generators and the order only, so
+    no cache or hint changes it.
     """
 
     ctx: Context
     generators: list
     order: MonomialOrder = field(default_factory=MonomialOrder.grevlex)
-    _gb: list = field(default=None, repr=False)
-    _prefix: int = field(default=0, repr=False)
+    _gb: list = field(default=None, repr=False, compare=False)
+    _prefix: int = field(default=0, repr=False, compare=False)
     _prefix_lms: list = field(default=None, repr=False, compare=False)
     _divisors: DivisorBasis = field(default=None, init=False, repr=False,
                                     compare=False)

@@ -13,7 +13,7 @@ from diffalg.coeff import (Coefficient, FieldMode, _pconst, _pcontent,
                            _pexact_div, _plead, _pmonomial_content, _pneg,
                            _pshift_down)
 from diffalg.dpoly import (Context, DiffPolynomial, derivation_image,
-                           mono_div, mono_lcm, var_rank)
+                           mono_div, mono_lcm, mono_mul, var_rank)
 from diffalg.groebner import (DivisorBasis, IdealPresentation, leading_term,
                               normal_form)
 from diffalg.indices import shift
@@ -276,6 +276,37 @@ def reference_mono_mul(a, b):
     for v, e in b:
         exps[v] = exps.get(v, 0) + e
     return _reference_mono(exps)
+
+
+def reference_mul(f, g):
+    """Reference DiffPolynomial product: the double loop keyed by tuple
+    monomials, adding each ca * cb to the term it meets and dropping a
+    term whose sum is zero."""
+    terms = {}
+    for ma, ca in f.terms.items():
+        for mb, cb in g.terms.items():
+            mono = mono_mul(ma, mb)
+            c = ca * cb
+            if mono in terms:
+                c = terms[mono] + c
+            if c.is_zero():
+                terms.pop(mono, None)
+            else:
+                terms[mono] = c
+    return DiffPolynomial(f.ctx, terms)
+
+
+def reference_pow(f, e):
+    """f ** e by the binary powering of DiffPolynomial.__pow__, each
+    product by reference_mul."""
+    result = DiffPolynomial.from_int(f.ctx, 1)
+    base = f
+    while e:
+        if e & 1:
+            result = reference_mul(result, base)
+        base = reference_mul(base, base) if e > 1 else base
+        e >>= 1
+    return result
 
 
 def reference_mono_lcm(a, b):

@@ -9,7 +9,7 @@ from diffalg.dpoly import (Context, DiffPolynomial, derivation_image,
                            var_rank)
 from diffalg.errors import ContextError, ParseError
 from helpers import (reference_derivation_image, reference_mono_lcm,
-                     reference_mono_mul)
+                     reference_mono_mul, reference_mul, reference_pow)
 
 CONST2 = Context(n=1, m=2, mode=FieldMode("constants", 2))
 RAT2 = Context(n=2, m=2, mode=FieldMode("rational", 2))
@@ -257,3 +257,114 @@ def test_mono_mul_and_lcm_match_dict_and_sort(m):
             ranks = [var_rank(v) for v, _ in got]
             assert all(x < y for x, y in zip(ranks, ranks[1:]))
     assert mono_mul((), ()) == mono_lcm((), ()) == ()
+
+
+# --- products against the tuple-keyed double loop ----------------------------
+
+PRODUCT_KINDS = {"constants": CONST1, "integral": RAT2, "fractions": RAT2}
+
+
+def _product_coefficient(rng, ctx, kind):
+    """A nonzero coefficient: a rational number in constants mode; in
+    rational mode an integer polynomial ("integral", denominator 1) or,
+    often, a fraction with a denominator 2 or t1 + 1 ("fractions")."""
+    nv = ctx.nv
+    if kind == "constants":
+        return Coefficient.from_rational(rng.choice([-2, -1, 1, 1, 3]),
+                                         rng.choice([1, 1, 2, 3]), nv)
+    c = Coefficient.from_int(rng.choice([-2, -1, 1, 1, 3]), nv)
+    if rng.random() < 0.5:
+        c = c + Coefficient.base_var(rng.randint(1, nv), nv)
+    if kind == "fractions" and rng.random() < 0.6:
+        # one non-constant denominator, so that powers stay small
+        c = c / rng.choice([Coefficient.from_int(2, nv),
+                            Coefficient.base_var(1, nv)
+                            + Coefficient.from_int(1, nv)])
+    return c
+
+
+def _product_poly(rng, ctx, kind, variables, terms, top):
+    out = {}
+    for _ in range(terms):
+        chosen = rng.sample(variables, rng.randint(0, len(variables)))
+        mono = tuple(sorted(((v, rng.randint(1, top)) for v in chosen),
+                            key=lambda ve: var_rank(ve[0])))
+        out[mono] = _product_coefficient(rng, ctx, kind)
+    return DiffPolynomial(ctx, out)
+
+
+def _assert_same_product(got, want):
+    # same terms in the same dict order, equal num/den dicts, same text
+    assert _coefficient_forms(got) == _coefficient_forms(want)
+    assert print_poly(got) == print_poly(want)
+
+
+def _product_variables(ctx):
+    zero = (0,) * ctx.m
+    return [(1, zero), (2, zero), (1, (1,) + zero[1:])]
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCT_KINDS))
+def test_mul_matches_reference_loop(kind):
+    ctx = PRODUCT_KINDS[kind]
+    rng = random.Random("mul:" + kind)
+    variables = _product_variables(ctx)
+    for trial in range(200):
+        top = (1, 2, 3, 2**70)[trial % 4]
+        pool = variables[:rng.randint(1, 3)]
+        a = _product_poly(rng, ctx, kind, pool, rng.randint(0, 6), top)
+        b = _product_poly(rng, ctx, kind, variables, rng.randint(0, 6), top)
+        _assert_same_product(a * b, reference_mul(a, b))
+        _assert_same_product(b * a, reference_mul(b, a))
+        _assert_same_product(a * a, reference_mul(a, a))
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCT_KINDS))
+def test_mul_by_a_single_term_matches_reference_loop(kind):
+    ctx = PRODUCT_KINDS[kind]
+    rng = random.Random("mul-shift:" + kind)
+    variables = _product_variables(ctx)
+    for _ in range(60):
+        one = _product_poly(rng, ctx, kind, variables, 1, 3)
+        f = _product_poly(rng, ctx, kind, variables, rng.randint(0, 6), 3)
+        assert len(one.terms) == 1
+        _assert_same_product(one * f, reference_mul(one, f))
+        _assert_same_product(f * one, reference_mul(f, one))
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCT_KINDS))
+def test_pow_matches_reference_powering(kind):
+    ctx = PRODUCT_KINDS[kind]
+    rng = random.Random("pow:" + kind)
+    variables = _product_variables(ctx)[:2]
+    for _ in range(4):
+        f = _product_poly(rng, ctx, kind, variables, rng.randint(1, 3), 2)
+        for e in range(10):
+            _assert_same_product(f ** e, reference_pow(f, e))
+
+
+def test_mul_reinserts_a_cancelled_monomial_at_the_end():
+    # x^2*y^2 gets +1 (x^2 * y^2), then -1 (x*y * -x*y), which removes it,
+    # then +1 again (y^2 * x^2), which inserts it last
+    a = parse_poly("x1_[0]^2 + x1_[0]*x2_[0] + x2_[0]^2", CONST1)
+    b = parse_poly("x2_[0]^2 - x1_[0]*x2_[0] + x1_[0]^2", CONST1)
+    want = reference_mul(a, b)
+    x2y2 = (((1, (0,)), 2), ((2, (0,)), 2))
+    assert list(want.terms)[-1] == x2y2
+    _assert_same_product(a * b, want)
+    assert print_poly(a * b) == "x2_[0]^4 + x1_[0]^2*x2_[0]^2 + x1_[0]^4"
+
+
+def test_mul_packs_huge_exponents():
+    x, y = (1, (0,)), (2, (0,))
+    big = 2**70
+    a = DiffPolynomial(CONST1, {((x, big),): Coefficient.from_int(1, 0),
+                                ((x, 1), (y, 1)): Coefficient.from_int(2, 0),
+                                (): Coefficient.from_int(-1, 0)})
+    b = DiffPolynomial(CONST1, {((x, big - 1), (y, 1)):
+                                Coefficient.from_int(3, 0),
+                                ((y, big),): Coefficient.from_int(1, 0),
+                                ((x, 1),): Coefficient.from_int(1, 0)})
+    _assert_same_product(a * b, reference_mul(a, b))
+    assert ((x, 2 * big),) in (a * a).terms
+    _assert_same_product(a ** 3, reference_pow(a, 3))

@@ -645,6 +645,42 @@ def test_rational_unit_ideal_reduces_to_one(kind):
         assert [print_poly(g) for g in gb] == ["1"]
 
 
+def _twisted_cubic(order):
+    return IdealPresentation(C3, [p("x2_[0] - x3_[0]^2"),
+                                  p("x1_[0] - x3_[0]^3")], order)
+
+
+def test_orders_compare_by_kind_and_block():
+    assert MonomialOrder.lex() == MonomialOrder.lex()
+    assert hash(MonomialOrder.lex()) == hash(MonomialOrder.lex())
+    assert MonomialOrder.lex() != MonomialOrder.grevlex()
+    assert MonomialOrder.block_elim({X}) == MonomialOrder.block_elim([X])
+    assert MonomialOrder.block_elim({X}) != MonomialOrder.block_elim({Y})
+    assert MonomialOrder.block_elim({X}) != MonomialOrder.block_elim({X, Y})
+    assert len({MonomialOrder.lex(), MonomialOrder.lex(),
+                MonomialOrder.block_elim({X})}) == 2
+
+
+def test_presentations_compare_by_generators_and_order():
+    # two separately built lex orders; caches and prefix hints are ignored
+    I, J = _twisted_cubic(MonomialOrder.lex()), _twisted_cubic(
+        MonomialOrder.lex())
+    assert I == J
+    I.reduced_gb
+    I.divisors
+    assert I._gb is not None and J._gb is None
+    assert I == J
+    K = IdealPresentation(C3, list(J.generators), MonomialOrder.lex(),
+                          _prefix=1)
+    assert K == J
+    assert I != _twisted_cubic(MonomialOrder.grevlex())
+    assert _twisted_cubic(MonomialOrder.block_elim({X})) != \
+        _twisted_cubic(MonomialOrder.block_elim({Y}))
+    kernels = [KernelPresentation(ctx=C3, r=0, ideal=ideal)
+               for ideal in (I, _twisted_cubic(MonomialOrder.lex()))]
+    assert kernels[0] == kernels[1]
+
+
 @pytest.fixture(scope="module")
 def sympy():
     return pytest.importorskip("sympy")
