@@ -6,11 +6,12 @@ exponents, sorted by ascending var_rank; the constant monomial is ().  A
 polynomial is a sparse map from monomials to Coefficients.  The mono_*
 helpers below do the library's monomial arithmetic on these tuples;
 mono_mul and mono_lcm merge the two rank-sorted tuples, with no dict and no
-re-sort.  The one other form is inside DiffPolynomial.__mul__: packed
-exponent keys, one integer per monomial with a bit slot per variable
-(`_packed`), which a product adds instead of merging tuples and turns back
-into tuples once per product term.  grevlex_key is the default order, the
-one used for printing.
+re-sort.  The one other form is the packed key of a `Packing`: one integer
+per monomial, with a bit slot per variable.  DiffPolynomial.__mul__ adds
+such keys instead of merging tuples (`_packed`), and groebner's division
+compares, multiplies and tests divisibility on them; each turns keys back
+into tuples once per term of its result.  grevlex_key is the default
+order, the one used for printing.
 
 Text grammar (also used for printing):
 
@@ -139,58 +140,146 @@ def grevlex_key(mono):
     return (mono_deg(mono), tuple((var_rank(v), -e) for v, e in mono))
 
 
-def _top_exponent(terms, variables):
-    """The largest exponent in terms; adds their variables to the set."""
+def support(term_dicts):
+    """The variables of the monomials in term_dicts (each iterable over
+    monomials), and the largest total degree among those monomials."""
+    variables = set()
     top = 0
-    for mono in terms:
-        for v, e in mono:
-            variables.add(v)
-            if e > top:
-                top = e
-    return top
+    for terms in term_dicts:
+        for mono in terms:
+            d = 0
+            for v, e in mono:
+                variables.add(v)
+                d += e
+            if d > top:
+                top = d
+    return variables, top
+
+
+class Packing:
+    """Packed exponent keys: one integer per monomial over fixed variables.
+
+    The variables come in blocks, the most significant first, and every
+    block takes slots of `width` bits above the blocks after it.  A plain
+    block gives each variable a slot, in ascending var_rank from the
+    lowest, that holds its exponent e.  A graded block holds its total
+    degree in its top slot and `limit - e` in each variable's slot, the
+    least significant variable highest.  A key is `one + sum(e *
+    weights[v])` (`one` being the key of the constant monomial), and the
+    key of a product is the sum of its factors' keys minus `one`.  While
+    every slot stays within 0..limit no slot borrows from or carries into
+    the next, and keys compare as lex (one plain block), grevlex (one
+    graded block) or a block order (one graded block per block) compare
+    the monomials.
+
+    With `guarded`, the top bit of each slot is a guard bit (`guards` has
+    them all) and `limit` fills the bits below it; without, `limit` fills
+    the slot.  A monomial of total degree at most `limit` has a key, with
+    no guard bit set, and so has a product whose slots all stay within
+    0..limit.  For two keys ka and kb with no guard bit set, the lowest
+    slot of `ka - kb + one` outside 0..limit has its guard bit set, so that
+    value has no guard bit set exactly when kb's monomial divides ka's, and
+    it is then the key of the quotient.  Likewise `ka + kb - one` has a
+    guard bit set exactly when a slot of the product leaves 0..limit.
+    `decode(k)` turns a key back into its rank-sorted monomial.
+    """
+
+    __slots__ = ("weights", "one", "guards", "limit", "decode")
+
+    def __init__(self, blocks, width, guarded=False):
+        low = (1 << width) - 1
+        limit = low >> 1 if guarded else low
+        guard = 1 << (width - 1) if guarded else 0
+        self.weights = {}
+        slots = []
+        one = guards = shift = 0
+        for variables, graded in reversed(blocks):
+            if not variables:
+                continue
+            ranked = sorted(variables, key=var_rank, reverse=graded)
+            base = limit if graded else 0
+            for v in ranked:
+                self.weights[v] = 1 << shift
+                slots.append((var_rank(v), v, shift, base))
+                one += base << shift
+                guards |= guard << shift
+                shift += width
+            if graded:
+                degree = 1 << shift
+                for v in ranked:
+                    self.weights[v] = degree - self.weights[v]
+                guards |= guard << shift
+                shift += width
+        slots.sort()
+        self.one, self.guards, self.limit = one, guards, limit
+        slots = [(v, shift, base) for _, v, shift, base in slots]
+        if len(blocks) == 1 and not blocks[0][1]:
+            # one plain block: the slots ascend with rank from the lowest
+            ranked = [v for v, _, _ in slots]
+
+            def decode(k):
+                mono = []
+                for v in ranked:
+                    if not k:
+                        break
+                    e = k & low
+                    if e:
+                        mono.append((v, e))
+                    k >>= width
+                return tuple(mono)
+        else:
+            def decode(k):
+                mono = []
+                for v, shift, base in slots:
+                    e = (k >> shift) & low
+                    if base:
+                        e = base - e
+                    if e:
+                        mono.append((v, e))
+                return tuple(mono)
+        self.decode = decode
+
+    def keys(self, monos, start=None):
+        """The keys of the monomials monos, in order, each counted from
+        `start` instead of `one` when given, and their largest total
+        degree.  A variable without a slot raises KeyError; keys are
+        meaningless when that degree is over `limit`."""
+        weights = self.weights
+        start = self.one if start is None else start
+        out = []
+        top = 0
+        for mono in monos:
+            k = start
+            d = 0
+            for v, e in mono:
+                k += e * weights[v]
+                d += e
+            if d > top:
+                top = d
+            out.append(k)
+        return out, top
 
 
 def _packed(a, b):
     """Packed exponent keys for the product of the term dicts a and b.
 
-    Every variable of a or b gets a slot of w bits, in ascending var_rank,
-    w being the bit length of (largest exponent in a + largest in b).  A
-    monomial's key is the sum of its exponents, each shifted to its slot;
-    no slot of a key sum ka + kb can carry into the next.  Returns the
-    (key, coefficient) pairs of a and of b, in dict order, and the function
-    that turns a key sum back into its rank-sorted monomial.
+    One plain block (no guard bits) over every variable of a or b, with
+    slots of w bits, w being the bit length of (largest total degree in a
+    + largest in b), so no slot of a key sum ka + kb can carry into the
+    next.  Returns the (key, coefficient) pairs of a and of b, in dict
+    order, and the Packing that decodes a key sum.
     """
-    variables = set()
-    top_a = _top_exponent(a, variables)
-    top_b = top_a if b is a else _top_exponent(b, variables)
-    w = (top_a + top_b).bit_length()
-    ranked = sorted(variables, key=var_rank)
-    shifts = {v: j * w for j, v in enumerate(ranked)}
-
-    def keyed(terms):
-        out = []
-        for mono, c in terms.items():
-            k = 0
-            for v, e in mono:
-                k |= e << shifts[v]
-            out.append((k, c))
-        return out
-
-    low = (1 << w) - 1
-
-    def unpack(k):
-        mono = []
-        for v in ranked:
-            if not k:
-                break
-            e = k & low
-            if e:
-                mono.append((v, e))
-            k >>= w
-        return tuple(mono)
-
-    keyed_a = keyed(a)
-    return keyed_a, keyed_a if b is a else keyed(b), unpack
+    variables, top_a = support((a,))
+    if b is a:
+        top_b = top_a
+    else:
+        more, top_b = support((b,))
+        variables |= more
+    packing = Packing([(variables, False)], (top_a + top_b).bit_length())
+    keyed_a = list(zip(packing.keys(a)[0], a.values()))
+    keyed_b = (keyed_a if b is a
+               else list(zip(packing.keys(b)[0], b.values())))
+    return keyed_a, keyed_b, packing
 
 
 class DiffPolynomial:
@@ -328,7 +417,7 @@ class DiffPolynomial:
             return DiffPolynomial(self.ctx, {
                 mono_mul(ma, mb): ca * cb
                 for ma, ca in a.items() for mb, cb in b.items()})
-        keyed_a, keyed_b, unpack = _packed(a, b)
+        keyed_a, keyed_b, packing = _packed(a, b)
         terms = {}
         for ka, ca in keyed_a:
             for kb, cb in keyed_b:
@@ -340,7 +429,8 @@ class DiffPolynomial:
                         del terms[k]
                         continue
                 terms[k] = c
-        return DiffPolynomial(self.ctx, {unpack(k): c
+        decode = packing.decode
+        return DiffPolynomial(self.ctx, {decode(k): c
                                          for k, c in terms.items()})
 
     __rmul__ = __mul__

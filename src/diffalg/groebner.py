@@ -9,33 +9,38 @@ presentation-independent.
 
 `normal_form` divides by a `DivisorBasis`: polynomials under one order,
 each with its (leading monomial, leading coefficient, tail) computed
-once, and a support mask of its leading monomial, one bit per
-variable of the basis's leads.  `buchberger` grows one as it adds
-S-polynomials, and hands over the leading monomials its final reduction
+once.  A basis that divides also gets a packing for its order
+(dpoly.Packing): one integer key per monomial, with a guard bit per
+slot, so that comparing two terms, multiplying a tail term by a quotient
+and testing whether a lead divides a term are each one integer
+operation.  `buchberger` grows one DivisorBasis as it adds
+S-polynomials, its final reduction tests and divides with that basis's
+packing, and it hands over the leading monomials its final reduction
 has, from which `IdealPresentation` and the kernels' saturation cache
 prepare one per reduced basis, so no division re-derives a divisor's
 leading term.
 
-The masks screen every divisibility test: `normal_form` tries a divisor
-only when its mask lies inside the term's, and `buchberger` never queues
-a pair whose masks are disjoint (coprime leads).  The chain criterion
-counts such a pair done when it sorts below the pair being processed,
-exactly when a loop that queued it would already have popped it.  Bases,
-reduction order and every coefficient operation are those of the loop
-that queues every pair and tests every divisor.  `buchberger` also takes
-a reduced prefix of its input, as iterated kernel prolongation produces
-it: a reduced basis plus new relations is completed without re-pairing or
-re-reducing the old elements, and with the leads handed over for it.
+`buchberger` gives each variable of its leads a bit of a support mask
+and never queues a pair whose masks are disjoint (coprime leads).  The
+chain criterion counts such a pair done when it sorts below the pair
+being processed, exactly when a loop that queued it would already have
+popped it.  Bases, reduction order and every coefficient operation are
+those of the loop that queues every pair and tests every divisor on
+tuple monomials.  `buchberger` also takes a reduced prefix of its input,
+as iterated kernel prolongation produces it: a reduced basis plus new
+relations is completed without re-pairing or re-reducing the old
+elements, and with the leads handed over for it.
 """
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
-from .dpoly import (Context, DiffPolynomial, grevlex_key, mono_div,
-                    mono_lcm, mono_mul, var_rank)
+from .dpoly import (Context, DiffPolynomial, Packing, grevlex_key, mono_div,
+                    mono_lcm, mono_mul, support, var_rank)
 from .errors import ContextError
 
 
@@ -91,11 +96,34 @@ class MonomialOrder:
     def __hash__(self):
         return hash((self.kind, self.leading))
 
+    def packing(self, variables, top):
+        """A guarded Packing whose keys compare as this order does, over
+        the variables, for monomials of total degree up to top."""
+        return _order_packing(self.kind, self.leading, frozenset(variables),
+                              max(top.bit_length() + 1, MIN_WIDTH))
+
     def _block_key(self, mono):
         lead = self.leading
         inner = tuple(t for t in mono if t[0] in lead)
         outer = tuple(t for t in mono if t[0] not in lead)
         return (grevlex_key(inner), grevlex_key(outer))
+
+
+# The narrowest slot, in bits: small bases then share packings (see
+# _order_packing), and small exponent growth in a division needs no
+# wider one.
+MIN_WIDTH = 6
+
+
+@functools.lru_cache(maxsize=256)
+def _order_packing(kind, leading, variables, width):
+    """MonomialOrder.packing, for the order's kind and eliminated block, a
+    frozenset of variables and a width."""
+    if kind == "block":
+        blocks = [(variables & leading, True), (variables - leading, True)]
+    else:
+        blocks = [(variables, kind == "grevlex")]
+    return Packing(blocks, width, guarded=True)
 
 
 # --- division and Buchberger ------------------------------------------------
@@ -113,11 +141,15 @@ class DivisorBasis:
 
     - `polys[i]` with `leads[i] = (lm, lc, tail)`, its leading monomial and
       coefficient and its other terms;
-    - `masks[i]`, the support mask of lm: the bits, in `bits`, of its
-      variables.  The basis gives each variable of a lead its own bit when
-      it first meets it, so a lm whose mask is not inside a monomial's
-      `mask` cannot divide that monomial, and two lms whose masks are
-      disjoint are coprime.
+    - once the basis divides, `packing`, a guarded Packing for the order
+      over the variables of every divisor, wide enough for all of their
+      monomials, with `keys[i]`, the key of lm minus `packing.one`, and
+      `tails[i]`, the tail's (key minus `packing.one`, coefficient) pairs,
+      packed when the divisor is first used (None until then).
+
+    A basis that never divides builds no packing.  One added while the
+    packing is set gets its lm keyed, or drops the packing when lm does
+    not fit it.
     """
 
     def __init__(self, order, polys=(), lms=None):
@@ -127,21 +159,14 @@ class DivisorBasis:
         self.order = order
         self.polys = []
         self.leads = []
-        self.masks = []
-        self.bits = {}
+        self.packing = None
+        self.keys = []
+        self.tails = []
         for g, lm in zip_longest(polys, lms or ()):
             self.append(g, lm)
 
     def __len__(self):
         return len(self.polys)
-
-    def mask(self, mono):
-        """The bits of the variables of mono that this basis knows."""
-        bits = self.bits
-        out = 0
-        for v, _ in mono:
-            out |= bits.get(v, 0)
-        return out
 
     def append(self, g, lm=None):
         """Add the nonzero g, whose leading monomial lm is derived here
@@ -155,53 +180,136 @@ class DivisorBasis:
 
     def insert(self, k, g, lead):
         """Put g, with its (lm, lc, tail) lead, at position k."""
-        bits = self.bits
-        mask = 0
-        for v, _ in lead[0]:
-            bit = bits.get(v)
-            if bit is None:
-                bit = bits[v] = 1 << len(bits)
-            mask |= bit
         self.polys.insert(k, g)
         self.leads.insert(k, lead)
-        self.masks.insert(k, mask)
+        packing = self.packing
+        if packing is not None:
+            try:
+                (key,), top = packing.keys((lead[0],), 0)
+            except KeyError:
+                top = None
+            if top is None or top > packing.limit:
+                self.packing = None
+                self.keys, self.tails = [], []
+            else:
+                self.keys.insert(k, key)
+                self.tails.insert(k, None)
+
+    def take(self, k, other, i):
+        """Put divisor i of the DivisorBasis other at position k, with its
+        packed entries when the two share a packing."""
+        if self.packing is None or self.packing is not other.packing:
+            self.insert(k, other.polys[i], other.leads[i])
+            return
+        self.polys.insert(k, other.polys[i])
+        self.leads.insert(k, other.leads[i])
+        self.keys.insert(k, other.keys[i])
+        self.tails.insert(k, other.tails[i])
+
+    def pack(self, top=0):
+        """Build the packing, for total degrees up to top or up to the
+        divisors' total degree, whichever is larger, and key every lm."""
+        variables, most = support(g.terms for g in self.polys)
+        packing = self.packing = self.order.packing(variables, max(top, most))
+        self.keys = packing.keys([lm for lm, _, _ in self.leads], 0)[0]
+        self.tails = [None] * len(self.polys)
+        return packing
+
+    def tail(self, i):
+        """The packed tail of divisor i, packed now on first use; raises
+        _Widen when it does not fit the packing."""
+        tail = self.tails[i]
+        if tail is None:
+            packing = self.packing
+            tail = self.leads[i][2]
+            try:
+                keys, top = packing.keys([m for m, _ in tail], 0)
+            except KeyError:
+                raise _Widen(None) from None
+            if top > packing.limit:
+                raise _Widen(top)
+            tail = self.tails[i] = list(zip(keys, [c for _, c in tail]))
+        return tail
+
+
+class _Widen(Exception):
+    """A division left its basis's packing: build it again, for total
+    degrees up to `top`, or with slots twice as wide when top is None."""
+
+    def __init__(self, top):
+        super().__init__(top)
+        self.top = top
 
 
 def normal_form(f, basis):
     """Full remainder of f under multivariate division by the DivisorBasis
     `basis`, the first divisor whose lm divides a term being the one used.
 
-    Reduces in place in one {monomial: Coefficient} dict.  Each step does
-    the Coefficient operations of p - (c/lc)*x^q*g term by term, in the
-    same order, so rational-mode coefficients come out in the same form;
-    the quotient is negated once per step, and (-k)*cb has the form of
-    -(k*cb), as negation commutes with every Coefficient operation and
-    reduction.  A divisor is tried only when its support mask lies inside
-    the term's; the others cannot divide it.
+    Reduces in place in one dict from packed keys (`basis.packing`) to
+    Coefficients, and decodes the remainder's keys once, at the end.  The
+    keys compare as the order does, so taking the largest key pops the
+    order-largest term.  A divisor divides the term of key mk when the
+    quotient key q = mk - keys[i] has no guard bit set, and the term of a
+    tail entry (kb, cb) times the quotient has key q + kb, so the loop
+    picks the divisor, and meets the terms, of a loop on tuple monomials.
+    Each step does the Coefficient operations of p - (c/lc)*x^q*g term by
+    term, in the same order, so rational-mode coefficients come out in
+    the same form; the quotient is negated once per step, and (-k)*cb has
+    the form of -(k*cb), as negation commutes with every Coefficient
+    operation and reduction.
+
+    Variables of f that no divisor has are outside the packing.  Division
+    never changes a term's outside part, nor the order of two terms that
+    share it, so the terms are grouped by outside part and each group is
+    divided on the keys of its inside parts; with more than one group the
+    remainder is sorted back into one order.  A product key with a guard
+    bit set, or a divisor tail or a term of f that does not fit, means a
+    slot is too narrow: the packing is built again, wider, and the
+    division starts over, which repeats the same Coefficient operations.
     The remainder's terms are in descending order.
     """
     if not basis:
         return f
-    sort_key = basis.order.sort_key
-    leads, masks, bits = basis.leads, basis.masks, basis.bits
-    p = dict(f.terms)
-    keys = {mono: sort_key(mono) for mono in p}
+    if not f.terms:
+        return DiffPolynomial(f.ctx, {})
+    if basis.packing is None:
+        basis.pack()
+    while True:
+        try:
+            return _divide(f, basis)
+        except _Widen as widen:
+            top = widen.top
+            basis.pack((basis.packing.limit + 1) ** 2 - 1 if top is None
+                       else top)
+
+
+def _divide(f, basis):
+    """normal_form's division under basis.packing, which raises _Widen
+    when a slot is too narrow for it."""
+    packing = basis.packing
+    try:
+        keys, top = packing.keys(f.terms)
+    except KeyError:
+        groups, top = _split(f.terms, packing)
+    else:
+        groups = {(): dict(zip(keys, f.terms.values()))}
+    if top > packing.limit:
+        raise _Widen(top)
+    guards, decode = packing.guards, packing.decode
+    keys, tails, leads = basis.keys, basis.tails, basis.leads
     remainder = {}
-    while p:
-        mono = max(p, key=keys.__getitem__)
-        c = p.pop(mono)
-        have = 0  # basis.mask(mono), inline
-        for w, _ in mono:
-            have |= bits.get(w, 0)
-        for mask, (lm, lc, tail) in zip(masks, leads):
-            if mask & ~have:
-                continue
-            q = mono_div(mono, lm)
-            if q is not None:
+    for outside, p in groups.items():
+        while p:
+            mk = max(p)
+            c = p.pop(mk)
+            for i, lk in enumerate(keys):
+                q = mk - lk
+                if q & guards:
+                    continue
                 # the leading terms cancel exactly
-                k = -(c / lc)
-                for mb, cb in tail:
-                    m = mono_mul(q, mb)
+                k = -(c / leads[i][1])
+                for kb, cb in tails[i] or basis.tail(i):
+                    m = q + kb
                     v = k * cb
                     if m in p:
                         s = p[m] + v
@@ -209,14 +317,38 @@ def normal_form(f, basis):
                             del p[m]
                         else:
                             p[m] = s
+                    elif m & guards:
+                        raise _Widen(None)
                     else:
                         p[m] = v
-                        if m not in keys:
-                            keys[m] = sort_key(m)
                 break
-        else:
-            remainder[mono] = c
+            else:
+                mono = decode(mk)
+                remainder[mono_mul(mono, outside) if outside else mono] = c
+    if len(groups) > 1:
+        sort_key = basis.order.sort_key
+        remainder = dict(sorted(remainder.items(),
+                                key=lambda t: sort_key(t[0]), reverse=True))
     return DiffPolynomial(f.ctx, remainder)
+
+
+def _split(terms, packing):
+    """The terms grouped by outside part, the variables without a slot in
+    the packing: {outside part: {key of the inside part: coefficient}},
+    and the largest total degree of an inside part."""
+    weights = packing.weights
+    parts = {}
+    for mono, c in terms.items():
+        inside = tuple(t for t in mono if t[0] in weights)
+        outside = tuple(t for t in mono if t[0] not in weights)
+        parts.setdefault(outside, {})[inside] = c
+    groups = {}
+    top = 0
+    for outside, part in parts.items():
+        keys, degree = packing.keys(part)
+        groups[outside] = dict(zip(keys, part.values()))
+        top = max(top, degree)
+    return groups, top
 
 
 def _s_poly(f, g, lead_f, lead_g):
@@ -265,7 +397,9 @@ def buchberger(gens, order, prefix=0, lms=None, prefix_lms=None):
     G = DivisorBasis(order, [g for g in gens if not g.is_zero()], prefix_lms)
     if not G:
         return []
-    polys, leads, masks = G.polys, G.leads, G.masks
+    polys, leads = G.polys, G.leads
+    bits = {}  # a bit per variable of a lead
+    masks = [_support_mask(lm, bits) for lm, _, _ in leads]
     pairs = []  # heap of (lcm sort key, i, j), lms not coprime
     done = set()
     current = None  # the pair being processed
@@ -309,15 +443,21 @@ def buchberger(gens, order, prefix=0, lms=None, prefix_lms=None):
         if s.is_zero():
             continue
         G.append(s)
+        masks.append(_support_mask(leads[-1][0], bits))
         push_pairs(len(G) - 1)
     return _reduce_basis(G, prefix, lms)
 
 
-def _divided(mono, have, lms):
-    """Does one of the (mask, lm) pairs lms divide mono, whose mask under
-    the same basis is `have`?"""
-    return any(not mask & ~have and mono_div(mono, lm) is not None
-               for mask, lm in lms)
+def _support_mask(mono, bits):
+    """The bits of mono's variables, a new one given to each variable that
+    has none in `bits`: two monomials with disjoint masks are coprime."""
+    mask = 0
+    for v, _ in mono:
+        bit = bits.get(v)
+        if bit is None:
+            bit = bits[v] = 1 << len(bits)
+        mask |= bit
+    return mask
 
 
 def _reduce_basis(G, prefix=0, lms=None):
@@ -327,7 +467,9 @@ def _reduce_basis(G, prefix=0, lms=None):
     unreduced and in G order, and made monic.  A lm never exceeds a term it
     divides, so later elements reduce no tail, and G order keeps
     normal_form's choice of divisor.  A constant sorts first and leaves the
-    basis [1].  Every divisibility test is screened by G's support masks.
+    basis [1].  Every divisibility test is the guarded subtraction of
+    normal_form on G's packed keys, and the kept elements are divided by
+    with G's packing and the tails it has packed.
 
     The first `prefix` elements of G are a reduced basis as `buchberger`
     returns it, so only kept leads from later elements can divide their lms
@@ -339,35 +481,42 @@ def _reduce_basis(G, prefix=0, lms=None):
 
     `lms`, when given, receives the lm of each element of the result.
     """
-    order, leads, masks = G.order, G.leads, G.masks
+    order, leads = G.order, G.leads
+    divisors = DivisorBasis(order)  # the kept elements, in G order
+    if len(G) > 1:
+        divisors.packing = packing = G.packing or G.pack()
+        guards, one = packing.guards, packing.one
+    keys = G.keys  # sort as the lms do
+
+    def divided(k, among):
+        """Does the lm of an element of G in `among` divide the monomial
+        whose key is k?"""
+        return any(not (k - keys[j]) & guards for j in among)
+
     kept = []  # indices into G of the kept elements, ascending
-    divisors = DivisorBasis(order)  # those elements, in the same order
-    kept_lms = []  # (mask, lm) of the kept elements
-    new_lms = []  # those from index prefix on
+    new = []  # those from index prefix on
     reduced = []
-    for i in sorted(range(len(G)), key=lambda i: order.sort_key(leads[i][0])):
+    for i in sorted(range(len(G)), key=keys.__getitem__) if keys else (0,):
         lm, lc, tail = leads[i]
-        mask = masks[i]
         g = r = G.polys[i]
         if i < prefix:
-            if _divided(lm, mask, new_lms):
+            if new and divided(keys[i] + one, new):
                 continue
-            as_is = not kept or (i and not (new_lms and any(
-                _divided(m, G.mask(m), new_lms) for m, _ in tail)))
-        elif _divided(lm, mask, kept_lms):
+            as_is = not kept or (i and not (new and any(
+                divided(k + one, new) for k, _ in G.tail(i))))
+        elif kept and divided(keys[i] + one, kept):
             continue
         else:
-            new_lms.append((mask, lm))
+            new.append(i)
             as_is = False
         if not as_is:
             r = (normal_form(g, divisors) if kept else g).scale(lc.inverse())
         reduced.append(r)
         if lms is not None:
             lms.append(lm)
-        kept_lms.append((mask, lm))
         k = bisect.bisect(kept, i)
         kept.insert(k, i)
-        divisors.insert(k, g, leads[i])
+        divisors.take(k, G, i)
     return reduced
 
 

@@ -204,6 +204,45 @@ def naive_normal_form(f, basis, order):
     return remainder
 
 
+def reference_normal_form(f, basis):
+    """Reference remainder for groebner.normal_form: its loop on tuple
+    monomials, before packed keys.  Each term's sort key is kept in a dict,
+    the order-largest term is popped with max, the first divisor whose lm
+    divides it is found with mono_div, and each tail term is multiplied in
+    with mono_mul.  (That loop also screened divisors by support masks,
+    which skip only divisors that mono_div rejects.)"""
+    if not basis:
+        return f
+    sort_key = basis.order.sort_key
+    p = dict(f.terms)
+    keys = {mono: sort_key(mono) for mono in p}
+    remainder = {}
+    while p:
+        mono = max(p, key=keys.__getitem__)
+        c = p.pop(mono)
+        for lm, lc, tail in basis.leads:
+            q = mono_div(mono, lm)
+            if q is not None:
+                k = -(c / lc)
+                for mb, cb in tail:
+                    m = mono_mul(q, mb)
+                    v = k * cb
+                    if m in p:
+                        s = p[m] + v
+                        if s.is_zero():
+                            del p[m]
+                        else:
+                            p[m] = s
+                    else:
+                        p[m] = v
+                        if m not in keys:
+                            keys[m] = sort_key(m)
+                break
+        else:
+            remainder[mono] = c
+    return DiffPolynomial(f.ctx, remainder)
+
+
 def naive_reduce_basis(G, order):
     """Reference inter-reduction of a Groebner basis G: all-pairs
     minimalization with a tie-break, each survivor tail-reduced against all

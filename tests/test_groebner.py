@@ -7,14 +7,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from diffalg import groebner
 from diffalg.coeff import Coefficient, FieldMode
-from diffalg.dpoly import Context, DiffPolynomial, parse_poly, print_poly
+from diffalg.dpoly import (Context, DiffPolynomial, mono_div, mono_mul,
+                           parse_poly, print_poly, var_rank)
 from diffalg.groebner import (DivisorBasis, IdealPresentation, MonomialOrder,
                               _reduce_basis, buchberger, elimination_ideal,
                               leading_term, normal_form, radical_member)
 from diffalg.kernels import KernelPresentation
 
 from helpers import (naive_normal_form, naive_reduce_basis,
-                     reference_buchberger)
+                     reference_buchberger, reference_normal_form)
 
 C3 = Context(n=3, m=1, mode=FieldMode("constants", 1))
 C2 = Context(n=2, m=1, mode=FieldMode("constants", 1))
@@ -351,14 +352,15 @@ def test_ideal_normal_form_prepares_each_leading_term_once(monkeypatch):
         I.normal_form(_random_poly(rng, C3))
     assert len(gb) > 1 and calls == []
     monkeypatch.undo()
-    # the same leads, tails and masks as derived from scratch
+    # the same leads, tails and lead keys as derived from scratch
     prepared, want = I.divisors, DivisorBasis(LEX, gb)
     assert prepared.polys == gb
     assert [(lm, str(lc), [(m, str(c)) for m, c in tail])
             for lm, lc, tail in prepared.leads] == \
         [(lm, str(lc), [(m, str(c)) for m, c in tail])
          for lm, lc, tail in want.leads]
-    assert prepared.masks == want.masks and prepared.bits == want.bits
+    want.pack(prepared.packing.limit)
+    assert prepared.keys == want.keys
 
 
 @pytest.mark.parametrize("mode", ["constants", "rational"])
@@ -602,38 +604,197 @@ def test_buchberger_queues_no_coprime_pair(monkeypatch, kind):
     assert sorted(pushed) == sorted(shared)
 
 
+def _random_monomials(rng, variables, count, top):
+    out = []
+    for _ in range(count):
+        exps = {}
+        for v in rng.sample(variables, rng.randint(0, len(variables))):
+            exps[v] = rng.randint(1, top)
+        out.append(tuple(sorted(exps.items(), key=lambda t: var_rank(t[0]))))
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(ORDERS) + ["block-two"])
+def test_packed_keys_match_tuple_monomials(kind):
+    # keys sort as sort_key does, the guarded subtraction is the
+    # divisibility test, and product and quotient keys decode to mono_mul
+    # and mono_div
+    order = (MonomialOrder.block_elim({Y, (1, (1,))}) if kind == "block-two"
+             else ORDERS[kind])
+    rng = random.Random(13)
+    variables = XS + [W, (1, (1,)), (2, (2,))]
+    monos = _random_monomials(rng, variables, 60, 3)
+    # small exponents, so that divisors are common
+    monos += _random_monomials(rng, variables, 60, 1)
+    top = 2 * max(sum(e for _, e in mono) for mono in monos)
+    packing = order.packing(variables, top)
+    keys, _ = packing.keys(monos)
+    one, guards = packing.one, packing.guards
+    assert [packing.decode(k) for k in keys] == monos
+    assert not any(k & guards for k in keys)
+    assert sorted(monos, key=order.sort_key) == \
+        [monos[i] for i in sorted(range(len(monos)), key=keys.__getitem__)]
+    divides = 0
+    for (a, ka), (b, kb) in itertools.product(zip(monos, keys), repeat=2):
+        assert packing.decode(ka + kb - one) == mono_mul(a, b)
+        q = ka - kb + one
+        assert (not q & guards) == (mono_div(a, b) is not None)
+        if not q & guards:
+            divides += 1
+            assert packing.decode(q) == mono_div(a, b)
+    assert len(monos) < divides < len(monos) ** 2 // 2
+
+
+def test_packed_keys_report_overflow():
+    # a product whose exponent leaves its slot sets a guard bit, also when
+    # the lower slots of the factors are full
+    for kind in ("lex", "block"):
+        packing = ORDERS[kind].packing(XS, 40)
+        one, guards = packing.one, packing.guards
+        assert packing.limit == 63
+        (ka, kb, kc), top = packing.keys([((X, 40),), ((X, 3), (Y, 4)),
+                                          ((X, 23), (Y, 40))])
+        assert top == 63
+        assert not (ka + kb - one) & guards
+        assert (ka + ka - one) & guards
+        assert (kc + kc - one) & guards
+        assert packing.decode(ka + kc - one) == ((X, 63), (Y, 40))
+
+
+# --- normal_form against the loop on tuple monomials ---------------------------
+
+# outside every generated basis: division never changes them
+OUTSIDE = [(1, (1,)), (3, (1,)), (2, (2,))]
+
+
+def _check_against_reference(got, f, basis):
+    want = reference_normal_form(f, basis)
+    assert print_poly(got) == print_poly(want)
+    assert _layout(got) == _layout(want)
+
+
+@pytest.mark.parametrize("mode", ["constants", "rational"])
 @pytest.mark.parametrize("kind", sorted(ORDERS))
-def test_normal_form_screens_divisors_by_support(monkeypatch, kind):
-    # a divisor is tried only when every variable of its lm is in the term
-    ctx, order = _ctx("constants"), ORDERS[kind]
-    rng = random.Random(11)
-    basis = buchberger([p("x1_[0]^2 - x2_[0]", ctx), p("x2_[0]*x3_[0] - 1", ctx),
-                        p("x3_[0]^3 + x1_[0]", ctx)], order)
-    divisors = DivisorBasis(order, basis)
-    dividends = []
-    for _ in range(20):
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_normal_form_matches_reference_loop(mode, kind, data):
+    ctx, order = _ctx(mode), ORDERS[kind]
+    gens = data.draw(st.lists(_polys(ctx, 2, 3), min_size=1,
+                              max_size=3 if mode == "constants" else 2))
+    gens = [g for g in gens if g]
+    # one to three variables outside the basis, so the dividend's terms
+    # fall into several groups
+    outside = OUTSIDE[:data.draw(st.integers(1, 3))]
+    f = data.draw(_polys(ctx, 4, 6, XS + outside))
+    for basis in (gens, buchberger(gens, order)):
+        divisors = DivisorBasis(order, basis)
+        _check_against_reference(normal_form(f, divisors), f, divisors)
+
+
+@pytest.mark.parametrize("mode", ["constants", "rational"])
+@pytest.mark.parametrize("kind", sorted(ORDERS))
+def test_normal_form_merges_outside_groups(mode, kind):
+    ctx, order = _ctx(mode), ORDERS[kind]
+    I = IdealPresentation(ctx, [p("x1_[0]^2 - x2_[0]", ctx),
+                                p("x2_[0]*x3_[0] - 1", ctx)], order)
+    divisors = I.divisors
+    rng = random.Random(5)
+    for n_out in (1, 2, 3):
         f = DiffPolynomial.zero(ctx)
-        for _ in range(rng.randint(1, 5)):
-            term = DiffPolynomial.from_int(ctx, rng.randint(1, 5))
-            for i in rng.choices([1, 2, 3, 4], k=rng.randint(0, 4)):
-                term = term * DiffPolynomial.var(ctx, i, (0,))
+        for _ in range(8):
+            term = DiffPolynomial.const(ctx, _random_coefficient(rng, ctx.nv))
+            for i, xi in rng.choices(XS + OUTSIDE[:n_out], k=rng.randint(0, 5)):
+                term = term * DiffPolynomial.var(ctx, i, xi)
             f = f + term
-        dividends.append(f)
-    calls = []
-    real = groebner.mono_div
+        got = I.normal_form(f)
+        _check_against_reference(got, f, divisors)
+        assert len({tuple(t for t in mono if t[0] in OUTSIDE)
+                    for mono in got.terms}) > 1
 
-    def recording(a, b):
-        calls.append((a, b))
-        return real(a, b)
 
-    monkeypatch.setattr(groebner, "mono_div", recording)
-    got = [normal_form(f, divisors) for f in dividends]
-    monkeypatch.undo()
-    assert calls
-    for a, b in calls:
-        assert {v for v, _ in b} <= {v for v, _ in a}
-    for f, r in zip(dividends, got):
-        _check_normal_form(r, f, basis, order)
+@pytest.mark.parametrize("mode", ["constants", "rational"])
+@pytest.mark.parametrize("kind", sorted(ORDERS))
+def test_presentation_reused_over_new_variables(mode, kind):
+    # each dividend brings a variable that no earlier one had; the basis
+    # keeps its packing and divides group by group
+    ctx, order = _ctx(mode), ORDERS[kind]
+    I = IdealPresentation(ctx, [p("x1_[0]^2 - x2_[0]", ctx),
+                                p("x3_[0]^2 + x1_[0]*x2_[0]", ctx)], order)
+    rng = random.Random(8)
+    packing = None
+    for level in range(1, 7):
+        new = DiffPolynomial.var(ctx, rng.randint(1, 4), (level,))
+        f = (_random_poly(rng, ctx) * new ** rng.randint(1, 2)
+             + _random_poly(rng, ctx))
+        got = I.normal_form(f)
+        _check_against_reference(got, f, I.divisors)
+        packing = packing or I.divisors.packing
+        assert I.divisors.packing is packing
+
+
+@pytest.mark.parametrize("kind", ["lex", "block"])
+def test_normal_form_widens_the_packing(kind):
+    # exponents outgrow the first slot width: x2^9 reduces to x1^45 under
+    # lex (x2 > x1) and x1^9 to x2^45 when x1 is eliminated; one more term
+    # has an exponent of 2^70
+    ctx = _ctx("constants")
+    big, small = ("x2_[0]", "x1_[0]") if kind == "lex" else ("x1_[0]",
+                                                            "x2_[0]")
+    divisors = DivisorBasis(ORDERS[kind],
+                            [p("%s - %s^5" % (big, small), ctx)])
+    first = p("%s^2 + %s" % (big, small), ctx)
+    _check_against_reference(normal_form(first, divisors), first, divisors)
+    narrow = divisors.packing.limit
+    assert narrow < 45
+    f = p("%s^9 - 3*%s^4*x3_[0]" % (big, big), ctx)
+    got = normal_form(f, divisors)
+    _check_against_reference(got, f, divisors)
+    assert divisors.packing.limit >= 45
+    # irreducible: the small variable and x3 only
+    small_var = X if kind == "lex" else Y
+    g = f + DiffPolynomial(ctx, {((small_var, 2 ** 70), (Z, 2 ** 70)):
+                                 Coefficient.one(ctx.nv)})
+    got = normal_form(g, divisors)
+    _check_against_reference(got, g, divisors)
+    assert divisors.packing.limit >= 2 ** 70
+    for f in (first, g):
+        _check_against_reference(normal_form(f, divisors), f, divisors)
+
+
+@pytest.mark.parametrize("kind", sorted(ORDERS))
+def test_divisors_added_after_the_basis_divides(kind):
+    # a lead that does not fit the packing drops it, and a tail that does
+    # not fit widens it when the tail is first used; every division still
+    # matches the reference loop (the block order eliminates x3, so that
+    # x3^2 and x1*x3 lead under every order)
+    ctx = _ctx("constants")
+    order = MonomialOrder.block_elim({Z}) if kind == "block" else ORDERS[kind]
+    divisors = DivisorBasis(order, [p("x3_[0]^2 - x1_[0]", ctx)])
+
+    def check(text):
+        f = p(text, ctx)
+        _check_against_reference(normal_form(f, divisors), f, divisors)
+
+    check("x3_[0]^3 + x1_[0]^2*x3_[0] + 1")
+    packing = divisors.packing
+    assert Y not in packing.weights
+    divisors.append(p("x1_[0]*x3_[0] - x2_[0]", ctx))
+    assert divisors.packing is packing
+    check("x1_[0]^2*x3_[0] + x2_[0]*x3_[0]")
+    assert Y in divisors.packing.weights
+    divisors.append(p("x4_[0]^70 - x2_[0]", ctx))
+    assert divisors.packing is None
+    check("x4_[0]^71 + x1_[0]*x3_[0]")
+    assert divisors.packing.limit < 150
+    divisors.append(p("x4_[0]^150 - x1_[0]", ctx))
+    assert divisors.packing is None
+    check("x4_[0]^151 + x2_[0]")
+    if kind == "lex":
+        # x3*x2 leads, its tail x1^600 is too wide for the packing
+        divisors.append(p("x3_[0]*x2_[0] - x1_[0]^600", ctx))
+        assert divisors.packing.limit < 600
+        check("x3_[0]*x2_[0]^2 + x1_[0]")
+        assert divisors.packing.limit >= 600
 
 
 @pytest.mark.parametrize("kind", sorted(ORDERS))
