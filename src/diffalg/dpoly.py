@@ -213,30 +213,22 @@ class Packing:
         slots.sort()
         self.one, self.guards, self.limit = one, guards, limit
         slots = [(v, shift, base) for _, v, shift, base in slots]
-        if len(blocks) == 1 and not blocks[0][1]:
-            # one plain block: the slots ascend with rank from the lowest
-            ranked = [v for v, _, _ in slots]
+        # with no graded block and the slots ascending with rank, a key
+        # with nothing left from a slot up has no more exponents to decode
+        stops = not one and all(a[1] < b[1] for a, b in zip(slots, slots[1:]))
 
-            def decode(k):
-                mono = []
-                for v in ranked:
-                    if not k:
-                        break
-                    e = k & low
-                    if e:
-                        mono.append((v, e))
-                    k >>= width
-                return tuple(mono)
-        else:
-            def decode(k):
-                mono = []
-                for v, shift, base in slots:
-                    e = (k >> shift) & low
-                    if base:
-                        e = base - e
-                    if e:
-                        mono.append((v, e))
-                return tuple(mono)
+        def decode(k):
+            mono = []
+            for v, shift, base in slots:
+                e = k >> shift
+                if not e and stops:
+                    break
+                # a plain slot holds e, a graded one limit - e, which is
+                # limit ^ e: limit has every bit that e can set
+                e = (e & low) ^ base
+                if e:
+                    mono.append((v, e))
+            return tuple(mono)
         self.decode = decode
 
     def keys(self, monos, start=None):

@@ -225,7 +225,8 @@ class DivisorBasis:
             try:
                 keys, top = packing.keys([m for m, _ in tail], 0)
             except KeyError:
-                raise _Widen(None) from None
+                # a variable new to the packing: build it again, as wide
+                raise _Widen(packing.limit) from None
             if top > packing.limit:
                 raise _Widen(top)
             tail = self.tails[i] = list(zip(keys, [c for _, c in tail]))
@@ -263,9 +264,12 @@ def normal_form(f, basis):
     share it, so the terms are grouped by outside part and each group is
     divided on the keys of its inside parts; with more than one group the
     remainder is sorted back into one order.  A product key with a guard
-    bit set, or a divisor tail or a term of f that does not fit, means a
-    slot is too narrow: the packing is built again, wider, and the
+    bit set, or a divisor tail or a term of f of too high a degree, means
+    a slot is too narrow: the packing is built again, wider, and the
     division starts over, which repeats the same Coefficient operations.
+    A divisor tail with a variable the packing lacks (a divisor added
+    after the packing was built) rebuilds it over the divisors' variables
+    at the same width, and the division starts over likewise.
     The remainder's terms are in descending order.
     """
     if not basis:

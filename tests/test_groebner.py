@@ -782,6 +782,8 @@ def test_divisors_added_after_the_basis_divides(kind):
     assert divisors.packing is packing
     check("x1_[0]^2*x3_[0] + x2_[0]*x3_[0]")
     assert Y in divisors.packing.weights
+    # a new variable alone rebuilds the packing at the same width
+    assert divisors.packing.limit == packing.limit
     divisors.append(p("x4_[0]^70 - x2_[0]", ctx))
     assert divisors.packing is None
     check("x4_[0]^71 + x1_[0]*x3_[0]")
