@@ -21,7 +21,9 @@ and are never mutated.
 In constants mode (no base variables) a Coefficient is a rational number
 held as a reduced integer pair: den > 0 and gcd(num, den) == 1, so the form
 is canonical.  It is the private subclass _Q, which the constructors below
-return whenever nv == 0.
+return whenever nv == 0.  Its num and den are plain ints, and Groebner
+division (groebner.normal_form) reads them and divides on the ints,
+building a Coefficient only for each remainder term.
 """
 from __future__ import annotations
 

@@ -13,12 +13,15 @@ once.  A basis that divides also gets a packing for its order
 (dpoly.Packing): one integer key per monomial, with a guard bit per
 slot, so that comparing two terms, multiplying a tail term by a quotient
 and testing whether a lead divides a term are each one integer
-operation.  `buchberger` grows one DivisorBasis as it adds
+operation.  Over K = Q (constants mode) the coefficients are ints too:
+each divisor's tail is packed as its primitive integer multiple, and the
+dividend carries one denominator per group of terms; rational mode
+divides on Coefficients.  `buchberger` grows one DivisorBasis as it adds
 S-polynomials, its final reduction tests and divides with that basis's
-packing, and it hands over the leading monomials its final reduction
-has, from which `IdealPresentation` and the kernels' saturation cache
-prepare one per reduced basis, so no division re-derives a divisor's
-leading term.
+packing, and it fills the reduced basis into a DivisorBasis of the
+caller's (`IdealPresentation`, the kernels' saturation cache) with the
+leads the final reduction has, keyed under its packing, so no division
+re-derives a divisor's leading term or packs the basis again.
 
 `buchberger` gives each variable of its leads a bit of a support mask
 and never queues a pair whose masks are disjoint (coprime leads).  The
@@ -36,9 +39,11 @@ from __future__ import annotations
 import bisect
 import functools
 import heapq
+import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
+from .coeff import Coefficient
 from .dpoly import (Context, DiffPolynomial, Packing, grevlex_key, mono_div,
                     mono_lcm, mono_mul, support, var_rank)
 from .errors import ContextError
@@ -144,8 +149,11 @@ class DivisorBasis:
     - once the basis divides, `packing`, a guarded Packing for the order
       over the variables of every divisor, wide enough for all of their
       monomials, with `keys[i]`, the key of lm minus `packing.one`, and
-      `tails[i]`, the tail's (key minus `packing.one`, coefficient) pairs,
-      packed when the divisor is first used (None until then).
+      `tails[i]`, packed when the divisor is first used (None until then):
+      (a, [(key of the tail monomial minus `packing.one`, b), ...]).  In
+      rational mode a is lc and each b the tail term's Coefficient; in
+      constants mode a*x^lm + sum(b*x^m) is the divisor's primitive
+      integer multiple, a > 0 and every b an int.
 
     A basis that never divides builds no packing.  One added while the
     packing is set gets its lm keyed, or drops the packing when lm does
@@ -216,12 +224,12 @@ class DivisorBasis:
         return packing
 
     def tail(self, i):
-        """The packed tail of divisor i, packed now on first use; raises
-        _Widen when it does not fit the packing."""
-        tail = self.tails[i]
-        if tail is None:
+        """The (lc, packed tail) of divisor i, packed now on first use;
+        raises _Widen when the tail does not fit the packing."""
+        packed = self.tails[i]
+        if packed is None:
             packing = self.packing
-            tail = self.leads[i][2]
+            _, lc, tail = self.leads[i]
             try:
                 keys, top = packing.keys([m for m, _ in tail], 0)
             except KeyError:
@@ -229,8 +237,27 @@ class DivisorBasis:
                 raise _Widen(packing.limit) from None
             if top > packing.limit:
                 raise _Widen(top)
-            tail = self.tails[i] = list(zip(keys, [c for _, c in tail]))
-        return tail
+            coefficients = [c for _, c in tail]
+            if self.polys[i].ctx.mode.kind == "constants":
+                lc, coefficients = _primitive(lc, coefficients)
+            packed = self.tails[i] = lc, list(zip(keys, coefficients))
+        return packed
+
+
+def _primitive(lc, tail):
+    """The integers a and [b, ...] of the primitive integer multiple of a
+    constants-mode divisor with lead coefficient lc and tail coefficients
+    `tail`: every coefficient times the lcm of the denominators, divided by
+    the integer content, the sign chosen so that a > 0."""
+    lcm = math.lcm(lc.den, *[c.den for c in tail])
+    a = lc.num * (lcm // lc.den)
+    nums = [c.num * (lcm // c.den) for c in tail]
+    g = math.gcd(a, *nums)
+    if a < 0:
+        g = -g
+    if g == 1:
+        return a, nums
+    return a // g, [n // g for n in nums]
 
 
 class _Widen(Exception):
@@ -247,17 +274,27 @@ def normal_form(f, basis):
     `basis`, the first divisor whose lm divides a term being the one used.
 
     Reduces in place in one dict from packed keys (`basis.packing`) to
-    Coefficients, and decodes the remainder's keys once, at the end.  The
-    keys compare as the order does, so taking the largest key pops the
-    order-largest term.  A divisor divides the term of key mk when the
-    quotient key q = mk - keys[i] has no guard bit set, and the term of a
-    tail entry (kb, cb) times the quotient has key q + kb, so the loop
-    picks the divisor, and meets the terms, of a loop on tuple monomials.
-    Each step does the Coefficient operations of p - (c/lc)*x^q*g term by
-    term, in the same order, so rational-mode coefficients come out in
-    the same form; the quotient is negated once per step, and (-k)*cb has
-    the form of -(k*cb), as negation commutes with every Coefficient
-    operation and reduction.
+    coefficients, and decodes each remainder key once.  The keys compare
+    as the order does, so taking the largest key pops the order-largest
+    term.  A divisor divides the term of key mk when the quotient key q =
+    mk - keys[i] has no guard bit set, and the term of a tail entry (kb,
+    cb) times the quotient has key q + kb, so the loop picks the divisor,
+    and meets the terms, of a loop on tuple monomials.
+
+    The field mode of f picks the coefficient loop.  In rational mode
+    each step does the Coefficient operations of p - (c/lc)*x^q*g term by
+    term, in the order of the loop on tuple monomials, as a rational
+    function's printed form depends on the operations that built it (the
+    quotient is negated once per step, and (-k)*cb has the form of
+    -(k*cb), as negation commutes with every Coefficient operation and
+    reduction).  In constants mode a coefficient is a reduced integer
+    pair, one form per value, so only the values must agree and the
+    arithmetic may be reordered: from a group's first reduction step its
+    terms are ints p over one denominator D > 0, and a step by a divisor's
+    primitive integer multiple a*x^lm + tail on the term c*x^mk scales p
+    and D by a/g, g = gcd(c, a), when that is not 1, subtracts
+    (c/g)*x^q*tail, and then divides p and D by their common content.
+    Each remainder term is built once, as the reduced pair of c/D.
 
     Variables of f that no divisor has are outside the packing.  Division
     never changes a term's outside part, nor the order of two terms that
@@ -266,7 +303,7 @@ def normal_form(f, basis):
     remainder is sorted back into one order.  A product key with a guard
     bit set, or a divisor tail or a term of f of too high a degree, means
     a slot is too narrow: the packing is built again, wider, and the
-    division starts over, which repeats the same Coefficient operations.
+    division starts over, which repeats the same coefficient operations.
     A divisor tail with a variable the packing lacks (a divisor added
     after the packing was built) rebuilds it over the divisors' variables
     at the same width, and the division starts over likewise.
@@ -299,41 +336,106 @@ def _divide(f, basis):
         groups = {(): dict(zip(keys, f.terms.values()))}
     if top > packing.limit:
         raise _Widen(top)
-    guards, decode = packing.guards, packing.decode
-    keys, tails, leads = basis.keys, basis.tails, basis.leads
+    divide = (_divide_coefficients if f.ctx.mode.kind == "rational"
+              else _divide_ints)
     remainder = {}
     for outside, p in groups.items():
-        while p:
-            mk = max(p)
-            c = p.pop(mk)
-            for i, lk in enumerate(keys):
-                q = mk - lk
-                if q & guards:
-                    continue
-                # the leading terms cancel exactly
-                k = -(c / leads[i][1])
-                for kb, cb in tails[i] or basis.tail(i):
-                    m = q + kb
-                    v = k * cb
-                    if m in p:
-                        s = p[m] + v
-                        if s.is_zero():
-                            del p[m]
-                        else:
-                            p[m] = s
-                    elif m & guards:
-                        raise _Widen(None)
-                    else:
-                        p[m] = v
-                break
-            else:
-                mono = decode(mk)
-                remainder[mono_mul(mono, outside) if outside else mono] = c
+        divide(p, basis, outside, remainder)
     if len(groups) > 1:
         sort_key = basis.order.sort_key
         remainder = dict(sorted(remainder.items(),
                                 key=lambda t: sort_key(t[0]), reverse=True))
     return DiffPolynomial(f.ctx, remainder)
+
+
+def _divide_coefficients(p, basis, outside, remainder):
+    """normal_form's rational-mode loop: reduce the group p, {key:
+    Coefficient} with outside part `outside`, in place, adding its
+    remainder's terms to `remainder` in descending order."""
+    packing = basis.packing
+    guards, decode, keys, tails = (packing.guards, packing.decode,
+                                   basis.keys, basis.tails)
+    while p:
+        mk = max(p)
+        c = p.pop(mk)
+        for i, lk in enumerate(keys):
+            q = mk - lk
+            if q & guards:
+                continue
+            lc, tail = tails[i] or basis.tail(i)
+            # the leading terms cancel exactly
+            k = -(c / lc)
+            for kb, cb in tail:
+                m = q + kb
+                v = k * cb
+                if m in p:
+                    s = p[m] + v
+                    if s.is_zero():
+                        del p[m]
+                    else:
+                        p[m] = s
+                elif m & guards:
+                    raise _Widen(None)
+                else:
+                    p[m] = v
+            break
+        else:
+            mono = decode(mk)
+            remainder[mono_mul(mono, outside) if outside else mono] = c
+
+
+def _divide_ints(p, basis, outside, remainder):
+    """normal_form's constants-mode loop: _divide_coefficients on ints,
+    p / D, from the group's first reduction step on."""
+    packing = basis.packing
+    guards, decode, keys, tails = (packing.guards, packing.decode,
+                                   basis.keys, basis.tails)
+    gcd = math.gcd
+    D = None  # p holds Coefficients until the first reduction step
+    while p:
+        mk = max(p)
+        c = p.pop(mk)
+        for i, lk in enumerate(keys):
+            q = mk - lk
+            if q & guards:
+                continue
+            if D is None:
+                D = math.lcm(c.den, *[v.den for v in p.values()])
+                c = c.num * (D // c.den)
+                p = {m: v.num * (D // v.den) for m, v in p.items()}
+            a, tail = tails[i] or basis.tail(i)
+            # p/D - (c/D)/a * x^q * (a*x^lm + tail), over D*(a/g): the
+            # leading terms cancel exactly
+            g = gcd(c, a)
+            scale = a // g
+            if scale != 1:
+                D *= scale
+                p = {m: v * scale for m, v in p.items()}
+            k = -(c // g)
+            for kb, cb in tail:
+                m = q + kb
+                v = k * cb
+                if m in p:
+                    s = p[m] + v
+                    if s:
+                        p[m] = s
+                    else:
+                        del p[m]
+                elif m & guards:
+                    raise _Widen(None)
+                else:
+                    p[m] = v
+            if scale != 1:
+                # keep D and p no larger than the reduced pairs need
+                h = gcd(D, *p.values())
+                if h != 1:
+                    D //= h
+                    p = {m: v // h for m, v in p.items()}
+            break
+        else:
+            mono = decode(mk)
+            remainder[mono_mul(mono, outside) if outside else mono] = (
+                c if D is None else Coefficient.from_rational(c, D, 0))
 
 
 def _split(terms, packing):
@@ -365,7 +467,7 @@ def _s_poly(f, g, lead_f, lead_g):
             - DiffPolynomial(ctx, {ug: lcg.inverse()}) * g)
 
 
-def buchberger(gens, order, prefix=0, lms=None, prefix_lms=None):
+def buchberger(gens, order, prefix=0, divisors=None, prefix_lms=None):
     """Reduced Groebner basis of the ideal generated by gens, as a list.
 
     Classic Buchberger with the coprimality and chain criteria, pairs taken
@@ -391,12 +493,15 @@ def buchberger(gens, order, prefix=0, lms=None, prefix_lms=None):
     done for the chain criterion), and the final reduction keeps each
     prefix element as it is unless a new lead divides one of its terms.
     The result is the same basis as with prefix 0.  `prefix_lms`, when
-    given, holds the prefix's leading monomials, as `lms` received them
-    when the prefix was computed, so none is derived again.
+    given, holds the prefix's leading monomials, as `divisors` received
+    them when the prefix was computed, so none is derived again.
 
-    `lms`, when given a list, receives the leading monomial of each
-    element of the result, which the final reduction has in hand, so
-    `DivisorBasis(order, basis, lms)` derives no leading term again.
+    `divisors`, when given an empty DivisorBasis under `order`, receives
+    the result, with the leads the final reduction has in hand and keyed
+    under the packing it divided with, so dividing by it derives no
+    leading term and builds no packing again (unless a lead does not fit).
+    Each S-polynomial remainder is added to the growing basis with its
+    first term as lm: normal_form returns its terms in descending order.
     """
     G = DivisorBasis(order, [g for g in gens if not g.is_zero()], prefix_lms)
     if not G:
@@ -446,10 +551,10 @@ def buchberger(gens, order, prefix=0, lms=None, prefix_lms=None):
         s = normal_form(_s_poly(polys[i], polys[j], leads[i], leads[j]), G)
         if s.is_zero():
             continue
-        G.append(s)
+        G.append(s, next(iter(s.terms)))
         masks.append(_support_mask(leads[-1][0], bits))
         push_pairs(len(G) - 1)
-    return _reduce_basis(G, prefix, lms)
+    return _reduce_basis(G, prefix, divisors)
 
 
 def _support_mask(mono, bits):
@@ -464,7 +569,7 @@ def _support_mask(mono, bits):
     return mask
 
 
-def _reduce_basis(G, prefix=0, lms=None):
+def _reduce_basis(G, prefix=0, out=None):
     """Reduced basis, ascending by lm, of the Groebner basis in the
     DivisorBasis G, in one pass in stable lm order.  Each element whose lm
     no kept lm divides is tail-reduced against the kept elements,
@@ -483,7 +588,8 @@ def _reduce_basis(G, prefix=0, lms=None):
     something is kept before it, it goes through normal_form as it would
     from scratch.
 
-    `lms`, when given, receives the lm of each element of the result.
+    `out`, when given an empty DivisorBasis, receives the result with its
+    lms, under the packing of the last division.
     """
     order, leads = G.order, G.leads
     divisors = DivisorBasis(order)  # the kept elements, in G order
@@ -499,7 +605,7 @@ def _reduce_basis(G, prefix=0, lms=None):
 
     kept = []  # indices into G of the kept elements, ascending
     new = []  # those from index prefix on
-    reduced = []
+    reduced, lms = [], []
     for i in sorted(range(len(G)), key=keys.__getitem__) if keys else (0,):
         lm, lc, tail = leads[i]
         g = r = G.polys[i]
@@ -507,7 +613,7 @@ def _reduce_basis(G, prefix=0, lms=None):
             if new and divided(keys[i] + one, new):
                 continue
             as_is = not kept or (i and not (new and any(
-                divided(k + one, new) for k, _ in G.tail(i))))
+                divided(k + one, new) for k, _ in G.tail(i)[1])))
         elif kept and divided(keys[i] + one, kept):
             continue
         else:
@@ -516,11 +622,14 @@ def _reduce_basis(G, prefix=0, lms=None):
         if not as_is:
             r = (normal_form(g, divisors) if kept else g).scale(lc.inverse())
         reduced.append(r)
-        if lms is not None:
-            lms.append(lm)
+        lms.append(lm)
         k = bisect.bisect(kept, i)
         kept.insert(k, i)
         divisors.take(k, G, i)
+    if out is not None:
+        out.packing = divisors.packing
+        for r, lm in zip(reduced, lms):
+            out.append(r, lm)
     return reduced
 
 
@@ -547,7 +656,6 @@ class IdealPresentation:
     _prefix_lms: list = field(default=None, repr=False, compare=False)
     _divisors: DivisorBasis = field(default=None, init=False, repr=False,
                                     compare=False)
-    _lms: list = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for g in self.generators:
@@ -557,20 +665,26 @@ class IdealPresentation:
     @property
     def reduced_gb(self):
         if self._gb is None:
-            self._lms = []
+            divisors = DivisorBasis(self.order)
             self._gb = buchberger(self.generators, self.order, self._prefix,
-                                  self._lms, self._prefix_lms)
+                                  divisors, self._prefix_lms)
+            self._divisors = divisors
         return self._gb
 
     @property
     def divisors(self):
-        """The reduced basis as a DivisorBasis, prepared once, with the
-        leading monomials `buchberger` handed over (derived for a `_gb`
-        given at construction)."""
+        """The reduced basis as a DivisorBasis, prepared once: the one
+        `buchberger` filled, or one derived from a `_gb` given at
+        construction."""
+        gb = self.reduced_gb
         if self._divisors is None:
-            gb = self.reduced_gb
-            self._divisors = DivisorBasis(self.order, gb, self._lms)
+            self._divisors = DivisorBasis(self.order, gb)
         return self._divisors
+
+    @property
+    def lms(self):
+        """The leading monomials of the reduced basis, in order."""
+        return [lm for lm, _, _ in self.divisors.leads]
 
     def normal_form(self, f):
         if f.ctx != self.ctx:
@@ -604,22 +718,23 @@ def elimination_ideal(I, keep):
                              _gb=list(kept))
 
 
-def rabinowitsch(gens, h, order, prefix=0, lms=None, prefix_lms=None):
+def rabinowitsch(gens, h, order, prefix=0, divisors=None,
+                 prefix_lms=None):
     """Reduced basis of gens + (1 - h*z), z a fresh level-0 coordinate.
 
     Returns (ctx2, basis), z being coordinate n+1 of ctx2.  The ideal
     presents the localization of (gens) at h; it is (1) exactly when h lies
-    in the radical of (gens).  `prefix`, `lms` and `prefix_lms` are
+    in the radical of (gens).  `prefix`, `divisors` and `prefix_lms` are
     passed to `buchberger`: the first `prefix` gens may be a reduced basis
-    under `order`, with leading monomials `prefix_lms`, and `lms` receives
-    the leading monomials of the basis.
+    under `order`, with leading monomials `prefix_lms`, and `divisors`, an
+    empty DivisorBasis, receives the basis.
     """
     ctx = h.ctx
     ctx2 = ctx.with_n(ctx.n + 1)
     z = DiffPolynomial.var(ctx2, ctx2.n, (0,) * ctx2.m)
     gens2 = [g.with_context(ctx2) for g in gens]
     gens2.append(DiffPolynomial.from_int(ctx2, 1) - h.with_context(ctx2) * z)
-    return ctx2, buchberger(gens2, order, prefix, lms, prefix_lms)
+    return ctx2, buchberger(gens2, order, prefix, divisors, prefix_lms)
 
 
 def radical_member(f, I):

@@ -124,10 +124,10 @@ class KernelPresentation:
             return ()
         g = math.prod(factors[1:], start=factors[0])
         gb = self.ideal.reduced_gb
-        lms = []
-        ctx2, sat = rabinowitsch(gb, g, self.ideal.order, len(gb), lms,
-                                 self.ideal._lms)
-        return ctx2, DivisorBasis(self.ideal.order, sat, lms)
+        sat = DivisorBasis(self.ideal.order)
+        ctx2, _ = rabinowitsch(gb, g, self.ideal.order, len(gb), sat,
+                               self.ideal.lms)
+        return ctx2, sat
 
     def is_zero_mod(self, f):
         """Is f zero in the kernel's field (quotient localized at inverted)?"""
@@ -299,7 +299,7 @@ def kernel_prolong_once(Kp):
     next_kernel = KernelPresentation(
         ctx=ctx, r=r + 1,
         ideal=IdealPresentation(ctx, new_gens, MonomialOrder.lex(),
-                                _prefix=len(gb), _prefix_lms=Kp.ideal._lms),
+                                _prefix=len(gb), _prefix_lms=Kp.ideal.lms),
         inverted=new_inverted)
     next_kernel.validated = True
     return ProlongResult(status="prolonged", next=next_kernel)

@@ -335,22 +335,29 @@ def _check_normal_form(got, f, basis, order):
 
 
 def test_ideal_normal_form_prepares_each_leading_term_once(monkeypatch):
-    # buchberger hands over the leading monomials its final reduction has,
-    # so dividing by the reduced basis derives no leading term again
+    # buchberger hands over the leads its final reduction has, keyed under
+    # the packing it divided with, so dividing by the reduced basis derives
+    # no leading term and builds no packing again
     I = IdealPresentation(C3, [p("x2_[0] - x3_[0]^2"), p("x1_[0] - x3_[0]^3"),
                                p("x1_[0]*x2_[0] - 1")], LEX)
     gb = I.reduced_gb
-    calls = []
+    calls, packs = [], []
+    pack = DivisorBasis.pack
 
     def counting(f, order):
         calls.append(f)
         return leading_term(f, order)
 
+    def packing(self, top=0):
+        packs.append(top)
+        return pack(self, top)
+
     monkeypatch.setattr(groebner, "leading_term", counting)
+    monkeypatch.setattr(DivisorBasis, "pack", packing)
     rng = random.Random(3)
     for _ in range(10):
         I.normal_form(_random_poly(rng, C3))
-    assert len(gb) > 1 and calls == []
+    assert len(gb) > 1 and calls == [] and packs == []
     monkeypatch.undo()
     # the same leads, tails and lead keys as derived from scratch
     prepared, want = I.divisors, DivisorBasis(LEX, gb)
@@ -369,12 +376,13 @@ def test_buchberger_takes_the_prefix_leads(monkeypatch, mode, kind):
     # completing a reduced prefix whose leads are handed over derives no
     # lead of a prefix element, and gives the same basis and leads
     ctx, order = _ctx(mode), ORDERS[kind]
-    prefix_lms = []
+    first = DivisorBasis(order)
     gb = buchberger([p("x2_[0] - x3_[0]^2", ctx), p("x1_[0] - x3_[0]^3", ctx),
-                     p("x4_[0]*x2_[0] + x1_[0]", ctx)], order, 0, prefix_lms)
+                     p("x4_[0]*x2_[0] + x1_[0]", ctx)], order, 0, first)
+    prefix_lms = [lm for lm, _, _ in first.leads]
     gens = gb + [p("x1_[0]*x2_[0] - x4_[0]", ctx)]
-    want_lms = []
-    want = buchberger(gens, order, len(gb), want_lms)
+    want_divisors = DivisorBasis(order)
+    want = buchberger(gens, order, len(gb), want_divisors)
     calls = []
 
     def counting(f, order):
@@ -382,12 +390,46 @@ def test_buchberger_takes_the_prefix_leads(monkeypatch, mode, kind):
         return leading_term(f, order)
 
     monkeypatch.setattr(groebner, "leading_term", counting)
-    got_lms = []
-    got = buchberger(gens, order, len(gb), got_lms, prefix_lms)
+    got_divisors = DivisorBasis(order)
+    got = buchberger(gens, order, len(gb), got_divisors, prefix_lms)
     monkeypatch.undo()
     assert calls and not [f for f in calls if any(f is g for g in gb)]
     assert [_layout(g) for g in got] == [_layout(g) for g in want]
-    assert got_lms == want_lms
+    assert got_divisors.polys == got
+    assert [lm for lm, _, _ in got_divisors.leads] == \
+        [lm for lm, _, _ in want_divisors.leads]
+
+
+@pytest.mark.parametrize("mode", ["constants", "rational"])
+@pytest.mark.parametrize("kind", sorted(ORDERS))
+def test_buchberger_derives_no_remainder_lead(monkeypatch, mode, kind):
+    # a nonzero S-polynomial remainder joins the basis with its first term
+    # as lead, so a basis from scratch derives the lead of each nonzero
+    # generator once and of nothing else
+    ctx, order = _ctx(mode), ORDERS[kind]
+    gens = [p("x2_[0] - x3_[0]^2", ctx), DiffPolynomial.zero(ctx),
+            p("x1_[0] - x3_[0]^3", ctx), p("x1_[0]*x2_[0] - x4_[0]", ctx)]
+    want = reference_buchberger(gens, order)
+    calls, given = [], []
+    append = DivisorBasis.append
+
+    def counting(f, order):
+        calls.append(f)
+        return leading_term(f, order)
+
+    def logged(self, g, lm=None):
+        given.append(lm)
+        append(self, g, lm)
+
+    monkeypatch.setattr(groebner, "leading_term", counting)
+    monkeypatch.setattr(DivisorBasis, "append", logged)
+    got = buchberger(gens, order)
+    monkeypatch.undo()
+    # the remainders, each appended with its lead given
+    assert len(given) > 3 and given[:3] == [None] * 3 and all(given[3:])
+    assert len(calls) == 3
+    assert all(any(f is g for g in gens) for f in calls)
+    assert [_layout(g) for g in got] == [_layout(g) for g in want]
 
 
 def _unreduced_basis(rng, basis, order):
@@ -712,6 +754,26 @@ def test_normal_form_merges_outside_groups(mode, kind):
                     for mono in got.terms}) > 1
 
 
+@pytest.mark.parametrize("kind", sorted(ORDERS))
+def test_long_constants_division_matches_reference(kind):
+    # leads coprime and not monic under every order (x3 and x2^2, or x3
+    # and x1 when x1 is eliminated), tails with fractions: the integer
+    # loop scales by the leads, cancels content and keeps one denominator
+    # per outside group through a long division
+    ctx, order = _ctx("constants"), ORDERS[kind]
+    divisors = DivisorBasis(order, [p("3*x3_[0] - 2/5*x2_[0]", ctx),
+                                    p("7*x2_[0]^2 - 1/3*x1_[0]", ctx)])
+    assert all(lc.den != 1 or lc.num != 1 for _, lc, _ in divisors.leads)
+    power = p("x1_[0] + x2_[0] + x3_[0]", ctx) ** 8
+    outside = DiffPolynomial.var(ctx, *W)
+    # one outside group, then two with their own denominators
+    for f in (power * outside, power * outside - power.scale(
+            Coefficient.from_rational(5, 2, ctx.nv))):
+        got = normal_form(f, divisors)
+        _check_against_reference(got, f, divisors)
+        assert len(got.terms) > 8
+
+
 @pytest.mark.parametrize("mode", ["constants", "rational"])
 @pytest.mark.parametrize("kind", sorted(ORDERS))
 def test_presentation_reused_over_new_variables(mode, kind):
@@ -732,12 +794,13 @@ def test_presentation_reused_over_new_variables(mode, kind):
         assert I.divisors.packing is packing
 
 
+@pytest.mark.parametrize("mode", ["constants", "rational"])
 @pytest.mark.parametrize("kind", ["lex", "block"])
-def test_normal_form_widens_the_packing(kind):
+def test_normal_form_widens_the_packing(kind, mode):
     # exponents outgrow the first slot width: x2^9 reduces to x1^45 under
     # lex (x2 > x1) and x1^9 to x2^45 when x1 is eliminated; one more term
     # has an exponent of 2^70
-    ctx = _ctx("constants")
+    ctx = _ctx(mode)
     big, small = ("x2_[0]", "x1_[0]") if kind == "lex" else ("x1_[0]",
                                                             "x2_[0]")
     divisors = DivisorBasis(ORDERS[kind],
