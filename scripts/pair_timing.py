@@ -2,7 +2,7 @@
 change before claiming it.
 
     python3 scripts/pair_timing.py BEFORE [AFTER] --workload cli-batch \
-        --seed 6 --rounds 5 [--jobs 0:50]
+        --seed 6 --rounds 5 [--family large-input ...] [--jobs 0:50]
 
 BEFORE and AFTER are checkouts of this repository; AFTER defaults to the
 one holding this script, whose bench/ builds the jobs.  Both trees'
@@ -11,8 +11,10 @@ Every round builds the jobs of a fresh variant for each tree and runs each
 job on both, alternating which tree goes first.  It prints, per job family
 (the job name without its trailing ``-<n>``), the median over the family's
 jobs of each job's median time, and the ratio AFTER / BEFORE; the last line
-sums the per-job medians over all jobs.  It exits 1 when any job's
-rendered output differs between the trees.
+sums the per-job medians over all jobs.  Each ``--family NAME`` (it may
+be repeated) keeps only that family's jobs, and ``--jobs START:STOP``
+then keeps a slice of what is left.  It exits 1 when any job's rendered
+output differs between the trees, and 2 when no job is left to run.
 
 Times are raw perf_counter seconds in one process, with no calibration
 loop, so they serve for sizing only; a claimed gain still comes from
@@ -138,6 +140,8 @@ def main(argv=None):
                         default="cli-batch")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--family", action="append", default=[],
+                        help="run only this job family (repeatable)")
     parser.add_argument("--jobs", default=":",
                         help="a slice START:STOP of the job list")
     args = parser.parse_args(argv)
@@ -146,15 +150,21 @@ def main(argv=None):
     apis = load_tree(args.before), load_tree(args.after)
     module = load_workload(args.workload)
 
+    def chosen(jobs):
+        return [job for job in jobs
+                if not args.family or family(job.name) in args.family][keep]
+
     def rounds():
         for variant in range(args.rounds):
             with tempfile.TemporaryDirectory() as d0, \
                     tempfile.TemporaryDirectory() as d1:
-                jobs = [module.build(api, args.seed, d, variant)[keep]
+                jobs = [chosen(module.build(api, args.seed, d, variant))
                         for api, d in zip(apis, (d0, d1))]
                 yield list(zip(*jobs))
 
     times, differ = pair_times(rounds())
+    if not times:
+        parser.error("no job left to run (check --family and --jobs)")
     for line in report(times):
         print(line)
     for name in differ:

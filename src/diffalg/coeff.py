@@ -24,6 +24,11 @@ is canonical.  It is the private subclass _Q, which the constructors below
 return whenever nv == 0.  Its num and den are plain ints, and Groebner
 division (groebner.normal_form) reads them and divides on the ints,
 building a Coefficient only for each remainder term.
+
+integral_num is the integral view of a coefficient in either mode: the
+integer polynomial {exponent tuple: int} it equals when its denominator is
+1, else None; from_integral builds it back.  A denominator-1 value has one
+form, so DiffPolynomial.__mul__ may add these dicts in any order.
 """
 from __future__ import annotations
 
@@ -402,6 +407,24 @@ def _integral(num, one, nv):
     c.den = one
     c.nv = nv
     return c
+
+
+def integral_num(c):
+    """The integer polynomial {exponent tuple: int} that c equals when its
+    denominator is 1, or None: num itself in rational mode, {(): num} in
+    constants mode.  Never mutate it."""
+    if c.nv:
+        return c.num if c.den == _unit(c.nv) else None
+    return {(): c.num} if c.den == 1 else None
+
+
+def from_integral(num, nv):
+    """The coefficient equal to the nonzero integer polynomial num, in the
+    form integral_num reads: num/1 in rational mode, _Q(num[()], 1) in
+    constants mode.  num is kept, not copied."""
+    if nv:
+        return _integral(num, _unit(nv), nv)
+    return _Q(num[()], 1)
 
 
 def _q(num, den):

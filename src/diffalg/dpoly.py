@@ -10,8 +10,10 @@ re-sort.  The one other form is the packed key of a `Packing`: one integer
 per monomial, with a bit slot per variable.  DiffPolynomial.__mul__ adds
 such keys instead of merging tuples (`_packed`), and groebner's division
 compares, multiplies and tests divisibility on them; each turns keys back
-into tuples once per term of its result.  grevlex_key is the default
-order, the one used for printing.
+into tuples once per term of its result.  When no coefficient of either
+factor has a denominator, __mul__ multiplies the coefficients on ints too
+(`_integral_product`), with the same bytes (see __mul__).  grevlex_key is
+the default order, the one used for printing.
 
 Text grammar (also used for printing):
 
@@ -33,7 +35,7 @@ import operator
 import sys
 from dataclasses import dataclass
 
-from .coeff import Coefficient, FieldMode
+from .coeff import Coefficient, FieldMode, from_integral, integral_num
 from .errors import ContextError, ParseError
 from .indices import deg, shift, index_sort_key
 
@@ -274,6 +276,70 @@ def _packed(a, b):
     return keyed_a, keyed_b, packing
 
 
+def _integral_view(keyed):
+    """([(key, integral_num)], largest t-degree) of the (key, Coefficient)
+    pairs keyed, or None when a coefficient has a denominator."""
+    out = []
+    top = 0
+    for k, c in keyed:
+        num = integral_num(c)
+        if num is None:
+            return None
+        for exps in num:
+            d = sum(exps)
+            if d > top:
+                top = d
+        out.append((k, num))
+    return out, top
+
+
+def _integral_product(keyed_a, keyed_b, nv):
+    """__mul__'s loop on ints: {key sum: Coefficient} for the keyed terms
+    of `_packed`, or None when a coefficient has a denominator.  Each
+    coefficient's t-exponents are packed into one int, w bits per base
+    variable, w the bit length of (largest t-degree in a + in b), so no
+    sum ta + tb carries.  Sums gather in {x-key: {t-key: int}}; an x-key
+    whose dict empties is removed, as the Coefficient loop removes a zero
+    term.  Keys are decoded and coefficients built once, at the end."""
+    view_a = _integral_view(keyed_a)
+    if view_a is None:
+        return None
+    view_b = view_a if keyed_b is keyed_a else _integral_view(keyed_b)
+    if view_b is None:
+        return None
+    (view_a, top_a), (view_b, top_b) = view_a, view_b
+    w = (top_a + top_b).bit_length()
+    shifts = [w * j for j in range(nv)]
+
+    def packed(view):
+        return [(k, [(sum(e << s for e, s in zip(exps, shifts)), c)
+                     for exps, c in num.items()]) for k, num in view]
+
+    packed_a = packed(view_a)
+    packed_b = packed_a if view_b is view_a else packed(view_b)
+    terms = {}
+    for ka, ta in packed_a:
+        for kb, tb in packed_b:
+            k = ka + kb
+            t = terms.get(k)
+            if t is None:
+                t = terms[k] = {}
+            for ea, ca in ta:
+                for eb, cb in tb:
+                    e = ea + eb
+                    s = t.get(e, 0) + ca * cb
+                    if s:
+                        t[e] = s
+                    else:
+                        del t[e]
+            if not t:
+                del terms[k]
+    mask = (1 << w) - 1
+    return {k: from_integral({tuple(e >> s & mask for s in shifts): c
+                              for e, c in t.items()}, nv)
+            for k, t in terms.items()}
+
+
 class DiffPolynomial:
     """Immutable sparse multivariate polynomial over Coefficient."""
 
@@ -398,6 +464,14 @@ class DiffPolynomial:
         of a dict keyed by tuple monomials.  The tuples are built once per
         product term, at the end.  With a single-term operand no two
         products meet, and the product is a shift of the other's terms.
+
+        With no denominator in either operand the loop runs on ints
+        (`_integral_product`), with the same bytes: a denominator-1
+        coefficient has one form per value, so the order of the integer
+        additions does not matter; terms are inserted, removed and
+        inserted again as above, so their dict order holds; and the order
+        of the keys inside a num dict is never observable (_pstr sorts,
+        _plead takes the max, == compares dicts).
         """
         if isinstance(other, int):
             other = DiffPolynomial.from_int(self.ctx, other)
@@ -410,17 +484,19 @@ class DiffPolynomial:
                 mono_mul(ma, mb): ca * cb
                 for ma, ca in a.items() for mb, cb in b.items()})
         keyed_a, keyed_b, packing = _packed(a, b)
-        terms = {}
-        for ka, ca in keyed_a:
-            for kb, cb in keyed_b:
-                k = ka + kb
-                c = ca * cb
-                if k in terms:
-                    c = terms[k] + c
-                    if c.is_zero():
-                        del terms[k]
-                        continue
-                terms[k] = c
+        terms = _integral_product(keyed_a, keyed_b, self.ctx.nv)
+        if terms is None:
+            terms = {}
+            for ka, ca in keyed_a:
+                for kb, cb in keyed_b:
+                    k = ka + kb
+                    c = ca * cb
+                    if k in terms:
+                        c = terms[k] + c
+                        if c.is_zero():
+                            del terms[k]
+                            continue
+                    terms[k] = c
         decode = packing.decode
         return DiffPolynomial(self.ctx, {decode(k): c
                                          for k, c in terms.items()})

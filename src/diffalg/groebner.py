@@ -400,9 +400,11 @@ def _divide_ints(p, basis, outside, remainder):
             if q & guards:
                 continue
             if D is None:
-                D = math.lcm(c.den, *[v.den for v in p.values()])
+                D = c.den
+                if p:  # a one-term group needs no lcm and no conversion
+                    D = math.lcm(D, *[v.den for v in p.values()])
+                    p = {m: v.num * (D // v.den) for m, v in p.items()}
                 c = c.num * (D // c.den)
-                p = {m: v.num * (D // v.den) for m, v in p.items()}
             a, tail = tails[i] or basis.tail(i)
             # p/D - (c/D)/a * x^q * (a*x^lm + tail), over D*(a/g): the
             # leading terms cancel exactly
@@ -435,7 +437,8 @@ def _divide_ints(p, basis, outside, remainder):
         else:
             mono = decode(mk)
             remainder[mono_mul(mono, outside) if outside else mono] = (
-                c if D is None else Coefficient.from_rational(c, D, 0))
+                c if D is None else Coefficient.from_int(c, 0) if D == 1
+                else Coefficient.from_rational(c, D, 0))
 
 
 def _split(terms, packing):

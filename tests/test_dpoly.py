@@ -261,20 +261,29 @@ def test_mono_mul_and_lcm_match_dict_and_sort(m):
 
 # --- products against the tuple-keyed double loop ----------------------------
 
-PRODUCT_KINDS = {"constants": CONST1, "integral": RAT2, "fractions": RAT2}
+PRODUCT_KINDS = {"constants": CONST1, "integers": CONST1, "integral": RAT2,
+                 "fractions": RAT2}
 
 
 def _product_coefficient(rng, ctx, kind):
-    """A nonzero coefficient: a rational number in constants mode; in
-    rational mode an integer polynomial ("integral", denominator 1) or,
-    often, a fraction with a denominator 2 or t1 + 1 ("fractions")."""
+    """A nonzero coefficient: a rational number in constants mode, an int
+    ("integers"); in rational mode an integer polynomial ("integral",
+    denominator 1, some with t-degrees up to 2**70) or, often, a fraction
+    with a denominator 2 or t1 + 1 ("fractions")."""
     nv = ctx.nv
     if kind == "constants":
         return Coefficient.from_rational(rng.choice([-2, -1, 1, 1, 3]),
                                          rng.choice([1, 1, 2, 3]), nv)
+    if kind == "integers":
+        return Coefficient.from_int(rng.choice([-2, -1, 1, 3, 10**20]), nv)
     c = Coefficient.from_int(rng.choice([-2, -1, 1, 1, 3]), nv)
     if rng.random() < 0.5:
         c = c + Coefficient.base_var(rng.randint(1, nv), nv)
+    if kind == "integral" and rng.random() < 0.3:
+        # t1^7 or t1^(2**70), times 1 or t2^(2**70): t-keys with wide slots
+        exps = ((rng.choice([7, 2**70]),)
+                + tuple(rng.choice([0, 2**70]) for _ in range(nv - 1)))
+        c = c + Coefficient({exps: rng.choice([-1, 5])}, {(0,) * nv: 1}, nv)
     if kind == "fractions" and rng.random() < 0.6:
         # one non-constant denominator, so that powers stay small
         c = c / rng.choice([Coefficient.from_int(2, nv),
@@ -368,3 +377,57 @@ def test_mul_packs_huge_exponents():
     _assert_same_product(a * b, reference_mul(a, b))
     assert ((x, 2 * big),) in (a * a).terms
     _assert_same_product(a ** 3, reference_pow(a, 3))
+
+
+# --- integer-coefficient products ---------------------------------------------
+
+
+def test_integral_mul_cancels_inside_a_surviving_term():
+    # x1*x2 gets (t1 + 1)*(t1 - 1) and then 1*1: the constant t-terms
+    # cancel, and t1^2 is left
+    a = parse_poly("(t1 + 1)*x1_[0] + x2_[0]", RAT1)
+    b = parse_poly("(t1 - 1)*x2_[0] + x1_[0]", RAT1)
+    got, want = a * b, reference_mul(a, b)
+    _assert_same_product(got, want)
+    assert got.terms[(((1, (0,)), 1), ((2, (0,)), 1))].num == {(2,): 1}
+    assert print_poly(got) == \
+        "(t1 - 1)*x2_[0]^2 + t1^2*x1_[0]*x2_[0] + (t1 + 1)*x1_[0]^2"
+
+
+def test_integral_mul_reinserts_a_cancelled_monomial_at_the_end():
+    # rational-mode twin of the constants test above: x^2*y^2 gets t1,
+    # then -t1 (x*y * -x*y), which removes it, then t1 again, which
+    # inserts it last
+    a = parse_poly("t1*x1_[0]^2 + t1*x1_[0]*x2_[0] + x2_[0]^2", RAT1)
+    b = parse_poly("x2_[0]^2 - x1_[0]*x2_[0] + t1*x1_[0]^2", RAT1)
+    want = reference_mul(a, b)
+    x2y2 = (((1, (0,)), 2), ((2, (0,)), 2))
+    assert list(want.terms)[-1] == x2y2
+    _assert_same_product(a * b, want)
+    assert print_poly(a * b) == (
+        "x2_[0]^4 + (t1 - 1)*x1_[0]*x2_[0]^3 + t1*x1_[0]^2*x2_[0]^2"
+        " + (t1^2 - t1)*x1_[0]^3*x2_[0] + t1^2*x1_[0]^4")
+
+
+def test_products_with_fractions_keep_the_coefficient_loop(monkeypatch):
+    t_plus_1 = parse_poly("t1 + 1", RAT1).constant_value()
+    a = parse_poly("(t1 + 2)*x1_[0] + x2_[0] - 3", RAT1)
+    b = parse_poly("x1_[0] - t1^2*x2_[0] + 7*t1", RAT1)
+    x1 = (((1, (0,)), 1),)
+    a_frac = DiffPolynomial(RAT1, dict(a.terms))
+    a_frac.terms[x1] = a.terms[x1] / t_plus_1
+    c = parse_poly("x1_[0]^2 + 2*x1_[0]*x2_[0] - 3", CONST1)
+    d = parse_poly("x1_[0] - 5*x2_[0] + 7", CONST1)
+    c_half = parse_poly("1/2*x1_[0]^2 + 2*x1_[0]*x2_[0] - 3", CONST1)
+    calls = []
+    for cls in {Coefficient, type(Coefficient.from_int(1, 0))}:
+        def counted(self, other, mul=cls.__mul__):
+            calls.append(self)
+            return mul(self, other)
+        monkeypatch.setattr(cls, "__mul__", counted)
+    for f, g, coefficient_loop in ((a, b, False), (c, d, False),
+                                   (a_frac, b, True), (c_half, d, True)):
+        del calls[:]
+        got = f * g
+        assert bool(calls) == coefficient_loop
+        _assert_same_product(got, reference_mul(f, g))

@@ -5,6 +5,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import diffalg
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,6 +37,20 @@ def test_two_copies_of_one_tree_agree_on_a_job_slice(capsys):
     assert sys.modules["diffalg"] is diffalg
     assert {k: v for k, v in sys.modules.items()
             if k == "diffalg" or k.startswith("diffalg.")} == loaded
+
+
+def test_one_family_runs_alone(capsys):
+    code = SCRIPT.main([str(ROOT), str(ROOT), "--workload", "cli-batch",
+                        "--rounds", "1", "--family", "large-input"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert [line.split()[:2] for line in out[1:]] == [["large-input", "4"],
+                                                      ["all", "(sum)"]]
+    assert int(out[-1].split()[2]) == 4
+    with pytest.raises(SystemExit) as exit_:
+        SCRIPT.main([str(ROOT), str(ROOT), "--rounds", "1",
+                     "--family", "no-such-family"])
+    assert exit_.value.code == 2
 
 
 def test_loaded_trees_are_separate_copies():
