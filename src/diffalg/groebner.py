@@ -8,20 +8,20 @@ every downstream construction (prolongations, containment checks)
 presentation-independent.
 
 `normal_form` divides by a `DivisorBasis`: polynomials under one order,
-each with its (leading monomial, leading coefficient, tail) computed
-once.  A basis that divides also gets a packing for its order
-(dpoly.Packing): one integer key per monomial, with a guard bit per
-slot, so that comparing two terms, multiplying a tail term by a quotient
-and testing whether a lead divides a term are each one integer
-operation.  Over K = Q (constants mode) the coefficients are ints too:
-each divisor's tail is packed as its primitive integer multiple, and the
-dividend carries one denominator per group of terms; rational mode
-divides on Coefficients.  `buchberger` grows one DivisorBasis as it adds
+each with its leading monomial derived once.  A basis that divides also
+gets a packing for its order (dpoly.Packing): one integer key per
+monomial, with a guard bit per slot, so that comparing two terms,
+multiplying a tail term by a quotient and testing whether a lead divides
+a term are each one integer operation; a divisor's tail is packed when
+it is first used.  Over K = Q (constants mode) the coefficients are ints
+too: each divisor's tail is packed as its primitive integer multiple, and
+the dividend carries one denominator; rational mode divides on
+Coefficients.  `buchberger` grows one DivisorBasis as it adds
 S-polynomials, its final reduction tests and divides with that basis's
-packing, and it fills the reduced basis into a DivisorBasis of the
-caller's (`IdealPresentation`, the kernels' saturation cache) with the
-leads the final reduction has, keyed under its packing, so no division
-re-derives a divisor's leading term or packs the basis again.
+packing, and it fills the reduced basis into the caller's DivisorBasis
+(`IdealPresentation`'s) with the leads the final reduction has, keyed
+under its packing, so no division re-derives a divisor's leading term
+or packs the basis again.
 
 `buchberger` gives each variable of its leads a bit of a support mask
 and never queues a pair whose masks are disjoint (coprime leads).  The
@@ -30,9 +30,9 @@ being processed, exactly when a loop that queued it would already have
 popped it.  Bases, reduction order and every coefficient operation are
 those of the loop that queues every pair and tests every divisor on
 tuple monomials.  `buchberger` also takes a reduced prefix of its input,
-as iterated kernel prolongation produces it: a reduced basis plus new
-relations is completed without re-pairing or re-reducing the old
-elements, and with the leads handed over for it.
+with its leads, as iterated kernel prolongation produces it: a reduced
+basis plus new relations is completed without re-pairing or re-reducing
+the old elements.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ from itertools import zip_longest
 
 from .coeff import Coefficient
 from .dpoly import (Context, DiffPolynomial, Packing, grevlex_key, mono_div,
-                    mono_lcm, mono_mul, support, var_rank)
+                    mono_lcm, support, var_rank)
 from .errors import ContextError
 
 
@@ -141,36 +141,35 @@ def leading_term(f, order):
 
 
 class DivisorBasis:
-    """Divisors for `normal_form`: polynomials under one monomial order,
-    computed once per element when it is added:
+    """Divisors for `normal_form`: polynomials under one monomial order.
 
-    - `polys[i]` with `leads[i] = (lm, lc, tail)`, its leading monomial and
-      coefficient and its other terms;
+    - `polys[i]` with `lms[i]`, its leading monomial (lc, its leading
+      coefficient, is `polys[i].terms[lms[i]]`);
     - once the basis divides, `packing`, a guarded Packing for the order
-      over the variables of every divisor, wide enough for all of their
-      monomials, with `keys[i]`, the key of lm minus `packing.one`, and
-      `tails[i]`, packed when the divisor is first used (None until then):
-      (a, [(key of the tail monomial minus `packing.one`, b), ...]).  In
-      rational mode a is lc and each b the tail term's Coefficient; in
-      constants mode a*x^lm + sum(b*x^m) is the divisor's primitive
-      integer multiple, a > 0 and every b an int.
+      over the variables of the divisors and of the dividend it was built
+      for, wide enough for all of their monomials, with `keys[i]`, the key
+      of lm minus `packing.one`, and `tails[i]`, packed when the divisor is
+      first used (None until then): (a, [(key of the tail monomial minus
+      `packing.one`, b), ...]).  In rational mode a is lc and each b the
+      tail term's Coefficient; in constants mode a*x^lm + sum(b*x^m) is the
+      divisor's primitive integer multiple, a > 0 and every b an int.
 
     A basis that never divides builds no packing.  One added while the
     packing is set gets its lm keyed, or drops the packing when lm does
     not fit it.
     """
 
-    def __init__(self, order, polys=(), lms=None):
-        """The divisors polys, in order; `lms`, when given, holds the
-        leading monomials of the first len(lms) of them, so none of those
-        is derived again."""
+    def __init__(self, order, polys=(), lms=()):
+        """The divisors polys, in order; `lms` holds the leading monomials
+        of the first len(lms) of them, so none of those is derived
+        again."""
         self.order = order
         self.polys = []
-        self.leads = []
+        self.lms = []
         self.packing = None
         self.keys = []
         self.tails = []
-        for g, lm in zip_longest(polys, lms or ()):
+        for g, lm in zip_longest(polys, lms):
             self.append(g, lm)
 
     def __len__(self):
@@ -180,20 +179,17 @@ class DivisorBasis:
         """Add the nonzero g, whose leading monomial lm is derived here
         unless given, as the last divisor."""
         if lm is None:
-            lm, lc = leading_term(g, self.order)
-        else:
-            lc = g.terms[lm]
-        self.insert(len(self.polys), g,
-                    (lm, lc, [t for t in g.terms.items() if t[0] != lm]))
+            lm = leading_term(g, self.order)[0]
+        self.insert(len(self.polys), g, lm)
 
-    def insert(self, k, g, lead):
-        """Put g, with its (lm, lc, tail) lead, at position k."""
+    def insert(self, k, g, lm):
+        """Put g, with leading monomial lm, at position k."""
         self.polys.insert(k, g)
-        self.leads.insert(k, lead)
+        self.lms.insert(k, lm)
         packing = self.packing
         if packing is not None:
             try:
-                (key,), top = packing.keys((lead[0],), 0)
+                (key,), top = packing.keys((lm,), 0)
             except KeyError:
                 top = None
             if top is None or top > packing.limit:
@@ -207,19 +203,21 @@ class DivisorBasis:
         """Put divisor i of the DivisorBasis other at position k, with its
         packed entries when the two share a packing."""
         if self.packing is None or self.packing is not other.packing:
-            self.insert(k, other.polys[i], other.leads[i])
+            self.insert(k, other.polys[i], other.lms[i])
             return
         self.polys.insert(k, other.polys[i])
-        self.leads.insert(k, other.leads[i])
+        self.lms.insert(k, other.lms[i])
         self.keys.insert(k, other.keys[i])
         self.tails.insert(k, other.tails[i])
 
-    def pack(self, top=0):
-        """Build the packing, for total degrees up to top or up to the
+    def pack(self, top=0, terms=()):
+        """Build the packing over the variables of the divisors and of the
+        monomials `terms`, for total degrees up to top or up to the
         divisors' total degree, whichever is larger, and key every lm."""
         variables, most = support(g.terms for g in self.polys)
+        variables |= support((terms,))[0]
         packing = self.packing = self.order.packing(variables, max(top, most))
-        self.keys = packing.keys([lm for lm, _, _ in self.leads], 0)[0]
+        self.keys = packing.keys(self.lms, 0)[0]
         self.tails = [None] * len(self.polys)
         return packing
 
@@ -228,8 +226,9 @@ class DivisorBasis:
         raises _Widen when the tail does not fit the packing."""
         packed = self.tails[i]
         if packed is None:
-            packing = self.packing
-            _, lc, tail = self.leads[i]
+            packing, g, lm = self.packing, self.polys[i], self.lms[i]
+            lc = g.terms[lm]
+            tail = [t for t in g.terms.items() if t[0] != lm]
             try:
                 keys, top = packing.keys([m for m, _ in tail], 0)
             except KeyError:
@@ -238,7 +237,7 @@ class DivisorBasis:
             if top > packing.limit:
                 raise _Widen(top)
             coefficients = [c for _, c in tail]
-            if self.polys[i].ctx.mode.kind == "constants":
+            if g.ctx.mode.kind == "constants":
                 lc, coefficients = _primitive(lc, coefficients)
             packed = self.tails[i] = lc, list(zip(keys, coefficients))
         return packed
@@ -289,24 +288,20 @@ def normal_form(f, basis):
     -(k*cb), as negation commutes with every Coefficient operation and
     reduction).  In constants mode a coefficient is a reduced integer
     pair, one form per value, so only the values must agree and the
-    arithmetic may be reordered: from a group's first reduction step its
-    terms are ints p over one denominator D > 0, and a step by a divisor's
+    arithmetic may be reordered: from the first reduction step the terms
+    are ints p over one denominator D > 0, and a step by a divisor's
     primitive integer multiple a*x^lm + tail on the term c*x^mk scales p
     and D by a/g, g = gcd(c, a), when that is not 1, subtracts
     (c/g)*x^q*tail, and then divides p and D by their common content.
     Each remainder term is built once, as the reduced pair of c/D.
 
-    Variables of f that no divisor has are outside the packing.  Division
-    never changes a term's outside part, nor the order of two terms that
-    share it, so the terms are grouped by outside part and each group is
-    divided on the keys of its inside parts; with more than one group the
-    remainder is sorted back into one order.  A product key with a guard
-    bit set, or a divisor tail or a term of f of too high a degree, means
-    a slot is too narrow: the packing is built again, wider, and the
-    division starts over, which repeats the same coefficient operations.
-    A divisor tail with a variable the packing lacks (a divisor added
-    after the packing was built) rebuilds it over the divisors' variables
-    at the same width, and the division starts over likewise.
+    A term of f, or a divisor tail (of a divisor added after the packing
+    was built), with a variable the packing lacks rebuilds it over the
+    divisors' variables and f's at the same width, and the division
+    starts over.  A product key with a guard bit set, or a
+    divisor tail or a term of f of too high a degree, means a slot is too
+    narrow: the packing is built again, wider, and the division starts
+    over, which repeats the same coefficient operations.
     The remainder's terms are in descending order.
     """
     if not basis:
@@ -321,40 +316,34 @@ def normal_form(f, basis):
         except _Widen as widen:
             top = widen.top
             basis.pack((basis.packing.limit + 1) ** 2 - 1 if top is None
-                       else top)
+                       else top, f.terms)
 
 
 def _divide(f, basis):
     """normal_form's division under basis.packing, which raises _Widen
-    when a slot is too narrow for it."""
+    when the packing lacks a variable or a slot is too narrow for it."""
     packing = basis.packing
     try:
         keys, top = packing.keys(f.terms)
     except KeyError:
-        groups, top = _split(f.terms, packing)
-    else:
-        groups = {(): dict(zip(keys, f.terms.values()))}
+        # a variable new to the packing: build it again, as wide
+        raise _Widen(packing.limit) from None
     if top > packing.limit:
         raise _Widen(top)
     divide = (_divide_coefficients if f.ctx.mode.kind == "rational"
               else _divide_ints)
-    remainder = {}
-    for outside, p in groups.items():
-        divide(p, basis, outside, remainder)
-    if len(groups) > 1:
-        sort_key = basis.order.sort_key
-        remainder = dict(sorted(remainder.items(),
-                                key=lambda t: sort_key(t[0]), reverse=True))
-    return DiffPolynomial(f.ctx, remainder)
+    return DiffPolynomial(f.ctx, divide(dict(zip(keys, f.terms.values())),
+                                        basis))
 
 
-def _divide_coefficients(p, basis, outside, remainder):
-    """normal_form's rational-mode loop: reduce the group p, {key:
-    Coefficient} with outside part `outside`, in place, adding its
-    remainder's terms to `remainder` in descending order."""
+def _divide_coefficients(p, basis):
+    """normal_form's rational-mode loop: reduce p, {key: Coefficient}, in
+    place, and return its remainder, {monomial: Coefficient} in
+    descending order."""
     packing = basis.packing
     guards, decode, keys, tails = (packing.guards, packing.decode,
                                    basis.keys, basis.tails)
+    remainder = {}
     while p:
         mk = max(p)
         c = p.pop(mk)
@@ -380,17 +369,18 @@ def _divide_coefficients(p, basis, outside, remainder):
                     p[m] = v
             break
         else:
-            mono = decode(mk)
-            remainder[mono_mul(mono, outside) if outside else mono] = c
+            remainder[decode(mk)] = c
+    return remainder
 
 
-def _divide_ints(p, basis, outside, remainder):
+def _divide_ints(p, basis):
     """normal_form's constants-mode loop: _divide_coefficients on ints,
-    p / D, from the group's first reduction step on."""
+    p / D, from the first reduction step on."""
     packing = basis.packing
     guards, decode, keys, tails = (packing.guards, packing.decode,
                                    basis.keys, basis.tails)
     gcd = math.gcd
+    remainder = {}
     D = None  # p holds Coefficients until the first reduction step
     while p:
         mk = max(p)
@@ -401,7 +391,7 @@ def _divide_ints(p, basis, outside, remainder):
                 continue
             if D is None:
                 D = c.den
-                if p:  # a one-term group needs no lcm and no conversion
+                if p:  # a one-term dividend needs no lcm and no conversion
                     D = math.lcm(D, *[v.den for v in p.values()])
                     p = {m: v.num * (D // v.den) for m, v in p.items()}
                 c = c.num * (D // c.den)
@@ -435,42 +425,22 @@ def _divide_ints(p, basis, outside, remainder):
                     p = {m: v // h for m, v in p.items()}
             break
         else:
-            mono = decode(mk)
-            remainder[mono_mul(mono, outside) if outside else mono] = (
+            remainder[decode(mk)] = (
                 c if D is None else Coefficient.from_int(c, 0) if D == 1
                 else Coefficient.from_rational(c, D, 0))
+    return remainder
 
 
-def _split(terms, packing):
-    """The terms grouped by outside part, the variables without a slot in
-    the packing: {outside part: {key of the inside part: coefficient}},
-    and the largest total degree of an inside part."""
-    weights = packing.weights
-    parts = {}
-    for mono, c in terms.items():
-        inside = tuple(t for t in mono if t[0] in weights)
-        outside = tuple(t for t in mono if t[0] not in weights)
-        parts.setdefault(outside, {})[inside] = c
-    groups = {}
-    top = 0
-    for outside, part in parts.items():
-        keys, degree = packing.keys(part)
-        groups[outside] = dict(zip(keys, part.values()))
-        top = max(top, degree)
-    return groups, top
-
-
-def _s_poly(f, g, lead_f, lead_g):
+def _s_poly(f, g, lmf, lmg):
     ctx = f.ctx
-    (lmf, lcf, _), (lmg, lcg, _) = lead_f, lead_g
     lcm = mono_lcm(lmf, lmg)
     uf = mono_div(lcm, lmf)
     ug = mono_div(lcm, lmg)
-    return (DiffPolynomial(ctx, {uf: lcf.inverse()}) * f
-            - DiffPolynomial(ctx, {ug: lcg.inverse()}) * g)
+    return (DiffPolynomial(ctx, {uf: f.terms[lmf].inverse()}) * f
+            - DiffPolynomial(ctx, {ug: g.terms[lmg].inverse()}) * g)
 
 
-def buchberger(gens, order, prefix=0, divisors=None, prefix_lms=None):
+def buchberger(gens, order, prefix=(), out=None):
     """Reduced Groebner basis of the ideal generated by gens, as a list.
 
     Classic Buchberger with the coprimality and chain criteria, pairs taken
@@ -490,28 +460,28 @@ def buchberger(gens, order, prefix=0, divisors=None, prefix_lms=None):
     by the indices), and P was popped before C.
     So the same pairs are reduced in the same order.
 
-    The first `prefix` gens may be a reduced basis under `order`, nonzero,
-    monic and ascending by lm, as this function returns it.  Only pairs
-    with a later element are then queued (pairs within the prefix count as
-    done for the chain criterion), and the final reduction keeps each
-    prefix element as it is unless a new lead divides one of its terms.
-    The result is the same basis as with prefix 0.  `prefix_lms`, when
-    given, holds the prefix's leading monomials, as `divisors` received
-    them when the prefix was computed, so none is derived again.
+    `prefix` holds the leading monomials of the first len(prefix) gens,
+    which may be a reduced basis under `order`, nonzero, monic and
+    ascending by lm, as this function returns it (and `out` received
+    those leads), so none of them is derived again.  Only pairs with a
+    later element are then queued (pairs within the prefix count as done
+    for the chain criterion), and the final reduction keeps each prefix
+    element as it is unless a new lead divides one of its terms.  The
+    result is the same basis as with no prefix.
 
-    `divisors`, when given an empty DivisorBasis under `order`, receives
-    the result, with the leads the final reduction has in hand and keyed
+    `out`, when given an empty DivisorBasis under `order`, receives the
+    result, with the leads the final reduction has in hand and keyed
     under the packing it divided with, so dividing by it derives no
     leading term and builds no packing again (unless a lead does not fit).
     Each S-polynomial remainder is added to the growing basis with its
     first term as lm: normal_form returns its terms in descending order.
     """
-    G = DivisorBasis(order, [g for g in gens if not g.is_zero()], prefix_lms)
+    G = DivisorBasis(order, [g for g in gens if not g.is_zero()], prefix)
     if not G:
         return []
-    polys, leads = G.polys, G.leads
+    polys, lms, start = G.polys, G.lms, len(prefix)
     bits = {}  # a bit per variable of a lead
-    masks = [_support_mask(lm, bits) for lm, _, _ in leads]
+    masks = [_support_mask(lm, bits) for lm in lms]
     pairs = []  # heap of (lcm sort key, i, j), lms not coprime
     done = set()
     current = None  # the pair being processed
@@ -519,45 +489,45 @@ def buchberger(gens, order, prefix=0, divisors=None, prefix_lms=None):
     def push_pairs(j):
         for i in range(j):
             if masks[i] & masks[j]:
-                lcm = mono_lcm(leads[i][0], leads[j][0])
+                lcm = mono_lcm(lms[i], lms[j])
                 heapq.heappush(pairs, (order.sort_key(lcm), i, j))
 
     def is_done(a, b):
         if a > b:
             a, b = b, a
-        if b < prefix:
+        if b < start:
             return True
         if masks[a] & masks[b]:
             return (a, b) in done
-        lcm = mono_lcm(leads[a][0], leads[b][0])
+        lcm = mono_lcm(lms[a], lms[b])
         return (order.sort_key(lcm), a, b) < current
 
-    for j in range(prefix, len(G)):
+    for j in range(start, len(G)):
         push_pairs(j)
     while pairs:
         current = heapq.heappop(pairs)
         _, i, j = current
         done.add((i, j))
-        lcm = mono_lcm(leads[i][0], leads[j][0])
+        lcm = mono_lcm(lms[i], lms[j])
         outside = ~(masks[i] | masks[j])
         chain = False
         for k in range(len(G)):
             if k in (i, j) or masks[k] & outside:
                 continue
-            if mono_div(lcm, leads[k][0]) is None:
+            if mono_div(lcm, lms[k]) is None:
                 continue
             if is_done(i, k) and is_done(j, k):
                 chain = True
                 break
         if chain:
             continue
-        s = normal_form(_s_poly(polys[i], polys[j], leads[i], leads[j]), G)
+        s = normal_form(_s_poly(polys[i], polys[j], lms[i], lms[j]), G)
         if s.is_zero():
             continue
         G.append(s, next(iter(s.terms)))
-        masks.append(_support_mask(leads[-1][0], bits))
+        masks.append(_support_mask(lms[-1], bits))
         push_pairs(len(G) - 1)
-    return _reduce_basis(G, prefix, divisors)
+    return _reduce_basis(G, start, out)
 
 
 def _support_mask(mono, bits):
@@ -592,13 +562,17 @@ def _reduce_basis(G, prefix=0, out=None):
     from scratch.
 
     `out`, when given an empty DivisorBasis, receives the result with its
-    lms, under the packing of the last division.
+    lms, under G's packing; the result is out.polys.
     """
-    order, leads = G.order, G.leads
+    order, lms = G.order, G.lms
     divisors = DivisorBasis(order)  # the kept elements, in G order
     if len(G) > 1:
         divisors.packing = packing = G.packing or G.pack()
         guards, one = packing.guards, packing.one
+    if out is None:
+        out = DivisorBasis(order)
+    else:
+        out.packing = G.packing
     keys = G.keys  # sort as the lms do
 
     def divided(k, among):
@@ -608,10 +582,9 @@ def _reduce_basis(G, prefix=0, out=None):
 
     kept = []  # indices into G of the kept elements, ascending
     new = []  # those from index prefix on
-    reduced, lms = [], []
     for i in sorted(range(len(G)), key=keys.__getitem__) if keys else (0,):
-        lm, lc, tail = leads[i]
         g = r = G.polys[i]
+        lm = lms[i]
         if i < prefix:
             if new and divided(keys[i] + one, new):
                 continue
@@ -623,17 +596,13 @@ def _reduce_basis(G, prefix=0, out=None):
             new.append(i)
             as_is = False
         if not as_is:
-            r = (normal_form(g, divisors) if kept else g).scale(lc.inverse())
-        reduced.append(r)
-        lms.append(lm)
+            r = (normal_form(g, divisors) if kept else g).scale(
+                g.terms[lm].inverse())
+        out.append(r, lm)
         k = bisect.bisect(kept, i)
         kept.insert(k, i)
         divisors.take(k, G, i)
-    if out is not None:
-        out.packing = divisors.packing
-        for r, lm in zip(reduced, lms):
-            out.append(r, lm)
-    return reduced
+    return out.polys
 
 
 # --- ideal presentations ------------------------------------------------------
@@ -641,24 +610,21 @@ def _reduce_basis(G, prefix=0, out=None):
 
 @dataclass
 class IdealPresentation:
-    """Finite generator list plus its cached reduced Groebner basis and the
-    DivisorBasis of that basis, which `normal_form` divides by.
+    """Finite generator list plus the DivisorBasis of its reduced Groebner
+    basis, computed once, which `normal_form` divides by.
 
-    `_prefix` and `_prefix_lms` are passed to `buchberger`: the first
-    `_prefix` generators may be a reduced basis under `order`, as
-    `buchberger` returns it, and `_prefix_lms` its leading monomials.
-    Equality compares the context, the generators and the order only, so
-    no cache or hint changes it.
+    `_prefix` is passed to `buchberger`: the leading monomials of the first
+    len(_prefix) generators, when those are a reduced basis under `order`
+    as `buchberger` returns it.  `_divisors`, when given, is the reduced
+    basis, a DivisorBasis under `order`.  Equality compares the context,
+    the generators and the order only, so no cache or hint changes it.
     """
 
     ctx: Context
     generators: list
     order: MonomialOrder = field(default_factory=MonomialOrder.grevlex)
-    _gb: list = field(default=None, repr=False, compare=False)
-    _prefix: int = field(default=0, repr=False, compare=False)
-    _prefix_lms: list = field(default=None, repr=False, compare=False)
-    _divisors: DivisorBasis = field(default=None, init=False, repr=False,
-                                    compare=False)
+    _prefix: list = field(default=(), repr=False, compare=False)
+    _divisors: DivisorBasis = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for g in self.generators:
@@ -666,28 +632,23 @@ class IdealPresentation:
                 raise ContextError("generator in wrong context")
 
     @property
-    def reduced_gb(self):
-        if self._gb is None:
+    def divisors(self):
+        """The reduced basis as a DivisorBasis, the one `buchberger` filled
+        unless given at construction."""
+        if self._divisors is None:
             divisors = DivisorBasis(self.order)
-            self._gb = buchberger(self.generators, self.order, self._prefix,
-                                  divisors, self._prefix_lms)
+            buchberger(self.generators, self.order, self._prefix, divisors)
             self._divisors = divisors
-        return self._gb
+        return self._divisors
 
     @property
-    def divisors(self):
-        """The reduced basis as a DivisorBasis, prepared once: the one
-        `buchberger` filled, or one derived from a `_gb` given at
-        construction."""
-        gb = self.reduced_gb
-        if self._divisors is None:
-            self._divisors = DivisorBasis(self.order, gb)
-        return self._divisors
+    def reduced_gb(self):
+        return self.divisors.polys
 
     @property
     def lms(self):
         """The leading monomials of the reduced basis, in order."""
-        return [lm for lm, _, _ in self.divisors.leads]
+        return self.divisors.lms
 
     def normal_form(self, f):
         if f.ctx != self.ctx:
@@ -713,31 +674,32 @@ def elimination_ideal(I, keep):
     eliminate = I.variables() - keep
     order = (MonomialOrder.block_elim(eliminate) if eliminate
              else MonomialOrder.grevlex())
-    gb = buchberger(I.generators, order)
-    kept = [g for g in gb if g.variables() <= keep]
+    gb = DivisorBasis(order)
+    buchberger(I.generators, order, out=gb)
     # restricted to the kept variables the block order is plain grevlex,
-    # so `kept` is already the reduced grevlex basis of the elimination ideal
-    return IdealPresentation(I.ctx, list(kept), MonomialOrder.grevlex(),
-                             _gb=list(kept))
+    # so the kept elements are already the reduced grevlex basis of the
+    # elimination ideal, with the same leads
+    kept = DivisorBasis(MonomialOrder.grevlex())
+    for g, lm in zip(gb.polys, gb.lms):
+        if g.variables() <= keep:
+            kept.append(g, lm)
+    return IdealPresentation(I.ctx, list(kept.polys), kept.order,
+                             _divisors=kept)
 
 
-def rabinowitsch(gens, h, order, prefix=0, divisors=None,
-                 prefix_lms=None):
-    """Reduced basis of gens + (1 - h*z), z a fresh level-0 coordinate.
+def rabinowitsch(gens, h):
+    """(ctx2, gens + [1 - h*z]), z a fresh level-0 coordinate, coordinate
+    n+1 of ctx2, and gens and h moved into ctx2.
 
-    Returns (ctx2, basis), z being coordinate n+1 of ctx2.  The ideal
-    presents the localization of (gens) at h; it is (1) exactly when h lies
-    in the radical of (gens).  `prefix`, `divisors` and `prefix_lms` are
-    passed to `buchberger`: the first `prefix` gens may be a reduced basis
-    under `order`, with leading monomials `prefix_lms`, and `divisors`, an
-    empty DivisorBasis, receives the basis.
+    The ideal they generate presents the localization of (gens) at h; it is
+    (1) exactly when h lies in the radical of (gens).
     """
     ctx = h.ctx
     ctx2 = ctx.with_n(ctx.n + 1)
     z = DiffPolynomial.var(ctx2, ctx2.n, (0,) * ctx2.m)
     gens2 = [g.with_context(ctx2) for g in gens]
     gens2.append(DiffPolynomial.from_int(ctx2, 1) - h.with_context(ctx2) * z)
-    return ctx2, buchberger(gens2, order, prefix, divisors, prefix_lms)
+    return ctx2, gens2
 
 
 def radical_member(f, I):
@@ -746,5 +708,5 @@ def radical_member(f, I):
         raise ContextError("polynomial in wrong context")
     if f.is_zero():
         return True
-    _, gb = rabinowitsch(I.generators, f, MonomialOrder.grevlex())
+    gb = buchberger(rabinowitsch(I.generators, f)[1], MonomialOrder.grevlex())
     return len(gb) == 1 and gb[0].is_constant()

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from . import bounds
 from .dpoly import Context, DiffPolynomial, derivation_image, print_poly, var_rank
 from .errors import ContextError, DiffAlgError
-from .groebner import (DivisorBasis, IdealPresentation, MonomialOrder,
-                       normal_form, rabinowitsch)
+from .groebner import (IdealPresentation, MonomialOrder, normal_form,
+                       rabinowitsch)
 from .indices import check_coordinates, deg, gamma_set
 
 
@@ -113,8 +113,8 @@ class KernelPresentation:
     # -- zero tests in the kernel's field -----------------------------------
 
     def _saturation_basis(self):
-        """(ctx2, DivisorBasis of the reduced basis of ideal + (1 - g*z)),
-        g the product of inverted, or ()."""
+        """The presentation of ideal + (1 - g*z), g the product of
+        inverted, or ()."""
         factors = []
         for h in self.inverted:
             nf = self.ideal.normal_form(h)
@@ -123,11 +123,9 @@ class KernelPresentation:
         if not factors:
             return ()
         g = math.prod(factors[1:], start=factors[0])
-        gb = self.ideal.reduced_gb
-        sat = DivisorBasis(self.ideal.order)
-        ctx2, _ = rabinowitsch(gb, g, self.ideal.order, len(gb), sat,
-                               self.ideal.lms)
-        return ctx2, sat
+        ideal = self.ideal
+        ctx2, gens = rabinowitsch(ideal.reduced_gb, g)
+        return IdealPresentation(ctx2, gens, ideal.order, _prefix=ideal.lms)
 
     def is_zero_mod(self, f):
         """Is f zero in the kernel's field (quotient localized at inverted)?"""
@@ -137,8 +135,8 @@ class KernelPresentation:
             self._sat_cache = self._saturation_basis()
         if not self._sat_cache:
             return False
-        ctx2, sat = self._sat_cache
-        return normal_form(f.with_context(ctx2), sat).is_zero()
+        sat = self._sat_cache
+        return normal_form(f.with_context(sat.ctx), sat.divisors).is_zero()
 
 
 def violation(f, k, nf):
@@ -299,7 +297,7 @@ def kernel_prolong_once(Kp):
     next_kernel = KernelPresentation(
         ctx=ctx, r=r + 1,
         ideal=IdealPresentation(ctx, new_gens, MonomialOrder.lex(),
-                                _prefix=len(gb), _prefix_lms=Kp.ideal.lms),
+                                _prefix=Kp.ideal.lms),
         inverted=new_inverted)
     next_kernel.validated = True
     return ProlongResult(status="prolonged", next=next_kernel)

@@ -214,13 +214,15 @@ def reference_normal_form(f, basis):
     if not basis:
         return f
     sort_key = basis.order.sort_key
+    leads = [(lm, g.terms[lm], [t for t in g.terms.items() if t[0] != lm])
+             for g, lm in zip(basis.polys, basis.lms)]
     p = dict(f.terms)
     keys = {mono: sort_key(mono) for mono in p}
     remainder = {}
     while p:
         mono = max(p, key=keys.__getitem__)
         c = p.pop(mono)
-        for lm, lc, tail in basis.leads:
+        for lm, lc, tail in leads:
             q = mono_div(mono, lm)
             if q is not None:
                 k = -(c / lc)
@@ -377,14 +379,14 @@ def reference_buchberger(gens, order, prefix=0, coprime_queries=None):
     G = DivisorBasis(order, [g for g in gens if not g.is_zero()])
     if not G:
         return []
-    polys, leads = G.polys, G.leads
+    polys, lms = G.polys, G.lms  # lms grows with G
     pairs = []
     queued = []  # every heap entry, in the order queued
     popped_at = {}  # (i, j): len(queued) when it was popped
     current = None
 
     def entry(i, j):
-        return (order.sort_key(mono_lcm(leads[i][0], leads[j][0])), i, j)
+        return (order.sort_key(mono_lcm(lms[i], lms[j])), i, j)
 
     def push(i, j):
         queued.append(entry(i, j))
@@ -395,8 +397,7 @@ def reference_buchberger(gens, order, prefix=0, coprime_queries=None):
         if pair[1] < prefix:
             return True
         done = pair in popped_at
-        if coprime_queries is not None and _coprime(leads[a][0],
-                                                    leads[b][0]):
+        if coprime_queries is not None and _coprime(lms[a], lms[b]):
             mine = entry(*pair)
             coprime_queries.append((
                 done, mine < current,
@@ -410,14 +411,14 @@ def reference_buchberger(gens, order, prefix=0, coprime_queries=None):
         current = heapq.heappop(pairs)
         _, i, j = current
         popped_at[(i, j)] = len(queued)
-        if _coprime(leads[i][0], leads[j][0]):
+        if _coprime(lms[i], lms[j]):
             continue
-        lcm = mono_lcm(leads[i][0], leads[j][0])
+        lcm = mono_lcm(lms[i], lms[j])
         chain = False
         for k in range(len(G)):
             if k in (i, j):
                 continue
-            if mono_div(lcm, leads[k][0]) is None:
+            if mono_div(lcm, lms[k]) is None:
                 continue
             if is_done(i, k) and is_done(j, k):
                 chain = True
@@ -425,7 +426,7 @@ def reference_buchberger(gens, order, prefix=0, coprime_queries=None):
         if chain:
             continue
         s = groebner.normal_form(
-            groebner._s_poly(polys[i], polys[j], leads[i], leads[j]), G)
+            groebner._s_poly(polys[i], polys[j], lms[i], lms[j]), G)
         if s.is_zero():
             continue
         t = len(G)

@@ -90,6 +90,9 @@ def test_elimination_twisted_cubic():
     # and the target generates J back: every J generator is a multiple check
     back = IdealPresentation(C3, [target])
     assert all(back.normal_form(g).is_zero() for g in J.reduced_gb)
+    # the leads handed over from the block order are the grevlex leads
+    assert J.reduced_gb == J.generators
+    assert J.lms == [leading_term(g, J.order)[0] for g in J.generators]
 
 
 def test_elimination_counterexample_projection_is_everything():
@@ -317,9 +320,9 @@ def test_normal_form_matches_naive_reference(mode, kind, data):
         K = KernelPresentation(ctx=ctx, r=0, ideal=I, inverted=[h])
         verdict = K.is_zero_mod(f)
         if K._sat_cache:
-            ctx2, sat = K._sat_cache
-            f2 = f.with_context(ctx2)
-            want = _check_normal_form(normal_form(f2, sat), f2, sat.polys,
+            sat = K._sat_cache
+            f2 = f.with_context(sat.ctx)
+            want = _check_normal_form(sat.normal_form(f2), f2, sat.reduced_gb,
                                       order)
             assert verdict == want.is_zero()
 
@@ -348,9 +351,9 @@ def test_ideal_normal_form_prepares_each_leading_term_once(monkeypatch):
         calls.append(f)
         return leading_term(f, order)
 
-    def packing(self, top=0):
-        packs.append(top)
-        return pack(self, top)
+    def packing(self, *args):
+        packs.append(args)
+        return pack(self, *args)
 
     monkeypatch.setattr(groebner, "leading_term", counting)
     monkeypatch.setattr(DivisorBasis, "pack", packing)
@@ -359,15 +362,13 @@ def test_ideal_normal_form_prepares_each_leading_term_once(monkeypatch):
         I.normal_form(_random_poly(rng, C3))
     assert len(gb) > 1 and calls == [] and packs == []
     monkeypatch.undo()
-    # the same leads, tails and lead keys as derived from scratch
+    # the same leads, lead keys and packed tails as derived from scratch
     prepared, want = I.divisors, DivisorBasis(LEX, gb)
-    assert prepared.polys == gb
-    assert [(lm, str(lc), [(m, str(c)) for m, c in tail])
-            for lm, lc, tail in prepared.leads] == \
-        [(lm, str(lc), [(m, str(c)) for m, c in tail])
-         for lm, lc, tail in want.leads]
+    assert prepared.polys == gb and prepared.lms == want.lms
     want.pack(prepared.packing.limit)
     assert prepared.keys == want.keys
+    assert [prepared.tail(i) for i in range(len(gb))] == \
+        [want.tail(i) for i in range(len(gb))]
 
 
 @pytest.mark.parametrize("mode", ["constants", "rational"])
@@ -378,11 +379,10 @@ def test_buchberger_takes_the_prefix_leads(monkeypatch, mode, kind):
     ctx, order = _ctx(mode), ORDERS[kind]
     first = DivisorBasis(order)
     gb = buchberger([p("x2_[0] - x3_[0]^2", ctx), p("x1_[0] - x3_[0]^3", ctx),
-                     p("x4_[0]*x2_[0] + x1_[0]", ctx)], order, 0, first)
-    prefix_lms = [lm for lm, _, _ in first.leads]
+                     p("x4_[0]*x2_[0] + x1_[0]", ctx)], order, out=first)
     gens = gb + [p("x1_[0]*x2_[0] - x4_[0]", ctx)]
     want_divisors = DivisorBasis(order)
-    want = buchberger(gens, order, len(gb), want_divisors)
+    want = buchberger(gens, order, out=want_divisors)
     calls = []
 
     def counting(f, order):
@@ -391,13 +391,12 @@ def test_buchberger_takes_the_prefix_leads(monkeypatch, mode, kind):
 
     monkeypatch.setattr(groebner, "leading_term", counting)
     got_divisors = DivisorBasis(order)
-    got = buchberger(gens, order, len(gb), got_divisors, prefix_lms)
+    got = buchberger(gens, order, first.lms, got_divisors)
     monkeypatch.undo()
     assert calls and not [f for f in calls if any(f is g for g in gb)]
     assert [_layout(g) for g in got] == [_layout(g) for g in want]
     assert got_divisors.polys == got
-    assert [lm for lm, _, _ in got_divisors.leads] == \
-        [lm for lm, _, _ in want_divisors.leads]
+    assert got_divisors.lms == want_divisors.lms
 
 
 @pytest.mark.parametrize("mode", ["constants", "rational"])
@@ -544,8 +543,12 @@ def test_buchberger_prefix_reorders_its_first_element(kind):
     _check_prefix(gb, [p("x2_[0] - 2", ctx)], ORDERS[kind])
 
 
+def _lms(basis, order):
+    return [leading_term(g, order)[0] for g in basis]
+
+
 def _check_prefix(gb, new, order):
-    got = buchberger(gb + new, order, len(gb))
+    got = buchberger(gb + new, order, _lms(gb, order))
     want = buchberger(gb + new, order)
     assert [print_poly(g) for g in got] == [print_poly(g) for g in want]
     assert [_layout(g) for g in got] == [_layout(g) for g in want]
@@ -569,13 +572,14 @@ def _logged_buchberger(fn, gens, order, prefix, *extra):
     return log, basis
 
 
-def _check_pair_sequence(gens, order, prefix=0):
+def _check_pair_sequence(gens, order, prefix=()):
     """buchberger reduces the same S-pairs in the same order as the loop
     that queues every pair, and returns the same basis; returns the
-    reference's coprime-pair questions."""
+    reference's coprime-pair questions.  `prefix` holds the leads of a
+    reduced prefix of gens."""
     queries = []
     want_log, want = _logged_buchberger(reference_buchberger, gens, order,
-                                        prefix, queries)
+                                        len(prefix), queries)
     got_log, got = _logged_buchberger(buchberger, gens, order, prefix)
     assert got_log == want_log
     assert [print_poly(g) for g in got] == [print_poly(g) for g in want]
@@ -601,7 +605,7 @@ def test_buchberger_pair_sequence_matches_reference(mode, kind, data):
         new = data.draw(st.lists(st.one_of(_polys(ctx, 2, 3),
                                            _lead_dividing(ctx, gb)),
                                  min_size=1, max_size=2))
-        _check_pair_sequence(gb + new, order, len(gb))
+        _check_pair_sequence(gb + new, order, _lms(gb, order))
     else:
         _check_pair_sequence(gens, order)
 
@@ -639,7 +643,7 @@ def test_buchberger_queues_no_coprime_pair(monkeypatch, kind):
     monkeypatch.setattr(groebner.heapq, "heappush", recording)
     buchberger(gens, order)
     monkeypatch.undo()
-    lms = [lm for lm, _, _ in bases[0].leads]  # the basis the pairs index
+    lms = bases[0].lms  # the basis the pairs index
     shared = {(i, j) for j in range(len(lms)) for i in range(j)
               if {v for v, _ in lms[i]} & {v for v, _ in lms[j]}}
     assert 0 < len(shared) < len(lms) * (len(lms) - 1) // 2
@@ -724,8 +728,8 @@ def test_normal_form_matches_reference_loop(mode, kind, data):
     gens = data.draw(st.lists(_polys(ctx, 2, 3), min_size=1,
                               max_size=3 if mode == "constants" else 2))
     gens = [g for g in gens if g]
-    # one to three variables outside the basis, so the dividend's terms
-    # fall into several groups
+    # one to three variables outside the basis, which the packing gains
+    # for the dividend
     outside = OUTSIDE[:data.draw(st.integers(1, 3))]
     f = data.draw(_polys(ctx, 4, 6, XS + outside))
     for basis in (gens, buchberger(gens, order)):
@@ -735,7 +739,7 @@ def test_normal_form_matches_reference_loop(mode, kind, data):
 
 @pytest.mark.parametrize("mode", ["constants", "rational"])
 @pytest.mark.parametrize("kind", sorted(ORDERS))
-def test_normal_form_merges_outside_groups(mode, kind):
+def test_normal_form_divides_with_variables_outside_the_basis(mode, kind):
     ctx, order = _ctx(mode), ORDERS[kind]
     I = IdealPresentation(ctx, [p("x1_[0]^2 - x2_[0]", ctx),
                                 p("x2_[0]*x3_[0] - 1", ctx)], order)
@@ -759,14 +763,15 @@ def test_long_constants_division_matches_reference(kind):
     # leads coprime and not monic under every order (x3 and x2^2, or x3
     # and x1 when x1 is eliminated), tails with fractions: the integer
     # loop scales by the leads, cancels content and keeps one denominator
-    # per outside group through a long division
+    # through a long division
     ctx, order = _ctx("constants"), ORDERS[kind]
     divisors = DivisorBasis(order, [p("3*x3_[0] - 2/5*x2_[0]", ctx),
                                     p("7*x2_[0]^2 - 1/3*x1_[0]", ctx)])
-    assert all(lc.den != 1 or lc.num != 1 for _, lc, _ in divisors.leads)
+    assert all(g.terms[lm] != Coefficient.one(ctx.nv)
+               for g, lm in zip(divisors.polys, divisors.lms))
     power = p("x1_[0] + x2_[0] + x3_[0]", ctx) ** 8
     outside = DiffPolynomial.var(ctx, *W)
-    # one outside group, then two with their own denominators
+    # a variable outside the basis, then terms with other denominators
     for f in (power * outside, power * outside - power.scale(
             Coefficient.from_rational(5, 2, ctx.nv))):
         got = normal_form(f, divisors)
@@ -776,22 +781,36 @@ def test_long_constants_division_matches_reference(kind):
 
 @pytest.mark.parametrize("mode", ["constants", "rational"])
 @pytest.mark.parametrize("kind", sorted(ORDERS))
-def test_presentation_reused_over_new_variables(mode, kind):
-    # each dividend brings a variable that no earlier one had; the basis
-    # keeps its packing and divides group by group
+def test_presentation_reused_over_new_variables(monkeypatch, mode, kind):
+    # the first dividend brings variables that no divisor has: the packing
+    # is rebuilt once, at the same width, over those too, and the later
+    # dividends over the same variables divide under it
     ctx, order = _ctx(mode), ORDERS[kind]
     I = IdealPresentation(ctx, [p("x1_[0]^2 - x2_[0]", ctx),
                                 p("x3_[0]^2 + x1_[0]*x2_[0]", ctx)], order)
+    divisors = I.divisors
+    limit, new = divisors.packing.limit, [W] + OUTSIDE
+    assert not set(new) & set(divisors.packing.weights)
+    packs = []
+    pack = DivisorBasis.pack
+
+    def counting(self, *args):
+        packs.append(args)
+        return pack(self, *args)
+
+    monkeypatch.setattr(DivisorBasis, "pack", counting)
     rng = random.Random(8)
-    packing = None
-    for level in range(1, 7):
-        new = DiffPolynomial.var(ctx, rng.randint(1, 4), (level,))
-        f = (_random_poly(rng, ctx) * new ** rng.randint(1, 2)
-             + _random_poly(rng, ctx))
+    for n in range(8):
+        f = _random_poly(rng, ctx)
+        for v in new if n == 0 else rng.sample(new, 2):
+            f = f * DiffPolynomial.var(ctx, *v)
+        f = f + _random_poly(rng, ctx)
+        assert n or set(new) <= f.variables()
         got = I.normal_form(f)
-        _check_against_reference(got, f, I.divisors)
-        packing = packing or I.divisors.packing
-        assert I.divisors.packing is packing
+        _check_against_reference(got, f, divisors)
+        assert len(packs) == 1
+    assert divisors.packing.limit == limit
+    assert set(new) <= set(divisors.packing.weights)
 
 
 @pytest.mark.parametrize("mode", ["constants", "rational"])
@@ -894,10 +913,10 @@ def test_presentations_compare_by_generators_and_order():
     assert I == J
     I.reduced_gb
     I.divisors
-    assert I._gb is not None and J._gb is None
+    assert I._divisors is not None and J._divisors is None
     assert I == J
     K = IdealPresentation(C3, list(J.generators), MonomialOrder.lex(),
-                          _prefix=1)
+                          _prefix=I.lms[:1])
     assert K == J
     assert I != _twisted_cubic(MonomialOrder.grevlex())
     assert _twisted_cubic(MonomialOrder.block_elim({X})) != \

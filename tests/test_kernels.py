@@ -359,7 +359,7 @@ def test_prolongation_derives_no_lead_of_a_prefix(monkeypatch):
     assert nxt.inverted and derived
     assert not set(derived) & {print_poly(g) for g in K.ideal.reduced_gb}
     derived.clear()
-    _, sat = nxt._saturation_basis()
+    sat = nxt._saturation_basis().divisors
     assert derived and not set(derived) & {print_poly(g) for g in gb}
     # the saturation basis comes keyed under its buchberger's packing
     assert sat.packing is not None and len(sat.keys) == len(sat) > 1
