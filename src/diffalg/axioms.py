@@ -4,9 +4,11 @@
 inside the prolongation of its projection: it computes the elimination
 ideal J of the projection, forms for every reduced-basis element of J and
 every derivation the linearized prolongation condition pulled back to W's
-ambient coordinates, and tests membership in I(W).  The set-theoretic base
-condition (projections of points of W lie in the projection) holds
-automatically, which the verdict records as a note.
+ambient coordinates, and tests membership in I(W) on the basis J is read
+from, W's under the elimination order (membership does not depend on
+the order), building W's own basis only to print a witness.  The
+set-theoretic base condition (projections of points of W lie in the
+projection) holds automatically, which the verdict records as a note.
 
 W is taken to be Zariski-closed and irreducible; constructible inputs are
 not interpreted.  Primality is assumed, not verified.
@@ -19,7 +21,8 @@ from .coeff import FieldMode
 from .dpoly import (Context, derivation_image, parse_poly, print_poly,
                     _ExprParser, _Tokenizer)
 from .errors import ContextError, ParseError, ResourceBudgetError
-from .groebner import IdealPresentation, elimination_ideal
+from .groebner import (IdealPresentation, elimination_ideal,
+                       elimination_presentation)
 from .indices import (axiom_sizes, check_coordinates, coordinate_maps, deg,
                       gamma_set)
 from .kernels import KernelPresentation, kernel_prolong_once, violation
@@ -53,6 +56,9 @@ def containment_check(W, kind):
     keeps the level-0 coordinates.  sharp: W lives in the Gamma(C) layout
     K^{alpha(n,m)} with C = C_{1,m}^n and the projection keeps Gamma(C-1).
     Either ambient must fit the coordinate budget.
+
+    The conditions are decided on the elimination basis; W's own basis,
+    which prints each witness, is built at the first one.
     """
     n, m = W.ctx.n, W.ctx.m
     if kind == "naive":
@@ -70,14 +76,14 @@ def containment_check(W, kind):
     check_coordinates(what, size)
     keep_levels = gamma_set(m, max_level - 1) if max_level >= 1 else []
     keep = {(i, xi) for xi in keep_levels for i in range(1, n + 1)}
-    J = elimination_ideal(W, keep)
+    E = elimination_presentation(W, keep)
+    J = elimination_ideal(E, keep)
     witnesses = []
     for g in J.reduced_gb:
         for k in range(1, m + 1):
             cond = derivation_image(g, k)
-            nf = W.normal_form(cond)
-            if not nf.is_zero():
-                witnesses.append(violation(g, k, nf))
+            if not E.normal_form(cond).is_zero():
+                witnesses.append(violation(g, k, W.normal_form(cond)))
     return ContainmentVerdict(
         holds=not witnesses,
         witnesses=witnesses,

@@ -49,6 +49,9 @@ def _context(fields, need_length=False):
         raise FileFormatError("kernel file needs length=<r> in the header")
     if gamma is None:
         raise FileFormatError("header needs gamma=<int>")
+    for key, value in (("length", length), ("gamma", gamma)):
+        if (value or 0) < 0:
+            raise FileFormatError("header %s=%d is negative" % (key, value))
     mode = FieldMode(mode_kind, m)
     return Context(n=n, m=m, mode=mode), gamma, length
 

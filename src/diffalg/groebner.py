@@ -662,20 +662,26 @@ class IdealPresentation:
         return out
 
 
+def elimination_presentation(I, keep):
+    """I presented under the order that eliminates its variables outside
+    `keep`: a block order, or plain grevlex when there are none; I itself
+    when it has that order already."""
+    eliminate = I.variables() - set(keep)
+    order = (MonomialOrder.block_elim(eliminate) if eliminate
+             else MonomialOrder.grevlex())
+    return I if I.order == order else IdealPresentation(I.ctx, I.generators,
+                                                        order)
+
+
 def elimination_ideal(I, keep):
     """Generators of I intersected with the subring on `keep` variables.
 
-    Uses a block order eliminating the complement (plain grevlex when
-    nothing is eliminated); the returned presentation's generators are its
-    reduced grevlex basis.
+    Reads the reduced basis of `elimination_presentation(I, keep)`, which a
+    caller may have computed already; the returned presentation's
+    generators are its reduced grevlex basis.
     """
     keep = set(keep)
-    # variables we keep but that never occur in I are harmless
-    eliminate = I.variables() - keep
-    order = (MonomialOrder.block_elim(eliminate) if eliminate
-             else MonomialOrder.grevlex())
-    gb = DivisorBasis(order)
-    buchberger(I.generators, order, out=gb)
+    gb = elimination_presentation(I, keep).divisors
     # restricted to the kept variables the block order is plain grevlex,
     # so the kept elements are already the reduced grevlex basis of the
     # elimination ideal, with the same leads

@@ -4,15 +4,17 @@ import random
 
 import pytest
 
+from diffalg import axioms, groebner
 from diffalg.axioms import (atom_rho_text, axiom_shape, compile_formula,
                             containment_check, counterexample_demo)
 from diffalg.coeff import FieldMode
-from diffalg.dpoly import Context, parse_poly
+from diffalg.dpoly import (Context, DiffPolynomial, derivation_image,
+                           parse_poly, print_poly)
 from diffalg.errors import ContextError, ParseError
 from diffalg.groebner import IdealPresentation
 from diffalg.kernels import KernelPresentation, kernel_validate
 
-from helpers import rand_dpoly
+from helpers import rand_dpoly, reference_containment
 
 C1 = Context(n=1, m=1, mode=FieldMode("constants", 1))
 M2 = Context(n=1, m=2, mode=FieldMode("constants", 2))
@@ -97,6 +99,110 @@ def test_sharp_holds_gives_valid_truncation_kernel():
     assert containment_check(W, "sharp").holds
     K = KernelPresentation(ctx=C1, r=1, ideal=W)
     assert kernel_validate(K).valid
+
+
+def _verdict_text(W, kind, check):
+    # a fresh presentation per check, so no basis is shared between them
+    W = IdealPresentation(W.ctx, list(W.generators))
+    return json.dumps(check(W, kind).to_json(), sort_keys=True)
+
+
+def _containment_corpus(rng, ctx, kind, count):
+    """Random W in the ambient of `kind`: generators over the projected
+    levels, with all their D_k-images (the check mostly holds), with
+    graphs x - q for top-level variables x, or with random generators over
+    every level."""
+    top = 1 if kind == "naive" else axiom_shape(ctx.n, ctx.m).C
+    levels = [xi for xi in itertools.product(range(top + 1), repeat=ctx.m)
+              if sum(xi) <= top]
+    every = [(i, xi) for xi in levels for i in range(1, ctx.n + 1)]
+    lower = [v for v in every if sum(v[1]) < top]
+    corpus = []
+    for idx in range(count):
+        gens = [rand_dpoly(rng, ctx, lower, max_deg=2, max_terms=2)
+                for _ in range(rng.randint(1, 2))]
+        if idx % 3 == 0:
+            gens += [derivation_image(g, k) for g in list(gens)
+                     for k in range(1, ctx.m + 1)]
+        elif idx % 3 == 1:
+            gens += [DiffPolynomial.var(ctx, *v)
+                     - rand_dpoly(rng, ctx, every, max_deg=2, max_terms=2,
+                                  nonzero=False)
+                     for v in every if v not in lower and rng.random() < 0.7]
+        else:
+            gens += [rand_dpoly(rng, ctx, every, max_deg=2, max_terms=3)
+                     for _ in range(rng.randint(1, 2))]
+        corpus.append(IdealPresentation(ctx, gens))
+    return corpus
+
+
+@pytest.mark.parametrize("mode", ["constants", "rational"])
+@pytest.mark.parametrize("kind,n,m", [("naive", 2, 1), ("naive", 1, 2),
+                                      ("sharp", 1, 2)])
+def test_containment_matches_reference_loop(mode, kind, n, m):
+    ctx = Context(n=n, m=m, mode=FieldMode(mode, m))
+    rng = random.Random("containment:%s:%s:%d:%d" % (mode, kind, n, m))
+    one = DiffPolynomial.from_int(ctx, 1)
+    x = DiffPolynomial.var(ctx, 1, (0,) * m)
+    corpus = _containment_corpus(rng, ctx, kind, 24) + [
+        IdealPresentation(ctx, []),  # no generators
+        IdealPresentation(ctx, [x, x - one]),  # the unit ideal
+        # only projected variables: the elimination removes nothing
+        IdealPresentation(ctx, [x * x - one]),
+    ]
+    verdicts = set()
+    for W in corpus:
+        got = _verdict_text(W, kind, containment_check)
+        assert got == _verdict_text(W, kind, reference_containment)
+        verdicts.add(json.loads(got)["holds"])
+    assert verdicts == {True, False}
+
+
+def _logged_containment(monkeypatch, W):
+    """containment_check(W, "naive") and, in call order, the order kind of
+    each buchberger call and each condition ("D", generator, k) formed."""
+    log = []
+
+    def buchberger(gens, order, *args, inner=groebner.buchberger):
+        log.append(order.kind)
+        return inner(gens, order, *args)
+
+    def image(g, k, inner=axioms.derivation_image):
+        log.append(("D", print_poly(g), k))
+        return inner(g, k)
+
+    monkeypatch.setattr(groebner, "buchberger", buchberger)
+    monkeypatch.setattr(axioms, "derivation_image", image)
+    return containment_check(W, "naive"), log
+
+
+@pytest.mark.parametrize("text,order", [
+    # x1_[1] eliminated; D_1(x1_[0]^2) = 2*x1_[0]*x1_[1] lies in W
+    ("x1_[0]^2; x1_[0]*x1_[1]", "block"),
+    # nothing eliminated: the unit ideal, decided on W's own basis
+    ("x1_[0]; x1_[0] - 1", "grevlex"),
+])
+def test_holding_containment_builds_one_basis(monkeypatch, text, order):
+    W = IdealPresentation(C1, [parse_poly(t, C1) for t in text.split(";")])
+    verdict, log = _logged_containment(monkeypatch, W)
+    assert verdict.holds
+    assert [e for e in log if isinstance(e, str)] == [order]
+
+
+def test_failing_containment_builds_the_grevlex_basis_at_its_first_witness(
+        monkeypatch):
+    ctx = Context(n=3, m=1, mode=FieldMode("constants", 1))
+    W = IdealPresentation(ctx, [parse_poly(t, ctx) for t in (
+        "x1_[0]", "x1_[1]", "x2_[0] - 1", "x3_[0] - 2")])
+    expected = _verdict_text(W, "naive", reference_containment)
+    verdict, log = _logged_containment(monkeypatch, W)
+    assert json.dumps(verdict.to_json(), sort_keys=True) == expected
+    first = verdict.witnesses[0]
+    assert len(verdict.witnesses) == 2
+    # the first condition, D_1(x1_[0]) = x1_[1], holds and builds nothing
+    assert log == ["block", ("D", "x1_[0]", 1),
+                   ("D", first["generator"], first["k"]), "grevlex",
+                   ("D", verdict.witnesses[1]["generator"], 1)]
 
 
 def test_compile_formula_examples():

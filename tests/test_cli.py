@@ -25,6 +25,14 @@ x1_[0]
 x1_[1] - 1
 """
 
+# a failing rational-mode containment: the witness is printed from W's
+# grevlex basis
+IDEAL_RATIONAL_WITNESS = """\
+m=1 n=1 gamma=1 mode=rational
+x1_[0]^2 - t1*x1_[0]
+x1_[1] - 1/(t1 + 1)*x1_[0]
+"""
+
 KERNEL_LINEAR = """\
 m=1 n=1 length=1 mode=constants
 x1_[1] - x1_[0]
@@ -220,8 +228,18 @@ DEMO_NARRATIVE = (
     (["gamma", "--m", "2", "--r", "2"], EXIT_OK,
      '{"count":6,"elements":[[0,0],[1,0],[0,1],[2,0],[1,1],[0,2]],'
      '"m":2,"r":2}'),
-], ids=["demo-constants", "demo-rational", "axiom-shape", "gamma"])
-def test_stdout_pinned(capsys, argv, code, stdout):
+    (["check-containment", "{path}", "--shape", "naive"], EXIT_NEGATIVE,
+     '{"elimination_generators":["x1_[0]^2 - t1*x1_[0]"],"holds":false,'
+     '"note":"projection handled via its Zariski closure (elimination '
+     'ideal); the base membership condition holds automatically for '
+     'projections of points of W","witnesses":[{"generator":"x1_[0]^2 - '
+     't1*x1_[0]","k":1,"normal_form":"-(t1 + 1)/(t1^2 + 2*t1 + 1)*x1_[0]"}]}'),
+], ids=["demo-constants", "demo-rational", "axiom-shape", "gamma",
+        "rational-witness"])
+def test_stdout_pinned(capsys, tmp_path, argv, code, stdout):
+    path = tmp_path / "rational-witness.ideal"
+    path.write_text(IDEAL_RATIONAL_WITNESS)
+    argv = [a.format(path=path) for a in argv]
     assert invoke(capsys, argv) == (code, stdout + "\n")
 
 
@@ -365,6 +383,31 @@ def test_ideal_file_errors():
         load_kernel_text("m=1 n=1 gamma=1\nx1_[0]\n")  # missing length
     with pytest.raises(FileFormatError):
         load_ideal_text("m=1 n=1 gamma=0\nx1_[0] +\n")  # parse error
+    # negative header values fail before the generators are parsed
+    with pytest.raises(FileFormatError, match="gamma=-1 is negative"):
+        load_ideal_text("m=1 n=1 gamma=-1\nx1_[0] +\n")
+    with pytest.raises(FileFormatError, match="length=-2 is negative"):
+        load_kernel_text("m=1 n=1 length=-2 gamma=3\nx1_[0] +\n")
+
+
+@pytest.mark.parametrize("argv,text,message", [
+    (["prolong-variety", "{path}", "--all"], "m=1 n=1 gamma=-1\n7\n",
+     "header gamma=-1 is negative"),
+    (["check-containment", "{path}", "--shape", "naive"],
+     "m=1 n=1 gamma=-1\n7\n", "header gamma=-1 is negative"),
+    (["kernel-check", "{path}"], "m=1 n=1 length=-2 gamma=3\nx1_[0]\n",
+     "header length=-2 is negative"),
+    (["kernel-prolong", "{path}", "--to", "2"], "m=1 n=1 length=-1\n7\n",
+     "header length=-1 is negative"),
+], ids=["ideal-gamma", "containment-gamma", "kernel-length",
+        "kernel-default-gamma"])
+def test_negative_header_values_are_rejected(capsys, tmp_path, argv, text,
+                                             message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out = invoke(capsys, [a.format(path=path) for a in argv])
+    assert (code, json.loads(out)) == (
+        EXIT_USAGE, {"error": "usage", "message": message})
 
 
 def test_ideal_file_roundtrip():
