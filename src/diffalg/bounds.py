@@ -7,11 +7,7 @@ function reads the budget once and passes it down.
 """
 from __future__ import annotations
 
-import os
-
-from .errors import ContextError, ResourceBudgetError, _size_text
-
-DEFAULT_BIT_BUDGET = 1 << 20
+from .errors import ContextError, ResourceBudgetError, _size_text, env_budget
 
 # Looping more than this many times in the C^1 recursion is hopeless anyway.
 MAX_RECURSION_STEPS = 1 << 20
@@ -20,7 +16,7 @@ _ack_memo = {}
 
 
 def bit_budget():
-    return int(os.environ.get("DIFFALG_BIT_BUDGET", DEFAULT_BIT_BUDGET))
+    return env_budget("DIFFALG_BIT_BUDGET", 1 << 20)
 
 
 def _check_bits(approx_bits, budget):

@@ -12,11 +12,11 @@ text keep that order.
 An integer polynomial has denominator exactly 1, and reduction leaves such
 a fraction as it is.  So + and * of two denominator-1 operands, and
 scale_int and derive of one, skip the reduction and __init__ as well: after
-the nv check they build their result with `_integral`, which only sets the
-three slots.  Inside the reduction a constant denominator skips the
-exact-division attempt.  The num and den dicts are shared between
-Coefficients (the denominator-1 values of one nv all hold one unit dict)
-and are never mutated.
+the nv check they build their result with `_raw`, which only sets the three
+slots, as do negation, zero, one, from_int and base_var.  Inside the
+reduction a constant denominator skips the exact-division attempt.  The num
+and den dicts are shared between Coefficients (the denominator-1 values of
+one nv all hold one unit dict) and are never mutated.
 
 In constants mode (no base variables) a Coefficient is a rational number
 held as a reduced integer pair: den > 0 and gcd(num, den) == 1, so the form
@@ -205,11 +205,10 @@ class Coefficient:
 
     __slots__ = ("num", "den", "nv")
 
-    def __init__(self, num, den, nv, reduce=True):
+    def __init__(self, num, den, nv):
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if reduce:
-            num, den = self._reduce(num, den)
+        num, den = self._reduce(num, den)
         self.num = num
         self.den = den
         self.nv = nv
@@ -251,19 +250,19 @@ class Coefficient:
     def zero(cls, nv):
         if not nv:
             return _Q(0, 1)
-        return cls({}, _unit(nv), nv, reduce=False)
+        return _raw({}, _unit(nv), nv)
 
     @classmethod
     def one(cls, nv):
         if not nv:
             return _Q(1, 1)
-        return cls(_unit(nv), _unit(nv), nv, reduce=False)
+        return _raw(_unit(nv), _unit(nv), nv)
 
     @classmethod
     def from_int(cls, value, nv):
         if not nv:
             return _Q(value, 1)
-        return cls(_pconst(value, nv), _unit(nv), nv, reduce=False)
+        return _raw(_pconst(value, nv), _unit(nv), nv)
 
     @classmethod
     def from_rational(cls, p, q, nv):
@@ -277,7 +276,7 @@ class Coefficient:
         if not 1 <= k <= nv:
             raise ContextError("base variable t%d out of range 1..%d" % (k, nv))
         exps = tuple(1 if j == k - 1 else 0 for j in range(nv))
-        return cls({exps: 1}, _unit(nv), nv, reduce=False)
+        return _raw({exps: 1}, _unit(nv), nv)
 
     # -- predicates ----------------------------------------------------------
 
@@ -311,7 +310,7 @@ class Coefficient:
         self._check(other)
         one = _unit(self.nv)
         if self.den == one == other.den:
-            return _integral(_padd(self.num, other.num), one, self.nv)
+            return _raw(_padd(self.num, other.num), one, self.nv)
         num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
         return Coefficient(num, _pmul(self.den, other.den), self.nv)
 
@@ -319,13 +318,13 @@ class Coefficient:
         return self + (-other)
 
     def __neg__(self):
-        return Coefficient(_pneg(self.num), self.den, self.nv, reduce=False)
+        return _raw(_pneg(self.num), self.den, self.nv)
 
     def __mul__(self, other):
         self._check(other)
         one = _unit(self.nv)
         if self.den == one == other.den:
-            return _integral(_pmul(self.num, other.num), one, self.nv)
+            return _raw(_pmul(self.num, other.num), one, self.nv)
         return Coefficient(_pmul(self.num, other.num),
                            _pmul(self.den, other.den), self.nv)
 
@@ -353,7 +352,7 @@ class Coefficient:
         num = {exps: v * c for exps, v in self.num.items()} if c else {}
         one = _unit(self.nv)
         if self.den == one:
-            return _integral(num, one, self.nv)
+            return _raw(num, one, self.nv)
         return Coefficient(num, self.den, self.nv)
 
     def derive(self, k):
@@ -364,7 +363,7 @@ class Coefficient:
         dn = _pderiv(self.num, k)
         one = _unit(self.nv)
         if self.den == one:
-            return _integral(dn, one, self.nv)
+            return _raw(dn, one, self.nv)
         dd = _pderiv(self.den, k)
         num = _padd(_pmul(dn, self.den), _pneg(_pmul(self.num, dd)))
         return Coefficient(num, _pmul(self.den, self.den), self.nv)
@@ -399,12 +398,12 @@ class Coefficient:
         return "Coefficient(%s)" % self
 
 
-def _integral(num, one, nv):
-    """The rational-mode coefficient num/1, one being _unit(nv), built
-    without __init__: it has nothing to check or reduce."""
+def _raw(num, den, nv):
+    """The rational-mode coefficient num/den, built without __init__, for
+    a fraction that needs no check and no reduction."""
     c = object.__new__(Coefficient)
     c.num = num
-    c.den = one
+    c.den = den
     c.nv = nv
     return c
 
@@ -423,7 +422,7 @@ def from_integral(num, nv):
     form integral_num reads: num/1 in rational mode, _Q(num[()], 1) in
     constants mode.  num is kept, not copied."""
     if nv:
-        return _integral(num, _unit(nv), nv)
+        return _raw(num, _unit(nv), nv)
     return _Q(num[()], 1)
 
 

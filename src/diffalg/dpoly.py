@@ -174,24 +174,23 @@ class Packing:
     graded block) or a block order (one graded block per block) compare
     the monomials.
 
-    With `guarded`, the top bit of each slot is a guard bit (`guards` has
-    them all) and `limit` fills the bits below it; without, `limit` fills
-    the slot.  A monomial of total degree at most `limit` has a key, with
-    no guard bit set, and so has a product whose slots all stay within
-    0..limit.  For two keys ka and kb with no guard bit set, the lowest
-    slot of `ka - kb + one` outside 0..limit has its guard bit set, so that
-    value has no guard bit set exactly when kb's monomial divides ka's, and
-    it is then the key of the quotient.  Likewise `ka + kb - one` has a
-    guard bit set exactly when a slot of the product leaves 0..limit.
-    `decode(k)` turns a key back into its rank-sorted monomial.
+    The top bit of each slot is a guard bit (`guards` has them all) and
+    `limit` fills the bits below it.  A monomial of total degree at most
+    `limit` has a key, with no guard bit set, and so has a product whose
+    slots all stay within 0..limit.  For two keys ka and kb with no guard
+    bit set, the lowest slot of `ka - kb + one` outside 0..limit has its
+    guard bit set, so that value has no guard bit set exactly when kb's
+    monomial divides ka's, and it is then the key of the quotient.
+    Likewise `ka + kb - one` has a guard bit set exactly when a slot of the
+    product leaves 0..limit.  `decode(k)` turns a key back into its
+    rank-sorted monomial.  `order_packing` builds and caches them.
     """
 
     __slots__ = ("weights", "one", "guards", "limit", "decode")
 
-    def __init__(self, blocks, width, guarded=False):
-        low = (1 << width) - 1
-        limit = low >> 1 if guarded else low
-        guard = 1 << (width - 1) if guarded else 0
+    def __init__(self, blocks, width):
+        limit = (1 << (width - 1)) - 1
+        guard = limit + 1
         self.weights = {}
         slots = []
         one = guards = shift = 0
@@ -227,7 +226,7 @@ class Packing:
                     break
                 # a plain slot holds e, a graded one limit - e, which is
                 # limit ^ e: limit has every bit that e can set
-                e = (e & low) ^ base
+                e = (e & limit) ^ base
                 if e:
                     mono.append((v, e))
             return tuple(mono)
@@ -254,26 +253,33 @@ class Packing:
         return out, top
 
 
+@functools.lru_cache(maxsize=256)
+def order_packing(kind, leading, variables, width):
+    """The Packing with slots of `width` bits over the frozenset
+    `variables` whose keys compare as the monomial order of that kind
+    compares: "lex", "grevlex", or "block" eliminating `leading`."""
+    if kind == "block":
+        blocks = [(variables & leading, True), (variables - leading, True)]
+    else:
+        blocks = [(variables, kind == "grevlex")]
+    return Packing(blocks, width)
+
+
 def _packed(a, b):
     """Packed exponent keys for the product of the term dicts a and b.
 
-    One plain block (no guard bits) over every variable of a or b, with
-    slots of w bits, w being the bit length of (largest total degree in a
-    + largest in b), so no slot of a key sum ka + kb can carry into the
-    next.  Returns the (key, coefficient) pairs of a and of b, in dict
-    order, and the Packing that decodes a key sum.
+    The lex packing over every variable of a or b whose `limit` is at
+    least the sum of their largest total degrees, so no slot of a key sum
+    ka + kb leaves 0..limit, and ka + kb is the product's key (a lex
+    packing's `one` is 0).  Returns the (key, coefficient) pairs of a and
+    of b, in dict order, and the Packing that decodes a key sum.
     """
     variables, top_a = support((a,))
-    if b is a:
-        top_b = top_a
-    else:
-        more, top_b = support((b,))
-        variables |= more
-    packing = Packing([(variables, False)], (top_a + top_b).bit_length())
-    keyed_a = list(zip(packing.keys(a)[0], a.values()))
-    keyed_b = (keyed_a if b is a
-               else list(zip(packing.keys(b)[0], b.values())))
-    return keyed_a, keyed_b, packing
+    more, top_b = support((b,))
+    packing = order_packing("lex", None, frozenset(variables | more),
+                            (top_a + top_b).bit_length() + 1)
+    return (list(zip(packing.keys(a)[0], a.values())),
+            list(zip(packing.keys(b)[0], b.values())), packing)
 
 
 def _integral_view(keyed):
@@ -304,7 +310,7 @@ def _integral_product(keyed_a, keyed_b, nv):
     view_a = _integral_view(keyed_a)
     if view_a is None:
         return None
-    view_b = view_a if keyed_b is keyed_a else _integral_view(keyed_b)
+    view_b = _integral_view(keyed_b)
     if view_b is None:
         return None
     (view_a, top_a), (view_b, top_b) = view_a, view_b
@@ -316,7 +322,7 @@ def _integral_product(keyed_a, keyed_b, nv):
                      for exps, c in num.items()]) for k, num in view]
 
     packed_a = packed(view_a)
-    packed_b = packed_a if view_b is view_a else packed(view_b)
+    packed_b = packed(view_b)
     terms = {}
     for ka, ta in packed_a:
         for kb, tb in packed_b:
@@ -535,9 +541,9 @@ class DiffPolynomial:
                 terms[mono] = dc
         return DiffPolynomial(self.ctx, terms)
 
-    def substitute(self, mapping, target_ctx=None):
+    def substitute(self, mapping):
         """Simultaneous substitution; unmapped variables map to themselves."""
-        ctx = target_ctx or self.ctx
+        ctx = self.ctx
         result = DiffPolynomial.zero(ctx)
         for mono, c in self.terms.items():
             prod = DiffPolynomial.const(ctx, c)
@@ -545,9 +551,7 @@ class DiffPolynomial:
                 img = mapping.get(v)
                 if img is None:
                     img = DiffPolynomial.var(ctx, v[0], v[1])
-                elif img.ctx != ctx:
-                    raise ContextError("substitution image in wrong context")
-                prod = prod * img ** e
+                prod = prod * img ** e  # an image in another ctx raises
             result = result + prod
         return result
 

@@ -1,4 +1,7 @@
-"""Error types shared across the library and the CLI exit-code mapping."""
+"""Error types shared across the library, the CLI exit-code mapping and
+the reader of the budget environment variables."""
+
+import os
 
 
 class DiffAlgError(Exception):
@@ -38,3 +41,18 @@ def _size_text(value):
 
 class FileFormatError(ParseError):
     """Malformed ideal/kernel file."""
+
+
+def env_budget(name, default):
+    """The budget set by the environment variable `name`, or default when
+    it is unset.  A value that is not a non-negative integer is a usage
+    error, so it never reads as a verdict or a budget overrun."""
+    text = os.environ.get(name, str(default))
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ContextError("%s must be a non-negative integer, not %r"
+                           % (name, text))
+    return value

@@ -19,9 +19,8 @@ the dividend carries one denominator; rational mode divides on
 Coefficients.  `buchberger` grows one DivisorBasis as it adds
 S-polynomials, its final reduction tests and divides with that basis's
 packing, and it fills the reduced basis into the caller's DivisorBasis
-(`IdealPresentation`'s) with the leads the final reduction has, keyed
-under its packing, so no division re-derives a divisor's leading term
-or packs the basis again.
+(`IdealPresentation`'s) with the leads the final reduction has, so no
+division re-derives a divisor's leading term.
 
 `buchberger` gives each variable of its leads a bit of a support mask
 and never queues a pair whose masks are disjoint (coprime leads).  The
@@ -37,15 +36,14 @@ the old elements.
 from __future__ import annotations
 
 import bisect
-import functools
 import heapq
 import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
 from .coeff import Coefficient
-from .dpoly import (Context, DiffPolynomial, Packing, grevlex_key, mono_div,
-                    mono_lcm, support, var_rank)
+from .dpoly import (Context, DiffPolynomial, grevlex_key, mono_div, mono_lcm,
+                    order_packing, support, var_rank)
 from .errors import ContextError
 
 
@@ -102,10 +100,10 @@ class MonomialOrder:
         return hash((self.kind, self.leading))
 
     def packing(self, variables, top):
-        """A guarded Packing whose keys compare as this order does, over
-        the variables, for monomials of total degree up to top."""
-        return _order_packing(self.kind, self.leading, frozenset(variables),
-                              max(top.bit_length() + 1, MIN_WIDTH))
+        """A Packing whose keys compare as this order does, over the
+        variables, for monomials of total degree up to top."""
+        return order_packing(self.kind, self.leading, frozenset(variables),
+                             max(top.bit_length() + 1, MIN_WIDTH))
 
     def _block_key(self, mono):
         lead = self.leading
@@ -115,21 +113,9 @@ class MonomialOrder:
 
 
 # The narrowest slot, in bits: small bases then share packings (see
-# _order_packing), and small exponent growth in a division needs no
+# dpoly.order_packing), and small exponent growth in a division needs no
 # wider one.
 MIN_WIDTH = 6
-
-
-@functools.lru_cache(maxsize=256)
-def _order_packing(kind, leading, variables, width):
-    """MonomialOrder.packing, for the order's kind and eliminated block, a
-    frozenset of variables and a width."""
-    if kind == "block":
-        blocks = [(variables & leading, True), (variables - leading, True)]
-    else:
-        blocks = [(variables, kind == "grevlex")]
-    return Packing(blocks, width, guarded=True)
-
 
 # --- division and Buchberger ------------------------------------------------
 
@@ -145,18 +131,18 @@ class DivisorBasis:
 
     - `polys[i]` with `lms[i]`, its leading monomial (lc, its leading
       coefficient, is `polys[i].terms[lms[i]]`);
-    - once the basis divides, `packing`, a guarded Packing for the order
-      over the variables of the divisors and of the dividend it was built
-      for, wide enough for all of their monomials, with `keys[i]`, the key
+    - once the basis divides, `packing`, a Packing for the order over the
+      variables of the divisors and of the dividend it was built for,
+      wide enough for all of their monomials, with `keys[i]`, the key
       of lm minus `packing.one`, and `tails[i]`, packed when the divisor is
       first used (None until then): (a, [(key of the tail monomial minus
       `packing.one`, b), ...]).  In rational mode a is lc and each b the
       tail term's Coefficient; in constants mode a*x^lm + sum(b*x^m) is the
       divisor's primitive integer multiple, a > 0 and every b an int.
 
-    A basis that never divides builds no packing.  One added while the
-    packing is set gets its lm keyed, or drops the packing when lm does
-    not fit it.
+    normal_form builds the packing (`pack`) when the basis first divides
+    and again when a division leaves it; a divisor inserted while the
+    packing is set gets its lm keyed, or drops the packing if lm misfits.
     """
 
     def __init__(self, order, polys=(), lms=()):
@@ -198,17 +184,6 @@ class DivisorBasis:
             else:
                 self.keys.insert(k, key)
                 self.tails.insert(k, None)
-
-    def take(self, k, other, i):
-        """Put divisor i of the DivisorBasis other at position k, with its
-        packed entries when the two share a packing."""
-        if self.packing is None or self.packing is not other.packing:
-            self.insert(k, other.polys[i], other.lms[i])
-            return
-        self.polys.insert(k, other.polys[i])
-        self.lms.insert(k, other.lms[i])
-        self.keys.insert(k, other.keys[i])
-        self.tails.insert(k, other.tails[i])
 
     def pack(self, top=0, terms=()):
         """Build the packing over the variables of the divisors and of the
@@ -295,12 +270,13 @@ def normal_form(f, basis):
     (c/g)*x^q*tail, and then divides p and D by their common content.
     Each remainder term is built once, as the reduced pair of c/D.
 
-    A term of f, or a divisor tail (of a divisor added after the packing
-    was built), with a variable the packing lacks rebuilds it over the
-    divisors' variables and f's at the same width, and the division
-    starts over.  A product key with a guard bit set, or a
-    divisor tail or a term of f of too high a degree, means a slot is too
-    narrow: the packing is built again, wider, and the division starts
+    The first division builds the packing over the divisors' variables
+    and f's.  A term of a later f, or a divisor tail (of a divisor added
+    after the packing was built), with a variable the packing lacks
+    rebuilds it over the divisors' variables and f's at the same width,
+    and the division starts over.  A product key with a guard bit set, or
+    a divisor tail or a term of f of too high a degree, means a slot is
+    too narrow: the packing is built again, wider, and the division starts
     over, which repeats the same coefficient operations.
     The remainder's terms are in descending order.
     """
@@ -309,7 +285,7 @@ def normal_form(f, basis):
     if not f.terms:
         return DiffPolynomial(f.ctx, {})
     if basis.packing is None:
-        basis.pack()
+        basis.pack(0, f.terms)
     while True:
         try:
             return _divide(f, basis)
@@ -470,9 +446,8 @@ def buchberger(gens, order, prefix=(), out=None):
     result is the same basis as with no prefix.
 
     `out`, when given an empty DivisorBasis under `order`, receives the
-    result, with the leads the final reduction has in hand and keyed
-    under the packing it divided with, so dividing by it derives no
-    leading term and builds no packing again (unless a lead does not fit).
+    result, with the leads the final reduction has in hand, so dividing
+    by it derives no leading term.
     Each S-polynomial remainder is added to the growing basis with its
     first term as lm: normal_form returns its terms in descending order.
     """
@@ -550,8 +525,8 @@ def _reduce_basis(G, prefix=0, out=None):
     divides, so later elements reduce no tail, and G order keeps
     normal_form's choice of divisor.  A constant sorts first and leaves the
     basis [1].  Every divisibility test is the guarded subtraction of
-    normal_form on G's packed keys, and the kept elements are divided by
-    with G's packing and the tails it has packed.
+    normal_form on G's packed keys, and the kept elements, inserted under
+    G's packing, are divided by with it.
 
     The first `prefix` elements of G are a reduced basis as `buchberger`
     returns it, so only kept leads from later elements can divide their lms
@@ -562,7 +537,7 @@ def _reduce_basis(G, prefix=0, out=None):
     from scratch.
 
     `out`, when given an empty DivisorBasis, receives the result with its
-    lms, under G's packing; the result is out.polys.
+    lms; the result is out.polys.
     """
     order, lms = G.order, G.lms
     divisors = DivisorBasis(order)  # the kept elements, in G order
@@ -571,8 +546,6 @@ def _reduce_basis(G, prefix=0, out=None):
         guards, one = packing.guards, packing.one
     if out is None:
         out = DivisorBasis(order)
-    else:
-        out.packing = G.packing
     keys = G.keys  # sort as the lms do
 
     def divided(k, among):
@@ -601,7 +574,7 @@ def _reduce_basis(G, prefix=0, out=None):
         out.append(r, lm)
         k = bisect.bisect(kept, i)
         kept.insert(k, i)
-        divisors.take(k, G, i)
+        divisors.insert(k, g, lm)
     return out.polys
 
 

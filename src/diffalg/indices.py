@@ -8,18 +8,10 @@ Every coordinate layout in the library is derived from this one ordering.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
-from .errors import ContextError, ResourceBudgetError, _size_text
+from .errors import ContextError, ResourceBudgetError, _size_text, env_budget
 from . import bounds
-
-DEFAULT_COORD_BUDGET = 1_000_000
-
-
-def coord_budget():
-    """Maximum number of ambient coordinates we agree to materialize."""
-    return int(os.environ.get("DIFFALG_COORD_BUDGET", DEFAULT_COORD_BUDGET))
 
 
 def deg(xi):
@@ -99,7 +91,7 @@ def axiom_sizes(n, m):
 def check_coordinates(what, count):
     """Refuse an ambient of `count` coordinates, named `what`, over the
     coordinate budget."""
-    if count > coord_budget():
+    if count > env_budget("DIFFALG_COORD_BUDGET", 1_000_000):
         raise ResourceBudgetError(
             "%s = %s exceeds the coordinate budget"
             % (what, _size_text(count)))

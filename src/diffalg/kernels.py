@@ -260,7 +260,7 @@ def kernel_prolong_once(Kp):
             continue
         rows.remove(pivot)
         d = pivot.coeffs[u]
-        if not d.is_constant():
+        if not d.is_constant() and d not in localized.inverted:
             localized = KernelPresentation(ctx=ctx, r=r, ideal=Kp.ideal,
                                            inverted=localized.inverted + [d])
         for row in rows:
@@ -292,13 +292,11 @@ def kernel_prolong_once(Kp):
     # gb is a reduced lex basis: as buchberger's prefix it is neither
     # re-paired nor re-reduced, only completed with the pivot relations
     new_gens = list(gb) + [pivot.relation() for pivot in solved]
-    inverted = localized.inverted
-    new_inverted = [h for i, h in enumerate(inverted) if h not in inverted[:i]]
     next_kernel = KernelPresentation(
         ctx=ctx, r=r + 1,
         ideal=IdealPresentation(ctx, new_gens, MonomialOrder.lex(),
                                 _prefix=Kp.ideal.lms),
-        inverted=new_inverted)
+        inverted=localized.inverted)
     next_kernel.validated = True
     return ProlongResult(status="prolonged", next=next_kernel)
 

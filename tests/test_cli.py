@@ -372,6 +372,23 @@ def test_resource_budget_exit_code(capsys, monkeypatch):
     assert json.loads(out)["error"] == "resource"
 
 
+@pytest.mark.parametrize("value", ["abc", "1e3", "-5", ""])
+@pytest.mark.parametrize("name,argv", [
+    ("DIFFALG_BIT_BUDGET", ["bounds", "1", "2", "3"]),
+    ("DIFFALG_COORD_BUDGET", ["gamma", "--m", "2", "--r", "3"]),
+], ids=["bits", "coords"])
+def test_malformed_budget_is_a_usage_error(capsys, monkeypatch, name, argv,
+                                           value):
+    # not a verdict (exit 1) or an overrun (exit 3): one JSON line, exit 2
+    monkeypatch.setenv(name, value)
+    code, out = invoke(capsys, argv)
+    assert (code, json.loads(out)) == (EXIT_USAGE, {
+        "error": "usage",
+        "message": "%s must be a non-negative integer, not %r"
+                   % (name, value)})
+    assert out.count("\n") == 1
+
+
 def test_ideal_file_errors():
     with pytest.raises(FileFormatError):
         load_ideal_text("")

@@ -338,9 +338,10 @@ def _check_normal_form(got, f, basis, order):
 
 
 def test_ideal_normal_form_prepares_each_leading_term_once(monkeypatch):
-    # buchberger hands over the leads its final reduction has, keyed under
-    # the packing it divided with, so dividing by the reduced basis derives
-    # no leading term and builds no packing again
+    # buchberger hands over the leads its final reduction has, so dividing
+    # by the reduced basis derives no leading term; the first division
+    # packs the basis, and later dividends over the same variables reuse
+    # that packing
     I = IdealPresentation(C3, [p("x2_[0] - x3_[0]^2"), p("x1_[0] - x3_[0]^3"),
                                p("x1_[0]*x2_[0] - 1")], LEX)
     gb = I.reduced_gb
@@ -358,11 +359,14 @@ def test_ideal_normal_form_prepares_each_leading_term_once(monkeypatch):
     monkeypatch.setattr(groebner, "leading_term", counting)
     monkeypatch.setattr(DivisorBasis, "pack", packing)
     rng = random.Random(3)
+    assert I.divisors.packing is None
     for _ in range(10):
         I.normal_form(_random_poly(rng, C3))
-    assert len(gb) > 1 and calls == [] and packs == []
+        assert len(packs) == 1
+    assert len(gb) > 1 and calls == []
     monkeypatch.undo()
     # the same leads, lead keys and packed tails as derived from scratch
+    # and packed at the same width
     prepared, want = I.divisors, DivisorBasis(LEX, gb)
     assert prepared.polys == gb and prepared.lms == want.lms
     want.pack(prepared.packing.limit)
@@ -783,14 +787,15 @@ def test_long_constants_division_matches_reference(kind):
 @pytest.mark.parametrize("kind", sorted(ORDERS))
 def test_presentation_reused_over_new_variables(monkeypatch, mode, kind):
     # the first dividend brings variables that no divisor has: the packing
-    # is rebuilt once, at the same width, over those too, and the later
-    # dividends over the same variables divide under it
+    # is built once, over those too, at the width of the divisors alone,
+    # and the later dividends over the same variables divide under it
     ctx, order = _ctx(mode), ORDERS[kind]
     I = IdealPresentation(ctx, [p("x1_[0]^2 - x2_[0]", ctx),
                                 p("x3_[0]^2 + x1_[0]*x2_[0]", ctx)], order)
     divisors = I.divisors
-    limit, new = divisors.packing.limit, [W] + OUTSIDE
-    assert not set(new) & set(divisors.packing.weights)
+    new = [W] + OUTSIDE
+    assert divisors.packing is None
+    assert not set(new) & set().union(*(g.variables() for g in divisors.polys))
     packs = []
     pack = DivisorBasis.pack
 
@@ -809,8 +814,16 @@ def test_presentation_reused_over_new_variables(monkeypatch, mode, kind):
         got = I.normal_form(f)
         _check_against_reference(got, f, divisors)
         assert len(packs) == 1
-    assert divisors.packing.limit == limit
+    monkeypatch.undo()
     assert set(new) <= set(divisors.packing.weights)
+    # the lead keys and packed tails of the reduced basis packed from
+    # scratch over the same variables, at the width it needs alone
+    want = DivisorBasis(order, divisors.polys)
+    assert divisors.packing.limit == want.pack().limit
+    want.pack(0, [((v, 1),) for v in new])
+    assert want.lms == divisors.lms and want.keys == divisors.keys
+    assert [want.tail(i) for i in range(len(want))] == \
+        [divisors.tail(i) for i in range(len(divisors))]
 
 
 @pytest.mark.parametrize("mode", ["constants", "rational"])

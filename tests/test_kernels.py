@@ -359,7 +359,14 @@ def test_prolongation_derives_no_lead_of_a_prefix(monkeypatch):
     assert nxt.inverted and derived
     assert not set(derived) & {print_poly(g) for g in K.ideal.reduced_gb}
     derived.clear()
-    sat = nxt._saturation_basis().divisors
+    sat = nxt._saturation_basis()
+    divisors = sat.divisors
     assert derived and not set(derived) & {print_poly(g) for g in gb}
-    # the saturation basis comes keyed under its buchberger's packing
-    assert sat.packing is not None and len(sat.keys) == len(sat) > 1
+    # dividing by the saturation basis derives no lead, and its first
+    # division keys every lead
+    derived.clear()
+    assert divisors.packing is None
+    sat.normal_form(gb[0].with_context(sat.ctx))
+    assert not derived
+    assert divisors.packing is not None
+    assert len(divisors.keys) == len(divisors) > 1
