@@ -7,13 +7,13 @@ polynomial is a sparse map from monomials to Coefficients.  The mono_*
 helpers below do the library's monomial arithmetic on these tuples;
 mono_mul and mono_lcm merge the two rank-sorted tuples, with no dict and no
 re-sort.  The one other form is the packed key of a `Packing`: one integer
-per monomial, with a bit slot per variable.  DiffPolynomial.__mul__ adds
-such keys instead of merging tuples (`_packed`), and groebner's division
-compares, multiplies and tests divisibility on them; each turns keys back
-into tuples once per term of its result.  When no coefficient of either
-factor has a denominator, __mul__ multiplies the coefficients on ints too
-(`_integral_product`), with the same bytes (see __mul__).  grevlex_key is
-the default order, the one used for printing.
+per monomial, with a bit slot per variable.  When no coefficient of
+either factor has a denominator, DiffPolynomial.__mul__ adds such keys
+instead of merging tuples and multiplies the coefficients on ints
+(`_integral_product`), with the same bytes (see __mul__), and groebner's
+division compares, multiplies and tests divisibility on them; each turns
+keys back into tuples once per term of its result.  grevlex_key is the
+default order, the one used for printing.
 
 Text grammar (also used for printing):
 
@@ -265,29 +265,12 @@ def order_packing(kind, leading, variables, width):
     return Packing(blocks, width)
 
 
-def _packed(a, b):
-    """Packed exponent keys for the product of the term dicts a and b.
-
-    The lex packing over every variable of a or b whose `limit` is at
-    least the sum of their largest total degrees, so no slot of a key sum
-    ka + kb leaves 0..limit, and ka + kb is the product's key (a lex
-    packing's `one` is 0).  Returns the (key, coefficient) pairs of a and
-    of b, in dict order, and the Packing that decodes a key sum.
-    """
-    variables, top_a = support((a,))
-    more, top_b = support((b,))
-    packing = order_packing("lex", None, frozenset(variables | more),
-                            (top_a + top_b).bit_length() + 1)
-    return (list(zip(packing.keys(a)[0], a.values())),
-            list(zip(packing.keys(b)[0], b.values())), packing)
-
-
-def _integral_view(keyed):
-    """([(key, integral_num)], largest t-degree) of the (key, Coefficient)
-    pairs keyed, or None when a coefficient has a denominator."""
+def _integral_view(coefficients):
+    """([integral_num, ...], largest t-degree) of the Coefficients, or None
+    when one has a denominator."""
     out = []
     top = 0
-    for k, c in keyed:
+    for c in coefficients:
         num = integral_num(c)
         if num is None:
             return None
@@ -295,34 +278,44 @@ def _integral_view(keyed):
             d = sum(exps)
             if d > top:
                 top = d
-        out.append((k, num))
+        out.append(num)
     return out, top
 
 
-def _integral_product(keyed_a, keyed_b, nv):
-    """__mul__'s loop on ints: {key sum: Coefficient} for the keyed terms
-    of `_packed`, or None when a coefficient has a denominator.  Each
-    coefficient's t-exponents are packed into one int, w bits per base
-    variable, w the bit length of (largest t-degree in a + in b), so no
-    sum ta + tb carries.  Sums gather in {x-key: {t-key: int}}; an x-key
-    whose dict empties is removed, as the Coefficient loop removes a zero
-    term.  Keys are decoded and coefficients built once, at the end."""
-    view_a = _integral_view(keyed_a)
+def _integral_product(a, b, nv):
+    """__mul__'s product of the term dicts a and b on ints, {monomial:
+    Coefficient}, or None when a coefficient has a denominator.
+
+    Monomials are keyed by the lex packing over every variable of a or b
+    whose `limit` is at least the sum of their largest total degrees, so
+    no slot of a key sum ka + kb leaves 0..limit, and ka + kb is the
+    product's key (a lex packing's `one` is 0).  Each coefficient's
+    t-exponents are packed into one int, w bits per base variable, w the
+    bit length of (largest t-degree in a + in b), so no sum ta + tb
+    carries.  Sums gather in {x-key: {t-key: int}}; an x-key whose dict
+    empties is removed, as a zero sum removes a term.  Keys are decoded and
+    coefficients built once, at the end."""
+    view_a = _integral_view(a.values())
     if view_a is None:
         return None
-    view_b = _integral_view(keyed_b)
+    view_b = _integral_view(b.values())
     if view_b is None:
         return None
     (view_a, top_a), (view_b, top_b) = view_a, view_b
+    variables, deg_a = support((a,))
+    more, deg_b = support((b,))
+    packing = order_packing("lex", None, frozenset(variables | more),
+                            (deg_a + deg_b).bit_length() + 1)
     w = (top_a + top_b).bit_length()
     shifts = [w * j for j in range(nv)]
 
-    def packed(view):
+    def packed(terms, view):
         return [(k, [(sum(e << s for e, s in zip(exps, shifts)), c)
-                     for exps, c in num.items()]) for k, num in view]
+                     for exps, c in num.items()])
+                for k, num in zip(packing.keys(terms)[0], view)]
 
-    packed_a = packed(view_a)
-    packed_b = packed(view_b)
+    packed_a = packed(a, view_a)
+    packed_b = packed(b, view_b)
     terms = {}
     for ka, ta in packed_a:
         for kb, tb in packed_b:
@@ -341,8 +334,9 @@ def _integral_product(keyed_a, keyed_b, nv):
             if not t:
                 del terms[k]
     mask = (1 << w) - 1
-    return {k: from_integral({tuple(e >> s & mask for s in shifts): c
-                              for e, c in t.items()}, nv)
+    decode = packing.decode
+    return {decode(k): from_integral({tuple(e >> s & mask for s in shifts): c
+                                      for e, c in t.items()}, nv)
             for k, t in terms.items()}
 
 
@@ -464,12 +458,12 @@ class DiffPolynomial:
         inserts it again at the end.  A product of two nonzero field
         elements is never zero, so a new monomial is always inserted.
 
-        Terms are keyed by packed exponents (`_packed`): the key ka + kb
-        stands for exactly mono_mul(ma, mb), so every lookup, removal and
-        insertion, the dict order and each Coefficient operation are those
-        of a dict keyed by tuple monomials.  The tuples are built once per
-        product term, at the end.  With a single-term operand no two
-        products meet, and the product is a shift of the other's terms.
+        With a single-term operand no two products meet, and the product
+        is a shift of the other's terms.  Otherwise, with a denominator in
+        either operand, it is the sum, left to right, of each term of self
+        times other: `__add__` adds the new term on the right, removes a
+        zero sum and inserts a new monomial at the end, so every
+        Coefficient operation and the dict order are the ones above.
 
         With no denominator in either operand the loop runs on ints
         (`_integral_product`), with the same bytes: a denominator-1
@@ -484,28 +478,16 @@ class DiffPolynomial:
         if isinstance(other, Coefficient):
             return self.scale(other)
         self._check(other)
-        a, b = self.terms, other.terms
+        ctx, a, b = self.ctx, self.terms, other.terms
         if len(a) == 1 or len(b) == 1:
-            return DiffPolynomial(self.ctx, {
+            return DiffPolynomial(ctx, {
                 mono_mul(ma, mb): ca * cb
                 for ma, ca in a.items() for mb, cb in b.items()})
-        keyed_a, keyed_b, packing = _packed(a, b)
-        terms = _integral_product(keyed_a, keyed_b, self.ctx.nv)
+        terms = _integral_product(a, b, ctx.nv)
         if terms is None:
-            terms = {}
-            for ka, ca in keyed_a:
-                for kb, cb in keyed_b:
-                    k = ka + kb
-                    c = ca * cb
-                    if k in terms:
-                        c = terms[k] + c
-                        if c.is_zero():
-                            del terms[k]
-                            continue
-                    terms[k] = c
-        decode = packing.decode
-        return DiffPolynomial(self.ctx, {decode(k): c
-                                         for k, c in terms.items()})
+            return sum((DiffPolynomial(ctx, {ma: ca}) * other
+                        for ma, ca in a.items()), DiffPolynomial.zero(ctx))
+        return DiffPolynomial(ctx, terms)
 
     __rmul__ = __mul__
 

@@ -6,7 +6,8 @@ An ideal file starts with a header line of key=value pairs:
 
 followed by one polynomial per line in the dpoly grammar.  Blank lines and
 lines starting with '#' are ignored.  A kernel file additionally carries
-length=<r> in the header (gamma defaults to the length).
+length=<r> in the header (gamma defaults to the length).  A header key
+outside these five, or given twice, is an error.
 """
 from __future__ import annotations
 
@@ -24,6 +25,10 @@ def _parse_header(line):
         if "=" not in chunk:
             raise FileFormatError("bad header field %r" % chunk)
         key, _, value = chunk.partition("=")
+        if key not in ("m", "n", "gamma", "length", "mode"):
+            raise FileFormatError("unknown header key %r" % key)
+        if key in fields:
+            raise FileFormatError("header key %r given twice" % key)
         fields[key] = value
     return fields
 

@@ -24,14 +24,14 @@ division re-derives a divisor's leading term.
 
 `buchberger` gives each variable of its leads a bit of a support mask
 and never queues a pair whose masks are disjoint (coprime leads).  The
-chain criterion counts such a pair done when it sorts below the pair
-being processed, exactly when a loop that queued it would already have
-popped it.  Bases, reduction order and every coefficient operation are
-those of the loop that queues every pair and tests every divisor on
-tuple monomials.  `buchberger` also takes a reduced prefix of its input,
-with its leads, as iterated kernel prolongation produces it: a reduced
-basis plus new relations is completed without re-pairing or re-reducing
-the old elements.
+chain criterion counts a pair done when it sorts below the pair being
+processed, queued or not, exactly when a loop that queued it would
+already have popped it.  Bases, reduction order and every coefficient
+operation are those of the loop that queues every pair and tests every
+divisor on tuple monomials.  `buchberger` also takes a reduced prefix of
+its input, with its leads, as iterated kernel prolongation produces it: a
+reduced basis plus new relations is completed without re-pairing or
+re-reducing the old elements.
 """
 from __future__ import annotations
 
@@ -172,13 +172,10 @@ class DivisorBasis:
         """Put g, with leading monomial lm, at position k."""
         self.polys.insert(k, g)
         self.lms.insert(k, lm)
-        packing = self.packing
-        if packing is not None:
+        if self.packing is not None:
             try:
-                (key,), top = packing.keys((lm,), 0)
-            except KeyError:
-                top = None
-            if top is None or top > packing.limit:
+                (key,) = _fit(self.packing, (lm,), 0)
+            except _Widen:
                 self.packing = None
                 self.keys, self.tails = [], []
             else:
@@ -201,16 +198,10 @@ class DivisorBasis:
         raises _Widen when the tail does not fit the packing."""
         packed = self.tails[i]
         if packed is None:
-            packing, g, lm = self.packing, self.polys[i], self.lms[i]
+            g, lm = self.polys[i], self.lms[i]
             lc = g.terms[lm]
             tail = [t for t in g.terms.items() if t[0] != lm]
-            try:
-                keys, top = packing.keys([m for m, _ in tail], 0)
-            except KeyError:
-                # a variable new to the packing: build it again, as wide
-                raise _Widen(packing.limit) from None
-            if top > packing.limit:
-                raise _Widen(top)
+            keys = _fit(self.packing, [m for m, _ in tail], 0)
             coefficients = [c for _, c in tail]
             if g.ctx.mode.kind == "constants":
                 lc, coefficients = _primitive(lc, coefficients)
@@ -241,6 +232,19 @@ class _Widen(Exception):
     def __init__(self, top):
         super().__init__(top)
         self.top = top
+
+
+def _fit(packing, monos, start=None):
+    """packing.keys(monos, start)'s keys; raises _Widen when a monomial has
+    a variable the packing lacks (build it again, as wide) or a total
+    degree over its limit."""
+    try:
+        keys, top = packing.keys(monos, start)
+    except KeyError:
+        raise _Widen(packing.limit) from None
+    if top > packing.limit:
+        raise _Widen(top)
+    return keys
 
 
 def normal_form(f, basis):
@@ -298,14 +302,7 @@ def normal_form(f, basis):
 def _divide(f, basis):
     """normal_form's division under basis.packing, which raises _Widen
     when the packing lacks a variable or a slot is too narrow for it."""
-    packing = basis.packing
-    try:
-        keys, top = packing.keys(f.terms)
-    except KeyError:
-        # a variable new to the packing: build it again, as wide
-        raise _Widen(packing.limit) from None
-    if top > packing.limit:
-        raise _Widen(top)
+    keys = _fit(basis.packing, f.terms)
     divide = (_divide_coefficients if f.ctx.mode.kind == "rational"
               else _divide_ints)
     return DiffPolynomial(f.ctx, divide(dict(zip(keys, f.terms.values())),
@@ -425,16 +422,13 @@ def buchberger(gens, order, prefix=(), out=None):
     unique reduced basis, ascending by lm.
 
     A pair whose leads are coprime (disjoint support masks) is never
-    queued, and the chain criterion decides such a pair P by comparing it
-    with the pair C being processed: P counts as done exactly when its
-    (lcm sort key, i, j) sorts below C's.  That is when the loop that
-    queues every pair would already have popped it.  The criterion asks
-    about P = {x, k} only with C = {x, y} and lm_k dividing lcm(C), so
-    lcm(P) divides lcm(C).  If P was queued no earlier than C, the two sat
-    in the heap together and P went first exactly when it sorts below.
-    Otherwise y is younger than x and k, P sorts below C (on equal lcms,
-    by the indices), and P was popped before C.
-    So the same pairs are reduced in the same order.
+    queued.  The chain criterion skips C = (i, j) when lm_k divides lcm(C)
+    and both {i, k} and {j, k} sort below C, as they then were popped
+    before it, or would have been had they been queued: such a pair P =
+    (a, b), a < b, has lcm(P) dividing lcm(C), so it sorts below C exactly
+    when lcm(P) != lcm(C) or (a, b) < (i, j); P and C sat in the heap
+    together unless C was queued after P was popped, and then j is
+    younger than a and b, so (a, b) < (i, j).
 
     `prefix` holds the leading monomials of the first len(prefix) gens,
     which may be a reduced basis under `order`, nonzero, monic and
@@ -458,8 +452,6 @@ def buchberger(gens, order, prefix=(), out=None):
     bits = {}  # a bit per variable of a lead
     masks = [_support_mask(lm, bits) for lm in lms]
     pairs = []  # heap of (lcm sort key, i, j), lms not coprime
-    done = set()
-    current = None  # the pair being processed
 
     def push_pairs(j):
         for i in range(j):
@@ -467,34 +459,23 @@ def buchberger(gens, order, prefix=(), out=None):
                 lcm = mono_lcm(lms[i], lms[j])
                 heapq.heappush(pairs, (order.sort_key(lcm), i, j))
 
-    def is_done(a, b):
+    def popped(a, b):
+        # has {a, b}, whose lcm divides lcm(i, j), been popped before (i, j)?
+        # (equal masks are a cheap necessary condition for equal lcms)
         if a > b:
             a, b = b, a
-        if b < start:
-            return True
-        if masks[a] & masks[b]:
-            return (a, b) in done
-        lcm = mono_lcm(lms[a], lms[b])
-        return (order.sort_key(lcm), a, b) < current
+        return (b < start or (a, b) < (i, j) or masks[a] | masks[b] != mask
+                or mono_lcm(lms[a], lms[b]) != lcm)
 
     for j in range(start, len(G)):
         push_pairs(j)
     while pairs:
-        current = heapq.heappop(pairs)
-        _, i, j = current
-        done.add((i, j))
+        _, i, j = heapq.heappop(pairs)
         lcm = mono_lcm(lms[i], lms[j])
-        outside = ~(masks[i] | masks[j])
-        chain = False
-        for k in range(len(G)):
-            if k in (i, j) or masks[k] & outside:
-                continue
-            if mono_div(lcm, lms[k]) is None:
-                continue
-            if is_done(i, k) and is_done(j, k):
-                chain = True
-                break
-        if chain:
+        mask = masks[i] | masks[j]
+        if any(k != i and k != j and not masks[k] & ~mask
+               and mono_div(lcm, lms[k]) is not None
+               and popped(i, k) and popped(j, k) for k in range(len(G))):
             continue
         s = normal_form(_s_poly(polys[i], polys[j], lms[i], lms[j]), G)
         if s.is_zero():

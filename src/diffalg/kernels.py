@@ -284,7 +284,7 @@ def kernel_prolong_once(Kp):
         if not localized.is_zero_mod(row.const):
             witness = ObstructionWitness(
                 relation=row.relation(),
-                normal_form=Kp.ideal.normal_form(row.const),
+                normal_form=row.const,  # reduced by _split_linear or a pivot
                 provenance=sorted(row.provenance),
             )
             return ProlongResult(status="obstructed", witness=witness)

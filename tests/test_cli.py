@@ -427,6 +427,29 @@ def test_negative_header_values_are_rejected(capsys, tmp_path, argv, text,
         EXIT_USAGE, {"error": "usage", "message": message})
 
 
+@pytest.mark.parametrize("argv,text,message", [
+    (["prolong-variety", "{path}", "--all"],
+     "m=1 n=1 gamma=1 mod=rational\nx1_[0]\n", "unknown header key 'mod'"),
+    (["check-containment", "{path}", "--shape", "naive"],
+     "m=1 n=1 gamma=1 gamma=2\nx1_[0]\n", "header key 'gamma' given twice"),
+    (["kernel-check", "{path}"], "m=1 n=1 length=1 r=1\nx1_[0]\n",
+     "unknown header key 'r'"),
+    (["kernel-prolong", "{path}", "--to", "2"],
+     "m=1 n=1 length=1 mode=constants mode=rational\nx1_[0]\n",
+     "header key 'mode' given twice"),
+], ids=["ideal-unknown", "containment-repeated", "kernel-unknown",
+        "kernel-repeated"])
+def test_unknown_or_repeated_header_keys_are_rejected(capsys, tmp_path, argv,
+                                                      text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code = run([a.format(path=path) for a in argv])
+    out, err = capsys.readouterr()
+    assert (code, json.loads(out), err) == (
+        EXIT_USAGE, {"error": "usage", "message": message}, "")
+    assert out.count("\n") == 1
+
+
 def test_ideal_file_roundtrip():
     ideal, fields = load_ideal_text(IDEAL_PARABOLA)
     assert fields["mode"] == "constants"

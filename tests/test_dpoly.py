@@ -364,6 +364,23 @@ def test_mul_reinserts_a_cancelled_monomial_at_the_end():
     assert print_poly(a * b) == "x2_[0]^4 + x1_[0]^2*x2_[0]^2 + x1_[0]^4"
 
 
+def test_fractional_mul_reinserts_a_cancelled_monomial_at_the_end():
+    # test_mul_reinserts_a_cancelled_monomial_at_the_end with c = 1/(t1 + 1)
+    # in the coefficients: x^2*y^2 gets c^2, then -c^2, which removes it,
+    # then c^2 again, which inserts it last; x^3*y and x*y^3 cancel too
+    a = parse_poly("x1_[0]^2 + x1_[0]*x2_[0]/(t1 + 1)"
+                   " + x2_[0]^2/(t1 + 1)^2", RAT1)
+    b = parse_poly("x2_[0]^2/(t1 + 1)^2 - x1_[0]*x2_[0]/(t1 + 1)"
+                   " + x1_[0]^2", RAT1)
+    want = reference_mul(a, b)
+    x2y2 = (((1, (0,)), 2), ((2, (0,)), 2))
+    assert list(want.terms)[-1] == x2y2
+    _assert_same_product(a * b, want)
+    assert print_poly(a * b) == (
+        "1/(t1^4 + 4*t1^3 + 6*t1^2 + 4*t1 + 1)*x2_[0]^4"
+        " + 1/(t1^2 + 2*t1 + 1)*x1_[0]^2*x2_[0]^2 + x1_[0]^4")
+
+
 def test_mul_packs_huge_exponents():
     x, y = (1, (0,)), (2, (0,))
     big = 2**70

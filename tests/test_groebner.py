@@ -626,6 +626,33 @@ def test_buchberger_coprime_pair_popped_before_a_smaller_pair_is_queued():
     assert (True, True, True) in queries
 
 
+@pytest.mark.parametrize("mode", ["constants", "rational"])
+@pytest.mark.parametrize("kind", sorted(ORDERS))
+def test_buchberger_chain_criterion_breaks_equal_lcm_ties_by_index(mode,
+                                                                   kind):
+    # The three pairs of the generators share the lcm x1_[0]*x2_[0]*x3_[0],
+    # so the chain criterion asks about queued pairs of that lcm from both
+    # index directions, and only the indices tell them apart: {1, 2} pops
+    # last of the three, after {0, 1} and {0, 2}, and is skipped.
+    ctx, order = _ctx(mode), ORDERS[kind]
+    texts = ["x1_[0]*x2_[0] - 1", "x1_[0]*x3_[0] - 2", "x2_[0]*x3_[0] - 3"]
+    real = groebner._s_poly
+    for perm in itertools.permutations(texts):
+        gens = [p(text, ctx) for text in perm]
+        _check_pair_sequence(gens, order)
+        paired = []
+
+        def recording(f, g, *lms):
+            paired.append({id(f), id(g)})
+            return real(f, g, *lms)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groebner, "_s_poly", recording)
+            buchberger(gens, order)
+        assert {id(gens[0]), id(gens[1])} in paired
+        assert {id(gens[1]), id(gens[2])} not in paired
+
+
 @pytest.mark.parametrize("kind", sorted(ORDERS))
 def test_buchberger_queues_no_coprime_pair(monkeypatch, kind):
     # the heap gets exactly the pairs whose leads share a variable
