@@ -76,7 +76,8 @@ def _c1_recursive(r, m, budget):
     """C_{r,m}^1 by literally iterating C_{r,m}^1 = A(m-1, C_{r-1,m}^1)."""
     if r > MAX_RECURSION_STEPS:
         raise ResourceBudgetError(
-            "C^1 recursion over %d steps exceeds the iteration budget" % r)
+            "C^1 recursion over %s steps exceeds the iteration budget"
+            % _size_text(r))
     value = 0
     for _ in range(r):
         value = _ack(m - 1, value, budget)
@@ -125,7 +126,7 @@ def closed_form(r, m, n):
     if m == 1:
         return r
     if m == 2:
-        return _pow2(n, budget) * r
+        return _pow2(n, budget) * r if r else 0
     if m == 3 and n == 1:
         return 3 * (_pow2(r, budget) - 1)
     return None

@@ -25,6 +25,13 @@ return whenever nv == 0.  Its num and den are plain ints, and Groebner
 division (groebner.normal_form) reads them and divides on the ints,
 building a Coefficient only for each remainder term.
 
+Every sum of sparse terms, here and in dpoly, keeps one rule: each (key,
+value) is added in order with the old value on the left, a zero sum deletes
+the key, and a new key goes last.  add_into is its loop.  Four loops keep
+the rule inline: _pmul and dpoly's _integral_product, which a generator
+made slower, and groebner's two division loops, which also test the guard
+bits of each new key.
+
 integral_num is the integral view of a coefficient in either mode: the
 integer polynomial {exponent tuple: int} it equals when its denominator is
 1, else None; from_integral builds it back.  A denominator-1 value has one
@@ -74,15 +81,24 @@ def _pis_const(p):
     return all(all(e == 0 for e in exps) for exps in p)
 
 
+def add_into(terms, items):
+    """Add each (key, nonzero value) of items into the dict terms in
+    place, by the rule above, and return terms."""
+    for key, value in items:
+        old = terms.get(key)
+        if old is None:
+            terms[key] = value
+        else:
+            s = old + value
+            if s:
+                terms[key] = s
+            else:
+                del terms[key]
+    return terms
+
+
 def _padd(a, b):
-    out = dict(a)
-    for exps, c in b.items():
-        s = out.get(exps, 0) + c
-        if s:
-            out[exps] = s
-        elif exps in out:
-            del out[exps]
-    return out
+    return add_into(dict(a), b.items())
 
 
 def _pneg(a):
@@ -128,19 +144,9 @@ def _pshift_down(a, mins):
 
 def _pderiv(a, k):
     """Formal partial derivative with respect to base variable k (1-based)."""
-    out = {}
     j = k - 1
-    for exps, c in a.items():
-        e = exps[j]
-        if e == 0:
-            continue
-        nexps = exps[:j] + (e - 1,) + exps[j + 1:]
-        s = out.get(nexps, 0) + c * e
-        if s:
-            out[nexps] = s
-        elif nexps in out:
-            del out[nexps]
-    return out
+    return add_into({}, ((exps[:j] + (exps[j] - 1,) + exps[j + 1:],
+                          c * exps[j]) for exps, c in a.items() if exps[j]))
 
 
 def _plead(a):
@@ -290,7 +296,7 @@ class Coefficient:
         return _pis_const(self.num) and _pis_const(self.den)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.num)
 
     def __eq__(self, other):
         if not isinstance(other, Coefficient):

@@ -35,7 +35,8 @@ import operator
 import sys
 from dataclasses import dataclass
 
-from .coeff import Coefficient, FieldMode, from_integral, integral_num
+from .coeff import (Coefficient, FieldMode, add_into, from_integral,
+                    integral_num)
 from .errors import ContextError, ParseError
 from .indices import deg, shift, index_sort_key
 
@@ -411,7 +412,8 @@ class DiffPolynomial:
     def __eq__(self, other):
         if not isinstance(other, DiffPolynomial):
             return NotImplemented
-        return (self - other).is_zero()
+        self._check(other)
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -425,17 +427,8 @@ class DiffPolynomial:
         if isinstance(other, int):
             other = DiffPolynomial.from_int(self.ctx, other)
         self._check(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            if mono in terms:
-                s = terms[mono] + c
-                if s.is_zero():
-                    del terms[mono]
-                else:
-                    terms[mono] = s
-            else:
-                terms[mono] = c
-        return DiffPolynomial(self.ctx, terms)
+        return DiffPolynomial(self.ctx,
+                              add_into(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -446,7 +439,9 @@ class DiffPolynomial:
     def __sub__(self, other):
         if isinstance(other, int):
             other = DiffPolynomial.from_int(self.ctx, other)
-        return self + (-other)
+        self._check(other)
+        return DiffPolynomial(self.ctx, add_into(
+            dict(self.terms), ((mono, -c) for mono, c in other.terms.items())))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -460,10 +455,8 @@ class DiffPolynomial:
 
         With a single-term operand no two products meet, and the product
         is a shift of the other's terms.  Otherwise, with a denominator in
-        either operand, it is the sum, left to right, of each term of self
-        times other: `__add__` adds the new term on the right, removes a
-        zero sum and inserts a new monomial at the end, so every
-        Coefficient operation and the dict order are the ones above.
+        either operand, `add_into` adds the products into one dict in just
+        this order, self's terms outer.
 
         With no denominator in either operand the loop runs on ints
         (`_integral_product`), with the same bytes: a denominator-1
@@ -485,8 +478,9 @@ class DiffPolynomial:
                 for ma, ca in a.items() for mb, cb in b.items()})
         terms = _integral_product(a, b, ctx.nv)
         if terms is None:
-            return sum((DiffPolynomial(ctx, {ma: ca}) * other
-                        for ma, ca in a.items()), DiffPolynomial.zero(ctx))
+            terms = add_into({}, ((mono_mul(ma, mb), ca * cb)
+                                  for ma, ca in a.items()
+                                  for mb, cb in b.items()))
         return DiffPolynomial(ctx, terms)
 
     __rmul__ = __mul__
@@ -526,7 +520,7 @@ class DiffPolynomial:
     def substitute(self, mapping):
         """Simultaneous substitution; unmapped variables map to themselves."""
         ctx = self.ctx
-        result = DiffPolynomial.zero(ctx)
+        terms = {}
         for mono, c in self.terms.items():
             prod = DiffPolynomial.const(ctx, c)
             for v, e in mono:
@@ -534,8 +528,8 @@ class DiffPolynomial:
                 if img is None:
                     img = DiffPolynomial.var(ctx, v[0], v[1])
                 prod = prod * img ** e  # an image in another ctx raises
-            result = result + prod
-        return result
+            add_into(terms, prod.terms.items())
+        return DiffPolynomial(ctx, terms)
 
     def evaluate(self, point):
         """Evaluate at a {var: Coefficient} point; must cover all variables."""
@@ -580,22 +574,10 @@ def derivation_image(f, k):
         i, xi = v
         up = (((i, shift(xi, k)), 1),)
         ctx.check_var(up[0][0])
-        for mono, c in f.terms.items():
-            for w, e in mono:
-                if w == v:
-                    break
-            else:
-                continue  # v does not occur in this term
-            m = mono_mul(mono_div(mono, ((v, 1),)), up)
-            ec = c.scale_int(e)
-            if m in terms:
-                s = terms[m] + ec
-                if s.is_zero():
-                    del terms[m]
-                else:
-                    terms[m] = s
-            else:
-                terms[m] = ec
+        add_into(terms, ((mono_mul(mono_div(mono, ((v, 1),)), up),
+                          c.scale_int(e))
+                         for mono, c in f.terms.items()
+                         for w, e in mono if w == v))
     return DiffPolynomial(ctx, terms)
 
 
@@ -748,12 +730,14 @@ class _ExprParser:
         self.ctx = ctx
 
     def parse_expr(self):
-        value = self.parse_term()
+        """A `+`/`-` chain, summed left to right into one dict."""
+        terms = dict(self.parse_term().terms)
         while self.tz.peek()[0] in ("+", "-"):
             op = self.tz.next()[0]
-            rhs = self.parse_term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            rhs = self.parse_term().terms.items()
+            add_into(terms, rhs if op == "+" else
+                     ((mono, -c) for mono, c in rhs))
+        return DiffPolynomial(self.ctx, terms)
 
     def parse_term(self):
         value = self.parse_factor()

@@ -469,7 +469,14 @@ def test_ideal_file_roundtrip():
     (["bounds", "1", "2", "2000000"], EXIT_RESOURCE,
      '{"error": "resource", "message": "result needs about 2000001 bits, '
      'over the 1048576-bit budget"}'),
-], ids=["m1", "m3-r0", "m2-over-budget"])
+    (["bounds", "3", "4", "2"], EXIT_RESOURCE,
+     '{"error": "resource", "message": "C^1 recursion over ~2^256 steps '
+     'exceeds the iteration budget"}'),
+    (["bounds", "0", "2", "3000000"], EXIT_OK,
+     '{"closed_form":0,"closed_form_agrees":true,"m":2,"n":3000000,'
+     '"r":0,"value":0}'),
+], ids=["m1", "m3-r0", "m2-over-budget", "m4-recursion-over-budget",
+        "m2-r0"])
 def test_bounds_large_n_is_fast(capsys, monkeypatch, argv, code, stdout):
     monkeypatch.delenv("DIFFALG_BIT_BUDGET", raising=False)
     start = time.perf_counter()

@@ -33,6 +33,45 @@ def test_parse_two_terms():
     assert f.variables() == {(1, (0,)), (2, (1,))}
 
 
+X1, X2, X3 = ((((1, (0,)), 1),), (((2, (0,)), 1),),
+              (((1, (1,)), 1),))
+
+
+@pytest.mark.parametrize("text,order", [
+    ("x1_[0] + 1 - x1_[0] + x1_[0]", [(), X1]),
+    ("x2_[0] - (x1_[0] - x2_[0]) + x1_[0] - 2*x2_[0] + x2_[0]", [X2]),
+    ("x1_[0] + x2_[0] - x1_[0] + (1 + x1_[0])", [X2, (), X1]),
+])
+def test_parse_sums_reinsert_a_cancelled_monomial_at_the_end(text, order):
+    # each +/- chain adds left to right into one dict: a zero sum deletes
+    # the monomial and a later term inserts it last
+    assert list(parse_poly(text, CONST1).terms) == order
+
+
+def test_sub_keeps_self_order_and_appends_new_monomials():
+    f = parse_poly("x1_[0] + 1 + x2_[0]", RAT1)
+    g = parse_poly("x1_[0] + x1_[1]/t1 - x2_[0]", RAT1)
+    diff = f - g
+    assert list(diff.terms) == [(), X2, X3]
+    assert print_poly(diff) == "-1/(t1)*x1_[1] + 2*x2_[0] + 1"
+    assert diff == f + (-g)
+    assert list((f - 1).terms) == [X1, X2]
+    assert (f - f).is_zero()
+
+
+def test_eq_compares_values_and_checks_the_context():
+    # (t1 + 2)/(t1 + 3), once reduced and once as (t1^2 + 3*t1 + 2)/
+    # (t1^2 + 4*t1 + 3), which the best-effort reduction leaves as it is
+    c = Coefficient({(1,): 1, (0,): 2}, {(1,): 1, (0,): 3}, 1)
+    d = Coefficient({(2,): 1, (1,): 3, (0,): 2},
+                    {(2,): 1, (1,): 4, (0,): 3}, 1)
+    assert (c.num, c.den) != (d.num, d.den)
+    assert DiffPolynomial(RAT1, {X1: c}) == DiffPolynomial(RAT1, {X1: d})
+    assert DiffPolynomial(RAT1, {X1: c}) != DiffPolynomial(RAT1, {X2: c})
+    with pytest.raises(ContextError):
+        parse_poly("x1_[0]", RAT1) == parse_poly("x1_[0]", RAT1.with_n(3))
+
+
 def test_parse_unclosed_bracket():
     with pytest.raises(ParseError) as exc:
         parse_poly("x1_[0,0,0", Context(n=1, m=3,
@@ -86,6 +125,18 @@ def test_substitute_examples():
     img = {(1, (0,)): parse_poly("t1", RAT1),
            (2, (0,)): parse_poly("1/2/t1", RAT1)}
     assert h.substitute(img).is_zero()
+
+
+def test_substitute_reinserts_a_cancelled_monomial_at_the_end():
+    # x2 -> x1 sends the first term to x1^2 and the third to -x1^2, which
+    # deletes it; the fourth inserts it again, after x1_[1]
+    one, inv = Coefficient.one(1), Coefficient.base_var(1, 1).inverse()
+    f = DiffPolynomial(RAT1, {(((1, (0,)), 1), ((2, (0,)), 1)): one,
+                              X3: inv, (((1, (0,)), 2),): -one,
+                              (((2, (0,)), 2),): inv})
+    got = f.substitute({(2, (0,)): parse_poly("x1_[0]", RAT1)})
+    assert list(got.terms) == [X3, (((1, (0,)), 2),)]
+    assert print_poly(got) == "1/(t1)*x1_[0]^2 + 1/(t1)*x1_[1]"
 
 
 def test_substitute_context_mismatch():
@@ -379,6 +430,22 @@ def test_fractional_mul_reinserts_a_cancelled_monomial_at_the_end():
     assert print_poly(a * b) == (
         "1/(t1^4 + 4*t1^3 + 6*t1^2 + 4*t1 + 1)*x2_[0]^4"
         " + 1/(t1^2 + 2*t1 + 1)*x1_[0]^2*x2_[0]^2 + x1_[0]^4")
+
+
+@pytest.mark.parametrize("a,b", [
+    ("x1_[0]/(t1 + 1) + x2_[0] + 1", "x1_[0] + x2_[0]/(t1 + 1) + t1"),
+    ("(x1_[0] + x2_[0]/t1 + 1/(t1 + 1))^2", "x1_[0] - x2_[0]/t1 + 1"),
+])
+def test_fractional_mul_adds_meeting_pairs_like_the_reference(a, b):
+    f, g = parse_poly(a, RAT1), parse_poly(b, RAT1)
+    meets = {}
+    for ma in f.terms:
+        for mb in g.terms:
+            mono = mono_mul(ma, mb)
+            meets[mono] = meets.get(mono, 0) + 1
+    assert max(meets.values()) >= 2
+    _assert_same_product(f * g, reference_mul(f, g))
+    _assert_same_product(g * f, reference_mul(g, f))
 
 
 def test_mul_packs_huge_exponents():
