@@ -175,33 +175,28 @@ def _pexact_div(a, b):
     return q
 
 
-@functools.lru_cache(maxsize=None)
-def _names(nv):
-    """The printed names t1..t<nv> of the base variables."""
-    return tuple("t%d" % (j + 1) for j in range(nv))
+@functools.lru_cache(maxsize=4096)
+def _tmono_str(exps):
+    """The printed t-monomial of an exponent tuple, "" for the constant."""
+    return "*".join("t%d" % j if e == 1 else "t%d^%d" % (j, e)
+                    for j, e in enumerate(exps, 1) if e)
 
 
-def _pstr(a, names):
-    """Render an integer polynomial, terms lex-descending."""
-    if not a:
-        return "0"
+def _pstr(a, order, sign=1):
+    """Render the integer polynomial sign * a, its exponent tuples taken in
+    `order` (lex-descending)."""
     parts = []
-    for exps in sorted(a, reverse=True):
-        c = a[exps]
-        factors = []
-        for name, e in zip(names, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append("%s^%d" % (name, e))
+    for exps in order:
+        c = sign * a[exps]
+        factors = _tmono_str(exps)
         if not factors:
             parts.append(str(c))
         elif c == 1:
-            parts.append("*".join(factors))
+            parts.append(factors)
         elif c == -1:
-            parts.append("-" + "*".join(factors))
+            parts.append("-" + factors)
         else:
-            parts.append(str(c) + "*" + "*".join(factors))
+            parts.append(str(c) + "*" + factors)
     return " + ".join(parts).replace("+ -", "- ")
 
 
@@ -379,22 +374,25 @@ class Coefficient:
     def render(self):
         """(negative, magnitude_text, is_one) for the printer.
 
-        The magnitude text is a valid factor in the polynomial grammar.
+        The numerator's terms are sorted lex-descending once; the first
+        gives the sign, and the magnitude is printed in that order with the
+        sign flipped.  The magnitude text is a factor in the polynomial
+        grammar.
         """
-        names = _names(self.nv)
-        neg = _plead(self.num)[1] < 0 if not self.is_zero() else False
-        num = _pneg(self.num) if neg else self.num
-        den_is_one = self.den == _unit(self.nv)
-        num_text = (_pstr(num, names) if len(num) <= 1
-                    else "(" + _pstr(num, names) + ")")
-        if den_is_one:
-            text = num_text
-        elif _pis_const(self.den):
-            text = "%s/%d" % (num_text, self.den[(0,) * self.nv])
-        else:
-            text = "%s/(%s)" % (num_text, _pstr(self.den, names))
-        is_one = den_is_one and num == _unit(self.nv)
-        return neg, text, is_one
+        num, den = self.num, self.den
+        if not num:
+            return False, "0", False
+        order = sorted(num, reverse=True)
+        neg = num[order[0]] < 0
+        text = _pstr(num, order, -1 if neg else 1)
+        if len(order) > 1:
+            text = "(" + text + ")"
+        if den == _unit(self.nv):
+            return neg, text, text == "1"
+        if _pis_const(den):
+            return neg, "%s/%d" % (text, den[(0,) * self.nv]), False
+        den_text = _pstr(den, sorted(den, reverse=True))
+        return neg, "%s/(%s)" % (text, den_text), False
 
     def __str__(self):
         neg, text, _ = self.render()

@@ -12,8 +12,9 @@ either factor has a denominator, DiffPolynomial.__mul__ adds such keys
 instead of merging tuples and multiplies the coefficients on ints
 (`_integral_product`), with the same bytes (see __mul__), and groebner's
 division compares, multiplies and tests divisibility on them; each turns
-keys back into tuples once per term of its result.  grevlex_key is the
-default order, the one used for printing.
+keys back into tuples once per term of its result.  print_poly sorts
+terms by their keys in the grevlex Packing, the comparator that division
+uses; grevlex_key is the same order as a plain tuple, for MonomialOrder.
 
 Text grammar (also used for printing):
 
@@ -254,6 +255,11 @@ class Packing:
         return out, top
 
 
+# The narrowest slot, in bits: small bases then share packings, and small
+# exponent growth in a division needs no wider one.
+MIN_WIDTH = 6
+
+
 @functools.lru_cache(maxsize=256)
 def order_packing(kind, leading, variables, width):
     """The Packing with slots of `width` bits over the frozenset
@@ -463,7 +469,7 @@ class DiffPolynomial:
         coefficient has one form per value, so the order of the integer
         additions does not matter; terms are inserted, removed and
         inserted again as above, so their dict order holds; and the order
-        of the keys inside a num dict is never observable (_pstr sorts,
+        of the keys inside a num dict is never observable (render sorts,
         _plead takes the max, == compares dicts).
         """
         if isinstance(other, int):
@@ -498,8 +504,11 @@ class DiffPolynomial:
         return result
 
     def scale(self, c):
+        """c * self; self itself when c is one."""
         if c.is_zero():
             return DiffPolynomial.zero(self.ctx)
+        if c.is_one():
+            return self
         return DiffPolynomial(self.ctx,
                               {mono: v * c for mono, v in self.terms.items()})
 
@@ -565,19 +574,24 @@ def derivation_image(f, k):
     kernel prolongation (shifted variables may leave the presented range;
     the context itself does not bound levels).  Built in one dict in the
     order of that sum: f^{delta_k}, then per variable v in ascending
-    var_rank the terms of f in dict order, each adding e*c at
-    mono/v * x^(xi+k), e the exponent of v.
+    var_rank the terms of f in dict order, each adding e*c (c itself when
+    e is 1) at mono/v * x^(xi+k), e the exponent of v.  One scan of f's
+    terms groups (mono/v, e, c) by variable, slicing v out of mono.
     """
     ctx = f.ctx
     terms = f.coeff_derivative(k).terms
-    for v in sorted(f.variables(), key=var_rank):
+    groups = {}
+    for mono, c in f.terms.items():
+        for pos, (v, e) in enumerate(mono):
+            quotient = mono[:pos] + ((v, e - 1),) * (e > 1) + mono[pos + 1:]
+            groups.setdefault(v, []).append((quotient, e, c))
+    for v in sorted(groups, key=var_rank):
         i, xi = v
         up = (((i, shift(xi, k)), 1),)
         ctx.check_var(up[0][0])
-        add_into(terms, ((mono_mul(mono_div(mono, ((v, 1),)), up),
-                          c.scale_int(e))
-                         for mono, c in f.terms.items()
-                         for w, e in mono if w == v))
+        add_into(terms, ((mono_mul(quotient, up),
+                          c if e == 1 else c.scale_int(e))
+                         for quotient, e, c in groups[v]))
     return DiffPolynomial(ctx, terms)
 
 
@@ -590,23 +604,26 @@ def _mono_str(mono, vstr):
 
 
 def print_poly(f, vstr=var_str):
-    """Canonical text form: terms in descending grevlex order."""
+    """Canonical text form: terms in descending grevlex order, sorted once
+    by their keys in the grevlex Packing over f's own variables at the
+    width division would take, so the two share `order_packing` entries."""
     if f.is_zero():
         return "0"
-    monos = sorted(f.terms, key=grevlex_key, reverse=True)
+    terms = f.terms
+    variables, top = support((terms,))
+    packing = order_packing("grevlex", None, frozenset(variables),
+                            max(top.bit_length() + 1, MIN_WIDTH))
     pieces = []
-    for idx, mono in enumerate(monos):
-        neg, text, is_one = f.terms[mono].render()
+    for _, mono in sorted(zip(packing.keys(terms)[0], terms), reverse=True):
+        neg, text, is_one = terms[mono].render()
         if mono:
             body = (_mono_str(mono, vstr) if is_one
                     else text + "*" + _mono_str(mono, vstr))
         else:
             body = text
-        if idx == 0:
-            pieces.append("-" + body if neg else body)
-        else:
-            pieces.append((" - " if neg else " + ") + body)
-    return "".join(pieces)
+        pieces.append((" - " if neg else " + ") + body)
+    out = "".join(pieces)
+    return out[3:] if out[1] == "+" else "-" + out[3:]
 
 
 # --- parsing ------------------------------------------------------------------

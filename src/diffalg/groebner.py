@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 
 from .coeff import Coefficient
-from .dpoly import (Context, DiffPolynomial, grevlex_key, mono_div, mono_lcm,
-                    order_packing, support, var_rank)
+from .dpoly import (MIN_WIDTH, Context, DiffPolynomial, grevlex_key,
+                    mono_div, mono_lcm, order_packing, support, var_rank)
 from .errors import ContextError
 
 
@@ -111,11 +111,6 @@ class MonomialOrder:
         outer = tuple(t for t in mono if t[0] not in lead)
         return (grevlex_key(inner), grevlex_key(outer))
 
-
-# The narrowest slot, in bits: small bases then share packings (see
-# dpoly.order_packing), and small exponent growth in a division needs no
-# wider one.
-MIN_WIDTH = 6
 
 # --- division and Buchberger ------------------------------------------------
 

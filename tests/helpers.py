@@ -11,10 +11,11 @@ import random
 from diffalg import groebner
 from diffalg.axioms import ContainmentVerdict
 from diffalg.coeff import (Coefficient, FieldMode, _pconst, _pcontent,
-                           _pexact_div, _plead, _pmonomial_content, _pneg,
-                           _pshift_down)
+                           _pexact_div, _pis_const, _plead, _pmonomial_content,
+                           _pneg, _pshift_down, _unit)
 from diffalg.dpoly import (Context, DiffPolynomial, derivation_image,
-                           mono_div, mono_lcm, mono_mul, print_poly, var_rank)
+                           grevlex_key, mono_div, mono_lcm, mono_mul,
+                           print_poly, var_rank, var_str)
 from diffalg.groebner import (DivisorBasis, IdealPresentation,
                               elimination_ideal, leading_term, normal_form)
 from diffalg.indices import axiom_sizes, gamma_set, shift
@@ -470,6 +471,74 @@ def reference_derivation_image(f, k):
         i, xi = v
         out = out + pd * DiffPolynomial.var(ctx, i, shift(xi, k))
     return out
+
+
+def _reference_pstr(a, names):
+    """An integer polynomial's text, terms lex-descending, each t-monomial
+    built factor by factor from the names."""
+    if not a:
+        return "0"
+    parts = []
+    for exps in sorted(a, reverse=True):
+        c = a[exps]
+        factors = []
+        for name, e in zip(names, exps):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append("%s^%d" % (name, e))
+        if not factors:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append("*".join(factors))
+        elif c == -1:
+            parts.append("-" + "*".join(factors))
+        else:
+            parts.append(str(c) + "*" + "*".join(factors))
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def reference_render(c):
+    """Coefficient.render by a max for the sign, a negated copy of the
+    numerator and a sort per printed polynomial."""
+    if not c.nv:
+        num, den = abs(c.num), c.den
+        text = str(num) if den == 1 else "%d/%d" % (num, den)
+        return c.num < 0, text, num == 1 and den == 1
+    names = tuple("t%d" % (j + 1) for j in range(c.nv))
+    neg = _plead(c.num)[1] < 0 if not c.is_zero() else False
+    num = _pneg(c.num) if neg else c.num
+    den_is_one = c.den == _unit(c.nv)
+    num_text = (_reference_pstr(num, names) if len(num) <= 1
+                else "(" + _reference_pstr(num, names) + ")")
+    if den_is_one:
+        text = num_text
+    elif _pis_const(c.den):
+        text = "%s/%d" % (num_text, c.den[(0,) * c.nv])
+    else:
+        text = "%s/(%s)" % (num_text, _reference_pstr(c.den, names))
+    return neg, text, den_is_one and num == _unit(c.nv)
+
+
+def reference_print_poly(f, vstr=var_str):
+    """print_poly by a grevlex_key tuple per monomial and reference_render
+    per coefficient."""
+    if f.is_zero():
+        return "0"
+    pieces = []
+    for idx, mono in enumerate(sorted(f.terms, key=grevlex_key, reverse=True)):
+        neg, text, is_one = reference_render(f.terms[mono])
+        if mono:
+            body = "*".join(vstr(v) if e == 1 else "%s^%d" % (vstr(v), e)
+                            for v, e in mono)
+            body = body if is_one else text + "*" + body
+        else:
+            body = text
+        if idx == 0:
+            pieces.append("-" + body if neg else body)
+        else:
+            pieces.append((" - " if neg else " + ") + body)
+    return "".join(pieces)
 
 
 def reference_containment(W, kind):

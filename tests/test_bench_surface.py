@@ -13,14 +13,15 @@ import pytest
 import diffalg
 import diffalg.cli
 import diffalg.files
+from diffalg.dpoly import order_packing
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_spans():
+def load_bench(name):
     sys.path.insert(0, str(BENCH_DIR))
     try:
-        return importlib.import_module("spans")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH_DIR))
 
@@ -32,7 +33,7 @@ def resolve(obj, path):
 
 
 def test_traced_targets_resolve():
-    spans = load_spans()
+    spans = load_bench("spans")
     assert spans.TARGETS
     for _, module, path in spans.TARGETS:
         target = resolve(importlib.import_module("diffalg." + module), path)
@@ -67,3 +68,15 @@ def test_buchberger_returns_a_list_of_the_basis():
         "x2_[0]^3 - x1_[0]^2", "-x2_[0]^2 + x1_[0]*x3_[0]",
         "x2_[0]*x3_[0] - x1_[0]", "x3_[0]^2 - x2_[0]"]
     assert len(gb) == 4
+
+
+def test_cli_batch_pass_evicts_no_order_packing(tmp_path):
+    # printing and division share order_packing's LRU; one cli-batch pass
+    # must fit in it, or a later pass rebuilds packings it evicted
+    cli_batch = load_bench("cli_batch")
+    jobs = cli_batch.build(diffalg, 1, str(tmp_path), 1)
+    order_packing.cache_clear()
+    for job in jobs:
+        job.call()
+    info = order_packing.cache_info()
+    assert info.misses == info.currsize < info.maxsize

@@ -8,8 +8,12 @@ from hypothesis import given, settings, strategies as st
 from diffalg import coeff as coeff_module
 from diffalg.coeff import (Coefficient, FieldMode, _padd, _pderiv,
                            _pexact_div, _pmul, _pneg)
+from diffalg.dpoly import Context, parse_poly
 from diffalg.errors import ContextError
 from helpers import reference_reduce
+
+
+RAT2 = Context(n=1, m=2, mode=FieldMode("rational", 2))
 
 
 def Q(p, q=1, nv=0):
@@ -184,6 +188,22 @@ def test_constants_mode_render_signs_and_units():
     assert Q(-3, 2).render() == (True, "3/2", False)
     assert Q(6, -4).render() == (True, "3/2", False)
     assert Q(7, 1).render() == (False, "7", False)
+
+
+def test_rational_mode_render_signs_and_units():
+    def c(text):
+        return parse_poly(text, RAT2).constant_value()
+
+    assert c("-1").render() == (True, "1", True)
+    assert c("-t1").render() == (True, "t1", False)
+    assert c("1 - t1").render() == (True, "(t1 - 1)", False)
+    assert c("-2/3").render() == (True, "2/3", False)
+    assert c("-t1/(t2 + 1)").render() == (True, "t1/(t2 + 1)", False)
+    assert c("-1/(t1)").render() == (True, "1/(t1)", False)
+    assert c("(-t2 + t1)/(-3)").render() == (True, "(t1 - t2)/3", False)
+    assert c("2*t1^2*t2 - t2^3 + 1").render() == \
+        (False, "(2*t1^2*t2 - t2^3 + 1)", False)
+    assert Coefficient.zero(2).render() == (False, "0", False)
 
 
 def test_constants_mode_errors():

@@ -3,13 +3,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffalg.coeff import Coefficient, FieldMode
+from diffalg.axioms import _rho_var_str, atom_rho_text
+from diffalg.coeff import Coefficient, FieldMode, _unit
 from diffalg.dpoly import (Context, DiffPolynomial, derivation_image,
                            mono_lcm, mono_mul, parse_poly, print_poly,
                            var_rank)
 from diffalg.errors import ContextError, ParseError
 from helpers import (reference_derivation_image, reference_mono_lcm,
-                     reference_mono_mul, reference_mul, reference_pow)
+                     reference_mono_mul, reference_mul, reference_pow,
+                     reference_print_poly, reference_render)
 
 CONST2 = Context(n=1, m=2, mode=FieldMode("constants", 2))
 RAT2 = Context(n=2, m=2, mode=FieldMode("rational", 2))
@@ -279,6 +281,57 @@ def test_print_zero_and_signs():
     assert print_poly(DiffPolynomial.zero(CONST1)) == "0"
     f = parse_poly("-x1_[0] + 2", CONST1)
     assert print_poly(f) == "-x1_[0] + 2"
+
+
+def _print_coefficient(nv):
+    """Constants: p/q.  Rational: num/den from random integer polynomials,
+    reduced by the constructor; den is 1 about half the time."""
+    if not nv:
+        return st.builds(Coefficient.from_rational,
+                         st.integers(-50, 50).filter(bool),
+                         st.integers(1, 12), st.just(0))
+
+    def poly(top, size):
+        return st.dictionaries(
+            st.tuples(*[st.integers(0, top)] * nv),
+            st.integers(-9, 9).filter(bool), min_size=1, max_size=size)
+
+    return st.builds(
+        lambda num, den: Coefficient(num, den or _unit(nv), nv),
+        poly(40, 4), st.one_of(st.none(), poly(4, 3)))
+
+
+@pytest.mark.parametrize("ctx", [CONST1, RAT1, RAT2], ids=["c1", "r1", "r2"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_print_poly_matches_the_reference(ctx, data):
+    variables = [(i, xi) for i in range(1, ctx.n + 1)
+                 for xi in _indices(ctx.m, 2)]
+    monomial = st.dictionaries(st.sampled_from(variables),
+                               st.integers(1, 40), max_size=3).map(
+        lambda d: tuple(sorted(d.items(), key=lambda t: var_rank(t[0]))))
+    terms = data.draw(st.dictionaries(monomial, _print_coefficient(ctx.nv),
+                                      min_size=1, max_size=12))
+    f = DiffPolynomial(ctx, terms)
+    for c in terms.values():
+        assert c.render() == reference_render(c)
+    assert print_poly(f) == reference_print_poly(f)
+    assert atom_rho_text(f) == \
+        reference_print_poly(f, vstr=_rho_var_str) + " = 0"
+
+
+@pytest.mark.parametrize("ctx", [CONST1, RAT1], ids=["c1", "r1"])
+def test_print_poly_with_a_huge_exponent_matches_the_reference(ctx):
+    f = parse_poly("-3*x2_[0]^2 + x1_[0]^99999999999 + 5", ctx)
+    assert print_poly(f) == reference_print_poly(f) == \
+        "x1_[0]^99999999999 - 3*x2_[0]^2 + 5"
+
+
+@pytest.mark.parametrize("ctx", [CONST1, RAT1], ids=["c1", "r1"])
+def test_scale_by_one_returns_the_polynomial(ctx):
+    f = parse_poly("2*x1_[0]^2 - x2_[0] + 1", ctx)
+    assert f.scale(Coefficient.one(ctx.nv)) is f
+    assert f.scale(Coefficient.from_int(-1, ctx.nv)) == -f
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
