@@ -10,11 +10,14 @@ diffalg packages are loaded into this one process, each from its own src/.
 Every round builds the jobs of a fresh variant for each tree and runs each
 job on both, alternating which tree goes first.  It prints, per job family
 (the job name without its trailing ``-<n>``), the median over the family's
-jobs of each job's median time, and the ratio AFTER / BEFORE; the last line
-sums the per-job medians over all jobs.  Each ``--family NAME`` (it may
-be repeated) keeps only that family's jobs, and ``--jobs START:STOP``
-then keeps a slice of what is left.  It exits 1 when any job's rendered
-output differs between the trees, and 2 when no job is left to run.
+jobs of each job's median time, and the ratio AFTER / BEFORE; the next
+line sums the per-job medians over all jobs, and the last one counts the
+rounds in which AFTER's jobs took less time in total than BEFORE's, which
+tells a ratio that repeats from one that a single round moved.  Each
+``--family NAME`` (it may be repeated) keeps only that family's jobs, and
+``--jobs START:STOP`` then keeps a slice of what is left.  It exits 1
+when any job's rendered output differs between the trees, and 2 when no
+job is left to run.
 
 Times are raw perf_counter seconds in one process, with no calibration
 loop, so they serve for sizing only; a claimed gain still comes from
@@ -92,10 +95,12 @@ def pair_times(rounds_of_jobs):
 
     rounds_of_jobs yields, per round, a list of (job_before, job_after).
     Returns ({job name: ([before s], [after s])}, [names whose outputs
-    differed]), names in first-seen order.
+    differed], [(before s, after s) summed over each round's jobs]), names
+    in first-seen order.
     """
-    times, differ = {}, []
+    times, differ, totals = {}, [], []
     for r, pairs in enumerate(rounds_of_jobs):
+        total_before = total_after = 0
         for i, (before, after) in enumerate(pairs):
             first_after = (r + i) % 2
             sides = (after, before) if first_after else (before, after)
@@ -105,13 +110,17 @@ def pair_times(rounds_of_jobs):
             slot = times.setdefault(before.name, ([], []))
             slot[0].append(t_before)
             slot[1].append(t_after)
+            total_before += t_before
+            total_after += t_after
             if out_first != out_second and before.name not in differ:
                 differ.append(before.name)
-    return times, differ
+        totals.append((total_before, total_after))
+    return times, differ, totals
 
 
-def report(times):
-    """Lines of per-family median job times (ms) and AFTER / BEFORE."""
+def report(times, totals):
+    """Lines of per-family median job times (ms) and AFTER / BEFORE, and
+    the count of rounds whose totals AFTER beat."""
     families = {}
     for name, (before, after) in times.items():
         families.setdefault(family(name), []).append(
@@ -129,6 +138,8 @@ def report(times):
     meds = [m for ms in families.values() for m in ms]
     lines.append(row("all (sum)", len(meds), sum(b for b, _ in meds),
                      sum(a for _, a in meds)))
+    lines.append("after faster in %d of %d rounds"
+                 % (sum(a < b for b, a in totals), len(totals)))
     return lines
 
 
@@ -162,10 +173,10 @@ def main(argv=None):
                         for api, d in zip(apis, (d0, d1))]
                 yield list(zip(*jobs))
 
-    times, differ = pair_times(rounds())
+    times, differ, totals = pair_times(rounds())
     if not times:
         parser.error("no job left to run (check --family and --jobs)")
-    for line in report(times):
+    for line in report(times, totals):
         print(line)
     for name in differ:
         print("output differs: %s" % name)

@@ -598,6 +598,7 @@ def derivation_image(f, k):
 # --- printing -----------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4096)
 def _mono_str(mono, vstr):
     return "*".join(vstr(v) if e == 1 else "%s^%d" % (vstr(v), e)
                     for v, e in mono)

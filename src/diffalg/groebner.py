@@ -136,8 +136,8 @@ class DivisorBasis:
       divisor's primitive integer multiple, a > 0 and every b an int.
 
     normal_form builds the packing (`pack`) when the basis first divides
-    and again when a division leaves it; a divisor inserted while the
-    packing is set gets its lm keyed, or drops the packing if lm misfits.
+    and again, keeping the keys that stay valid, when a division leaves
+    it; an inserted divisor gets its lm keyed, or drops a misfit packing.
     """
 
     def __init__(self, order, polys=(), lms=()):
@@ -180,12 +180,19 @@ class DivisorBasis:
     def pack(self, top=0, terms=()):
         """Build the packing over the variables of the divisors and of the
         monomials `terms`, for total degrees up to top or up to the
-        divisors' total degree, whichever is larger, and key every lm."""
+        divisors' total degree, whichever is larger, and key every lm.
+        A key is a sum of weights, so the keys and packed tails stay when
+        the old packing had the same `one` and weighs every variable the
+        two share alike, as a lex packing gaining variables that outrank
+        its own does (a kernel's basis dividing a row's unknowns)."""
         variables, most = support(g.terms for g in self.polys)
         variables |= support((terms,))[0]
+        old = self.packing
         packing = self.packing = self.order.packing(variables, max(top, most))
-        self.keys = packing.keys(self.lms, 0)[0]
-        self.tails = [None] * len(self.polys)
+        if old is None or old.one != packing.one or any(
+                packing.weights.get(v, w) != w for v, w in old.weights.items()):
+            self.keys = packing.keys(self.lms, 0)[0]
+            self.tails = [None] * len(self.polys)
         return packing
 
     def tail(self, i):

@@ -37,24 +37,30 @@ def index_sort_key(xi):
 
 
 def gamma_set(m, r):
-    """Enumerate Gamma(r) = {xi in N^m : deg xi <= r} in canonical order."""
+    """Enumerate Gamma(r) = {xi in N^m : deg xi <= r} in canonical order,
+    refusing m*|Gamma(r)| entries over the coordinate budget.  Within a
+    degree the order is descending lex: the next index moves a unit from
+    the last nonzero slot j before the final one, and the final slot's
+    units, to slot j+1."""
     if m < 1:
         raise ContextError("m must be >= 1, got %d" % m)
     if r < 0:
         raise ContextError("r must be >= 0, got %d" % r)
-    check_coordinates("|Gamma(%s)| in %d slots" % (_size_text(r), m),
-                      math.comb(r + m, m))
+    check_coordinates("%s*|Gamma(%s)|" % (_size_text(m), _size_text(r)),
+                      m * math.comb(r + m, m))
     out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == m:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e)
-
-    rec([], r)
-    out.sort(key=index_sort_key)
+    for d in range(r + 1):
+        xi = [d] + [0] * (m - 1)
+        while True:
+            out.append(tuple(xi))
+            j = m - 2
+            while j >= 0 and not xi[j]:
+                j -= 1
+            if j < 0:
+                break
+            xi[j] -= 1
+            last, xi[-1] = xi[-1], 0
+            xi[j + 1] = last + 1
     return tuple(out)
 
 

@@ -4,7 +4,9 @@ A kernel presentation of length r is an ideal over the variables
 {x_i^xi : deg xi <= r} with the implied derivation action
 D_k x_i^xi = x_i^(xi + unit k).  Prolonging by one introduces unknowns for
 the level r+1 derivatives and decides the joint linear system over the
-fraction field of the quotient; zero tests go through saturation by the
+fraction field of the quotient.  Each row of that system is one reduced
+polynomial, affine-linear in the unknowns, and the pivot rows are the
+relations the next level adjoins.  Zero tests go through saturation by the
 `inverted` multiplicative set (the pivot denominators accumulated so far),
 encoded with the auxiliary-variable trick 1 - g*z.  `kernel_validate` is
 the one derivation-extension check; the prolongation runs it on every input
@@ -162,43 +164,18 @@ def kernel_validate(Kp):
     return ValidationReport(valid=not violations, violations=violations)
 
 
-@dataclass
-class _Row:
-    """One linear constraint: sum coeffs[u] * u + const = 0."""
-
-    coeffs: dict  # {unknown var: DiffPolynomial}
-    const: DiffPolynomial
-    provenance: set
-
-    def relation(self):
-        """const + sum coeffs[u] * u, the unknowns in var_rank order."""
-        rel = self.const
-        for u, p in sorted(self.coeffs.items(), key=lambda t: var_rank(t[0])):
-            rel = rel + p * DiffPolynomial.var(rel.ctx, *u)
-        return rel
-
-
-def _split_linear(img, unknowns, ideal):
-    """Separate a D_k-image into per-unknown coefficients and a constant part.
-
-    Every monomial of the image carries at most one unknown, with exponent
-    one, because the image is affine-linear in the shifted top variables.
-    """
-    ctx = img.ctx
-    coeff_terms = {}
-    const_terms = {}
-    for mono, c in img.terms.items():
-        hit = [v for v, _ in mono if v in unknowns]
-        if not hit:
-            const_terms[mono] = c
-            continue
-        (u,) = hit
-        rest = tuple(t for t in mono if t[0] != u)
-        coeff_terms.setdefault(u, {})[rest] = c
-    coeffs = {u: ideal.normal_form(DiffPolynomial(ctx, terms))
-              for u, terms in coeff_terms.items()}
-    coeffs = {u: p for u, p in coeffs.items() if not p.is_zero()}
-    return coeffs, ideal.normal_form(DiffPolynomial(ctx, const_terms))
+def _split(row, unknowns):
+    """The nonzero coefficients of the unknowns in a row, {unknown:
+    DiffPolynomial}, and its constant part.  A row is affine-linear in the
+    unknowns, which outrank every other variable: an unknown is the last
+    variable of its monomial."""
+    parts = {}
+    for mono, c in row.terms.items():
+        u = mono[-1][0] if mono and mono[-1][0] in unknowns else None
+        parts.setdefault(u, {})[mono if u is None else mono[:-1]] = c
+    ctx = row.ctx
+    const = DiffPolynomial(ctx, parts.pop(None, {}))
+    return {u: DiffPolynomial(ctx, terms) for u, terms in parts.items()}, const
 
 
 def kernel_prolong_once(Kp):
@@ -214,6 +191,11 @@ def kernel_prolong_once(Kp):
     top-level generators give rows: the D_k-image of a lower one has no
     level-(r+1) unknown, so it never pivots, and its constant, zero in the
     kernel's field once validated, stays zero.
+
+    Each row is the normal form of a D_k-image, and an elimination step
+    replaces it by the normal form of d*row - c*pivot: no lead of the
+    kernel's basis has an unknown, so one division reduces each unknown's
+    coefficient and the constant part.  A pivot row is its pivot relation.
 
     The kernel returned is valid by construction and carries `validated`,
     so it is not checked again when it is prolonged in turn.  Let I be
@@ -238,63 +220,50 @@ def kernel_prolong_once(Kp):
     top = [xi for xi in levels if deg(xi) == r + 1]
     unknowns = [(i, xi) for xi in top for i in range(1, ctx.n + 1)]
     unknown_set = set(unknowns)
+    reduce = Kp.ideal.normal_form
 
-    rows = []
+    rows = []  # (row, its coefficients by unknown, provenance)
     gb = Kp.ideal.reduced_gb
     for idx, f in enumerate(gb):
         if f.max_level() != r:
             continue
         for k in range(1, ctx.m + 1):
-            coeffs, const = _split_linear(derivation_image(f, k), unknown_set,
-                                          Kp.ideal)
-            if coeffs or not const.is_zero():
-                rows.append(_Row(coeffs=coeffs, const=const,
-                                 provenance={(idx, k)}))
+            row = reduce(derivation_image(f, k))
+            if row:
+                rows.append((row, _split(row, unknown_set)[0], {(idx, k)}))
 
     localized = Kp  # the kernel's field, localized at the pivots so far
     solved = []
     for u in sorted(unknowns, key=var_rank):
-        pivot = next((row for row in rows if u in row.coeffs
-                      and not localized.is_zero_mod(row.coeffs[u])), None)
-        if pivot is None:
+        at = next((i for i, (_, coeffs, _) in enumerate(rows) if u in coeffs
+                   and not localized.is_zero_mod(coeffs[u])), None)
+        if at is None:
             continue
-        rows.remove(pivot)
-        d = pivot.coeffs[u]
+        pivot, pivot_coeffs, provenance = rows.pop(at)
+        d = pivot_coeffs[u]
         if not d.is_constant() and d not in localized.inverted:
             localized = KernelPresentation(ctx=ctx, r=r, ideal=Kp.ideal,
                                            inverted=localized.inverted + [d])
-        for row in rows:
-            c = row.coeffs.get(u)
-            if c is None or c.is_zero():
-                continue
-            new_coeffs = {}
-            for v in set(row.coeffs) | set(pivot.coeffs):
-                combo = (d * row.coeffs.get(v, DiffPolynomial.zero(ctx))
-                         - c * pivot.coeffs.get(v, DiffPolynomial.zero(ctx)))
-                combo = Kp.ideal.normal_form(combo)
-                if not combo.is_zero():
-                    new_coeffs[v] = combo
-            row.coeffs = new_coeffs
-            row.const = Kp.ideal.normal_form(d * row.const - c * pivot.const)
-            row.provenance |= pivot.provenance
+        for i, (row, coeffs, seen) in enumerate(rows):
+            c = coeffs.get(u)
+            if c is not None:
+                row = reduce(d * row - c * pivot)
+                rows[i] = row, _split(row, unknown_set)[0], seen | provenance
         solved.append(pivot)
 
-    for row in rows:
+    for row, _, provenance in rows:
         # all unknown coefficients are zero in the kernel's field here
-        if not localized.is_zero_mod(row.const):
-            witness = ObstructionWitness(
-                relation=row.relation(),
-                normal_form=row.const,  # reduced by _split_linear or a pivot
-                provenance=sorted(row.provenance),
-            )
+        const = _split(row, unknown_set)[1]
+        if not localized.is_zero_mod(const):
+            witness = ObstructionWitness(relation=row, normal_form=const,
+                                         provenance=sorted(provenance))
             return ProlongResult(status="obstructed", witness=witness)
 
     # gb is a reduced lex basis: as buchberger's prefix it is neither
     # re-paired nor re-reduced, only completed with the pivot relations
-    new_gens = list(gb) + [pivot.relation() for pivot in solved]
     next_kernel = KernelPresentation(
         ctx=ctx, r=r + 1,
-        ideal=IdealPresentation(ctx, new_gens, MonomialOrder.lex(),
+        ideal=IdealPresentation(ctx, list(gb) + solved, MonomialOrder.lex(),
                                 _prefix=Kp.ideal.lms),
         inverted=localized.inverted)
     next_kernel.validated = True

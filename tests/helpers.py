@@ -7,6 +7,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from dataclasses import dataclass
 
 from diffalg import groebner
 from diffalg.axioms import ContainmentVerdict
@@ -16,10 +17,14 @@ from diffalg.coeff import (Coefficient, FieldMode, _pconst, _pcontent,
 from diffalg.dpoly import (Context, DiffPolynomial, derivation_image,
                            grevlex_key, mono_div, mono_lcm, mono_mul,
                            print_poly, var_rank, var_str)
-from diffalg.groebner import (DivisorBasis, IdealPresentation,
+from diffalg.errors import ContextError
+from diffalg.groebner import (DivisorBasis, IdealPresentation, MonomialOrder,
                               elimination_ideal, leading_term, normal_form)
-from diffalg.indices import axiom_sizes, gamma_set, shift
-from diffalg.kernels import KernelPresentation, violation
+from diffalg.indices import (axiom_sizes, check_coordinates, deg, gamma_set,
+                             index_sort_key, shift)
+from diffalg.kernels import (KernelPresentation, KernelValidationError,
+                             ObstructionWitness, ProlongResult,
+                             kernel_validate, violation)
 
 
 def rand_rational(rng, span=3):
@@ -471,6 +476,143 @@ def reference_derivation_image(f, k):
         i, xi = v
         out = out + pd * DiffPolynomial.var(ctx, i, shift(xi, k))
     return out
+
+
+@dataclass
+class _Row:
+    """One linear constraint: sum coeffs[u] * u + const = 0."""
+
+    coeffs: dict  # {unknown var: DiffPolynomial}
+    const: DiffPolynomial
+    provenance: set
+
+    def relation(self):
+        """const + sum coeffs[u] * u, the unknowns in var_rank order."""
+        rel = self.const
+        for u, p in sorted(self.coeffs.items(), key=lambda t: var_rank(t[0])):
+            rel = rel + p * DiffPolynomial.var(rel.ctx, *u)
+        return rel
+
+
+def _split_linear(img, unknowns, ideal):
+    """Separate a D_k-image into per-unknown coefficients and a constant part.
+
+    Every monomial of the image carries at most one unknown, with exponent
+    one, because the image is affine-linear in the shifted top variables.
+    """
+    ctx = img.ctx
+    coeff_terms = {}
+    const_terms = {}
+    for mono, c in img.terms.items():
+        hit = [v for v, _ in mono if v in unknowns]
+        if not hit:
+            const_terms[mono] = c
+            continue
+        (u,) = hit
+        rest = tuple(t for t in mono if t[0] != u)
+        coeff_terms.setdefault(u, {})[rest] = c
+    coeffs = {u: ideal.normal_form(DiffPolynomial(ctx, terms))
+              for u, terms in coeff_terms.items()}
+    coeffs = {u: p for u, p in coeffs.items() if not p.is_zero()}
+    return coeffs, ideal.normal_form(DiffPolynomial(ctx, const_terms))
+
+
+def reference_kernel_prolong_once(Kp):
+    """Reference kernel_prolong_once: each row held as per-unknown
+    coefficients plus a constant, each part divided on its own, combined
+    unknown by unknown, and rebuilt into a polynomial for the witness and
+    the pivot relations."""
+    if not Kp.validated:
+        report = kernel_validate(Kp)
+        if not report.valid:
+            raise KernelValidationError(report)
+    ctx, r = Kp.ctx, Kp.r
+    levels = gamma_set(ctx.m, r + 1)
+    check_coordinates("n*|Gamma(%d)|" % (r + 1), ctx.n * len(levels))
+    top = [xi for xi in levels if deg(xi) == r + 1]
+    unknowns = [(i, xi) for xi in top for i in range(1, ctx.n + 1)]
+    unknown_set = set(unknowns)
+
+    rows = []
+    gb = Kp.ideal.reduced_gb
+    for idx, f in enumerate(gb):
+        if f.max_level() != r:
+            continue
+        for k in range(1, ctx.m + 1):
+            coeffs, const = _split_linear(derivation_image(f, k), unknown_set,
+                                          Kp.ideal)
+            if coeffs or not const.is_zero():
+                rows.append(_Row(coeffs=coeffs, const=const,
+                                 provenance={(idx, k)}))
+
+    localized = Kp  # the kernel's field, localized at the pivots so far
+    solved = []
+    for u in sorted(unknowns, key=var_rank):
+        pivot = next((row for row in rows if u in row.coeffs
+                      and not localized.is_zero_mod(row.coeffs[u])), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        d = pivot.coeffs[u]
+        if not d.is_constant() and d not in localized.inverted:
+            localized = KernelPresentation(ctx=ctx, r=r, ideal=Kp.ideal,
+                                           inverted=localized.inverted + [d])
+        for row in rows:
+            c = row.coeffs.get(u)
+            if c is None or c.is_zero():
+                continue
+            new_coeffs = {}
+            for v in set(row.coeffs) | set(pivot.coeffs):
+                combo = (d * row.coeffs.get(v, DiffPolynomial.zero(ctx))
+                         - c * pivot.coeffs.get(v, DiffPolynomial.zero(ctx)))
+                combo = Kp.ideal.normal_form(combo)
+                if not combo.is_zero():
+                    new_coeffs[v] = combo
+            row.coeffs = new_coeffs
+            row.const = Kp.ideal.normal_form(d * row.const - c * pivot.const)
+            row.provenance |= pivot.provenance
+        solved.append(pivot)
+
+    for row in rows:
+        # all unknown coefficients are zero in the kernel's field here
+        if not localized.is_zero_mod(row.const):
+            witness = ObstructionWitness(
+                relation=row.relation(),
+                normal_form=row.const,  # reduced by _split_linear or a pivot
+                provenance=sorted(row.provenance),
+            )
+            return ProlongResult(status="obstructed", witness=witness)
+
+    # gb is a reduced lex basis: as buchberger's prefix it is neither
+    # re-paired nor re-reduced, only completed with the pivot relations
+    new_gens = list(gb) + [pivot.relation() for pivot in solved]
+    next_kernel = KernelPresentation(
+        ctx=ctx, r=r + 1,
+        ideal=IdealPresentation(ctx, new_gens, MonomialOrder.lex(),
+                                _prefix=Kp.ideal.lms),
+        inverted=localized.inverted)
+    next_kernel.validated = True
+    return ProlongResult(status="prolonged", next=next_kernel)
+
+
+def reference_gamma_set(m, r):
+    """Gamma(r) in canonical order, by recursion over the m slots."""
+    if m < 1:
+        raise ContextError("m must be >= 1, got %d" % m)
+    if r < 0:
+        raise ContextError("r must be >= 0, got %d" % r)
+    out = []
+
+    def rec(prefix, remaining):
+        if len(prefix) == m:
+            out.append(tuple(prefix))
+            return
+        for e in range(remaining + 1):
+            rec(prefix + [e], remaining - e)
+
+    rec([], r)
+    out.sort(key=index_sort_key)
+    return tuple(out)
 
 
 def _reference_pstr(a, names):

@@ -107,6 +107,23 @@ def test_axiom_shape_builds_no_coordinates(capsys):
     assert elapsed < 0.1
 
 
+def test_gamma_of_a_thousand_slots(tmp_path, capsys):
+    # a single multi-index of m = 1000 zeros, listed and used; Gamma(1)
+    # has 1,001 indices of 1,000 entries, over the default budget
+    code, out = invoke(capsys, ["gamma", "--m", "1000", "--r", "0"])
+    assert (code, json.loads(out)) == (EXIT_OK, {
+        "m": 1000, "r": 0, "count": 1, "elements": [[0] * 1000]})
+    path = tmp_path / "one.ideal"
+    path.write_text("m=1000 n=1 gamma=0\n1\n")
+    code, out = invoke(capsys, ["check-containment", str(path),
+                                "--shape", "naive"])
+    assert code == EXIT_OK and json.loads(out)["holds"] is True
+    code, out = invoke(capsys, ["gamma", "--m", "1000", "--r", "1"])
+    assert (code, json.loads(out)) == (EXIT_RESOURCE, {
+        "error": "resource",
+        "message": "1000*|Gamma(1)| = 1001000 exceeds the coordinate budget"})
+
+
 def test_axiom_shape_keeps_the_coordinate_budget(capsys, monkeypatch):
     monkeypatch.setenv("DIFFALG_COORD_BUDGET", "10")
     code, out = invoke(capsys, ["axiom-shape", "2", "2"])

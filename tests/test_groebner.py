@@ -854,6 +854,37 @@ def test_presentation_reused_over_new_variables(monkeypatch, mode, kind):
 
 
 @pytest.mark.parametrize("mode", ["constants", "rational"])
+def test_pack_keeps_the_keys_when_new_variables_outrank_the_old(mode):
+    # x1_[1] outranks every divisor variable: the lex packing rebuilt over
+    # it gives each old variable its old weight, so the lead keys and the
+    # packed tails stay, the same objects; under grevlex the degree slot
+    # moves up and every weight with it, and the basis is keyed again
+    ctx = _ctx(mode)
+    gens = [p("x1_[0]^2 - x2_[0]", ctx), p("x2_[0]*x3_[0] - 1", ctx)]
+    first = p("x1_[0]^3*x3_[0] + x1_[0]*x2_[0]^2*x3_[0]^2", ctx)
+    second = (first * DiffPolynomial.var(ctx, *OUTSIDE[0])
+              + p("x2_[0]^2*x3_[0]", ctx))
+    for kind in ("lex", "grevlex"):
+        order = ORDERS[kind]
+        basis = DivisorBasis(order, buchberger(gens, order))
+        _check_against_reference(normal_form(first, basis), first, basis)
+        packing, keys, tails = basis.packing, basis.keys, list(basis.tails)
+        assert None not in tails
+        got = normal_form(second, basis)
+        assert basis.packing is not packing
+        assert OUTSIDE[0] in basis.packing.weights
+        _check_against_reference(got, second, basis)
+        fresh = DivisorBasis(order, basis.polys)
+        assert _layout(got) == _layout(normal_form(second, fresh))
+        if kind == "lex":
+            assert basis.keys is keys
+            assert all(a is b for a, b in zip(basis.tails, tails))
+        else:
+            assert basis.keys is not keys and basis.keys != keys
+            assert not any(a is b for a, b in zip(basis.tails, tails))
+
+
+@pytest.mark.parametrize("mode", ["constants", "rational"])
 @pytest.mark.parametrize("kind", ["lex", "block"])
 def test_normal_form_widens_the_packing(kind, mode):
     # exponents outgrow the first slot width: x2^9 reduces to x1^45 under

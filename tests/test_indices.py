@@ -6,6 +6,8 @@ from diffalg.errors import ContextError, ResourceBudgetError
 from diffalg.indices import (coordinate_maps, deg, gamma_set, shift,
                              unit_index)
 
+from helpers import reference_gamma_set
+
 
 def test_gamma_m2_r1():
     assert gamma_set(2, 1) == ((0, 0), (1, 0), (0, 1))
@@ -32,6 +34,31 @@ def test_gamma_rejects_zero_dimension():
 @pytest.mark.parametrize("r", list(range(9)))
 def test_gamma_cardinality(m, r):
     assert len(gamma_set(m, r)) == math.comb(r + m, m)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_gamma_order_matches_the_recursive_enumeration(m):
+    for r in range(7):
+        assert gamma_set(m, r) == reference_gamma_set(m, r)
+
+
+@pytest.mark.parametrize("m,r,entries", [(1, 5, 6), (2, 1, 6), (3, 2, 30)])
+def test_gamma_budget_counts_m_entries_per_index(monkeypatch, m, r, entries):
+    # m = 1 counts |Gamma(r)| as before; every entry of a tuple counts
+    monkeypatch.setenv("DIFFALG_COORD_BUDGET", str(entries))
+    assert len(gamma_set(m, r)) * m == entries
+    monkeypatch.setenv("DIFFALG_COORD_BUDGET", str(entries - 1))
+    with pytest.raises(ResourceBudgetError) as exc:
+        gamma_set(m, r)
+    assert str(exc.value) == ("%d*|Gamma(%d)| = %d exceeds the coordinate "
+                              "budget" % (m, r, entries))
+
+
+def test_gamma_of_many_slots_needs_no_recursion():
+    # one multi-index of 5000 slots: a recursion per slot would overflow
+    assert gamma_set(5000, 0) == ((0,) * 5000,)
+    with pytest.raises(ResourceBudgetError):
+        gamma_set(5000, 1)  # 5001 indices of 5000 entries each
 
 
 def test_gamma_ordering_stable():

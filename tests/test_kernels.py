@@ -2,10 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffalg import files, groebner, kernels
 from diffalg.coeff import FieldMode
-from diffalg.dpoly import Context, DiffPolynomial, parse_poly, print_poly
+from diffalg.dpoly import (Context, DiffPolynomial, derivation_image,
+                           mono_mul, parse_poly, print_poly)
 from diffalg.errors import ContextError
 from diffalg.groebner import (IdealPresentation, MonomialOrder, buchberger,
                               leading_term)
@@ -13,7 +15,10 @@ from diffalg.kernels import (KernelPresentation, KernelValidationError,
                              kernel_prolong_once, kernel_prolong_to,
                              kernel_validate, realization_bound)
 
-from helpers import graph_kernel, kernel_corpus, ode_kernel
+from diffalg.indices import deg, gamma_set
+
+from helpers import (graph_kernel, kernel_corpus, ode_kernel,
+                     reference_kernel_prolong_once)
 
 C1 = Context(n=1, m=1, mode=FieldMode("constants", 1))
 M2 = Context(n=1, m=2, mode=FieldMode("constants", 2))
@@ -370,3 +375,157 @@ def test_prolongation_derives_no_lead_of_a_prefix(monkeypatch):
     assert not derived
     assert divisors.packing is not None
     assert len(divisors.keys) == len(divisors) > 1
+
+
+# -- rows as reduced polynomials ---------------------------------------------
+
+COEFFICIENTS = {"constants": ["1", "-1", "2", "1/2", "-3/2"],
+                "rational": ["1", "-1", "1/2", "t1", "-t1 + 1",
+                             "1/(t1 + 1)"]}
+
+
+@st.composite
+def kernel_specs(draw):
+    """(mode, m, n, r, generators): each generator a list of (coefficient
+    text, variables) terms, the first a variable of the top level times
+    at most one more, the others of degree at most one.  A graph kernel
+    gives each top variable one generator, whose lead it is: for m = 2 its
+    rows seldom agree, and the kernel is obstructed."""
+    mode = draw(st.sampled_from(sorted(COEFFICIENTS)))
+    # rational coefficients swell over two derivations or two coordinates
+    # (some such kernels take minutes), so a rational kernel has m = n = 1
+    most = 1 if mode == "rational" else 2
+    m = draw(st.integers(1, most))
+    n = draw(st.integers(1, most))
+    r = draw(st.integers(0, 2 if m == 1 else 1))
+    variables = [(i, xi) for xi in gamma_set(m, r) for i in range(1, n + 1)]
+    top = [v for v in variables if deg(v[1]) == r]
+    coefficient = st.sampled_from(COEFFICIENTS[mode])
+    if draw(st.booleans()):
+        leads = [[v] for v in top]
+    else:
+        leads = [[draw(st.sampled_from(top))] + draw(
+            st.lists(st.sampled_from(variables), max_size=1))
+            for _ in range(draw(st.integers(1, 2)))]
+    gens = []
+    for lead in leads:
+        rest = draw(st.lists(st.tuples(coefficient, st.lists(
+            st.sampled_from(variables), max_size=1)), max_size=2))
+        terms = [(draw(coefficient), lead)] + rest
+        gens.append(draw(st.permutations(terms)))
+    return mode, m, n, r, gens
+
+
+def build_kernel(spec):
+    """A fresh kernel from a drawn spec, each generator's terms in the
+    drawn order (a repeated monomial keeps its first coefficient)."""
+    mode, m, n, r, gens = spec
+    ctx = Context(n=n, m=m, mode=FieldMode(mode, m))
+    polys = []
+    for terms in gens:
+        out = {}
+        for text, variables in terms:
+            mono = ()
+            for v in variables:
+                mono = mono_mul(mono, ((v, 1),))
+            out.setdefault(mono, parse_poly(text, ctx).constant_value())
+        polys.append(DiffPolynomial(ctx, out))
+    return KernelPresentation(ctx=ctx, r=r,
+                              ideal=IdealPresentation(ctx, polys,
+                                                      MonomialOrder.lex()))
+
+
+def outcome(prolong):
+    """What the prolongation prolong() prints: the status and the final
+    generators and inverted set, or the witness, or the violations of an
+    invalid kernel."""
+    try:
+        result = prolong()
+    except KernelValidationError as exc:
+        return "invalid", exc.report.violations
+    if result.status == "obstructed":
+        return result.status, result.witness.to_json()
+    nxt = result.next
+    return (result.status, nxt.r,
+            [print_poly(g) for g in nxt.ideal.generators],
+            [print_poly(h) for h in nxt.inverted])
+
+
+def reference_prolong_to(K, s):
+    while True:
+        result = reference_kernel_prolong_once(K)
+        if result.status == "obstructed" or result.next.r == s:
+            return result
+        K = result.next
+
+
+@given(spec=kernel_specs(), levels=st.integers(1, 2))
+@settings(max_examples=200, deadline=None)
+def test_rows_as_polynomials_match_the_split_rows(spec, levels):
+    s = spec[3] + levels
+    want = outcome(lambda: reference_prolong_to(build_kernel(spec), s))
+    got = outcome(lambda: kernel_prolong_to(build_kernel(spec), s)[0])
+    assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTION_CASES) + [
+    "counterexample-constants", "counterexample-rational"])
+def test_named_kernels_match_the_split_rows(name):
+    # rational kernels with m = 2 or n = 2, and obstructions
+    if name.startswith("counterexample"):
+        make, s = (lambda: counterexample_kernel(name.split("-")[1])), 2
+    else:
+        make, levels = CONSTRUCTION_CASES[name]
+        s = make().r + levels
+    want = outcome(lambda: reference_prolong_to(make(), s))
+    assert outcome(lambda: kernel_prolong_to(make(), s)[0]) == want
+    assert want[0] == ("obstructed" if name.startswith("counterexample")
+                       else "prolonged")
+
+
+def counted_prolong_once(monkeypatch, prolong_once, K):
+    """The printed dividends of every normal_form call that prolong_once(K)
+    makes, in order, and its result."""
+    dividends = []
+
+    def counting(f, basis):
+        dividends.append(print_poly(f))
+        return real(f, basis)
+
+    real = groebner.normal_form
+    monkeypatch.setattr(groebner, "normal_form", counting)
+    result = prolong_once(K)
+    monkeypatch.undo()
+    return dividends, result
+
+
+def test_one_division_per_row_and_per_elimination_step(monkeypatch):
+    # two rows share the unknown x1_[1]: the first pivots on it (its
+    # coefficient 2*x1_[0] is inverted) and the second takes one update,
+    # which leaves x2_[1] to the second row
+    ctx = Context(n=2, m=1, mode=FieldMode("constants", 1))
+
+    def kernel():
+        K = make_kernel(ctx, 0, ["x2_[0] - x1_[0]", "x1_[0]^2 - 2"])
+        K.ideal.reduced_gb
+        return K
+
+    K = kernel()
+    images = [print_poly(derivation_image(g, 1)) for g in K.ideal.reduced_gb]
+    assert images == ["2*x1_[0]*x1_[1]", "x2_[1] - x1_[1]"]
+    dividends, result = counted_prolong_once(monkeypatch, kernel_prolong_once,
+                                             K)
+    # one division per image and one for the update; every other dividend
+    # is a zero test in the kernel's field, free of unknowns
+    rows = [f for f in dividends if "_[1]" in f]
+    assert rows == images + ["2*x1_[0]*x2_[1]"]
+    assert [print_poly(g) for g in result.next.ideal.generators] == [
+        "x1_[0]^2 - 2", "x2_[0] - x1_[0]", "2*x1_[0]*x1_[1]",
+        "2*x1_[0]*x2_[1]"]
+    # split rows divide each unknown's coefficient and the constant part
+    # on their own: 2 and 3 parts for the images, 3 for the update
+    split, reference = counted_prolong_once(
+        monkeypatch, reference_kernel_prolong_once, kernel())
+    assert not [f for f in split if "_[1]" in f]
+    assert len(split) == len(dividends) - len(rows) + 2 + 3 + 3
+    assert outcome(lambda: reference) == outcome(lambda: result)
