@@ -16,11 +16,11 @@ a term are each one integer operation; a divisor's tail is packed when
 it is first used.  Over K = Q (constants mode) the coefficients are ints
 too: each divisor's tail is packed as its primitive integer multiple, and
 the dividend carries one denominator; rational mode divides on
-Coefficients.  `buchberger` grows one DivisorBasis as it adds
-S-polynomials, its final reduction tests and divides with that basis's
-packing, and it fills the reduced basis into the caller's DivisorBasis
-(`IdealPresentation`'s) with the leads the final reduction has, so no
-division re-derives a divisor's leading term.
+Coefficients.  `buchberger` grows one DivisorBasis as it adds S-polynomials,
+its final reduction tests and divides with that basis's packing, and it
+fills the reduced basis, with the leads the final reduction has and that
+packing, into the caller's DivisorBasis (`IdealPresentation`'s): no division
+re-derives a lead, and a dividend over the basis's variables packs nothing.
 
 `buchberger` gives each variable of its leads a bit of a support mask
 and never queues a pair whose masks are disjoint (coprime leads).  The
@@ -135,9 +135,9 @@ class DivisorBasis:
       tail term's Coefficient; in constants mode a*x^lm + sum(b*x^m) is the
       divisor's primitive integer multiple, a > 0 and every b an int.
 
-    normal_form builds the packing (`pack`) when the basis first divides
-    and again, keeping the keys that stay valid, when a division leaves
-    it; an inserted divisor gets its lm keyed, or drops a misfit packing.
+    normal_form packs (`pack`) a basis `buchberger` did not fill when it
+    first divides, and again, keeping valid keys, when a division leaves
+    it; an inserted divisor gets its lm keyed or drops a misfit packing.
     """
 
     def __init__(self, order, polys=(), lms=()):
@@ -442,8 +442,8 @@ def buchberger(gens, order, prefix=(), out=None):
     result is the same basis as with no prefix.
 
     `out`, when given an empty DivisorBasis under `order`, receives the
-    result, with the leads the final reduction has in hand, so dividing
-    by it derives no leading term.
+    result, with the leads the final reduction has in hand and the run's
+    packing, so dividing by it derives no leading term.
     Each S-polynomial remainder is added to the growing basis with its
     first term as lm: normal_form returns its terms in descending order.
     """
@@ -520,15 +520,15 @@ def _reduce_basis(G, prefix=0, out=None):
     from scratch.
 
     `out`, when given an empty DivisorBasis, receives the result with its
-    lms; the result is out.polys.
+    lms and G's packing, as the kept elements do; the result is out.polys.
     """
     order, lms = G.order, G.lms
     divisors = DivisorBasis(order)  # the kept elements, in G order
-    if len(G) > 1:
-        divisors.packing = packing = G.packing or G.pack()
-        guards, one = packing.guards, packing.one
     if out is None:
         out = DivisorBasis(order)
+    if len(G) > 1:
+        divisors.packing = out.packing = packing = G.packing or G.pack()
+        guards, one = packing.guards, packing.one
     keys = G.keys  # sort as the lms do
 
     def divided(k, among):

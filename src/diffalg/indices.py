@@ -36,18 +36,23 @@ def index_sort_key(xi):
     return (deg(xi), tuple(-e for e in xi))
 
 
-def gamma_set(m, r):
-    """Enumerate Gamma(r) = {xi in N^m : deg xi <= r} in canonical order,
-    refusing m*|Gamma(r)| entries over the coordinate budget.  Within a
-    degree the order is descending lex: the next index moves a unit from
-    the last nonzero slot j before the final one, and the final slot's
-    units, to slot j+1."""
+def check_gamma(m, r):
+    """Refuse a Gamma(r) of N^m whose m*|Gamma(r)| entries are over the
+    coordinate budget, without enumerating it."""
     if m < 1:
         raise ContextError("m must be >= 1, got %d" % m)
     if r < 0:
         raise ContextError("r must be >= 0, got %d" % r)
     check_coordinates("%s*|Gamma(%s)|" % (_size_text(m), _size_text(r)),
                       m * math.comb(r + m, m))
+
+
+def gamma_set(m, r):
+    """Enumerate Gamma(r) = {xi in N^m : deg xi <= r} in canonical order,
+    refused by `check_gamma` first.  Within a degree the order is
+    descending lex: the next index moves a unit from the last nonzero slot
+    j before the final one, and the final slot's units, to slot j+1."""
+    check_gamma(m, r)
     out = []
     for d in range(r + 1):
         xi = [d] + [0] * (m - 1)

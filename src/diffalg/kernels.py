@@ -6,12 +6,12 @@ D_k x_i^xi = x_i^(xi + unit k).  Prolonging by one introduces unknowns for
 the level r+1 derivatives and decides the joint linear system over the
 fraction field of the quotient.  Each row of that system is one reduced
 polynomial, affine-linear in the unknowns, and the pivot rows are the
-relations the next level adjoins.  Zero tests go through saturation by the
-`inverted` multiplicative set (the pivot denominators accumulated so far),
-encoded with the auxiliary-variable trick 1 - g*z.  `kernel_validate` is
-the one derivation-extension check; the prolongation runs it on every input
-it did not produce itself (its results are valid by construction) and
-builds its rows from the top-level generators only.
+relations the next level adjoins.  A zero test takes a normal form under
+the kernel's basis and makes at most one division, by the saturation basis
+of the `inverted` set (the pivot denominators so far): ideal + (1 - g*z).
+`kernel_validate` is the one derivation-extension check; the prolongation
+runs it on every input it did not produce itself (its results are valid
+by construction) and builds its rows from the top-level generators only.
 
 Primality of the presented ideal is assumed, not verified: the obstruction
 verdict is sound regardless, but a "prolonged" verdict is certified only
@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import bounds
 from .dpoly import Context, DiffPolynomial, derivation_image, print_poly, var_rank
 from .errors import ContextError, DiffAlgError
 from .groebner import (IdealPresentation, MonomialOrder, normal_form,
                        rabinowitsch)
-from .indices import check_coordinates, deg, gamma_set
+from .indices import check_coordinates, check_gamma, deg, gamma_set
 
 
 class KernelValidationError(DiffAlgError):
@@ -102,7 +103,6 @@ class KernelPresentation:
         if self.ideal.order.kind != "lex":
             self.ideal = IdealPresentation(self.ctx, self.ideal.generators,
                                            MonomialOrder.lex())
-        self._sat_cache = None
 
     @property
     def n(self):
@@ -114,31 +114,30 @@ class KernelPresentation:
 
     # -- zero tests in the kernel's field -----------------------------------
 
+    @cached_property
     def _saturation_basis(self):
-        """The presentation of ideal + (1 - g*z), g the product of
-        inverted, or ()."""
+        """The presentation of ideal + (1 - g*z), g the product of the
+        inverted elements not constant modulo the ideal, or None."""
         factors = []
         for h in self.inverted:
             nf = self.ideal.normal_form(h)
             if not nf.is_constant() and nf not in factors:
                 factors.append(nf)
         if not factors:
-            return ()
+            return None
         g = math.prod(factors[1:], start=factors[0])
         ideal = self.ideal
         ctx2, gens = rabinowitsch(ideal.reduced_gb, g)
         return IdealPresentation(ctx2, gens, ideal.order, _prefix=ideal.lms)
 
     def is_zero_mod(self, f):
-        """Is f zero in the kernel's field (quotient localized at inverted)?"""
-        if self.ideal.normal_form(f).is_zero():
+        """Is f, a normal form under the kernel's basis, zero in the kernel's
+        field (quotient localized at inverted), by at most one division?"""
+        if f.is_zero():
             return True
-        if self._sat_cache is None:
-            self._sat_cache = self._saturation_basis()
-        if not self._sat_cache:
-            return False
-        sat = self._sat_cache
-        return normal_form(f.with_context(sat.ctx), sat.divisors).is_zero()
+        sat = self._saturation_basis
+        return sat is not None and normal_form(f.with_context(sat.ctx),
+                                               sat.divisors).is_zero()
 
 
 def violation(f, k, nf):
@@ -152,15 +151,18 @@ def kernel_validate(Kp):
     Every reduced-basis element whose variables all sit below the top level
     must have a D_k-image lying in the ideal, for every k; otherwise the
     claimed derivations do not extend delta_k with the prescribed images.
+    A violation reports the image's normal form, the one division made of
+    it.  Over-budget m*|Gamma(r)| entries are refused before any image.
     """
+    check_gamma(Kp.m, Kp.r)
     violations = []
-    for idx, f in enumerate(Kp.ideal.reduced_gb):
+    for f in Kp.ideal.reduced_gb:
         if f.max_level() > Kp.r - 1:
             continue
         for k in range(1, Kp.m + 1):
-            img = derivation_image(f, k)
-            if not Kp.is_zero_mod(img):
-                violations.append(violation(f, k, Kp.ideal.normal_form(img)))
+            nf = Kp.ideal.normal_form(derivation_image(f, k))
+            if not Kp.is_zero_mod(nf):
+                violations.append(violation(f, k, nf))
     return ValidationReport(valid=not violations, violations=violations)
 
 
@@ -185,12 +187,12 @@ def kernel_prolong_once(Kp):
     eliminates over the kernel's fraction field (pivot denominators join the
     inverted set), and on success adjoins the triangular pivot relations;
     unknowns untouched by any pivot stay free as new transcendentals.
-    Raises KernelValidationError with `kernel_validate`'s report on an
-    invalid kernel, and ResourceBudgetError when the level-(r+1) ambient
-    of n*|Gamma(r+1)| coordinates is over the coordinate budget.  Only
-    top-level generators give rows: the D_k-image of a lower one has no
-    level-(r+1) unknown, so it never pivots, and its constant, zero in the
-    kernel's field once validated, stays zero.
+    Raises ResourceBudgetError, before validating, when the level-(r+1)
+    ambient of n*|Gamma(r+1)| coordinates is over the coordinate budget,
+    and KernelValidationError with `kernel_validate`'s report on an invalid
+    kernel.  Only top-level generators give rows: the D_k-image of a lower
+    one has no level-(r+1) unknown, so it never pivots, and its constant,
+    zero in the kernel's field once validated, stays zero.
 
     Each row is the normal form of a D_k-image, and an elimination step
     replaces it by the normal form of d*row - c*pivot: no lead of the
@@ -210,13 +212,13 @@ def kernel_prolong_once(Kp):
     module's primality assumption: a pivot nonzero in Kp's field stays a
     non-zero-divisor.
     """
+    ctx, r = Kp.ctx, Kp.r
+    levels = gamma_set(ctx.m, r + 1)
+    check_coordinates("n*|Gamma(%d)|" % (r + 1), ctx.n * len(levels))
     if not Kp.validated:
         report = kernel_validate(Kp)
         if not report.valid:
             raise KernelValidationError(report)
-    ctx, r = Kp.ctx, Kp.r
-    levels = gamma_set(ctx.m, r + 1)
-    check_coordinates("n*|Gamma(%d)|" % (r + 1), ctx.n * len(levels))
     top = [xi for xi in levels if deg(xi) == r + 1]
     unknowns = [(i, xi) for xi in top for i in range(1, ctx.n + 1)]
     unknown_set = set(unknowns)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .dpoly import derivation_image
 from .errors import ContextError
 from .groebner import IdealPresentation
-from .indices import unit_index
+from .indices import check_coordinates, unit_index
 
 
 @dataclass
@@ -25,7 +25,8 @@ class ProlongationSystem:
 
 
 def prolong_one(I, k):
-    """tau_{delta_k} of the variety presented by I."""
+    """tau_{delta_k} of the variety presented by I, refused when its
+    ambient of 2n coordinates is over the coordinate budget."""
     if not 1 <= k <= I.ctx.m:
         raise ContextError("derivation index %d out of range 1..%d"
                            % (k, I.ctx.m))
@@ -33,7 +34,8 @@ def prolong_one(I, k):
 
 
 def prolong_delta(I):
-    """tau_Delta: the fibre product of all m single prolongations over X."""
+    """tau_Delta: the fibre product of all m single prolongations over X,
+    refused when its n(m+1) coordinates are over the coordinate budget."""
     return _prolong(I, tuple(range(1, I.ctx.m + 1)))
 
 
@@ -44,6 +46,8 @@ def _prolong(I, ks):
             raise ContextError(
                 "prolongation base must use level-0 variables only, got %r"
                 % (v,))
+    check_coordinates("n(m+1)" if len(ks) > 1 else "2n",
+                      I.ctx.n * (len(ks) + 1))
     gb = I.reduced_gb
     gens = list(gb)
     for k in ks:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import diffalg
+from diffalg import kernels, prolong
 from diffalg.cli import (EXIT_NEGATIVE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
                          run)
 from diffalg.files import load_ideal_text, load_kernel_text
@@ -584,6 +585,78 @@ def test_check_containment_keeps_the_coordinate_budget(
     if shape == "sharp":
         assert invoke(capsys, ["axiom-shape", "2", "2"])[0] == (
             EXIT_OK if error is None else EXIT_RESOURCE)
+
+
+def refused(code, out, error):
+    return (code, json.loads(out)) == (EXIT_RESOURCE, {
+        "error": "resource",
+        "message": error + " exceeds the coordinate budget"})
+
+
+def counting_calls(monkeypatch, module, name):
+    """The calls made to module.name, recorded before each runs."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("argv,budget,error", [
+    # --all: the Gamma(1) layout, n(m+1) = 8 coordinates; --k: 2n = 4
+    (["--all"], 8, None),
+    (["--all"], 7, "n(m+1) = 8"),
+    (["--k", "2"], 4, None),
+    (["--k", "2"], 3, "2n = 4"),
+], ids=["all-fits", "all-over", "k-fits", "k-over"])
+def test_prolong_variety_keeps_the_coordinate_budget(
+        tmp_path, capsys, monkeypatch, argv, budget, error):
+    monkeypatch.setenv("DIFFALG_COORD_BUDGET", str(budget))
+    images = counting_calls(monkeypatch, prolong, "derivation_image")
+    path = tmp_path / "v.ideal"
+    path.write_text("m=3 n=2 gamma=0 mode=constants\n"
+                    "x1_[0,0,0]*x2_[0,0,0] - 1\n")
+    code, out = invoke(capsys, ["prolong-variety", str(path)] + argv)
+    if error is None:
+        assert code == EXIT_OK and len(json.loads(out)["generators"]) > 1
+        assert images
+    else:
+        # refused before any D_k-image is computed
+        assert refused(code, out, error) and not images
+
+
+# KERNEL_INVALID's m*|Gamma(2)| = 3 entries fit a budget of 3, its level-3
+# ambient (n*|Gamma(3)| = 4 coordinates, m*|Gamma(3)| = 4 entries) does not
+@pytest.mark.parametrize("budget,check,prolong_to", [
+    (4, EXIT_NEGATIVE, EXIT_NEGATIVE),
+    (3, EXIT_NEGATIVE, "1*|Gamma(3)| = 4"),
+    (2, "1*|Gamma(2)| = 3", "1*|Gamma(3)| = 4"),
+], ids=["fits", "next-level-over", "kernel-over"])
+def test_kernel_commands_refuse_before_they_validate(
+        tmp_path, capsys, monkeypatch, budget, check, prolong_to):
+    # an invalid kernel whose next level is over the budget exits 3, not 1,
+    # and neither command computes a D_k-image of an over-budget kernel
+    monkeypatch.setenv("DIFFALG_COORD_BUDGET", str(budget))
+    images = counting_calls(monkeypatch, kernels, "derivation_image")
+    validations = counting_calls(monkeypatch, kernels, "kernel_validate")
+    path = tmp_path / "k.kernel"
+    path.write_text(KERNEL_INVALID)
+    for argv, want in ((["kernel-check"], check),
+                       (["kernel-prolong", "--to", "3"], prolong_to)):
+        images.clear()
+        validations.clear()
+        code, out = invoke(capsys, [argv[0], str(path)] + argv[1:])
+        if want == EXIT_NEGATIVE:
+            assert code == EXIT_NEGATIVE and images
+            assert "violations" in json.loads(out)
+        else:
+            # the prolongation refuses before it validates
+            assert refused(code, out, want) and not images
+            assert not validations
 
 
 @pytest.mark.parametrize("poly,error", [

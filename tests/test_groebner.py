@@ -315,13 +315,17 @@ def test_normal_form_matches_naive_reference(mode, kind, data):
     I = IdealPresentation(ctx, gens, order)
     _check_normal_form(I.normal_form(f), f, I.reduced_gb, order)
     if kind == "lex":
-        # the saturation basis a kernel prepares for is_zero_mod
+        # the saturation basis a kernel prepares for is_zero_mod, which
+        # takes a normal form under the kernel's basis
         h = data.draw(_polys(ctx, 1, 2))
         K = KernelPresentation(ctx=ctx, r=0, ideal=I, inverted=[h])
-        verdict = K.is_zero_mod(f)
-        if K._sat_cache:
-            sat = K._sat_cache
-            f2 = f.with_context(sat.ctx)
+        nf = I.normal_form(f)
+        verdict = K.is_zero_mod(nf)
+        sat = K._saturation_basis
+        if sat is None:
+            assert verdict == nf.is_zero()
+        else:
+            f2 = nf.with_context(sat.ctx)
             want = _check_normal_form(sat.normal_form(f2), f2, sat.reduced_gb,
                                       order)
             assert verdict == want.is_zero()
@@ -337,39 +341,64 @@ def _check_normal_form(got, f, basis, order):
     return want
 
 
+def capturing_runs(monkeypatch):
+    """The DivisorBasis G of each buchberger run, as _reduce_basis gets
+    it."""
+    runs = []
+    reduce_basis = groebner._reduce_basis
+
+    def capturing(G, prefix=0, out=None):
+        runs.append(G)
+        return reduce_basis(G, prefix, out)
+
+    monkeypatch.setattr(groebner, "_reduce_basis", capturing)
+    return runs
+
+
+def counting_packs(monkeypatch):
+    """The arguments of each DivisorBasis.pack call."""
+    packs = []
+    pack = DivisorBasis.pack
+
+    def counting(self, *args):
+        packs.append(args)
+        return pack(self, *args)
+
+    monkeypatch.setattr(DivisorBasis, "pack", counting)
+    return packs
+
+
 def test_ideal_normal_form_prepares_each_leading_term_once(monkeypatch):
-    # buchberger hands over the leads its final reduction has, so dividing
-    # by the reduced basis derives no leading term; the first division
-    # packs the basis, and later dividends over the same variables reuse
-    # that packing
+    # buchberger hands over the leads its final reduction has and the
+    # packing its run built, with every lead keyed, so dividing by the
+    # reduced basis derives no leading term, and dividends over its
+    # variables divide with no pack call
     I = IdealPresentation(C3, [p("x2_[0] - x3_[0]^2"), p("x1_[0] - x3_[0]^3"),
                                p("x1_[0]*x2_[0] - 1")], LEX)
+    runs = capturing_runs(monkeypatch)
     gb = I.reduced_gb
-    calls, packs = [], []
-    pack = DivisorBasis.pack
+    prepared = I.divisors
+    assert len(runs) == 1 and prepared.packing is runs[0].packing
+    assert len(prepared.keys) == len(gb) > 1
+    assert prepared.tails == [None] * len(gb)
+    calls = []
 
     def counting(f, order):
         calls.append(f)
         return leading_term(f, order)
 
-    def packing(self, *args):
-        packs.append(args)
-        return pack(self, *args)
-
     monkeypatch.setattr(groebner, "leading_term", counting)
-    monkeypatch.setattr(DivisorBasis, "pack", packing)
+    packs = counting_packs(monkeypatch)
     rng = random.Random(3)
-    assert I.divisors.packing is None
     for _ in range(10):
         I.normal_form(_random_poly(rng, C3))
-        assert len(packs) == 1
-    assert len(gb) > 1 and calls == []
+    assert packs == [] and calls == []
     monkeypatch.undo()
     # the same leads, lead keys and packed tails as derived from scratch
     # and packed at the same width
-    prepared, want = I.divisors, DivisorBasis(LEX, gb)
+    want = DivisorBasis(LEX, gb)
     assert prepared.polys == gb and prepared.lms == want.lms
-    want.pack(prepared.packing.limit)
+    assert want.pack(prepared.packing.limit) is prepared.packing
     assert prepared.keys == want.keys
     assert [prepared.tail(i) for i in range(len(gb))] == \
         [want.tail(i) for i in range(len(gb))]
@@ -813,24 +842,21 @@ def test_long_constants_division_matches_reference(kind):
 @pytest.mark.parametrize("mode", ["constants", "rational"])
 @pytest.mark.parametrize("kind", sorted(ORDERS))
 def test_presentation_reused_over_new_variables(monkeypatch, mode, kind):
-    # the first dividend brings variables that no divisor has: the packing
-    # is built once, over those too, at the width of the divisors alone,
-    # and the later dividends over the same variables divide under it
+    # the reduced basis arrives with its run's packing; the first dividend
+    # brings variables that no divisor has, and the packing is built once
+    # more, over those too, at the run's width, which keeps a lex basis's
+    # lead keys; the later dividends over the same variables divide under it
     ctx, order = _ctx(mode), ORDERS[kind]
     I = IdealPresentation(ctx, [p("x1_[0]^2 - x2_[0]", ctx),
                                 p("x3_[0]^2 + x1_[0]*x2_[0]", ctx)], order)
+    runs = capturing_runs(monkeypatch)
     divisors = I.divisors
+    run = divisors.packing
+    assert run is runs[0].packing and len(divisors.keys) == len(divisors)
+    keys = divisors.keys
     new = [W] + OUTSIDE
-    assert divisors.packing is None
     assert not set(new) & set().union(*(g.variables() for g in divisors.polys))
-    packs = []
-    pack = DivisorBasis.pack
-
-    def counting(self, *args):
-        packs.append(args)
-        return pack(self, *args)
-
-    monkeypatch.setattr(DivisorBasis, "pack", counting)
+    packs = counting_packs(monkeypatch)
     rng = random.Random(8)
     for n in range(8):
         f = _random_poly(rng, ctx)
@@ -843,11 +869,13 @@ def test_presentation_reused_over_new_variables(monkeypatch, mode, kind):
         assert len(packs) == 1
     monkeypatch.undo()
     assert set(new) <= set(divisors.packing.weights)
+    assert divisors.packing.limit == run.limit
+    if kind == "lex":
+        assert divisors.keys is keys
     # the lead keys and packed tails of the reduced basis packed from
-    # scratch over the same variables, at the width it needs alone
+    # scratch over the same variables, at the same width
     want = DivisorBasis(order, divisors.polys)
-    assert divisors.packing.limit == want.pack().limit
-    want.pack(0, [((v, 1),) for v in new])
+    want.pack(run.limit, [((v, 1),) for v in new])
     assert want.lms == divisors.lms and want.keys == divisors.keys
     assert [want.tail(i) for i in range(len(want))] == \
         [divisors.tail(i) for i in range(len(divisors))]

@@ -364,17 +364,184 @@ def test_prolongation_derives_no_lead_of_a_prefix(monkeypatch):
     assert nxt.inverted and derived
     assert not set(derived) & {print_poly(g) for g in K.ideal.reduced_gb}
     derived.clear()
-    sat = nxt._saturation_basis()
+    sat = nxt._saturation_basis
     divisors = sat.divisors
     assert derived and not set(derived) & {print_poly(g) for g in gb}
-    # dividing by the saturation basis derives no lead, and its first
-    # division keys every lead
+    # the saturation basis arrives with its run's packing, every lead
+    # keyed, so dividing by it derives no lead and packs nothing
     derived.clear()
-    assert divisors.packing is None
-    sat.normal_form(gb[0].with_context(sat.ctx))
-    assert not derived
     assert divisors.packing is not None
     assert len(divisors.keys) == len(divisors) > 1
+    packs = []
+    pack = groebner.DivisorBasis.pack
+
+    def packing(self, *args):
+        packs.append(args)
+        return pack(self, *args)
+
+    monkeypatch.setattr(groebner.DivisorBasis, "pack", packing)
+    sat.normal_form(gb[0].with_context(sat.ctx))
+    assert not derived and not packs
+
+
+def recording_divisions(monkeypatch):
+    """(dividend, basis, remainder) of every normal_form call."""
+    calls = []
+    divide = groebner.normal_form
+
+    def recording(f, basis):
+        nf = divide(f, basis)
+        calls.append((f, basis, nf))
+        return nf
+
+    monkeypatch.setattr(groebner, "normal_form", recording)
+    monkeypatch.setattr(kernels, "normal_form", recording)
+    return calls
+
+
+def member(f, gens):
+    """Is f in the ideal gens generate?  A grevlex basis from scratch."""
+    basis = groebner.DivisorBasis(MonomialOrder.grevlex(),
+                                  buchberger(gens, MonomialOrder.grevlex()))
+    return groebner.normal_form(f, basis).is_zero()
+
+
+@pytest.mark.parametrize("inverted", [[], ["x1_[0]"]], ids=["none", "x1"])
+def test_is_zero_mod_takes_a_normal_form(inverted):
+    # is_zero_mod(nf) is membership of f in I : g^infinity, g the product
+    # of the inverted elements: f in the Rabinowitsch ideal I + (1 - g*z)
+    K = make_kernel(C1, 2, SATURATION_DECIDES,
+                    [parse_poly(h, C1) for h in inverted])
+    gens = K.ideal.generators
+    if inverted:
+        ctx2, gens = groebner.rabinowitsch(gens, parse_poly(inverted[0], C1))
+    else:
+        ctx2 = C1
+    rng = random.Random(5)
+    variables = [(1, (d,)) for d in range(3)]
+    texts = ["0", "1", "x1_[0]", "x1_[1] - 1", "x1_[1]^2 - x1_[1]", "x1_[2]",
+             "x1_[0]*x1_[2]", "x1_[0]*x1_[1] - x1_[0]", "x1_[1] + x1_[2]"]
+    fs = [parse_poly(t, C1) for t in texts]
+    for _ in range(12):
+        f = DiffPolynomial.zero(C1)
+        for t in rng.sample(texts[2:], 2):
+            term = parse_poly(str(rng.randint(-3, 3)), C1)
+            for v in rng.sample(variables, rng.randint(0, 2)):
+                term = term * DiffPolynomial.var(C1, *v)
+            f = f + term * parse_poly(t, C1)
+        fs.append(f)
+    verdicts = []
+    for f in fs:
+        verdict = K.is_zero_mod(K.ideal.normal_form(f))
+        assert verdict == member(f.with_context(ctx2), gens), print_poly(f)
+        verdicts.append(verdict)
+    # both answers occur, and inverting x1_[0] decides more of them
+    assert True in verdicts and False in verdicts
+    assert verdicts[texts.index("x1_[1]^2 - x1_[1]")] == bool(inverted)
+
+
+def test_validate_divides_each_image_once(monkeypatch):
+    # each D_k-image is divided once by the kernel's basis, a violation
+    # reports that division's remainder, and each nonzero remainder gets
+    # one division by the saturation basis when something is inverted
+    for texts, inverted, count in (
+            (["x1_[0]", "x1_[1] - 1"], [], 2),
+            (SATURATION_DECIDES, [], 1),
+            (SATURATION_DECIDES, [parse_poly("x1_[0]", C1)], 1)):
+        K = make_kernel(C1, 2, texts, inverted)
+        own = K.ideal.divisors
+        images = []
+        image = kernels.derivation_image
+
+        def recording(f, k):
+            images.append(image(f, k))
+            return images[-1]
+
+        monkeypatch.setattr(kernels, "derivation_image", recording)
+        calls = recording_divisions(monkeypatch)
+        report = kernel_validate(K)
+        monkeypatch.undo()
+        # building the saturation basis divides the inverted elements
+        mine = [(f, nf) for f, basis, nf in calls if basis is own
+                and not any(f is h for h in inverted)]
+        assert len(images) == count
+        assert len(mine) == len(images)
+        assert all(f is img for (f, _), img in zip(mine, images))
+        nonzero = [nf for _, nf in mine if nf]
+        assert nonzero
+        sat = K._saturation_basis
+        if sat is None:
+            assert [v["normal_form"] for v in report.violations] == [
+                print_poly(nf) for nf in nonzero]
+        else:
+            assert report.valid
+            assert len([c for c in calls if c[1] is sat.divisors]) == \
+                len(nonzero)
+
+
+def implicit_m2_kernel():
+    """x = 2/x' in the first derivation: the pivots are x, so the levels
+    build saturation bases."""
+    return files.load_kernel_text("m=2 n=1 length=1 mode=constants\n"
+                                  "x1_[0,0]*x1_[1,0] - 2\nx1_[0,1]\n")
+
+
+def test_is_zero_mod_divides_by_the_saturation_basis_alone(monkeypatch):
+    # along a prolongation that builds saturation bases, no zero test
+    # divides its argument by its kernel's basis (building the saturation
+    # basis divides the inverted elements), and each makes at most one
+    # division by its saturation basis
+    calls = recording_divisions(monkeypatch)
+    tests = []  # (kernel, [(dividend, basis)]) per is_zero_mod call
+    zero_mod = KernelPresentation.is_zero_mod
+
+    def recording(self, f):
+        start = len(calls)
+        verdict = zero_mod(self, f)
+        tests.append((self, [c[:2] for c in calls[start:]]))
+        return verdict
+
+    monkeypatch.setattr(KernelPresentation, "is_zero_mod", recording)
+    for K in (make_kernel(C1, 2, SATURATION_DECIDES,
+                          [parse_poly("x1_[0]", C1)]), implicit_m2_kernel()):
+        kernel_prolong_to(K, K.r + 2)
+    monkeypatch.undo()
+    saturated = 0
+    for K, divisions in tests:
+        assert all(any(f is h for h in K.inverted)
+                   for f, b in divisions if b is K.ideal.divisors)
+        sat = K._saturation_basis
+        if sat is not None:
+            hits = sum(b is sat.divisors for _, b in divisions)
+            assert hits <= 1
+            saturated += hits
+    assert saturated > 3
+
+
+def test_saturation_builds_of_one_kernel(monkeypatch):
+    # the saturation bases built prolonging one fixed kernel to length 4,
+    # counted as the benchmark counts them: a buchberger run inside a
+    # zero test
+    depth, builds = [0], [0]
+    zero_mod = KernelPresentation.is_zero_mod
+    run = groebner.buchberger
+
+    def testing(self, f):
+        depth[0] += 1
+        try:
+            return zero_mod(self, f)
+        finally:
+            depth[0] -= 1
+
+    def counting(*args, **kwargs):
+        builds[0] += bool(depth[0])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(KernelPresentation, "is_zero_mod", testing)
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    result, _ = kernel_prolong_to(implicit_m2_kernel(), 4)
+    assert result.status == "prolonged"
+    assert builds[0] == 3
 
 
 # -- rows as reduced polynomials ---------------------------------------------
