@@ -1,6 +1,7 @@
 """Compare two trees' per-layer trace counts on the benchmark's workloads.
 
-    python3 scripts/trace_counts.py BEFORE [AFTER] [--seed 1] [--seconds 2]
+    python3 scripts/trace_counts.py BEFORE [AFTER] [--seed 1] [--seconds 2] \
+        [--expect NAME ...]
 
 BEFORE and AFTER are checkouts of this repository; AFTER defaults to the
 one holding this script.  For each workload, each tree's own
@@ -8,8 +9,12 @@ one holding this script.  For each workload, each tree's own
 subprocess, and the metrics of its last output line are compared: every
 one whose unit is count, bits or ratio, except ``trace.overhead_ratio``,
 which is a ratio of times.  It prints one line per metric that differs,
-with both values, then a summary line.  It exits 1 when any metric
-differs, 2 when a run fails or prints no result line, and 0 otherwise.
+with both values, then a summary line.  Each ``--expect NAME`` (it may
+be repeated) names a metric that a change is meant to move: its lines are
+marked ``(expected)``, and a line names each expected metric that differs
+on no workload.  It exits 1 when a metric not expected differs or an
+expected one does not, 2 when a run fails or prints no result line, and 0
+otherwise.
 It uses the standard library only, and it changes nothing under bench/.
 """
 from __future__ import annotations
@@ -67,9 +72,13 @@ def main(argv=None):
     parser.add_argument("after", nargs="?", default=HERE)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=2)
+    parser.add_argument("--expect", action="append", default=[],
+                        metavar="NAME")
     args = parser.parse_args(argv)
     trees = [os.path.abspath(args.before), os.path.abspath(args.after)]
     total = differ = 0
+    unexpected = 0
+    moved = set()
     for workload in WORKLOADS:
         try:
             before, after = [run_trace(tree, workload, args.seed,
@@ -80,10 +89,17 @@ def main(argv=None):
         total += len(compared(before))
         for name, a, b in differences(before, after):
             differ += 1
-            print("%s %s: %s -> %s" % (workload, name, a, b))
+            expected = name in args.expect
+            moved.add(name)
+            unexpected += not expected
+            print("%s %s: %s -> %s%s" % (workload, name, a, b,
+                                         " (expected)" if expected else ""))
     print("%d of %d metrics differ over %d workloads (seed %d)"
           % (differ, total, len(WORKLOADS), args.seed))
-    return 1 if differ else 0
+    still = [name for name in dict.fromkeys(args.expect) if name not in moved]
+    for name in still:
+        print("expected %s differs on no workload" % name)
+    return 1 if unexpected or still else 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ a term are each one integer operation; a divisor's tail is packed when
 it is first used.  Over K = Q (constants mode) the coefficients are ints
 too: each divisor's tail is packed as its primitive integer multiple, and
 the dividend carries one denominator; rational mode divides on
-Coefficients.  `buchberger` grows one DivisorBasis as it adds S-polynomials,
+Coefficients.  `buchberger` grows one DivisorBasis as it adds S-polynomial
+remainders, each formed on that basis's packed keys and divided in place,
 its final reduction tests and divides with that basis's packing, and it
 fills the reduced basis, with the leads the final reduction has and that
 packing, into the caller's DivisorBasis (`IdealPresentation`'s): no division
@@ -26,12 +27,13 @@ re-derives a lead, and a dividend over the basis's variables packs nothing.
 and never queues a pair whose masks are disjoint (coprime leads).  The
 chain criterion counts a pair done when it sorts below the pair being
 processed, queued or not, exactly when a loop that queued it would
-already have popped it.  Bases, reduction order and every coefficient
-operation are those of the loop that queues every pair and tests every
-divisor on tuple monomials.  `buchberger` also takes a reduced prefix of
-its input, with its leads, as iterated kernel prolongation produces it: a
-reduced basis plus new relations is completed without re-pairing or
-re-reducing the old elements.
+already have popped it.  Bases, reduction order and, in rational mode,
+every coefficient operation are those of the loop that queues every pair
+and tests every divisor on tuple monomials (in constants mode an
+S-polynomial is a positive multiple of its).  `buchberger` also takes a
+reduced prefix of its input, with its leads, as iterated kernel
+prolongation produces it: a reduced basis plus new relations is completed
+without re-pairing or re-reducing the old elements.
 """
 from __future__ import annotations
 
@@ -274,7 +276,8 @@ def normal_form(f, basis):
     primitive integer multiple a*x^lm + tail on the term c*x^mk scales p
     and D by a/g, g = gcd(c, a), when that is not 1, subtracts
     (c/g)*x^q*tail, and then divides p and D by their common content.
-    Each remainder term is built once, as the reduced pair of c/D.
+    Each remainder term is built once, as the reduced pair of c/D.  (The
+    loop also starts from ints over a given D: buchberger's S-polynomials.)
 
     The first division builds the packing over the divisors' variables
     and f's.  A term of a later f, or a divisor tail (of a divisor added
@@ -290,15 +293,22 @@ def normal_form(f, basis):
         return f
     if not f.terms:
         return DiffPolynomial(f.ctx, {})
+    return _packed(basis, f.terms, _divide, f, basis)
+
+
+def _packed(basis, terms, divide, *args):
+    """divide(*args) under basis.packing, built first over the divisors'
+    variables and the monomials `terms` when the basis has none; on
+    _Widen the packing is built again and divide runs again."""
     if basis.packing is None:
-        basis.pack(0, f.terms)
+        basis.pack(0, terms)
     while True:
         try:
-            return _divide(f, basis)
+            return divide(*args)
         except _Widen as widen:
             top = widen.top
             basis.pack((basis.packing.limit + 1) ** 2 - 1 if top is None
-                       else top, f.terms)
+                       else top, terms)
 
 
 def _divide(f, basis):
@@ -348,15 +358,16 @@ def _divide_coefficients(p, basis):
     return remainder
 
 
-def _divide_ints(p, basis):
+def _divide_ints(p, basis, D=None):
     """normal_form's constants-mode loop: _divide_coefficients on ints,
-    p / D, from the first reduction step on."""
+    p / D.  With D None, p holds Coefficients, converted to ints over one
+    denominator at the first reduction step; given a start denominator D,
+    p holds ints from the start."""
     packing = basis.packing
     guards, decode, keys, tails = (packing.guards, packing.decode,
                                    basis.keys, basis.tails)
     gcd = math.gcd
     remainder = {}
-    D = None  # p holds Coefficients until the first reduction step
     while p:
         mk = max(p)
         c = p.pop(mk)
@@ -406,22 +417,53 @@ def _divide_ints(p, basis):
     return remainder
 
 
-def _s_poly(f, g, lmf, lmg):
-    ctx = f.ctx
-    lcm = mono_lcm(lmf, lmg)
-    uf = mono_div(lcm, lmf)
-    ug = mono_div(lcm, lmg)
-    return (DiffPolynomial(ctx, {uf: f.terms[lmf].inverse()}) * f
-            - DiffPolynomial(ctx, {ug: g.terms[lmg].inverse()}) * g)
+def _s_remainder(G, i, j, lcm):
+    """normal_form by G of the S-polynomial of G's divisors i < j (leads
+    of lcm `lcm`), formed on packed keys; raises _Widen as _divide does.
+    Rational mode makes x^q_i*g_i/lc_i - x^q_j*g_j/lc_j's Coefficient
+    operations in order, (-lc_j^-1)*cb having the form of -(lc_j^-1*cb),
+    but never forms the leading terms, which only cancel.  Constants mode
+    forms the positive multiple (a_j/g)*x^q_i*tail_i - (a_i/g)*x^q_j*tail_j
+    of primitive tails, g = gcd(a_i, a_j): buchberger reads an element only
+    through its lead, primitive tail and monic final reduction."""
+    guards = G.packing.guards
+    (key,) = _fit(G.packing, (lcm,))
+    (a, tail_i), (b, tail_j) = G.tails[i] or G.tail(i), G.tails[j] or G.tail(j)
+    ctx = G.polys[i].ctx
+    rational = ctx.mode.kind == "rational"
+    if rational:
+        ks = a.inverse(), -b.inverse()
+    else:
+        g = math.gcd(a, b)
+        ks = b // g, -(a // g)
+    p = {}
+    for k, lk, tail in zip(ks, (G.keys[i], G.keys[j]), (tail_i, tail_j)):
+        q = key - lk
+        for kb, cb in tail:
+            m = q + kb
+            v = k * cb
+            if m in p:
+                s = p[m] + v
+                if s:
+                    p[m] = s
+                else:
+                    del p[m]
+            elif m & guards:
+                raise _Widen(None)
+            else:
+                p[m] = v
+    return DiffPolynomial(ctx, _divide_coefficients(p, G) if rational
+                          else _divide_ints(p, G, 1))
 
 
 def buchberger(gens, order, prefix=(), out=None):
     """Reduced Groebner basis of the ideal generated by gens, as a list.
 
     Classic Buchberger with the coprimality and chain criteria, pairs taken
-    from a heap of (lcm sort key, i, j), S-polynomials reduced against one
-    DivisorBasis that grows with the basis; the final reduction gives the
-    unique reduced basis, ascending by lm.
+    from a heap of (lcm sort key, i, j), S-polynomials formed on packed
+    keys and reduced against one DivisorBasis that grows with the basis
+    (`_s_remainder`); the final reduction gives the unique reduced basis,
+    ascending by lm.
 
     A pair whose leads are coprime (disjoint support masks) is never
     queued.  The chain criterion skips C = (i, j) when lm_k divides lcm(C)
@@ -445,12 +487,12 @@ def buchberger(gens, order, prefix=(), out=None):
     result, with the leads the final reduction has in hand and the run's
     packing, so dividing by it derives no leading term.
     Each S-polynomial remainder is added to the growing basis with its
-    first term as lm: normal_form returns its terms in descending order.
+    first term as lm: the division returns its terms in descending order.
     """
     G = DivisorBasis(order, [g for g in gens if not g.is_zero()], prefix)
     if not G:
         return []
-    polys, lms, start = G.polys, G.lms, len(prefix)
+    lms, start = G.lms, len(prefix)
     bits = {}  # a bit per variable of a lead
     masks = [_support_mask(lm, bits) for lm in lms]
     pairs = []  # heap of (lcm sort key, i, j), lms not coprime
@@ -479,7 +521,7 @@ def buchberger(gens, order, prefix=(), out=None):
                and mono_div(lcm, lms[k]) is not None
                and popped(i, k) and popped(j, k) for k in range(len(G))):
             continue
-        s = normal_form(_s_poly(polys[i], polys[j], lms[i], lms[j]), G)
+        s = _packed(G, (), _s_remainder, G, i, j, lcm)
         if s.is_zero():
             continue
         G.append(s, next(iter(s.terms)))

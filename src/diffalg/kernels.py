@@ -25,7 +25,8 @@ from functools import cached_property
 
 from . import bounds
 from .dpoly import Context, DiffPolynomial, derivation_image, print_poly, var_rank
-from .errors import ContextError, DiffAlgError
+from .errors import (ContextError, DiffAlgError, ResourceBudgetError,
+                     _size_text, env_budget)
 from .groebner import (IdealPresentation, MonomialOrder, normal_form,
                        rabinowitsch)
 from .indices import check_coordinates, check_gamma, deg, gamma_set
@@ -215,10 +216,7 @@ def kernel_prolong_once(Kp):
     ctx, r = Kp.ctx, Kp.r
     levels = gamma_set(ctx.m, r + 1)
     check_coordinates("n*|Gamma(%d)|" % (r + 1), ctx.n * len(levels))
-    if not Kp.validated:
-        report = kernel_validate(Kp)
-        if not report.valid:
-            raise KernelValidationError(report)
+    _require_valid(Kp)
     top = [xi for xi in levels if deg(xi) == r + 1]
     unknowns = [(i, xi) for xi in top for i in range(1, ctx.n + 1)]
     unknown_set = set(unknowns)
@@ -272,8 +270,24 @@ def kernel_prolong_once(Kp):
     return ProlongResult(status="prolonged", next=next_kernel)
 
 
+def _require_valid(Kp):
+    """Raise KernelValidationError, with `kernel_validate`'s report, when Kp
+    is invalid; a kernel `kernel_prolong_once` returned is not checked."""
+    if not Kp.validated:
+        report = kernel_validate(Kp)
+        if not report.valid:
+            raise KernelValidationError(report)
+
+
 def kernel_prolong_to(Kp, s):
     """Iterate single prolongations up to length s (or the first obstruction).
+
+    Raises ResourceBudgetError, before any other work, when s is over the
+    level budget (DIFFALG_LEVEL_BUDGET): the levels of a kernel cost more
+    and more, so a huge target is refused up front.  An invalid kernel
+    raises KernelValidationError, also when s is its own length and no
+    level runs; the kernel is validated once, by the first level or, with
+    none to run, here.
 
     Returns (result, info); info reports the realization bound for the
     starting data and whether reaching s certifies a regular realization.
@@ -281,7 +295,12 @@ def kernel_prolong_to(Kp, s):
     if s < Kp.r:
         raise ContextError("target length %d below kernel length %d"
                            % (s, Kp.r))
+    if s > env_budget("DIFFALG_LEVEL_BUDGET", 1000):
+        raise ResourceBudgetError("target length %s exceeds the level budget"
+                                  % _size_text(s))
     bound = realization_bound(Kp)
+    if s == Kp.r:
+        _require_valid(Kp)
     current = Kp
     result = ProlongResult(status="prolonged", next=Kp)
     while current.r < s:

@@ -372,12 +372,31 @@ def _coprime(a, b):
     return all(v not in vb for v, _ in a)
 
 
+def reference_s_poly(f, g, lmf, lmg):
+    """The S-polynomial x^uf*f/lc(f) - x^ug*g/lc(g), formed as whole
+    polynomials on tuple monomials: two single-term products and a
+    difference."""
+    ctx = f.ctx
+    lcm = mono_lcm(lmf, lmg)
+    uf = mono_div(lcm, lmf)
+    ug = mono_div(lcm, lmg)
+    return (DiffPolynomial(ctx, {uf: f.terms[lmf].inverse()}) * f
+            - DiffPolynomial(ctx, {ug: g.terms[lmg].inverse()}) * g)
+
+
+def reference_s_remainder(G, i, j):
+    """groebner.normal_form of reference_s_poly of the divisors i < j of
+    the DivisorBasis G, by G."""
+    return groebner.normal_form(
+        reference_s_poly(G.polys[i], G.polys[j], G.lms[i], G.lms[j]), G)
+
+
 def reference_buchberger(gens, order, prefix=0, coprime_queries=None):
     """Reference pair loop for groebner.buchberger: every pair, coprime
     ones included, goes on the heap of (lcm sort key, i, j), and a pair is
     done once it is popped; coprime pairs are skipped when popped.
 
-    S-polynomials are reduced through groebner.normal_form, looked up when
+    S-pairs are reduced through reference_s_remainder, looked up when
     called, so a test can log the reductions.  Each chain-criterion
     question about a coprime pair outside the prefix is appended to
     `coprime_queries`, when given, as (done, sorts below the pair being
@@ -386,7 +405,7 @@ def reference_buchberger(gens, order, prefix=0, coprime_queries=None):
     G = DivisorBasis(order, [g for g in gens if not g.is_zero()])
     if not G:
         return []
-    polys, lms = G.polys, G.lms  # lms grows with G
+    lms = G.lms  # grows with G
     pairs = []
     queued = []  # every heap entry, in the order queued
     popped_at = {}  # (i, j): len(queued) when it was popped
@@ -432,8 +451,7 @@ def reference_buchberger(gens, order, prefix=0, coprime_queries=None):
                 break
         if chain:
             continue
-        s = groebner.normal_form(
-            groebner._s_poly(polys[i], polys[j], lms[i], lms[j]), G)
+        s = reference_s_remainder(G, i, j)
         if s.is_zero():
             continue
         t = len(G)

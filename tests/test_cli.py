@@ -659,6 +659,56 @@ def test_kernel_commands_refuse_before_they_validate(
             assert not validations
 
 
+@pytest.mark.parametrize("target", [["--to", "2"], ["--to-bound"]],
+                         ids=["to-length", "to-bound"])
+def test_kernel_prolong_to_its_own_length_validates(tmp_path, capsys,
+                                                    monkeypatch, target):
+    # the invalid kernel's bound, 2, is its length: no level runs, and the
+    # kernel is still validated, once
+    validations = counting_calls(monkeypatch, kernels, "kernel_validate")
+    path = tmp_path / "k.kernel"
+    path.write_text(KERNEL_INVALID)
+    assert invoke(capsys, ["kernel-prolong", str(path)] + target) == (
+        EXIT_NEGATIVE,
+        '{"status":"invalid","violations":' + INVALID_VIOLATIONS + '}\n')
+    assert len(validations) == 1
+
+
+# the m = 3 kernel whose realization bound is 6,291,453 levels
+KERNEL_HUGE_BOUND = """\
+m=3 n=3 length=1 mode=constants
+x1_[1,0,0] - x2_[0,0,0]
+"""
+
+
+def test_kernel_prolong_keeps_the_level_budget(tmp_path, capsys,
+                                               monkeypatch):
+    path = tmp_path / "k.kernel"
+    path.write_text(KERNEL_LINEAR)
+    monkeypatch.setenv("DIFFALG_LEVEL_BUDGET", "2")
+    assert invoke(capsys, ["kernel-prolong", str(path), "--to", "2"])[0] == \
+        EXIT_OK
+    validations = counting_calls(monkeypatch, kernels, "kernel_validate")
+    levels = counting_calls(monkeypatch, kernels, "kernel_prolong_once")
+    code, out = invoke(capsys, ["kernel-prolong", str(path), "--to", "3"])
+    assert (code, json.loads(out)) == (EXIT_RESOURCE, {
+        "error": "resource",
+        "message": "target length 3 exceeds the level budget"})
+    assert not validations and not levels
+    # under the default budget the huge bound is refused up front (a level
+    # that ran would fail here rather than run for minutes)
+    monkeypatch.delenv("DIFFALG_LEVEL_BUDGET")
+    monkeypatch.setattr(kernels, "kernel_prolong_once", levels.append)
+    path.write_text(KERNEL_HUGE_BOUND)
+    code, out = invoke(capsys, ["kernel-prolong", str(path), "--to-bound"])
+    assert (code, json.loads(out)["message"]) == (
+        EXIT_RESOURCE, "target length 6291453 exceeds the level budget")
+    assert not validations and not levels
+    monkeypatch.setenv("DIFFALG_LEVEL_BUDGET", "1e3")
+    code, out = invoke(capsys, ["kernel-prolong", str(path), "--to", "2"])
+    assert (code, json.loads(out)["error"]) == (EXIT_USAGE, "usage")
+
+
 @pytest.mark.parametrize("poly,error", [
     ("x1_[0]² - 1", "unexpected character '²' (at position 6)"),
     ("x1_[0]^① - 1", "unexpected character '①' (at position 7)"),

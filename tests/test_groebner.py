@@ -14,6 +14,7 @@ from diffalg.groebner import (DivisorBasis, IdealPresentation, MonomialOrder,
                               leading_term, normal_form, radical_member)
 from diffalg.kernels import KernelPresentation
 
+import helpers
 from helpers import (naive_normal_form, naive_reduce_basis,
                      reference_buchberger, reference_normal_form)
 
@@ -588,21 +589,35 @@ def _check_prefix(gb, new, order):
 
 
 def _logged_buchberger(fn, gens, order, prefix, *extra):
-    """fn(gens, order, prefix, *extra) with every groebner.normal_form
-    call logged as the layouts of its dividend and remainder and the
-    number of divisors; returns (log, basis)."""
+    """fn(gens, order, prefix, *extra) with every S-pair reduction logged:
+    groebner._s_remainder for buchberger, helpers.reference_s_remainder
+    (normal_form of the S-polynomial formed on tuple monomials) for the
+    reference, each looked up when called.  An entry holds the number of
+    divisors and the layout of the monic remainder, and in rational mode
+    the exact remainder's layout too: constants mode forms a positive
+    multiple of the S-polynomial.  Returns (log, basis)."""
     log = []
-    real = groebner.normal_form
+    module, name = ((groebner, "_s_remainder") if fn is buchberger
+                    else (helpers, "reference_s_remainder"))
+    real = getattr(module, name)
 
-    def logging(f, basis):
-        r = real(f, basis)
-        log.append((_layout(f), len(basis), _layout(r)))
+    def logging(G, *pair):
+        r = real(G, *pair)
+        entry = (len(G), _layout(_monic(r)))
+        if r.ctx.mode.kind == "rational":
+            entry += (_layout(r),)
+        log.append(entry)
         return r
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groebner, "normal_form", logging)
+        mp.setattr(module, name, logging)
         basis = fn(gens, order, prefix, *extra)
     return log, basis
+
+
+def _monic(r):
+    """r over its first coefficient, the lead of a remainder."""
+    return r.scale(next(iter(r.terms.values())).inverse()) if r else r
 
 
 def _check_pair_sequence(gens, order, prefix=()):
@@ -665,18 +680,18 @@ def test_buchberger_chain_criterion_breaks_equal_lcm_ties_by_index(mode,
     # last of the three, after {0, 1} and {0, 2}, and is skipped.
     ctx, order = _ctx(mode), ORDERS[kind]
     texts = ["x1_[0]*x2_[0] - 1", "x1_[0]*x3_[0] - 2", "x2_[0]*x3_[0] - 3"]
-    real = groebner._s_poly
+    real = groebner._s_remainder
     for perm in itertools.permutations(texts):
         gens = [p(text, ctx) for text in perm]
         _check_pair_sequence(gens, order)
         paired = []
 
-        def recording(f, g, *lms):
-            paired.append({id(f), id(g)})
-            return real(f, g, *lms)
+        def recording(G, i, j, lcm):
+            paired.append({id(G.polys[i]), id(G.polys[j])})
+            return real(G, i, j, lcm)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(groebner, "_s_poly", recording)
+            mp.setattr(groebner, "_s_remainder", recording)
             buchberger(gens, order)
         assert {id(gens[0]), id(gens[1])} in paired
         assert {id(gens[1]), id(gens[2])} not in paired
@@ -1039,10 +1054,15 @@ def _sympy_expr(f, sympy):
 @given(gens=st.lists(_polys(C3, 2, 3), min_size=1, max_size=3))
 @settings(max_examples=25, deadline=None)
 def test_buchberger_matches_sympy(sympy, kind, gens):
-    from sympy.polys.orderings import ProductOrder, grevlex
-
     gens = [g for g in gens if g]
     assume(gens)
+    _check_sympy(sympy, kind, gens, buchberger(gens, ORDERS[kind]))
+
+
+def _check_sympy(sympy, kind, gens, got):
+    """got is sympy's reduced basis of gens under the order `kind`."""
+    from sympy.polys.orderings import ProductOrder, grevlex
+
     # diffalg ranks x3 above x2 above x1
     x3, x2, x1 = xs = sympy.symbols("x3 x2 x1")
     order = kind
@@ -1052,7 +1072,43 @@ def test_buchberger_matches_sympy(sympy, kind, gens):
                              (grevlex, lambda m: m[1:]))
     want = sympy.groebner([_sympy_expr(g, sympy) for g in gens], *xs,
                           order=order, domain="QQ").exprs
-    got = [_sympy_expr(g, sympy) for g in buchberger(gens, ORDERS[kind])]
+    got = [_sympy_expr(g, sympy) for g in got]
     assert len(got) == len(want)
     for g in got:
         assert any(sympy.expand(g - w) == 0 for w in want), g
+
+
+@pytest.mark.parametrize("mode", ["constants", "rational"])
+@pytest.mark.parametrize("kind", sorted(ORDERS))
+@pytest.mark.parametrize("texts,top", [
+    # the lcm x1_[0]^20*x2_[0]^20 has degree 40, over the limit 31 of the
+    # narrowest slots, which the generators fit
+    (["x1_[0]^20*x2_[0] - 1", "x1_[0]*x2_[0]^20 - 1"], 40),
+    # under lex the lcm x2_[0]^2*x1_[0]^12 fits, and x1_[0]^12 times the
+    # tail term x1_[0]^25 sets the guard bit of the x1 slot
+    (["x2_[0]*x1_[0]^12 - x1_[0]^25", "x2_[0]^2 - x1_[0]^25"], None),
+], ids=["lcm-degree", "tail-guard"])
+def test_s_pair_formation_widens_the_packing(sympy, monkeypatch, mode, kind,
+                                             texts, top):
+    ctx, order = _ctx(mode), ORDERS[kind]
+    gens = [p(text, ctx) for text in texts]
+    tops = []  # of each _Widen out of S-pair formation and division
+    real = groebner._s_remainder
+
+    def recording(*args):
+        try:
+            return real(*args)
+        except groebner._Widen as widen:
+            tops.append(widen.top)
+            raise
+
+    monkeypatch.setattr(groebner, "_s_remainder", recording)
+    got = buchberger(gens, order)
+    monkeypatch.undo()
+    if top is not None or kind == "lex":
+        # the first S-pair widens as it is formed
+        assert tops[:1] == [top]
+    want = reference_buchberger(gens, order)
+    assert [print_poly(g) for g in got] == [print_poly(g) for g in want]
+    assert [_layout(g) for g in got] == [_layout(g) for g in want]
+    _check_sympy(sympy, kind, gens, got)

@@ -8,7 +8,7 @@ from diffalg import files, groebner, kernels
 from diffalg.coeff import FieldMode
 from diffalg.dpoly import (Context, DiffPolynomial, derivation_image,
                            mono_mul, parse_poly, print_poly)
-from diffalg.errors import ContextError
+from diffalg.errors import ContextError, ResourceBudgetError
 from diffalg.groebner import (IdealPresentation, MonomialOrder, buchberger,
                               leading_term)
 from diffalg.kernels import (KernelPresentation, KernelValidationError,
@@ -318,6 +318,53 @@ def test_prolong_to_validates_a_loaded_kernel_once(monkeypatch):
     result, info = kernel_prolong_to(K, K.r + 3)
     assert result.status == "prolonged" and info["final_length"] == 4
     assert len(reports) == 1 and reports[0].valid
+
+
+def test_prolong_to_own_length_validates_once(monkeypatch):
+    # with no level to run, kernel_prolong_to validates the kernel itself
+    reports = counting_validate(monkeypatch)
+    K = make_kernel(C1, 1, ["x1_[1] - x1_[0]"])
+    result, info = kernel_prolong_to(K, K.r)
+    assert result.next is K and info["final_length"] == 1
+    assert len(reports) == 1 and reports[0].valid
+    invalid = make_kernel(C1, 2, ["x1_[0]", "x1_[1] - 1"])
+    with pytest.raises(KernelValidationError) as exc:
+        kernel_prolong_to(invalid, 2)
+    assert len(reports) == 2 and exc.value.report == reports[1]
+    assert not reports[1].valid
+    # a produced kernel is valid by construction
+    nxt = kernel_prolong_once(K).next
+    del reports[:]
+    assert kernel_prolong_to(nxt, nxt.r)[0].next is nxt
+    assert not reports
+
+
+def test_prolong_to_refuses_a_target_over_the_level_budget(monkeypatch):
+    K = make_kernel(C1, 1, ["x1_[1] - x1_[0]^2"])
+    levels = []
+    real = kernels.kernel_prolong_once
+
+    def counting(Kp):
+        levels.append(Kp.r)
+        return real(Kp)
+
+    monkeypatch.setattr(kernels, "kernel_prolong_once", counting)
+    reports = counting_validate(monkeypatch)
+    monkeypatch.setenv("DIFFALG_LEVEL_BUDGET", "3")
+    with pytest.raises(ResourceBudgetError, match="target length 4 exceeds"
+                       " the level budget"):
+        kernel_prolong_to(K, 4)
+    assert not levels and not reports  # refused before any work
+    assert kernel_prolong_to(K, 3)[1]["final_length"] == 3
+    assert levels == [1, 2] and len(reports) == 1
+    # the default budget is 1000 levels (a level that ran would fail here
+    # rather than run for minutes)
+    monkeypatch.delenv("DIFFALG_LEVEL_BUDGET")
+    monkeypatch.setattr(kernels, "kernel_prolong_once", levels.append)
+    del levels[:]
+    with pytest.raises(ResourceBudgetError):
+        kernel_prolong_to(K, 1001)
+    assert not levels
 
 
 def test_only_produced_kernels_skip_validation(monkeypatch):

@@ -85,6 +85,34 @@ def test_main_prints_each_difference_and_a_summary(monkeypatch, capsys):
         "0 of 12 metrics differ over 3 workloads (seed 1)\n")
 
 
+def test_expected_metrics_are_marked_and_must_move(monkeypatch, capsys):
+    lines = {"before": result(**BASE),
+             "after": result(**dict(BASE, groebner__normal_form__calls=684))}
+    monkeypatch.setattr(SCRIPT, "run_trace",
+                        lambda tree, *rest: lines[Path(tree).name])
+    expect = ["--expect", "groebner.normal_form.calls"]
+    assert SCRIPT.main(["/x/before", "/x/after"] + expect) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "%s groebner.normal_form.calls: 956 -> 684 (expected)" % w
+        for w in SCRIPT.WORKLOADS] + [
+        "3 of 12 metrics differ over 3 workloads (seed 1)"]
+    # a metric not expected still fails the comparison
+    lines["after"] = result(**dict(BASE, groebner__normal_form__calls=684,
+                                   coeff__max_bits=18))
+    assert SCRIPT.main(["/x/before", "/x/after"] + expect) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "kernel-tower coeff.max_bits: 17 -> 18" in out
+    assert "kernel-tower groebner.normal_form.calls: 956 -> 684 (expected)" \
+        in out
+    # so does an expected metric that moves on no workload
+    lines["after"] = result(**dict(BASE, groebner__normal_form__calls=684))
+    assert SCRIPT.main(["/x/before", "/x/after"] + expect + [
+        "--expect", "kernels.saturation_builds"]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "3 of 12 metrics differ over 3 workloads (seed 1)",
+        "expected kernels.saturation_builds differs on no workload"]
+
+
 def test_a_failed_run_exits_2(monkeypatch, capsys):
     def failing(tree, workload, seed, seconds):
         raise SCRIPT.RunFailed("%s: %s exited 1" % (tree, workload))
