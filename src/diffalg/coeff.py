@@ -27,10 +27,10 @@ building a Coefficient only for each remainder term.
 
 Every sum of sparse terms, here and in dpoly, keeps one rule: each (key,
 value) is added in order with the old value on the left, a zero sum deletes
-the key, and a new key goes last.  add_into is its loop.  Five loops keep
-the rule inline: _pmul and dpoly's _integral_product, which a generator
-made slower, and groebner's two division loops and its S-polynomial loop
-(_s_remainder), which also test the guard bits of each new key.
+the key, and a new key goes last.  add_into is its loop.  Three more
+loops keep it: _pmul and dpoly's _integral_product, inline, as a
+generator made them slower, and groebner's _add_shifted, which also tests
+the guard bits of each new key, for every dividend and S-polynomial.
 
 integral_num is the integral view of a coefficient in either mode: the
 integer polynomial {exponent tuple: int} it equals when its denominator is

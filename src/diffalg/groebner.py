@@ -13,14 +13,15 @@ gets a packing for its order (dpoly.Packing): one integer key per
 monomial, with a guard bit per slot, so that comparing two terms,
 multiplying a tail term by a quotient and testing whether a lead divides
 a term are each one integer operation; a divisor's tail is packed when
-it is first used.  Over K = Q (constants mode) the coefficients are ints
-too: each divisor's tail is packed as its primitive integer multiple, and
-the dividend carries one denominator; rational mode divides on
-Coefficients.  `buchberger` grows one DivisorBasis as it adds S-polynomial
-remainders, each formed on that basis's packed keys and divided in place,
-its final reduction tests and divides with that basis's packing, and it
-fills the reduced basis, with the leads the final reduction has and that
-packing, into the caller's DivisorBasis (`IdealPresentation`'s): no division
+it is first used, and `_add_shifted` adds it, times a term, into a
+dividend.  Over K = Q (constants mode) the coefficients are ints too:
+each divisor's tail is packed as its primitive integer multiple, and the
+dividend carries one denominator; rational mode divides on Coefficients.
+`buchberger` grows one DivisorBasis as it adds S-polynomial remainders,
+each formed on that basis's packed keys and divided in place, its final
+reduction tests and divides with that basis's packing, and it fills the
+reduced basis, with the leads the final reduction has and that packing,
+into the caller's DivisorBasis (`IdealPresentation`'s): no division
 re-derives a lead, and a dividend over the basis's variables packs nothing.
 
 `buchberger` gives each variable of its leads a bit of a support mask
@@ -259,9 +260,9 @@ def normal_form(f, basis):
     coefficients, and decodes each remainder key once.  The keys compare
     as the order does, so taking the largest key pops the order-largest
     term.  A divisor divides the term of key mk when the quotient key q =
-    mk - keys[i] has no guard bit set, and the term of a tail entry (kb,
-    cb) times the quotient has key q + kb, so the loop picks the divisor,
-    and meets the terms, of a loop on tuple monomials.
+    mk - keys[i] has no guard bit set, and `_add_shifted` adds the tail
+    times the quotient at keys q + kb, so the loop picks the divisor, and
+    meets the terms, of a loop on tuple monomials.
 
     The field mode of f picks the coefficient loop.  In rational mode
     each step does the Coefficient operations of p - (c/lc)*x^q*g term by
@@ -321,10 +322,30 @@ def _divide(f, basis):
                                         basis))
 
 
+def _add_shifted(p, q, k, tail, guards):
+    """Add k*cb at key q + kb into the packed dict p for each tail entry
+    (kb, cb), in order, by add_into's rule (coeff), k and the old value on
+    the left; raises _Widen(None), leaving p part-updated, when a new key
+    has a guard bit set."""
+    for kb, cb in tail:
+        m = q + kb
+        v = k * cb
+        if m in p:
+            s = p[m] + v
+            if s:
+                p[m] = s
+            else:
+                del p[m]
+        elif m & guards:
+            raise _Widen(None)
+        else:
+            p[m] = v
+
+
 def _divide_coefficients(p, basis):
     """normal_form's rational-mode loop: reduce p, {key: Coefficient}, in
-    place, and return its remainder, {monomial: Coefficient} in
-    descending order."""
+    place, one `_add_shifted` per step, and return its remainder,
+    {monomial: Coefficient} in descending order."""
     packing = basis.packing
     guards, decode, keys, tails = (packing.guards, packing.decode,
                                    basis.keys, basis.tails)
@@ -338,20 +359,7 @@ def _divide_coefficients(p, basis):
                 continue
             lc, tail = tails[i] or basis.tail(i)
             # the leading terms cancel exactly
-            k = -(c / lc)
-            for kb, cb in tail:
-                m = q + kb
-                v = k * cb
-                if m in p:
-                    s = p[m] + v
-                    if s.is_zero():
-                        del p[m]
-                    else:
-                        p[m] = s
-                elif m & guards:
-                    raise _Widen(None)
-                else:
-                    p[m] = v
+            _add_shifted(p, q, -(c / lc), tail, guards)
             break
         else:
             remainder[decode(mk)] = c
@@ -389,20 +397,7 @@ def _divide_ints(p, basis, D=None):
             if scale != 1:
                 D *= scale
                 p = {m: v * scale for m, v in p.items()}
-            k = -(c // g)
-            for kb, cb in tail:
-                m = q + kb
-                v = k * cb
-                if m in p:
-                    s = p[m] + v
-                    if s:
-                        p[m] = s
-                    else:
-                        del p[m]
-                elif m & guards:
-                    raise _Widen(None)
-                else:
-                    p[m] = v
+            _add_shifted(p, q, -(c // g), tail, guards)
             if scale != 1:
                 # keep D and p no larger than the reduced pairs need
                 h = gcd(D, *p.values())
@@ -419,14 +414,13 @@ def _divide_ints(p, basis, D=None):
 
 def _s_remainder(G, i, j, lcm):
     """normal_form by G of the S-polynomial of G's divisors i < j (leads
-    of lcm `lcm`), formed on packed keys; raises _Widen as _divide does.
+    of lcm `lcm`), formed by `_add_shifted`; raises _Widen as _divide does.
     Rational mode makes x^q_i*g_i/lc_i - x^q_j*g_j/lc_j's Coefficient
     operations in order, (-lc_j^-1)*cb having the form of -(lc_j^-1*cb),
     but never forms the leading terms, which only cancel.  Constants mode
     forms the positive multiple (a_j/g)*x^q_i*tail_i - (a_i/g)*x^q_j*tail_j
     of primitive tails, g = gcd(a_i, a_j): buchberger reads an element only
     through its lead, primitive tail and monic final reduction."""
-    guards = G.packing.guards
     (key,) = _fit(G.packing, (lcm,))
     (a, tail_i), (b, tail_j) = G.tails[i] or G.tail(i), G.tails[j] or G.tail(j)
     ctx = G.polys[i].ctx
@@ -438,20 +432,7 @@ def _s_remainder(G, i, j, lcm):
         ks = b // g, -(a // g)
     p = {}
     for k, lk, tail in zip(ks, (G.keys[i], G.keys[j]), (tail_i, tail_j)):
-        q = key - lk
-        for kb, cb in tail:
-            m = q + kb
-            v = k * cb
-            if m in p:
-                s = p[m] + v
-                if s:
-                    p[m] = s
-                else:
-                    del p[m]
-            elif m & guards:
-                raise _Widen(None)
-            else:
-                p[m] = v
+        _add_shifted(p, key - lk, k, tail, G.packing.guards)
     return DiffPolynomial(ctx, _divide_coefficients(p, G) if rational
                           else _divide_ints(p, G, 1))
 

@@ -118,7 +118,11 @@ class KernelPresentation:
     @cached_property
     def _saturation_basis(self):
         """The presentation of ideal + (1 - g*z), g the product of the
-        inverted elements not constant modulo the ideal, or None."""
+        inverted elements not constant modulo the ideal, or None.  Each is
+        a pivot reduced at an earlier level, so over a prime ideal the
+        division returns it as it is; over one that is not prime (the
+        loader accepts any) it maps a pivot the ideal now contains to 0,
+        which kept in g would make the saturation the unit ideal."""
         factors = []
         for h in self.inverted:
             nf = self.ideal.normal_form(h)
