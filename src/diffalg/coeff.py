@@ -9,14 +9,27 @@ is "numerator identically zero".  The printed form depends on the order of
 the operations that built a fraction, so callers that must print the same
 text keep that order.
 
+An integer polynomial is a dict {t-key: nonzero int}.  The t-key of a
+t-monomial is one int: each exponent e_j has a slot of T_BITS bits, t1's
+slot the most significant, so int order is the lex order of the exponents
+(render sorts by it) and the constant monomial's key is 0.  t1's slot is
+unbounded; each lower slot holds 0..limit, limit = 2**(T_BITS - 1) - 1,
+and its top bit is a guard bit, as in dpoly.Packing.  The key of a product
+of monomials is the sum of their keys, and it sets a guard bit exactly
+when a slot overflows; a key difference sets one, or goes negative,
+exactly when a slot goes below zero, which is _pexact_div's divisibility
+test.  With m = 1 the key is the exponent itself, with no guard and no
+limit.  A product whose t_2..t_m degree would leave its slot raises
+ResourceBudgetError (_fit).
+
 An integer polynomial has denominator exactly 1, and reduction leaves such
 a fraction as it is.  So + and * of two denominator-1 operands, and
 scale_int and derive of one, skip the reduction and __init__ as well: after
 the nv check they build their result with `_raw`, which only sets the three
 slots, as do negation, zero, one, from_int and base_var.  Inside the
 reduction a constant denominator skips the exact-division attempt.  The num
-and den dicts are shared between Coefficients (the denominator-1 values of
-one nv all hold one unit dict) and are never mutated.
+and den dicts are shared between Coefficients (the denominator-1 values
+all hold the one dict _ONE) and are never mutated.
 
 In constants mode (no base variables) a Coefficient is a rational number
 held as a reduced integer pair: den > 0 and gcd(num, den) == 1, so the form
@@ -33,18 +46,17 @@ generator made them slower, and groebner's _add_shifted, which also tests
 the guard bits of each new key, for every dividend and S-polynomial.
 
 integral_num is the integral view of a coefficient in either mode: the
-integer polynomial {exponent tuple: int} it equals when its denominator is
-1, else None; from_integral builds it back.  A denominator-1 value has one
-form, so DiffPolynomial.__mul__ may add these dicts in any order.
+integer polynomial it equals when its denominator is 1, else None;
+from_integral builds it back.  A denominator-1 value has one form, so
+DiffPolynomial.__mul__ may add these dicts in any order.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from operator import add
 
-from .errors import ContextError
+from .errors import ContextError, ResourceBudgetError
 
 
 @dataclass(frozen=True)
@@ -65,20 +77,44 @@ class FieldMode:
         return self.m if self.kind == "rational" else 0
 
 
-# --- integer polynomials as {exponent tuple: int} dicts -------------------
+# --- integer polynomials as {t-key: int} dicts -----------------------------
 
-def _pconst(c, nv):
-    return {(0,) * nv: c} if c else {}
+# The width of a t-key's slot, in bits: t2..tm degrees up to 2**31 - 1.
+T_BITS = 32
 
 
 @functools.lru_cache(maxsize=None)
-def _unit(nv):
-    """The constant polynomial 1, one shared dict per nv: never mutate it."""
-    return {(0,) * nv: 1}
+def _slots(nv, bits):
+    """((shift, mask) per slot, t1's first, and the guard bits) of the
+    t-keys of nv base variables in slots of `bits` bits.  `key >> shift &
+    mask` is that slot's exponent; t1's mask is -1, which keeps every bit."""
+    shifts = [bits * j for j in reversed(range(nv))]
+    guard = 1 << bits - 1
+    return (tuple(zip(shifts, [-1] + [2 * guard - 1] * (nv - 1))),
+            sum(guard << s for s in shifts[1:]))
+
+
+def _fit(p, nv):
+    """p itself, or ResourceBudgetError when a key of p has a guard bit set:
+    a t_2..t_m degree of p is past the slot limit."""
+    guards = nv > 1 and _slots(nv, T_BITS)[1]
+    if guards and any(k & guards for k in p):
+        raise ResourceBudgetError("a degree in a base variable after t1 is "
+                                  "over the t-key slot limit %d"
+                                  % ((1 << T_BITS - 1) - 1))
+    return p
+
+
+def _pconst(c):
+    return {0: c} if c else {}
+
+
+# The constant polynomial 1, one shared dict: never mutate it.
+_ONE = {0: 1}
 
 
 def _pis_const(p):
-    return all(all(e == 0 for e in exps) for exps in p)
+    return not any(p)
 
 
 def add_into(terms, items):
@@ -102,19 +138,19 @@ def _padd(a, b):
 
 
 def _pneg(a):
-    return {exps: -c for exps, c in a.items()}
+    return {k: -c for k, c in a.items()}
 
 
 def _pmul(a, b):
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            exps = tuple(map(add, ea, eb))
-            s = out.get(exps, 0) + ca * cb
+            e = ea + eb
+            s = out.get(e, 0) + ca * cb
             if s:
-                out[exps] = s
-            elif exps in out:
-                del out[exps]
+                out[e] = s
+            else:
+                del out[e]
     return out
 
 
@@ -125,70 +161,72 @@ def _pcontent(a):
     return g or 1
 
 
-def _pmonomial_content(a):
-    it = iter(a)
-    first = next(it)
-    mins = list(first)
-    for exps in it:
-        for j, e in enumerate(exps):
-            if e < mins[j]:
-                mins[j] = e
-    return tuple(mins)
+def _pmonomial_content(keys, nv):
+    """The t-key of the largest monomial dividing each of keys: the least
+    exponent of each slot."""
+    out = 0
+    for shift, mask in _slots(nv, T_BITS)[0]:
+        out |= min(k >> shift & mask for k in keys) << shift
+    return out
 
 
-def _pshift_down(a, mins):
-    if not any(mins):
-        return a
-    return {tuple(e - m for e, m in zip(exps, mins)): c for exps, c in a.items()}
+def _pshift_down(a, key):
+    """a divided by the monomial of `key`, which divides every term."""
+    return {k - key: c for k, c in a.items()} if key else a
 
 
-def _pderiv(a, k):
+def _pderiv(a, k, nv):
     """Formal partial derivative with respect to base variable k (1-based)."""
-    j = k - 1
-    return add_into({}, ((exps[:j] + (exps[j] - 1,) + exps[j + 1:],
-                          c * exps[j]) for exps, c in a.items() if exps[j]))
+    shift, mask = _slots(nv, T_BITS)[0][k - 1]
+    return {key - (1 << shift): c * e
+            for key, c in a.items() if (e := key >> shift & mask)}
 
 
 def _plead(a):
-    """Lex-leading (exps, coeff) pair; a must be nonzero."""
-    exps = max(a)
-    return exps, a[exps]
+    """Lex-leading (t-key, coeff) pair; a must be nonzero."""
+    key = max(a)
+    return key, a[key]
 
 
-def _pexact_div(a, b):
-    """Exact polynomial quotient a / b, or None when it does not divide."""
+def _pexact_div(a, b, nv):
+    """Exact polynomial quotient a / b, or None when it does not divide:
+    when a quotient key goes negative or sets a guard bit, a slot of b's
+    lead is over r's."""
     if not b:
         return None
     if not a:
         return {}
+    guards = _slots(nv, T_BITS)[1]
     q = {}
     r = dict(a)
     eb, cb = _plead(b)
     while r:
         er, cr = _plead(r)
-        if any(x < y for x, y in zip(er, eb)) or cr % cb != 0:
+        eq = er - eb
+        if eq < 0 or eq & guards or cr % cb != 0:
             return None
-        eq = tuple(x - y for x, y in zip(er, eb))
         cq = cr // cb
         q[eq] = cq
-        r = _padd(r, _pneg(_pmul({eq: cq}, b)))
+        add_into(r, ((eq + k, -(cq * c)) for k, c in b.items()))
     return q
 
 
 @functools.lru_cache(maxsize=4096)
-def _tmono_str(exps):
-    """The printed t-monomial of an exponent tuple, "" for the constant."""
+def _tmono_str(key, nv, bits):
+    """The printed t-monomial of a t-key in slots of `bits` bits (a cache
+    key, as the slot width is), "" for the constant."""
     return "*".join("t%d" % j if e == 1 else "t%d^%d" % (j, e)
-                    for j, e in enumerate(exps, 1) if e)
+                    for j, (shift, mask) in enumerate(_slots(nv, bits)[0], 1)
+                    if (e := key >> shift & mask))
 
 
-def _pstr(a, order, sign=1):
-    """Render the integer polynomial sign * a, its exponent tuples taken in
-    `order` (lex-descending)."""
+def _pstr(a, order, nv, sign=1):
+    """Render the integer polynomial sign * a, its t-keys taken in `order`
+    (lex-descending)."""
     parts = []
-    for exps in order:
-        c = sign * a[exps]
-        factors = _tmono_str(exps)
+    for key in order:
+        c = sign * a[key]
+        factors = _tmono_str(key, nv, T_BITS)
         if not factors:
             parts.append(str(c))
         elif c == 1:
@@ -209,16 +247,17 @@ class Coefficient:
     def __init__(self, num, den, nv):
         if not den:
             raise ZeroDivisionError("zero denominator")
-        num, den = self._reduce(num, den)
+        num, den = self._reduce(num, den, nv)
         self.num = num
         self.den = den
         self.nv = nv
 
     @staticmethod
-    def _reduce(num, den):
-        nv = len(next(iter(den)))
+    def _reduce(num, den, nv):
         if not num:
-            return {}, _unit(nv)
+            return {}, _ONE
+        _fit(num, nv)
+        _fit(den, nv)
         g = math.gcd(_pcontent(num), _pcontent(den))
         if g > 1:
             num = {e: c // g for e, c in num.items()}
@@ -226,19 +265,17 @@ class Coefficient:
         if len(den) == 1 and _pis_const(den):
             # the content of num is now coprime to the constant c, so c
             # divides num exactly only when it is 1 or -1
-            c = next(iter(den.values()))
+            c = den[0]
             if c == 1 or c == -1:
-                return (num if c == 1 else _pneg(num)), _unit(nv)
+                return (num if c == 1 else _pneg(num)), _ONE
             return (num, den) if c > 0 else (_pneg(num), _pneg(den))
-        mn = _pmonomial_content(num)
-        md = _pmonomial_content(den)
-        common = tuple(min(x, y) for x, y in zip(mn, md))
+        common = _pmonomial_content([*num, *den], nv)
         num = _pshift_down(num, common)
         den = _pshift_down(den, common)
-        q = _pexact_div(num, den)
+        q = _pexact_div(num, den, nv)
         if q is not None:
             num = q
-            den = _unit(nv)
+            den = _ONE
         # sign convention: lex-leading coefficient of the denominator positive
         if _plead(den)[1] < 0:
             num = _pneg(num)
@@ -251,33 +288,32 @@ class Coefficient:
     def zero(cls, nv):
         if not nv:
             return _Q(0, 1)
-        return _raw({}, _unit(nv), nv)
+        return _raw({}, _ONE, nv)
 
     @classmethod
     def one(cls, nv):
         if not nv:
             return _Q(1, 1)
-        return _raw(_unit(nv), _unit(nv), nv)
+        return _raw(_ONE, _ONE, nv)
 
     @classmethod
     def from_int(cls, value, nv):
         if not nv:
             return _Q(value, 1)
-        return _raw(_pconst(value, nv), _unit(nv), nv)
+        return _raw(_pconst(value), _ONE, nv)
 
     @classmethod
     def from_rational(cls, p, q, nv):
         if not nv:
             return _q(p, q)
-        return cls(_pconst(p, nv), _pconst(q, nv), nv)
+        return cls(_pconst(p), _pconst(q), nv)
 
     @classmethod
     def base_var(cls, k, nv):
         """The base variable t_k as a field element."""
         if not 1 <= k <= nv:
             raise ContextError("base variable t%d out of range 1..%d" % (k, nv))
-        exps = tuple(1 if j == k - 1 else 0 for j in range(nv))
-        return _raw({exps: 1}, _unit(nv), nv)
+        return _raw({1 << T_BITS * (nv - k): 1}, _ONE, nv)
 
     # -- predicates ----------------------------------------------------------
 
@@ -309,9 +345,8 @@ class Coefficient:
 
     def __add__(self, other):
         self._check(other)
-        one = _unit(self.nv)
-        if self.den == one == other.den:
-            return _raw(_padd(self.num, other.num), one, self.nv)
+        if self.den == _ONE == other.den:
+            return _raw(_padd(self.num, other.num), _ONE, self.nv)
         num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
         return Coefficient(num, _pmul(self.den, other.den), self.nv)
 
@@ -323,9 +358,9 @@ class Coefficient:
 
     def __mul__(self, other):
         self._check(other)
-        one = _unit(self.nv)
-        if self.den == one == other.den:
-            return _raw(_pmul(self.num, other.num), one, self.nv)
+        if self.den == _ONE == other.den:
+            return _raw(_fit(_pmul(self.num, other.num), self.nv), _ONE,
+                        self.nv)
         return Coefficient(_pmul(self.num, other.num),
                            _pmul(self.den, other.den), self.nv)
 
@@ -350,10 +385,9 @@ class Coefficient:
         return Coefficient(self.den, self.num, self.nv)
 
     def scale_int(self, c):
-        num = {exps: v * c for exps, v in self.num.items()} if c else {}
-        one = _unit(self.nv)
-        if self.den == one:
-            return _raw(num, one, self.nv)
+        num = {k: v * c for k, v in self.num.items()} if c else {}
+        if self.den == _ONE:
+            return _raw(num, _ONE, self.nv)
         return Coefficient(num, self.den, self.nv)
 
     def derive(self, k):
@@ -361,11 +395,10 @@ class Coefficient:
         if not 1 <= k <= self.nv:
             raise ContextError("derivation index %d out of range 1..%d"
                                % (k, self.nv))
-        dn = _pderiv(self.num, k)
-        one = _unit(self.nv)
-        if self.den == one:
-            return _raw(dn, one, self.nv)
-        dd = _pderiv(self.den, k)
+        dn = _pderiv(self.num, k, self.nv)
+        if self.den == _ONE:
+            return _raw(dn, _ONE, self.nv)
+        dd = _pderiv(self.den, k, self.nv)
         num = _padd(_pmul(dn, self.den), _pneg(_pmul(self.num, dd)))
         return Coefficient(num, _pmul(self.den, self.den), self.nv)
 
@@ -384,14 +417,14 @@ class Coefficient:
             return False, "0", False
         order = sorted(num, reverse=True)
         neg = num[order[0]] < 0
-        text = _pstr(num, order, -1 if neg else 1)
+        text = _pstr(num, order, self.nv, -1 if neg else 1)
         if len(order) > 1:
             text = "(" + text + ")"
-        if den == _unit(self.nv):
+        if den == _ONE:
             return neg, text, text == "1"
         if _pis_const(den):
-            return neg, "%s/%d" % (text, den[(0,) * self.nv]), False
-        den_text = _pstr(den, sorted(den, reverse=True))
+            return neg, "%s/%d" % (text, den[0]), False
+        den_text = _pstr(den, sorted(den, reverse=True), self.nv)
         return neg, "%s/(%s)" % (text, den_text), False
 
     def __str__(self):
@@ -413,21 +446,22 @@ def _raw(num, den, nv):
 
 
 def integral_num(c):
-    """The integer polynomial {exponent tuple: int} that c equals when its
-    denominator is 1, or None: num itself in rational mode, {(): num} in
+    """The integer polynomial {t-key: int} that c equals when its
+    denominator is 1, or None: num itself in rational mode, {0: num} in
     constants mode.  Never mutate it."""
     if c.nv:
-        return c.num if c.den == _unit(c.nv) else None
-    return {(): c.num} if c.den == 1 else None
+        return c.num if c.den == _ONE else None
+    return {0: c.num} if c.den == 1 else None
 
 
 def from_integral(num, nv):
     """The coefficient equal to the nonzero integer polynomial num, in the
-    form integral_num reads: num/1 in rational mode, _Q(num[()], 1) in
-    constants mode.  num is kept, not copied."""
+    form integral_num reads: num/1 in rational mode, _Q(num[0], 1) in
+    constants mode.  num is kept, not copied; a key of num past the slot
+    limit raises ResourceBudgetError."""
     if nv:
-        return _raw(num, _unit(nv), nv)
-    return _Q(num[()], 1)
+        return _raw(_fit(num, nv), _ONE, nv)
+    return _Q(num[0], 1)
 
 
 def _q(num, den):

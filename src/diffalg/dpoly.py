@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from .coeff import (Coefficient, FieldMode, add_into, from_integral,
                     integral_num)
-from .errors import ContextError, ParseError
+from .errors import ContextError, ParseError, ResourceBudgetError, env_budget
 from .indices import deg, shift, index_sort_key
 
 
@@ -272,23 +272,6 @@ def order_packing(kind, leading, variables, width):
     return Packing(blocks, width)
 
 
-def _integral_view(coefficients):
-    """([integral_num, ...], largest t-degree) of the Coefficients, or None
-    when one has a denominator."""
-    out = []
-    top = 0
-    for c in coefficients:
-        num = integral_num(c)
-        if num is None:
-            return None
-        for exps in num:
-            d = sum(exps)
-            if d > top:
-                top = d
-        out.append(num)
-    return out, top
-
-
 def _integral_product(a, b, nv):
     """__mul__'s product of the term dicts a and b on ints, {monomial:
     Coefficient}, or None when a coefficient has a denominator.
@@ -296,42 +279,29 @@ def _integral_product(a, b, nv):
     Monomials are keyed by the lex packing over every variable of a or b
     whose `limit` is at least the sum of their largest total degrees, so
     no slot of a key sum ka + kb leaves 0..limit, and ka + kb is the
-    product's key (a lex packing's `one` is 0).  Each coefficient's
-    t-exponents are packed into one int, w bits per base variable, w the
-    bit length of (largest t-degree in a + in b), so no sum ta + tb
-    carries.  Sums gather in {x-key: {t-key: int}}; an x-key whose dict
-    empties is removed, as a zero sum removes a term.  Keys are decoded and
-    coefficients built once, at the end."""
-    view_a = _integral_view(a.values())
-    if view_a is None:
+    product's key (a lex packing's `one` is 0).  A coefficient is its
+    integral_num, whose t-keys add as they are.  Sums gather in {x-key:
+    {t-key: int}}; an x-key whose dict empties is removed, as a zero sum
+    removes a term.  Keys are decoded and coefficients built once, at the
+    end, by from_integral, which refuses a t-key past its slot."""
+    nums_a = [integral_num(c) for c in a.values()]
+    nums_b = [integral_num(c) for c in b.values()]
+    if None in nums_a or None in nums_b:
         return None
-    view_b = _integral_view(b.values())
-    if view_b is None:
-        return None
-    (view_a, top_a), (view_b, top_b) = view_a, view_b
     variables, deg_a = support((a,))
     more, deg_b = support((b,))
     packing = order_packing("lex", None, frozenset(variables | more),
                             (deg_a + deg_b).bit_length() + 1)
-    w = (top_a + top_b).bit_length()
-    shifts = [w * j for j in range(nv)]
-
-    def packed(terms, view):
-        return [(k, [(sum(e << s for e, s in zip(exps, shifts)), c)
-                     for exps, c in num.items()])
-                for k, num in zip(packing.keys(terms)[0], view)]
-
-    packed_a = packed(a, view_a)
-    packed_b = packed(b, view_b)
+    packed_b = list(zip(packing.keys(b)[0], nums_b))
     terms = {}
-    for ka, ta in packed_a:
+    for ka, ta in zip(packing.keys(a)[0], nums_a):
         for kb, tb in packed_b:
             k = ka + kb
             t = terms.get(k)
             if t is None:
                 t = terms[k] = {}
-            for ea, ca in ta:
-                for eb, cb in tb:
+            for ea, ca in ta.items():
+                for eb, cb in tb.items():
                     e = ea + eb
                     s = t.get(e, 0) + ca * cb
                     if s:
@@ -340,11 +310,8 @@ def _integral_product(a, b, nv):
                         del t[e]
             if not t:
                 del terms[k]
-    mask = (1 << w) - 1
     decode = packing.decode
-    return {decode(k): from_integral({tuple(e >> s & mask for s in shifts): c
-                                      for e, c in t.items()}, nv)
-            for k, t in terms.items()}
+    return {decode(k): from_integral(t, nv) for k, t in terms.items()}
 
 
 class DiffPolynomial:
@@ -460,7 +427,9 @@ class DiffPolynomial:
         elements is never zero, so a new monomial is always inserted.
 
         With a single-term operand no two products meet, and the product
-        is a shift of the other's terms.  Otherwise, with a denominator in
+        is a shift of the other's terms.  Otherwise a product of more term
+        pairs than DIFFALG_TERM_BUDGET (default 250,000) raises
+        ResourceBudgetError before any work; with a denominator in
         either operand, `add_into` adds the products into one dict in just
         this order, self's terms outer.
 
@@ -482,6 +451,11 @@ class DiffPolynomial:
             return DiffPolynomial(ctx, {
                 mono_mul(ma, mb): ca * cb
                 for ma, ca in a.items() for mb, cb in b.items()})
+        budget = env_budget("DIFFALG_TERM_BUDGET", 250_000)
+        if len(a) * len(b) > budget:
+            raise ResourceBudgetError("a product of %d by %d terms exceeds "
+                                      "the term budget %d"
+                                      % (len(a), len(b), budget))
         terms = _integral_product(a, b, ctx.nv)
         if terms is None:
             terms = add_into({}, ((mono_mul(ma, mb), ca * cb)

@@ -9,11 +9,10 @@ import math
 import random
 from dataclasses import dataclass
 
-from diffalg import groebner
+from diffalg import coeff, groebner
 from diffalg.axioms import ContainmentVerdict
-from diffalg.coeff import (Coefficient, FieldMode, _pconst, _pcontent,
-                           _pexact_div, _pis_const, _plead, _pmonomial_content,
-                           _pneg, _pshift_down, _unit)
+from diffalg.coeff import (Coefficient, FieldMode, _padd, _pcontent, _plead,
+                           _pneg, add_into)
 from diffalg.dpoly import (Context, DiffPolynomial, derivation_image,
                            grevlex_key, mono_div, mono_lcm, mono_mul,
                            print_poly, var_rank, var_str)
@@ -287,26 +286,100 @@ def naive_reduce_basis(G, order):
     return reduced
 
 
+# --- integer polynomials keyed by exponent tuples ----------------------------
+
+
+def to_tkeys(p, nv):
+    """The {t-key: int} form of the {exponent tuple: int} dict p, in p's
+    order, in slots of coeff.T_BITS bits as that is when called."""
+    bits = coeff.T_BITS
+    return {sum(e << bits * (nv - 1 - j) for j, e in enumerate(exps)): c
+            for exps, c in p.items()}
+
+
+def from_tkeys(p, nv):
+    """The {exponent tuple: int} form of the {t-key: int} dict p."""
+    bits = coeff.T_BITS
+    mask = (1 << bits) - 1
+    return {tuple(k >> bits * (nv - 1 - j) & (mask if j else -1)
+                  for j in range(nv)): c for k, c in p.items()}
+
+
+def reference_pmul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            s = out.get(exps, 0) + ca * cb
+            if s:
+                out[exps] = s
+            elif exps in out:
+                del out[exps]
+    return out
+
+
+def reference_pmonomial_content(a):
+    it = iter(a)
+    mins = list(next(it))
+    for exps in it:
+        for j, e in enumerate(exps):
+            if e < mins[j]:
+                mins[j] = e
+    return tuple(mins)
+
+
+def reference_pderiv(a, k):
+    j = k - 1
+    return add_into({}, ((exps[:j] + (exps[j] - 1,) + exps[j + 1:],
+                          c * exps[j]) for exps, c in a.items() if exps[j]))
+
+
+def reference_pexact_div(a, b):
+    if not b:
+        return None
+    if not a:
+        return {}
+    q = {}
+    r = dict(a)
+    eb, cb = _plead(b)
+    while r:
+        er, cr = _plead(r)
+        if any(x < y for x, y in zip(er, eb)) or cr % cb != 0:
+            return None
+        eq = tuple(x - y for x, y in zip(er, eb))
+        cq = cr // cb
+        q[eq] = cq
+        r = _padd(r, _pneg(reference_pmul({eq: cq}, b)))
+    return q
+
+
+def reference_tmono_str(exps):
+    return "*".join("t%d" % j if e == 1 else "t%d^%d" % (j, e)
+                    for j, e in enumerate(exps, 1) if e)
+
+
 def reference_reduce(num, den):
-    """Reference rational-mode reduction: Coefficient._reduce with no
-    shortcut, so every denominator, constant or not, goes through the
-    monomial shift and the exact-division attempt."""
+    """Reference rational-mode reduction on exponent-tuple dicts:
+    Coefficient._reduce with no shortcut, so every denominator, constant or
+    not, goes through the monomial shift and the exact-division attempt."""
+    nv = len(next(iter(den)))
     if not num:
-        nv = len(next(iter(den)))
-        return {}, _pconst(1, nv)
+        return {}, {(0,) * nv: 1}
     g = math.gcd(_pcontent(num), _pcontent(den))
     if g > 1:
         num = {e: c // g for e, c in num.items()}
         den = {e: c // g for e, c in den.items()}
-    mn = _pmonomial_content(num)
-    md = _pmonomial_content(den)
+    mn = reference_pmonomial_content(num)
+    md = reference_pmonomial_content(den)
     common = tuple(min(x, y) for x, y in zip(mn, md))
-    num = _pshift_down(num, common)
-    den = _pshift_down(den, common)
-    q = _pexact_div(num, den)
+    num = {tuple(e - m for e, m in zip(exps, common)): c
+           for exps, c in num.items()}
+    den = {tuple(e - m for e, m in zip(exps, common)): c
+           for exps, c in den.items()}
+    q = reference_pexact_div(num, den)
     if q is not None:
         num = q
-        den = _pconst(1, len(next(iter(den))))
+        den = {(0,) * nv: 1}
     # sign convention: lex-leading coefficient of the denominator positive
     if _plead(den)[1] < 0:
         num = _pneg(num)
@@ -660,24 +733,25 @@ def _reference_pstr(a, names):
 
 def reference_render(c):
     """Coefficient.render by a max for the sign, a negated copy of the
-    numerator and a sort per printed polynomial."""
+    numerator and a sort per printed polynomial, on exponent tuples."""
     if not c.nv:
         num, den = abs(c.num), c.den
         text = str(num) if den == 1 else "%d/%d" % (num, den)
         return c.num < 0, text, num == 1 and den == 1
     names = tuple("t%d" % (j + 1) for j in range(c.nv))
-    neg = _plead(c.num)[1] < 0 if not c.is_zero() else False
-    num = _pneg(c.num) if neg else c.num
-    den_is_one = c.den == _unit(c.nv)
+    num, den = from_tkeys(c.num, c.nv), from_tkeys(c.den, c.nv)
+    one = {(0,) * c.nv: 1}
+    neg = _plead(num)[1] < 0 if not c.is_zero() else False
+    num = _pneg(num) if neg else num
     num_text = (_reference_pstr(num, names) if len(num) <= 1
                 else "(" + _reference_pstr(num, names) + ")")
-    if den_is_one:
+    if den == one:
         text = num_text
-    elif _pis_const(c.den):
-        text = "%s/%d" % (num_text, c.den[(0,) * c.nv])
+    elif list(den) == [(0,) * c.nv]:
+        text = "%s/%d" % (num_text, den[(0,) * c.nv])
     else:
-        text = "%s/(%s)" % (num_text, _reference_pstr(c.den, names))
-    return neg, text, den_is_one and num == _unit(c.nv)
+        text = "%s/(%s)" % (num_text, _reference_pstr(den, names))
+    return neg, text, den == one and num == one
 
 
 def reference_print_poly(f, vstr=var_str):

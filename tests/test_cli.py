@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import diffalg
-from diffalg import kernels, prolong
+from diffalg import coeff, kernels, prolong
 from diffalg.cli import (EXIT_NEGATIVE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
                          run)
 from diffalg.files import load_ideal_text, load_kernel_text
@@ -388,6 +388,35 @@ def test_resource_budget_exit_code(capsys, monkeypatch):
     code, out = invoke(capsys, ["bounds", "3", "4", "1"])
     assert code == EXIT_RESOURCE
     assert json.loads(out)["error"] == "resource"
+
+
+def test_a_t2_degree_past_its_slot_exits_3(tmp_path, capsys, monkeypatch):
+    # 4-bit slots: t2 holds 0..7, and t2^8 leaves its slot while parsing;
+    # t1's slot is unbounded
+    monkeypatch.setattr(coeff, "T_BITS", 4)
+    path = tmp_path / "slot.ideal"
+    path.write_text("m=2 n=1 gamma=1 mode=rational\nx1_[0,0] - t2^8\n")
+    code, out = invoke(capsys, ["prolong-variety", str(path), "--all"])
+    assert (code, json.loads(out)) == (EXIT_RESOURCE, {
+        "error": "resource", "message": "a degree in a base variable after "
+        "t1 is over the t-key slot limit 7"})
+    path.write_text("m=2 n=1 gamma=1 mode=rational\nx1_[0,0] - t1^8\n")
+    code, out = invoke(capsys, ["prolong-variety", str(path), "--all"])
+    assert (code, json.loads(out)["generators"]) == (EXIT_OK, [
+        "x1_[0,0] - t1^8", "x1_[1,0] - 8*t1^7", "x1_[0,1]"])
+
+
+def test_the_power_input_exits_3_at_the_term_budget(tmp_path, capsys,
+                                                   monkeypatch):
+    # (x1_[0] + 1)^3000 squares its way to 513 by 513 terms, over the
+    # default budget of 250,000 term pairs
+    monkeypatch.delenv("DIFFALG_TERM_BUDGET", raising=False)
+    path = tmp_path / "power.ideal"
+    path.write_text("m=1 n=1 gamma=1 mode=constants\n(x1_[0] + 1)^3000\n")
+    code, out = invoke(capsys, ["prolong-variety", str(path), "--all"])
+    assert (code, json.loads(out)) == (EXIT_RESOURCE, {
+        "error": "resource", "message": "a product of 513 by 513 terms "
+        "exceeds the term budget 250000"})
 
 
 @pytest.mark.parametrize("value", ["abc", "1e3", "-5", ""])

@@ -7,10 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from diffalg import coeff as coeff_module
 from diffalg.coeff import (Coefficient, FieldMode, _padd, _pderiv,
-                           _pexact_div, _pmul, _pneg)
+                           _pexact_div, _pmonomial_content, _pmul, _pneg,
+                           _tmono_str)
 from diffalg.dpoly import Context, parse_poly
-from diffalg.errors import ContextError
-from helpers import reference_reduce
+from diffalg.errors import ContextError, ResourceBudgetError
+from helpers import (from_tkeys, reference_pderiv, reference_pexact_div,
+                     reference_pmonomial_content, reference_pmul,
+                     reference_reduce, reference_tmono_str, to_tkeys)
 
 
 RAT2 = Context(n=1, m=2, mode=FieldMode("rational", 2))
@@ -237,11 +240,22 @@ def _one(nv):
     return {(0,) * nv: 1}
 
 
+def _tuples(c):
+    """(num, den) of the Coefficient c as exponent-tuple dicts."""
+    return from_tkeys(c.num, c.nv), from_tkeys(c.den, c.nv)
+
+
+def _reduce(num, den, nv):
+    """Coefficient._reduce of exponent-tuple dicts, through t-keys."""
+    num, den = Coefficient._reduce(to_tkeys(num, nv), to_tkeys(den, nv), nv)
+    return from_tkeys(num, nv), from_tkeys(den, nv)
+
+
 def _full(num, den, nv):
     """(num, den) reduced with no shortcut, checked against the constructor."""
     ref = reference_reduce(num, den)
-    c = Coefficient(num, den, nv)
-    assert (c.num, c.den) == ref
+    c = Coefficient(to_tkeys(num, nv), to_tkeys(den, nv), nv)
+    assert _tuples(c) == ref
     return ref
 
 
@@ -254,24 +268,25 @@ def test_denominator_one_shortcuts_match_full_reduction(data):
                              st.just({e: -v for e, v in an.items()})))
     k = data.draw(st.integers(1, nv))
     s = data.draw(st.integers(-5, 5))
-    a = Coefficient(an, _one(nv), nv)
-    b = Coefficient(bn, _one(nv), nv)
+    a = Coefficient(to_tkeys(an, nv), to_tkeys(_one(nv), nv), nv)
+    b = Coefficient(to_tkeys(bn, nv), to_tkeys(_one(nv), nv), nv)
     one = _one(nv)
+    mul, deriv = reference_pmul, reference_pderiv
     cases = [
-        (a + b, _padd(_pmul(an, one), _pmul(bn, one)), _pmul(one, one)),
-        (a - b, _padd(_pmul(an, one), _pmul(_pneg(bn), one)), _pmul(one, one)),
-        (a - a, _padd(_pmul(an, one), _pmul(_pneg(an), one)), _pmul(one, one)),
-        (a * b, _pmul(an, bn), _pmul(one, one)),
+        (a + b, _padd(mul(an, one), mul(bn, one)), mul(one, one)),
+        (a - b, _padd(mul(an, one), mul(_pneg(bn), one)), mul(one, one)),
+        (a - a, _padd(mul(an, one), mul(_pneg(an), one)), mul(one, one)),
+        (a * b, mul(an, bn), mul(one, one)),
         (a.scale_int(s), {e: v * s for e, v in an.items()} if s else {}, one),
-        (a.derive(k), _padd(_pmul(_pderiv(an, k), one),
-                            _pneg(_pmul(an, _pderiv(one, k)))),
-         _pmul(one, one)),
+        (a.derive(k), _padd(mul(deriv(an, k), one),
+                            _pneg(mul(an, deriv(one, k)))),
+         mul(one, one)),
     ]
     for got, num, den in cases:
-        assert got.den == one
-        assert (got.num, got.den) == _full(num, den, nv)
+        assert _tuples(got)[1] == one
+        assert _tuples(got) == _full(num, den, nv)
         if not num:
-            assert (got.num, got.den) == ({}, one)
+            assert _tuples(got) == ({}, one)
 
 
 @pytest.mark.parametrize("nv", [1, 2])
@@ -285,7 +300,7 @@ def test_constant_denominator_reduction_matches_exact_division(nv, c):
         if math.gcd(*num.values(), c) != 1:
             continue  # the case under test: num's content coprime to c
         den = {(0,) * nv: c}
-        assert Coefficient._reduce(num, den) == reference_reduce(num, den)
+        assert _reduce(num, den, nv) == reference_reduce(num, den)
         checked += 1
     assert checked >= 10
 
@@ -296,7 +311,7 @@ def test_constant_denominator_reduction_property(data):
     nv = data.draw(st.integers(1, 2))
     num = data.draw(_int_polys(nv))
     den = {(0,) * nv: data.draw(st.integers(-12, 12).filter(bool))}
-    assert Coefficient._reduce(num, den) == reference_reduce(num, den)
+    assert _reduce(num, den, nv) == reference_reduce(num, den)
 
 
 def test_parsing_integer_polynomials_skips_reduction(monkeypatch):
@@ -304,13 +319,13 @@ def test_parsing_integer_polynomials_skips_reduction(monkeypatch):
     calls = {"_pexact_div": 0, "_reduce": 0}
     reduce = Coefficient._reduce
 
-    def counting_div(a, b):
+    def counting_div(a, b, nv):
         calls["_pexact_div"] += 1
-        return _pexact_div(a, b)
+        return _pexact_div(a, b, nv)
 
-    def counting_reduce(num, den):
+    def counting_reduce(num, den, nv):
         calls["_reduce"] += 1
-        return reduce(num, den)
+        return reduce(num, den, nv)
 
     monkeypatch.setattr(coeff_module, "_pexact_div", counting_div)
     monkeypatch.setattr(Coefficient, "_reduce", staticmethod(counting_reduce))
@@ -320,3 +335,76 @@ def test_parsing_integer_polynomials_skips_reduction(monkeypatch):
     # the counters do see a denominator that is not constant
     parse_poly("x1_[0]/(t1 + 1)", ctx)
     assert calls["_pexact_div"] and calls["_reduce"]
+
+
+# --- t-keys against the exponent-tuple references ---------------------------
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_t_key_helpers_match_the_tuple_references(data):
+    nv = data.draw(st.integers(1, 3))
+    a, b = data.draw(_int_polys(nv)), data.draw(_int_polys(nv))
+    ta, tb = to_tkeys(a, nv), to_tkeys(b, nv)
+    ab = reference_pmul(a, b)
+    assert from_tkeys(_pmul(ta, tb), nv) == ab
+    # a*b - b*a cancels to {}
+    assert _padd(_pmul(ta, tb), _pneg(_pmul(tb, ta))) == {}
+    for k in range(1, nv + 1):
+        assert from_tkeys(_pderiv(ta, k, nv), nv) == reference_pderiv(a, k)
+    if a:
+        assert from_tkeys({_pmonomial_content(ta, nv): 1}, nv) == \
+            {reference_pmonomial_content(a): 1}
+    for exps, key in zip(a, ta):
+        assert _tmono_str(key, nv, coeff_module.T_BITS) == \
+            reference_tmono_str(exps)
+    for x, y in ((ab, b), (a, b), (b, a)):
+        got = _pexact_div(to_tkeys(x, nv), to_tkeys(y, nv), nv)
+        want = reference_pexact_div(x, y)
+        assert (got if got is None else from_tkeys(got, nv)) == want
+    if nv > 1:
+        # y's lead is under x's in t1 but over it in the lower slot j: the
+        # key difference is positive, and only its guard bit tells
+        j = data.draw(st.integers(1, nv - 1))
+        lead = list(data.draw(st.tuples(*[st.integers(0, 3)] * nv)))
+        lead[j] += 1
+        over = list(lead)
+        over[0] += data.draw(st.integers(1, 3))
+        over[j] = data.draw(st.integers(0, lead[j] - 1))
+        x, y = {tuple(over): 6}, {tuple(lead): 3}
+        tx, ty = to_tkeys(x, nv), to_tkeys(y, nv)
+        assert min(tx) > max(ty)
+        assert reference_pexact_div(x, y) is None
+        assert _pexact_div(tx, ty, nv) is None
+
+
+def test_a_degree_past_a_lower_slot_is_refused(monkeypatch):
+    # 4-bit slots: t2 holds 0..7; t1's slot is unbounded
+    monkeypatch.setattr(coeff_module, "T_BITS", 4)
+    t1, t2, one = t(1, 2), t(2, 2), Coefficient.one(2)
+    assert str(t1 ** 100 * t2 ** 7) == "t1^100*t2^7"
+    assert str(t2 ** 3 / (t1 + one) * t2 ** 4) == "t2^7/(t1 + 1)"
+    for product in (lambda: t2 ** 4 * t2 ** 4,
+                    lambda: t2 ** 4 / (t1 + one) * t2 ** 4,
+                    lambda: (t2 ** 4 / (t1 + one)).derive(1) * t2 ** 4):
+        with pytest.raises(ResourceBudgetError, match="slot limit 7"):
+            product()
+    # the integer-coefficient product of DiffPolynomial.__mul__
+    f = parse_poly("t2^4*x1_[0,0] + x1_[1,0]", RAT2)
+    assert str(f * parse_poly("t2^3*x1_[0,0] + 1", RAT2)) == \
+        "t2^3*x1_[0,0]*x1_[1,0] + t2^7*x1_[0,0]^2 + x1_[1,0] + t2^4*x1_[0,0]"
+    with pytest.raises(ResourceBudgetError, match="slot limit 7"):
+        f * f
+    # one base variable has no limit at all
+    assert str(t(1, 1) ** 100 * t(1, 1) ** 100) == "t1^200"
+
+
+def test_exact_division_that_borrows_from_a_lower_slot_fails(monkeypatch):
+    monkeypatch.setattr(coeff_module, "T_BITS", 4)
+    # t1 / t2^7: the key 16 - 7 = 9 sets t2's guard bit 8
+    assert _pexact_div({16: 1}, {7: 1}, 2) is None
+    assert reference_pexact_div({(1, 0): 1}, {(0, 7): 1}) is None
+    assert _pexact_div({16 + 7: 2}, {7: 1}, 2) == {16: 2}
+    # t1*t3 / t2: t2's slot borrows from t1's and t3's does not
+    x, y = to_tkeys({(1, 0, 1): 3}, 3), to_tkeys({(0, 1, 0): 3}, 3)
+    assert _pexact_div(x, y, 3) is None
+    assert str(t(1, 2) / t(2, 2)) == "t1/(t2)"

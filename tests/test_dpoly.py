@@ -3,15 +3,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diffalg import dpoly
 from diffalg.axioms import _rho_var_str, atom_rho_text
-from diffalg.coeff import Coefficient, FieldMode, _unit
+from diffalg.coeff import _ONE, Coefficient, FieldMode
 from diffalg.dpoly import (Context, DiffPolynomial, derivation_image,
                            mono_lcm, mono_mul, parse_poly, print_poly,
                            var_rank)
-from diffalg.errors import ContextError, ParseError
-from helpers import (reference_derivation_image, reference_mono_lcm,
-                     reference_mono_mul, reference_mul, reference_pow,
-                     reference_print_poly, reference_render)
+from diffalg.errors import ContextError, ParseError, ResourceBudgetError
+from helpers import (from_tkeys, reference_derivation_image,
+                     reference_mono_lcm, reference_mono_mul, reference_mul,
+                     reference_pow, reference_print_poly, reference_render,
+                     to_tkeys)
 
 CONST2 = Context(n=1, m=2, mode=FieldMode("constants", 2))
 RAT2 = Context(n=2, m=2, mode=FieldMode("rational", 2))
@@ -64,9 +66,10 @@ def test_sub_keeps_self_order_and_appends_new_monomials():
 def test_eq_compares_values_and_checks_the_context():
     # (t1 + 2)/(t1 + 3), once reduced and once as (t1^2 + 3*t1 + 2)/
     # (t1^2 + 4*t1 + 3), which the best-effort reduction leaves as it is
-    c = Coefficient({(1,): 1, (0,): 2}, {(1,): 1, (0,): 3}, 1)
-    d = Coefficient({(2,): 1, (1,): 3, (0,): 2},
-                    {(2,): 1, (1,): 4, (0,): 3}, 1)
+    c = Coefficient(to_tkeys({(1,): 1, (0,): 2}, 1),
+                    to_tkeys({(1,): 1, (0,): 3}, 1), 1)
+    d = Coefficient(to_tkeys({(2,): 1, (1,): 3, (0,): 2}, 1),
+                    to_tkeys({(2,): 1, (1,): 4, (0,): 3}, 1), 1)
     assert (c.num, c.den) != (d.num, d.den)
     assert DiffPolynomial(RAT1, {X1: c}) == DiffPolynomial(RAT1, {X1: d})
     assert DiffPolynomial(RAT1, {X1: c}) != DiffPolynomial(RAT1, {X2: c})
@@ -294,10 +297,11 @@ def _print_coefficient(nv):
     def poly(top, size):
         return st.dictionaries(
             st.tuples(*[st.integers(0, top)] * nv),
-            st.integers(-9, 9).filter(bool), min_size=1, max_size=size)
+            st.integers(-9, 9).filter(bool), min_size=1, max_size=size).map(
+            lambda p: to_tkeys(p, nv))
 
     return st.builds(
-        lambda num, den: Coefficient(num, den or _unit(nv), nv),
+        lambda num, den: Coefficient(num, den or _ONE, nv),
         poly(40, 4), st.one_of(st.none(), poly(4, 3)))
 
 
@@ -372,7 +376,7 @@ PRODUCT_KINDS = {"constants": CONST1, "integers": CONST1, "integral": RAT2,
 def _product_coefficient(rng, ctx, kind):
     """A nonzero coefficient: a rational number in constants mode, an int
     ("integers"); in rational mode an integer polynomial ("integral",
-    denominator 1, some with t-degrees up to 2**70) or, often, a fraction
+    denominator 1, some with t1-degrees up to 2**70) or, often, a fraction
     with a denominator 2 or t1 + 1 ("fractions")."""
     nv = ctx.nv
     if kind == "constants":
@@ -384,10 +388,12 @@ def _product_coefficient(rng, ctx, kind):
     if rng.random() < 0.5:
         c = c + Coefficient.base_var(rng.randint(1, nv), nv)
     if kind == "integral" and rng.random() < 0.3:
-        # t1^7 or t1^(2**70), times 1 or t2^(2**70): t-keys with wide slots
+        # t1^7 or t1^(2**70), times 1 or t2^(2**27): t1's slot is
+        # unbounded, and a ninth power keeps t2 inside its 32-bit slot
         exps = ((rng.choice([7, 2**70]),)
-                + tuple(rng.choice([0, 2**70]) for _ in range(nv - 1)))
-        c = c + Coefficient({exps: rng.choice([-1, 5])}, {(0,) * nv: 1}, nv)
+                + tuple(rng.choice([0, 2**27]) for _ in range(nv - 1)))
+        c = c + Coefficient(to_tkeys({exps: rng.choice([-1, 5])}, nv),
+                            to_tkeys({(0,) * nv: 1}, nv), nv)
     if kind == "fractions" and rng.random() < 0.6:
         # one non-constant denominator, so that powers stay small
         c = c / rng.choice([Coefficient.from_int(2, nv),
@@ -516,6 +522,29 @@ def test_mul_packs_huge_exponents():
     _assert_same_product(a ** 3, reference_pow(a, 3))
 
 
+def test_the_term_budget_refuses_a_product_before_any_work(monkeypatch):
+    a = parse_poly("x1_[0] + x2_[0] + 1", CONST1)
+    b = parse_poly("x1_[0] - x2_[0]", CONST1)
+    monkeypatch.setenv("DIFFALG_TERM_BUDGET", "6")
+    _assert_same_product(a * b, reference_mul(a, b))
+    monkeypatch.setenv("DIFFALG_TERM_BUDGET", "5")
+    monkeypatch.setattr(dpoly, "_integral_product", None)
+    monkeypatch.setattr(dpoly, "mono_mul", None)
+    with pytest.raises(ResourceBudgetError,
+                       match="a product of 3 by 2 terms exceeds the term "
+                             "budget 5"):
+        a * b
+    monkeypatch.undo()
+    # a one-term operand only shifts its other operand: no budget applies
+    monkeypatch.setenv("DIFFALG_TERM_BUDGET", "0")
+    one = parse_poly("2*x1_[0]", CONST1)
+    _assert_same_product(a * one, reference_mul(a, one))
+    _assert_same_product(one * a, reference_mul(one, a))
+    monkeypatch.setenv("DIFFALG_TERM_BUDGET", "1e3")
+    with pytest.raises(ContextError, match="DIFFALG_TERM_BUDGET"):
+        a * b
+
+
 # --- integer-coefficient products ---------------------------------------------
 
 
@@ -526,7 +555,8 @@ def test_integral_mul_cancels_inside_a_surviving_term():
     b = parse_poly("(t1 - 1)*x2_[0] + x1_[0]", RAT1)
     got, want = a * b, reference_mul(a, b)
     _assert_same_product(got, want)
-    assert got.terms[(((1, (0,)), 1), ((2, (0,)), 1))].num == {(2,): 1}
+    assert from_tkeys(got.terms[(((1, (0,)), 1), ((2, (0,)), 1))].num, 1) \
+        == {(2,): 1}
     assert print_poly(got) == \
         "(t1 - 1)*x2_[0]^2 + t1^2*x1_[0]*x2_[0] + (t1 + 1)*x1_[0]^2"
 
