@@ -9,8 +9,9 @@ tree's src/, killed after ``--cap`` seconds (default 60).  The rows are the
 swell ideal (``check-containment --shape naive`` and ``prolong-variety
 --k 1``), the swell kernel (``kernel-prolong --to 2`` and ``--to 3``), the
 rational power ``f ** e`` at e = 5, 6 and 7, printed by ``print_poly``,
-and ``(x1_[0] + 1)^3000`` under ``prolong-variety --all``.  ``--only NAME``
-(it may be repeated) keeps only the named rows.
+``(x1_[0] + 1)^3000`` under ``prolong-variety --all``, and the integer
+power ``3^100000000*x1_[0]`` under ``prolong-variety --k 1``.  ``--only
+NAME`` (it may be repeated) keeps only the named rows.
 
 For each row and tree it prints the seconds, the exit code, the bytes of
 stdout and the first 12 hex digits of their sha256; a row killed at the
@@ -43,6 +44,10 @@ BIG_POWER = """\
 m=1 n=1 gamma=1 mode=constants
 (x1_[0] + 1)^3000
 """
+INT_POWER = """\
+m=1 n=1 gamma=0 mode=constants
+3^100000000*x1_[0]
+"""
 RATIONAL_POWER = """\
 import sys
 from diffalg.coeff import FieldMode
@@ -69,6 +74,8 @@ ROWS = {
     "rational-power-7": (None, None, ["-c", RATIONAL_POWER, "7"]),
     "power-3000": ("power.ideal", BIG_POWER,
                    CLI + ["prolong-variety", "{}", "--all"]),
+    "int-power": ("int-power.ideal", INT_POWER,
+                  CLI + ["prolong-variety", "{}", "--k", "1"]),
 }
 
 

@@ -94,10 +94,24 @@ def _slots(nv, bits):
             sum(guard << s for s in shifts[1:]))
 
 
+def t_key(k, e, nv):
+    """The t-key of t_k**e over nv base variables, or None when e is past
+    t_k's slot limit (t1's slot has none)."""
+    if k > 1 and e >> T_BITS - 1:
+        return None
+    return e << T_BITS * (nv - k)
+
+
+def t_guards(nv):
+    """The guard bits of the t-keys of nv base variables (0 when nv <= 1):
+    a sum of keys with one set has a t_2..t_m degree past its slot."""
+    return _slots(nv, T_BITS)[1]
+
+
 def _fit(p, nv):
     """p itself, or ResourceBudgetError when a key of p has a guard bit set:
     a t_2..t_m degree of p is past the slot limit."""
-    guards = nv > 1 and _slots(nv, T_BITS)[1]
+    guards = nv > 1 and t_guards(nv)
     if guards and any(k & guards for k in p):
         raise ResourceBudgetError("a degree in a base variable after t1 is "
                                   "over the t-key slot limit %d"
@@ -313,7 +327,7 @@ class Coefficient:
         """The base variable t_k as a field element."""
         if not 1 <= k <= nv:
             raise ContextError("base variable t%d out of range 1..%d" % (k, nv))
-        return _raw({1 << T_BITS * (nv - k): 1}, _ONE, nv)
+        return _raw({t_key(k, 1, nv): 1}, _ONE, nv)
 
     # -- predicates ----------------------------------------------------------
 

@@ -28,6 +28,18 @@ Text grammar (also used for printing):
 Division is exact field division and the divisor must be coefficient-only
 (no x variables), which keeps printed rational-function coefficients
 round-trippable.
+
+parse_poly builds a term in two steps.  Its leading run of INT, xvar and
+tvar factors joined by '*' (each but an INT with an optional '^' INT, after
+at most one unary '-') becomes one term at once: the sign times the INTs,
+the x exponents summed per variable and sorted by var_rank, the t-keys
+summed.  Its coefficient has denominator 1, and a denominator-1 coefficient
+has one form per value, so this is the very value that multiplying the
+run's factors one at a time would give.  The rest of the term is
+multiplied or divided in factor by factor.  A '^' INT on any other factor
+is refused with ResourceBudgetError before it is taken when the exponent
+times (the largest bit length among its coefficient's ints, less one) is
+over DIFFALG_BIT_BUDGET.
 """
 from __future__ import annotations
 
@@ -36,8 +48,9 @@ import operator
 import sys
 from dataclasses import dataclass
 
+from .bounds import _check_bits, bit_budget
 from .coeff import (Coefficient, FieldMode, add_into, from_integral,
-                    integral_num)
+                    integral_num, t_guards, t_key)
 from .errors import ContextError, ParseError, ResourceBudgetError, env_budget
 from .indices import deg, shift, index_sort_key
 
@@ -732,7 +745,17 @@ class _ExprParser:
         return DiffPolynomial(self.ctx, terms)
 
     def parse_term(self):
-        value = self.parse_factor()
+        """A `*`/`/` chain, multiplied left to right.
+
+        Its leading run of monomial factors is read in one step
+        (`parse_monomial_run`), and the loop goes on from the token after
+        the run.  The run is one term whose coefficient has denominator 1,
+        and such a coefficient has one form per value, so the folded term
+        is the value, in the same form, that multiplying the run's factors
+        one at a time would hold at that token."""
+        value = self.parse_monomial_run()
+        if value is None:
+            value = self.parse_factor()
         while self.tz.peek()[0] in ("*", "/"):
             kind, _, pos = self.tz.next()
             rhs = self.parse_factor()
@@ -748,6 +771,62 @@ class _ExprParser:
                 value = value.scale(c.inverse())
         return value
 
+    def parse_monomial_run(self):
+        """The leading run of a term's factors joined by `*` that are an
+        INT, an XVAR or a TVAR with an optional `^ INT` (not an INT's), after
+        at most one unary `-`, as one term; None, with no token taken, when
+        the term does not start with such a factor.
+
+        The run keeps the sign times its INTs, the exponent of each x and
+        the sum of its t-keys, and builds the term at its end: the monomial
+        sorted by var_rank, the coefficient from_integral's.  It stops
+        before any other token, an invalid variable, a `^` without an INT,
+        or a t-power past its slot, which parse_factor then reads or
+        refuses as it would any factor; and right after a t-factor whose
+        key sum sets a guard bit, where from_integral raises as the product
+        would, unless the coefficient is 0."""
+        tokens, nv = self.tz.tokens, self.ctx.nv
+        i = end = self.tz.index
+        c = 1
+        if tokens[i][0] == "-":
+            c = -1
+            i += 1
+        exps = {}
+        tkey = guards = 0
+        while True:
+            kind, payload, pos = tokens[i]
+            if not (kind == "INT" or kind in ("XVAR", "TVAR")
+                    and self._var_error(kind, payload, pos) is None):
+                break
+            j, e = i + 1, 1
+            if tokens[j][0] == "^":
+                if kind == "INT" or tokens[j + 1][0] != "INT":
+                    break
+                e = tokens[j + 1][1]
+                j += 2
+            if kind == "INT":
+                c *= payload
+            elif kind == "XVAR":
+                exps[payload] = exps.get(payload, 0) + e
+            else:
+                key = t_key(payload, e, nv)
+                if key is None:
+                    break
+                tkey += key
+                guards = t_guards(nv)
+            i = end = j
+            if tkey & guards or tokens[i][0] != "*":
+                break
+            i += 1
+        if end == self.tz.index:
+            return None
+        self.tz.index = end
+        if not c:
+            return DiffPolynomial.zero(self.ctx)
+        mono = tuple(sorted(((v, e) for v, e in exps.items() if e),
+                            key=_rank_of_item))
+        return DiffPolynomial(self.ctx, {mono: from_integral({tkey: c}, nv)})
+
     def parse_factor(self):
         kind, _, _ = self.tz.peek()
         if kind == "-":
@@ -755,42 +834,69 @@ class _ExprParser:
             return -self.parse_factor()
         value = self.parse_primary()
         if self.tz.peek()[0] == "^":
-            _, _, pos = self.tz.next()
-            tok = self.tz.expect("INT")
-            value = value ** tok[1]
+            self.tz.next()
+            e = self.tz.expect("INT")[1]
+            _check_bits(e * (_max_bit_length(value) - 1), bit_budget())
+            value = value ** e
         return value
+
+    def _var_error(self, kind, payload, pos):
+        """The ParseError for an XVAR or TVAR token that the context does
+        not have, or None."""
+        ctx = self.ctx
+        if kind == "XVAR":
+            i, xi = payload
+            if len(xi) != ctx.m:
+                return ParseError("multi-index %r must have %d entries"
+                                  % (list(xi), ctx.m), pos)
+            if not 1 <= i <= ctx.n:
+                return ParseError("coordinate index %d out of range 1..%d"
+                                  % (i, ctx.n), pos)
+        elif ctx.mode.kind != "rational":
+            return ParseError("base variable t%d needs rational mode"
+                              % payload, pos)
+        elif not 1 <= payload <= ctx.nv:
+            return ParseError("base variable t%d out of range 1..%d"
+                              % (payload, ctx.nv), pos)
+        return None
 
     def parse_primary(self):
         kind, payload, pos = self.tz.next()
         if kind == "INT":
             return DiffPolynomial.from_int(self.ctx, payload)
-        if kind == "XVAR":
-            i, xi = payload
-            if len(xi) != self.ctx.m:
-                raise ParseError("multi-index %r must have %d entries"
-                                 % (list(xi), self.ctx.m), pos)
-            if not 1 <= i <= self.ctx.n:
-                raise ParseError("coordinate index %d out of range 1..%d"
-                                 % (i, self.ctx.n), pos)
-            return DiffPolynomial.var(self.ctx, i, xi)
+        if kind in ("XVAR", "TVAR"):
+            error = self._var_error(kind, payload, pos)
+            if error is not None:
+                raise error
+            if kind == "XVAR":
+                return DiffPolynomial.var(self.ctx, *payload)
+            return DiffPolynomial.base_var(self.ctx, payload)
         if kind == "DVAR0":
             if not 1 <= payload <= self.ctx.n:
                 raise ParseError("coordinate index %d out of range 1..%d"
                                  % (payload, self.ctx.n), pos)
             return DiffPolynomial.var(self.ctx, payload, (0,) * self.ctx.m)
-        if kind == "TVAR":
-            if self.ctx.mode.kind != "rational":
-                raise ParseError("base variable t%d needs rational mode"
-                                 % payload, pos)
-            if not 1 <= payload <= self.ctx.nv:
-                raise ParseError("base variable t%d out of range 1..%d"
-                                 % (payload, self.ctx.nv), pos)
-            return DiffPolynomial.base_var(self.ctx, payload)
         if kind == "(":
             value = self.parse_expr()
             self.tz.expect(")")
             return value
         raise ParseError("unexpected token %r" % kind, pos)
+
+
+def _rank_of_item(item):
+    return var_rank(item[0])
+
+
+def _max_bit_length(f):
+    """The largest bit length among the ints of f's coefficients (0 for
+    the zero polynomial)."""
+    bits = 0
+    for c in f.terms.values():
+        ints = ((c.num, c.den) if not c.nv
+                else (*c.num.values(), *c.den.values()))
+        for n in ints:
+            bits = max(bits, n.bit_length())
+    return bits
 
 
 def parse_poly(text, ctx):

@@ -441,7 +441,7 @@ def buchberger(gens, order, prefix=(), out=None):
     """Reduced Groebner basis of the ideal generated by gens, as a list.
 
     Classic Buchberger with the coprimality and chain criteria, pairs taken
-    from a heap of (lcm sort key, i, j), S-polynomials formed on packed
+    from a heap of (lcm sort key, i, j, lcm), S-polynomials formed on packed
     keys and reduced against one DivisorBasis that grows with the basis
     (`_s_remainder`); the final reduction gives the unique reduced basis,
     ascending by lm.
@@ -476,13 +476,15 @@ def buchberger(gens, order, prefix=(), out=None):
     lms, start = G.lms, len(prefix)
     bits = {}  # a bit per variable of a lead
     masks = [_support_mask(lm, bits) for lm in lms]
-    pairs = []  # heap of (lcm sort key, i, j), lms not coprime
+    # heap of (lcm sort key, i, j, lcm), lms not coprime; (sort key, i, j)
+    # is unique, so the lcm is never compared
+    pairs = []
 
     def push_pairs(j):
         for i in range(j):
             if masks[i] & masks[j]:
                 lcm = mono_lcm(lms[i], lms[j])
-                heapq.heappush(pairs, (order.sort_key(lcm), i, j))
+                heapq.heappush(pairs, (order.sort_key(lcm), i, j, lcm))
 
     def popped(a, b):
         # has {a, b}, whose lcm divides lcm(i, j), been popped before (i, j)?
@@ -495,8 +497,7 @@ def buchberger(gens, order, prefix=(), out=None):
     for j in range(start, len(G)):
         push_pairs(j)
     while pairs:
-        _, i, j = heapq.heappop(pairs)
-        lcm = mono_lcm(lms[i], lms[j])
+        _, i, j, lcm = heapq.heappop(pairs)
         mask = masks[i] | masks[j]
         if any(k != i and k != j and not masks[k] & ~mask
                and mono_div(lcm, lms[k]) is not None

@@ -13,10 +13,10 @@ from diffalg import coeff, groebner
 from diffalg.axioms import ContainmentVerdict
 from diffalg.coeff import (Coefficient, FieldMode, _padd, _pcontent, _plead,
                            _pneg, add_into)
-from diffalg.dpoly import (Context, DiffPolynomial, derivation_image,
-                           grevlex_key, mono_div, mono_lcm, mono_mul,
-                           print_poly, var_rank, var_str)
-from diffalg.errors import ContextError
+from diffalg.dpoly import (Context, DiffPolynomial, _Tokenizer,
+                           derivation_image, grevlex_key, mono_div, mono_lcm,
+                           mono_mul, print_poly, var_rank, var_str)
+from diffalg.errors import ContextError, ParseError
 from diffalg.groebner import (DivisorBasis, IdealPresentation, MonomialOrder,
                               elimination_ideal, leading_term, normal_form)
 from diffalg.indices import (axiom_sizes, check_coordinates, deg, gamma_set,
@@ -773,6 +773,92 @@ def reference_print_poly(f, vstr=var_str):
         else:
             pieces.append((" - " if neg else " + ") + body)
     return "".join(pieces)
+
+
+class _ReferenceParser:
+    """The recursive-descent parser as it read a term before monomial runs
+    were folded: each factor a DiffPolynomial of its own, multiplied into
+    the term one at a time."""
+
+    def __init__(self, tz, ctx):
+        self.tz = tz
+        self.ctx = ctx
+
+    def expr(self):
+        terms = dict(self.term().terms)
+        while self.tz.peek()[0] in ("+", "-"):
+            op = self.tz.next()[0]
+            rhs = self.term().terms.items()
+            add_into(terms, rhs if op == "+" else
+                     ((mono, -c) for mono, c in rhs))
+        return DiffPolynomial(self.ctx, terms)
+
+    def term(self):
+        value = self.factor()
+        while self.tz.peek()[0] in ("*", "/"):
+            kind, _, pos = self.tz.next()
+            rhs = self.factor()
+            if kind == "*":
+                value = value * rhs
+            else:
+                if not rhs.is_constant():
+                    raise ParseError(
+                        "division only by coefficient expressions", pos)
+                c = rhs.constant_value()
+                if c.is_zero():
+                    raise ParseError("division by zero", pos)
+                value = value.scale(c.inverse())
+        return value
+
+    def factor(self):
+        if self.tz.peek()[0] == "-":
+            self.tz.next()
+            return -self.factor()
+        value = self.primary()
+        if self.tz.peek()[0] == "^":
+            self.tz.next()
+            value = value ** self.tz.expect("INT")[1]
+        return value
+
+    def primary(self):
+        ctx = self.ctx
+        kind, payload, pos = self.tz.next()
+        if kind == "INT":
+            return DiffPolynomial.from_int(ctx, payload)
+        if kind == "XVAR":
+            i, xi = payload
+            if len(xi) != ctx.m:
+                raise ParseError("multi-index %r must have %d entries"
+                                 % (list(xi), ctx.m), pos)
+            if not 1 <= i <= ctx.n:
+                raise ParseError("coordinate index %d out of range 1..%d"
+                                 % (i, ctx.n), pos)
+            return DiffPolynomial.var(ctx, i, xi)
+        if kind == "TVAR":
+            if ctx.mode.kind != "rational":
+                raise ParseError("base variable t%d needs rational mode"
+                                 % payload, pos)
+            if not 1 <= payload <= ctx.nv:
+                raise ParseError("base variable t%d out of range 1..%d"
+                                 % (payload, ctx.nv), pos)
+            return DiffPolynomial.base_var(ctx, payload)
+        if kind == "(":
+            value = self.expr()
+            self.tz.expect(")")
+            return value
+        raise ParseError("unexpected token %r" % kind, pos)
+
+
+def reference_parse_poly(text, ctx):
+    """parse_poly as it was before monomial runs were folded: every factor
+    parsed and multiplied on its own (formula-mode tokens aside)."""
+    tz = _Tokenizer(text)
+    try:
+        value = _ReferenceParser(tz, ctx).expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
+    tz.expect("EOF")
+    return value
 
 
 def reference_containment(W, kind):

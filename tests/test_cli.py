@@ -567,6 +567,22 @@ def test_oversized_integers_are_error_exits(tmp_path, argv, text, code,
     assert json.loads(proc.stdout) == error
 
 
+def test_an_integer_power_over_the_bit_budget_exits_3(tmp_path, capsys,
+                                                      monkeypatch):
+    # 3^100000000 alone runs for minutes; e * (bit length of 3, minus 1)
+    # is 10^8 bits, over the default budget, so the parser refuses it
+    # before it multiplies anything
+    monkeypatch.delenv("DIFFALG_BIT_BUDGET", raising=False)
+    path = tmp_path / "power.ideal"
+    path.write_text("m=1 n=1 gamma=0 mode=constants\n3^100000000*x1_[0]\n")
+    start = time.perf_counter()
+    code, out = invoke(capsys, ["prolong-variety", str(path), "--k", "1"])
+    assert (code, json.loads(out)) == (EXIT_RESOURCE, {
+        "error": "resource", "message": "result needs about 100000000 bits, "
+        "over the 1048576-bit budget"})
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("n,error", [(3, None), (4, "n*|Gamma(2)| = 12")],
                          ids=["fits", "over"])
 def test_kernel_prolong_keeps_the_coordinate_budget(tmp_path, capsys,

@@ -1,9 +1,10 @@
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffalg import dpoly
+from diffalg import coeff, dpoly
 from diffalg.axioms import _rho_var_str, atom_rho_text
 from diffalg.coeff import _ONE, Coefficient, FieldMode
 from diffalg.dpoly import (Context, DiffPolynomial, derivation_image,
@@ -12,8 +13,8 @@ from diffalg.dpoly import (Context, DiffPolynomial, derivation_image,
 from diffalg.errors import ContextError, ParseError, ResourceBudgetError
 from helpers import (from_tkeys, reference_derivation_image,
                      reference_mono_lcm, reference_mono_mul, reference_mul,
-                     reference_pow, reference_print_poly, reference_render,
-                     to_tkeys)
+                     reference_parse_poly, reference_pow,
+                     reference_print_poly, reference_render, to_tkeys)
 
 CONST2 = Context(n=1, m=2, mode=FieldMode("constants", 2))
 RAT2 = Context(n=2, m=2, mode=FieldMode("rational", 2))
@@ -108,6 +109,106 @@ def test_parse_division_restrictions():
         parse_poly("1/x1_[0]", RAT1)
     with pytest.raises(ParseError):
         parse_poly("x1_[0]/0", RAT1)
+
+
+def _parsed(parse, text, ctx):
+    """The terms of parse(text, ctx) with each coefficient's num and den
+    items in order, or the type and message of what it raised."""
+    try:
+        f = parse(text, ctx)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    return [(mono, (c.num, c.den) if not c.nv else
+             (list(c.num.items()), list(c.den.items())))
+            for mono, c in f.terms.items()]
+
+
+@functools.lru_cache(maxsize=None)
+def _parse_texts(ctx):
+    """Texts whose terms mix runs of integer, x and t factors with
+    parentheses, `/`, `^`, unary minus and zero factors."""
+    names = ["x%d_[%s]" % (i, ",".join(map(str, xi)))
+             for i in (1, 2) for xi in _indices(ctx.m, 1)]
+    tnames = ["t%d" % k for k in range(1, ctx.nv + 1)]
+    leaf = st.sampled_from(names + tnames + list("01123"))
+    power = st.sampled_from(["", "", "", "^0", "^2", "^3"])
+
+    def expr(inner):
+        primary = st.one_of(leaf, leaf, leaf, inner.map("({})".format))
+        factor = st.tuples(st.sampled_from(["", "", "", "-"]), primary,
+                           power).map("".join)
+        # mostly nonzero coefficient divisors, sometimes any factor
+        divisor = st.one_of(st.sampled_from(["2", "3"] + tnames), factor)
+        rest = st.one_of(factor.map("*".__add__), factor.map("*".__add__),
+                         divisor.map("/".__add__))
+        term = st.tuples(factor, st.lists(rest, max_size=4)).map(
+            lambda t: t[0] + "".join(t[1]))
+        return st.tuples(term, st.lists(st.tuples(
+            st.sampled_from([" + ", " - "]), term), max_size=2)).map(
+            lambda t: t[0] + "".join(op + p for op, p in t[1]))
+
+    return st.recursive(expr(leaf), expr, max_leaves=3)
+
+
+@pytest.mark.parametrize("ctx", [CONST1, RAT1, CONST2, RAT2],
+                         ids=["c1", "r1", "c2", "r2"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_parse_poly_matches_the_factor_by_factor_reference(ctx, data):
+    text = data.draw(_parse_texts(ctx))
+    assert _parsed(parse_poly, text, ctx) == \
+        _parsed(reference_parse_poly, text, ctx)
+
+
+@pytest.mark.parametrize("text,ctx,error", [
+    ("2*x1_[0,0]", CONST1, "multi-index [0, 0] must have 1 entries "
+     "(at position 2)"),
+    ("x1_[0]*x3_[0]", CONST1, "coordinate index 3 out of range 1..2 "
+     "(at position 7)"),
+    ("3*t1*x1_[0]", CONST1, "base variable t1 needs rational mode "
+     "(at position 2)"),
+    ("x1_[0,0]*t3", RAT2, "base variable t3 out of range 1..2 "
+     "(at position 9)"),
+    ("x1_[0]^x2_[0]", CONST1, "expected 'INT', found 'XVAR' "
+     "(at position 7)"),
+    ("x1_[0]^2^2", CONST1, "expected 'EOF', found '^' (at position 8)"),
+    ("2*(", CONST1, "unexpected token 'EOF' (at position 3)"),
+    ("0*x1_[0]/0", CONST1, "division by zero (at position 8)"),
+], ids=["index-length", "coordinate", "t-in-constants", "t3-with-m2",
+        "caret-without-int", "double-caret", "open-paren", "zero-division"])
+def test_malformed_terms_keep_their_errors(text, ctx, error):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text, ctx)
+    assert str(exc.value) == error
+    assert _parsed(reference_parse_poly, text, ctx) == (ParseError, error)
+
+
+@pytest.mark.parametrize("text", [
+    "t2^7*t2", "t2^7*t2*0", "0*t2^7*t2", "0*t2^8", "-0*t2^9", "t2^16",
+    "t2^7*t2^7*t2^7", "0*t2^7*t2^7*t2^7*x1_[0,0]", "0*t2^7*t2*t2^16",
+    "t2^7*t2*x5_[0,0]", "t2^3*x1_[0,0]*t2^4", "t1^100*t2^7 - t2^7*t2/2"])
+def test_t_slot_refusals_match_the_reference(monkeypatch, text):
+    # 4-bit slots: t2 holds 0..7.  A run refuses where, and only where,
+    # the factor-by-factor product does: a power past the slot always,
+    # a product past it only while the coefficient is nonzero, and a key
+    # sum that would carry out of the slot never goes unrefused
+    monkeypatch.setattr(coeff, "T_BITS", 4)
+    assert _parsed(parse_poly, text, RAT2) == \
+        _parsed(reference_parse_poly, text, RAT2)
+
+
+def test_a_power_over_the_bit_budget_is_refused(monkeypatch):
+    # e * (the largest coefficient bit length - 1) is checked before the
+    # power is taken; a coefficient of 1 never counts against it
+    monkeypatch.setenv("DIFFALG_BIT_BUDGET", "64")
+    with pytest.raises(ResourceBudgetError) as exc:
+        parse_poly("(2*x1_[0])^100", CONST1)
+    assert str(exc.value) == "result needs about 100 bits, over the " \
+        "64-bit budget"
+    assert str(parse_poly("(2*x1_[0])^64", CONST1)) == \
+        "18446744073709551616*x1_[0]^64"
+    assert str(parse_poly("x1_[0]^99999999999", CONST1)) == \
+        "x1_[0]^99999999999"
 
 
 def test_coeff_derivative_examples():

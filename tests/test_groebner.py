@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from diffalg import groebner
 from diffalg.coeff import Coefficient, FieldMode
-from diffalg.dpoly import (Context, DiffPolynomial, mono_div, mono_mul,
-                           parse_poly, print_poly, var_rank)
+from diffalg.dpoly import (Context, DiffPolynomial, mono_div, mono_lcm,
+                           mono_mul, parse_poly, print_poly, var_rank)
 from diffalg.groebner import (DivisorBasis, IdealPresentation, MonomialOrder,
                               _reduce_basis, buchberger, elimination_ideal,
                               leading_term, normal_form, radical_member)
@@ -699,7 +699,8 @@ def test_buchberger_chain_criterion_breaks_equal_lcm_ties_by_index(mode,
 
 @pytest.mark.parametrize("kind", sorted(ORDERS))
 def test_buchberger_queues_no_coprime_pair(monkeypatch, kind):
-    # the heap gets exactly the pairs whose leads share a variable
+    # the heap gets exactly the pairs whose leads share a variable, each
+    # with its lcm
     ctx, order = _ctx("constants"), ORDERS[kind]
     gens = [p("x1_[0]^2 - x2_[0]", ctx), p("x3_[0]^2 - 1", ctx),
             p("x1_[0]*x3_[0] - x4_[0]", ctx), p("x4_[0]^2 - x2_[0]", ctx)]
@@ -711,7 +712,7 @@ def test_buchberger_queues_no_coprime_pair(monkeypatch, kind):
         real_init(self, *args)
 
     def recording(heap, item):
-        pushed.append(item[1:])
+        pushed.append(item)
         real_push(heap, item)
 
     monkeypatch.setattr(DivisorBasis, "__init__", tracking)
@@ -722,7 +723,8 @@ def test_buchberger_queues_no_coprime_pair(monkeypatch, kind):
     shared = {(i, j) for j in range(len(lms)) for i in range(j)
               if {v for v, _ in lms[i]} & {v for v, _ in lms[j]}}
     assert 0 < len(shared) < len(lms) * (len(lms) - 1) // 2
-    assert sorted(pushed) == sorted(shared)
+    assert sorted(item[1:3] for item in pushed) == sorted(shared)
+    assert all(lcm == mono_lcm(lms[i], lms[j]) for _, i, j, lcm in pushed)
 
 
 def _random_monomials(rng, variables, count, top):

@@ -28,6 +28,14 @@ def test_a_cheap_row_matches_itself_on_two_trees(capsys):
         assert row[3:] == ["0", "153135", "e26ec6af4cb2"]
 
 
+def test_the_int_power_row_exits_3_at_once(capsys):
+    script = load(ROOT / "scripts" / "slow_inputs.py", "slow_inputs")
+    assert script.main([str(ROOT), "--only", "int-power", "--cap", "60"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[:2] == ["int-power", "BEFORE"] and float(row[2]) < 30
+    assert row[3:] == ["3", "99", "c1a76222feb5"]
+
+
 def test_only_finished_rows_are_compared(capsys):
     script = load(ROOT / "scripts" / "slow_inputs.py", "slow_inputs")
     assert not script.differs([(1.0, 0, b"x"), (2.0, 0, b"x")])
