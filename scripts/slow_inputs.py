@@ -9,9 +9,10 @@ tree's src/, killed after ``--cap`` seconds (default 60).  The rows are the
 swell ideal (``check-containment --shape naive`` and ``prolong-variety
 --k 1``), the swell kernel (``kernel-prolong --to 2`` and ``--to 3``), the
 rational power ``f ** e`` at e = 5, 6 and 7, printed by ``print_poly``,
-``(x1_[0] + 1)^3000`` under ``prolong-variety --all``, and the integer
-power ``3^100000000*x1_[0]`` under ``prolong-variety --k 1``.  ``--only
-NAME`` (it may be repeated) keeps only the named rows.
+``(x1_[0] + 1)^3000`` under ``prolong-variety --all``, the integer power
+``3^100000000*x1_[0]`` and the power of a two-term coefficient
+``(t1 + 1)^100000*x1_[0]``, each under ``prolong-variety --k 1``.
+``--only NAME`` (it may be repeated) keeps only the named rows.
 
 For each row and tree it prints the seconds, the exit code, the bytes of
 stdout and the first 12 hex digits of their sha256; a row killed at the
@@ -48,6 +49,10 @@ INT_POWER = """\
 m=1 n=1 gamma=0 mode=constants
 3^100000000*x1_[0]
 """
+T_POWER = """\
+m=1 n=1 gamma=0 mode=rational
+(t1 + 1)^100000*x1_[0]
+"""
 RATIONAL_POWER = """\
 import sys
 from diffalg.coeff import FieldMode
@@ -76,6 +81,8 @@ ROWS = {
                    CLI + ["prolong-variety", "{}", "--all"]),
     "int-power": ("int-power.ideal", INT_POWER,
                   CLI + ["prolong-variety", "{}", "--k", "1"]),
+    "t-power": ("t-power.ideal", T_POWER,
+                CLI + ["prolong-variety", "{}", "--k", "1"]),
 }
 
 

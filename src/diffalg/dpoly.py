@@ -3,18 +3,17 @@
 A variable is the pair (i, xi) with 1 <= i <= n and xi a multi-index of
 length m.  A monomial is a tuple of ((i, xi), exponent) pairs with positive
 exponents, sorted by ascending var_rank; the constant monomial is ().  A
-polynomial is a sparse map from monomials to Coefficients.  The mono_*
-helpers below do the library's monomial arithmetic on these tuples;
-mono_mul and mono_lcm merge the two rank-sorted tuples, with no dict and no
-re-sort.  The one other form is the packed key of a `Packing`: one integer
-per monomial, with a bit slot per variable.  When no coefficient of
-either factor has a denominator, DiffPolynomial.__mul__ adds such keys
-instead of merging tuples and multiplies the coefficients on ints
-(`_integral_product`), with the same bytes (see __mul__), and groebner's
-division compares, multiplies and tests divisibility on them; each turns
-keys back into tuples once per term of its result.  print_poly sorts
-terms by their keys in the grevlex Packing, the comparator that division
-uses; grevlex_key is the same order as a plain tuple, for MonomialOrder.
+polynomial is a sparse map from monomials to Coefficients.  mono_mul and
+mono_lcm merge two rank-sorted tuples, with no dict and no re-sort.  The
+one other form is the packed key of a `Packing`: one integer per monomial,
+with a bit slot per variable, and the library's one encoding of a monomial
+order.  When no coefficient of either factor has a denominator,
+DiffPolynomial.__mul__ adds such keys instead of merging tuples and
+multiplies the coefficients on ints (`_integral_product`), with the same
+bytes (see __mul__), and groebner compares, multiplies and tests
+divisibility on them; each turns keys back into tuples once per term of
+its result.  print_poly sorts terms by their keys in the grevlex Packing,
+the comparator that division uses.
 
 Text grammar (also used for printing):
 
@@ -100,7 +99,7 @@ def var_str(v):
     return "x%d_[%s]" % (i, ",".join(str(e) for e in xi))
 
 
-# --- monomial arithmetic and the grevlex key --------------------------------
+# --- monomial arithmetic and packed keys ------------------------------------
 
 
 def _mono_merge(a, b, combine):
@@ -130,31 +129,8 @@ def mono_mul(a, b):
     return _mono_merge(a, b, operator.add)
 
 
-def mono_div(a, b):
-    """a / b, or None when b does not divide a."""
-    need = dict(b)
-    out = []
-    for v, e in a:
-        e -= need.pop(v, 0)
-        if e < 0:
-            return None
-        if e:
-            out.append((v, e))
-    return None if need else tuple(out)
-
-
 def mono_lcm(a, b):
     return _mono_merge(a, b, max)
-
-
-def mono_deg(a):
-    return sum(e for _, e in a)
-
-
-def grevlex_key(mono):
-    """Graded reverse lex: higher degree wins, then the smaller exponent in
-    the least significant variable where the monomials differ."""
-    return (mono_deg(mono), tuple((var_rank(v), -e) for v, e in mono))
 
 
 def support(term_dicts):
@@ -327,6 +303,12 @@ def _integral_product(a, b, nv):
     return {decode(k): from_integral(t, nv) for k, t in terms.items()}
 
 
+def _size(terms, nv):
+    """The terms of a product operand, each counted once per t-monomial of
+    its coefficient's numerator (once, when nv is 0: constants mode)."""
+    return sum(len(c.num) for c in terms.values()) if nv else len(terms)
+
+
 class DiffPolynomial:
     """Immutable sparse multivariate polynomial over Coefficient."""
 
@@ -423,11 +405,7 @@ class DiffPolynomial:
                               {mono: -c for mono, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = DiffPolynomial.from_int(self.ctx, other)
-        self._check(other)
-        return DiffPolynomial(self.ctx, add_into(
-            dict(self.terms), ((mono, -c) for mono, c in other.terms.items())))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -439,12 +417,13 @@ class DiffPolynomial:
         inserts it again at the end.  A product of two nonzero field
         elements is never zero, so a new monomial is always inserted.
 
-        With a single-term operand no two products meet, and the product
-        is a shift of the other's terms.  Otherwise a product of more term
-        pairs than DIFFALG_TERM_BUDGET (default 250,000) raises
-        ResourceBudgetError before any work; with a denominator in
-        either operand, `add_into` adds the products into one dict in just
-        this order, self's terms outer.
+        With a single-term operand no two products meet; when its
+        numerator is one t-monomial the product is a shift of the other's
+        terms and never refused.  Otherwise a product of more pairs than
+        DIFFALG_TERM_BUDGET (default 250,000), by `_size`, raises
+        ResourceBudgetError before any work.  With two multi-term operands
+        and a denominator in either, `add_into` adds the products into one
+        dict in just this order, self's terms outer.
 
         With no denominator in either operand the loop runs on ints
         (`_integral_product`), with the same bytes: a denominator-1
@@ -459,17 +438,19 @@ class DiffPolynomial:
         if isinstance(other, Coefficient):
             return self.scale(other)
         self._check(other)
-        ctx, a, b = self.ctx, self.terms, other.terms
+        ctx, a, b, nv = self.ctx, self.terms, other.terms, self.ctx.nv
+        if not (len(a) == 1 == _size(a, nv) or len(b) == 1 == _size(b, nv)):
+            budget = env_budget("DIFFALG_TERM_BUDGET", 250_000)
+            na, nb = _size(a, nv), _size(b, nv)
+            if na * nb > budget:
+                raise ResourceBudgetError("a product of %d by %d terms "
+                                          "exceeds the term budget %d"
+                                          % (na, nb, budget))
         if len(a) == 1 or len(b) == 1:
             return DiffPolynomial(ctx, {
                 mono_mul(ma, mb): ca * cb
                 for ma, ca in a.items() for mb, cb in b.items()})
-        budget = env_budget("DIFFALG_TERM_BUDGET", 250_000)
-        if len(a) * len(b) > budget:
-            raise ResourceBudgetError("a product of %d by %d terms exceeds "
-                                      "the term budget %d"
-                                      % (len(a), len(b), budget))
-        terms = _integral_product(a, b, ctx.nv)
+        terms = _integral_product(a, b, nv)
         if terms is None:
             terms = add_into({}, ((mono_mul(ma, mb), ca * cb)
                                   for ma, ca in a.items()

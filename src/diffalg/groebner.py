@@ -45,28 +45,16 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 
 from .coeff import Coefficient
-from .dpoly import (MIN_WIDTH, Context, DiffPolynomial, grevlex_key,
-                    mono_div, mono_lcm, order_packing, support, var_rank)
+from .dpoly import (MIN_WIDTH, Context, DiffPolynomial, mono_lcm,
+                    order_packing, support)
 from .errors import ContextError
 
 
-def _lex_key(mono):
-    return tuple((var_rank(v), e) for v, e in reversed(mono))
-
-
 class MonomialOrder:
-    """A total order on monomials, given as a plain-tuple sort key.
-
-    A monomial sorts below another exactly when its ``sort_key`` does:
-
-    - grevlex: ``(degree, ((var_rank(v), -e) for v, e in mono))``, the
-      pairs in ascending rank;
-    - lex: ``((var_rank(v), e) for v, e in reversed(mono))``, most
-      significant variable first;
-    - block: ``(grevlex key of the eliminated part, grevlex key of the
-      rest)``, so the eliminated block is compared first.
-
-    Two orders are equal when their kind and eliminated block are.
+    """A total order on monomials: grevlex, lex, or a block order that
+    compares the eliminated block first, by grevlex within each block.  Its
+    packings key monomials by integers that compare as it does.  Two
+    orders are equal when their kind and eliminated block are.
     """
 
     def __init__(self, kind, leading=None):
@@ -75,12 +63,6 @@ class MonomialOrder:
         self.kind = kind
         # leading (eliminated) variable block (block order only)
         self.leading = frozenset(leading) if leading is not None else None
-        if kind == "grevlex":
-            self.sort_key = grevlex_key
-        elif kind == "block":
-            self.sort_key = self._block_key
-        else:
-            self.sort_key = _lex_key
 
     @classmethod
     def grevlex(cls):
@@ -108,20 +90,16 @@ class MonomialOrder:
         return order_packing(self.kind, self.leading, frozenset(variables),
                              max(top.bit_length() + 1, MIN_WIDTH))
 
-    def _block_key(self, mono):
-        lead = self.leading
-        inner = tuple(t for t in mono if t[0] in lead)
-        outer = tuple(t for t in mono if t[0] not in lead)
-        return (grevlex_key(inner), grevlex_key(outer))
-
 
 # --- division and Buchberger ------------------------------------------------
 
 
 def leading_term(f, order):
-    """(monomial, coefficient) of the order-largest term; f nonzero."""
-    mono = max(f.terms, key=order.sort_key)
-    return mono, f.terms[mono]
+    """(monomial, coefficient) of the term with the largest key in the
+    order's packing over f's variables and degree; f nonzero."""
+    variables, top = support((f.terms,))
+    keys = order.packing(variables, top).keys(f.terms)[0]
+    return max(zip(keys, f.terms.items()))[1]
 
 
 class DivisorBasis:
@@ -441,10 +419,12 @@ def buchberger(gens, order, prefix=(), out=None):
     """Reduced Groebner basis of the ideal generated by gens, as a list.
 
     Classic Buchberger with the coprimality and chain criteria, pairs taken
-    from a heap of (lcm sort key, i, j, lcm), S-polynomials formed on packed
+    from a heap of (lcm key, i, j, lcm), S-polynomials formed on packed
     keys and reduced against one DivisorBasis that grows with the basis
     (`_s_remainder`); the final reduction gives the unique reduced basis,
-    ascending by lm.
+    ascending by lm.  G's packing fits twice the largest lead degree, so
+    every lcm of two leads has a key; when it changes, the queued pairs are
+    keyed again in place, and stay a heap, as keys compare as the order.
 
     A pair whose leads are coprime (disjoint support masks) is never
     queued.  The chain criterion skips C = (i, j) when lm_k divides lcm(C)
@@ -476,15 +456,28 @@ def buchberger(gens, order, prefix=(), out=None):
     lms, start = G.lms, len(prefix)
     bits = {}  # a bit per variable of a lead
     masks = [_support_mask(lm, bits) for lm in lms]
-    # heap of (lcm sort key, i, j, lcm), lms not coprime; (sort key, i, j)
-    # is unique, so the lcm is never compared
+    top = support((lms,))[1]  # the largest lead degree
+    # heap of (lcm key, i, j, lcm), lms not coprime; (key, i, j) is unique,
+    # so the lcm is never compared
     pairs = []
+    packing = None  # the packing the queued pairs are keyed in
 
-    def push_pairs(j):
-        for i in range(j):
-            if masks[i] & masks[j]:
-                lcm = mono_lcm(lms[i], lms[j])
-                heapq.heappush(pairs, (order.sort_key(lcm), i, j, lcm))
+    def sync(new):
+        # widen G's packing to fit every lcm of two leads, key the queued
+        # pairs again if it changed, then queue the pairs of `new`'s leads
+        nonlocal packing
+        if G.packing is None or G.packing.limit < 2 * top:
+            G.pack(2 * top)
+        if G.packing is not packing:
+            packing = G.packing
+            for n, (_, a, b, lcm) in enumerate(pairs):
+                pairs[n] = (packing.keys((lcm,))[0][0], a, b, lcm)
+        for j in new:
+            for a in range(j):
+                if masks[a] & masks[j]:
+                    lcm = mono_lcm(lms[a], lms[j])
+                    heapq.heappush(pairs,
+                                   (packing.keys((lcm,))[0][0], a, j, lcm))
 
     def popped(a, b):
         # has {a, b}, whose lcm divides lcm(i, j), been popped before (i, j)?
@@ -494,21 +487,21 @@ def buchberger(gens, order, prefix=(), out=None):
         return (b < start or (a, b) < (i, j) or masks[a] | masks[b] != mask
                 or mono_lcm(lms[a], lms[b]) != lcm)
 
-    for j in range(start, len(G)):
-        push_pairs(j)
+    sync(range(start, len(G)))
     while pairs:
-        _, i, j, lcm = heapq.heappop(pairs)
+        key, i, j, lcm = heapq.heappop(pairs)
         mask = masks[i] | masks[j]
-        if any(k != i and k != j and not masks[k] & ~mask
-               and mono_div(lcm, lms[k]) is not None
+        keys, guards = G.keys, packing.guards
+        if any(not (key - keys[k]) & guards and k != i and k != j
                and popped(i, k) and popped(j, k) for k in range(len(G))):
             continue
+        new = len(G)
         s = _packed(G, (), _s_remainder, G, i, j, lcm)
-        if s.is_zero():
-            continue
-        G.append(s, next(iter(s.terms)))
-        masks.append(_support_mask(lms[-1], bits))
-        push_pairs(len(G) - 1)
+        if s:
+            G.append(s, next(iter(s.terms)))
+            masks.append(_support_mask(lms[-1], bits))
+            top = max(top, sum(e for _, e in lms[-1]))
+        sync(range(new, len(G)))
     return _reduce_basis(G, start, out)
 
 

@@ -14,8 +14,8 @@ from diffalg.axioms import ContainmentVerdict
 from diffalg.coeff import (Coefficient, FieldMode, _padd, _pcontent, _plead,
                            _pneg, add_into)
 from diffalg.dpoly import (Context, DiffPolynomial, _Tokenizer,
-                           derivation_image, grevlex_key, mono_div, mono_lcm,
-                           mono_mul, print_poly, var_rank, var_str)
+                           derivation_image, mono_lcm, mono_mul, print_poly,
+                           var_rank, var_str)
 from diffalg.errors import ContextError, ParseError
 from diffalg.groebner import (DivisorBasis, IdealPresentation, MonomialOrder,
                               elimination_ideal, leading_term, normal_form)
@@ -24,6 +24,56 @@ from diffalg.indices import (axiom_sizes, check_coordinates, deg, gamma_set,
 from diffalg.kernels import (KernelPresentation, KernelValidationError,
                              ObstructionWitness, ProlongResult,
                              kernel_validate, violation)
+
+
+# --- plain-tuple monomial keys, the reference for packed keys ---------------
+
+
+def mono_div(a, b):
+    """a / b, or None when b does not divide a."""
+    need = dict(b)
+    out = []
+    for v, e in a:
+        e -= need.pop(v, 0)
+        if e < 0:
+            return None
+        if e:
+            out.append((v, e))
+    return None if need else tuple(out)
+
+
+def grevlex_key(mono):
+    """Graded reverse lex: higher degree wins, then the smaller exponent in
+    the least significant variable where the monomials differ."""
+    return (sum(e for _, e in mono), tuple((var_rank(v), -e) for v, e in mono))
+
+
+def _lex_key(mono):
+    return tuple((var_rank(v), e) for v, e in reversed(mono))
+
+
+def sort_key(order):
+    """The plain-tuple sort key of the MonomialOrder `order`: a monomial
+    sorts below another exactly when its key does.
+
+    - grevlex: ``(degree, ((var_rank(v), -e) for v, e in mono))``, the
+      pairs in ascending rank;
+    - lex: ``((var_rank(v), e) for v, e in reversed(mono))``, most
+      significant variable first;
+    - block: ``(grevlex key of the eliminated part, grevlex key of the
+      rest)``, so the eliminated block is compared first.
+    """
+    if order.kind == "grevlex":
+        return grevlex_key
+    if order.kind == "lex":
+        return _lex_key
+    lead = order.leading
+
+    def block_key(mono):
+        inner = tuple(t for t in mono if t[0] in lead)
+        outer = tuple(t for t in mono if t[0] not in lead)
+        return (grevlex_key(inner), grevlex_key(outer))
+    return block_key
 
 
 def rand_rational(rng, span=3):
@@ -219,11 +269,11 @@ def reference_normal_form(f, basis):
     which skip only divisors that mono_div rejects.)"""
     if not basis:
         return f
-    sort_key = basis.order.sort_key
+    key = sort_key(basis.order)
     leads = [(lm, g.terms[lm], [t for t in g.terms.items() if t[0] != lm])
              for g, lm in zip(basis.polys, basis.lms)]
     p = dict(f.terms)
-    keys = {mono: sort_key(mono) for mono in p}
+    keys = {mono: key(mono) for mono in p}
     remainder = {}
     while p:
         mono = max(p, key=keys.__getitem__)
@@ -244,7 +294,7 @@ def reference_normal_form(f, basis):
                     else:
                         p[m] = v
                         if m not in keys:
-                            keys[m] = sort_key(m)
+                            keys[m] = key(m)
                 break
         else:
             remainder[mono] = c
@@ -278,7 +328,8 @@ def naive_reduce_basis(G, order):
             continue
         _, lc = leading_term(r, order)
         reduced.append(r.scale(lc.inverse()))
-    reduced.sort(key=lambda g: order.sort_key(leading_term(g, order)[0]))
+    key = sort_key(order)
+    reduced.sort(key=lambda g: key(leading_term(g, order)[0]))
     # unit ideal collapses to {1}
     for g in reduced:
         if g.is_constant():
@@ -483,9 +534,10 @@ def reference_buchberger(gens, order, prefix=0, coprime_queries=None):
     queued = []  # every heap entry, in the order queued
     popped_at = {}  # (i, j): len(queued) when it was popped
     current = None
+    key = sort_key(order)
 
     def entry(i, j):
-        return (order.sort_key(mono_lcm(lms[i], lms[j])), i, j)
+        return (key(mono_lcm(lms[i], lms[j])), i, j)
 
     def push(i, j):
         queued.append(entry(i, j))

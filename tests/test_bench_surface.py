@@ -53,7 +53,7 @@ def test_workload_orders_build():
     x1 = (1, (0,))
     for order in (diffalg.MonomialOrder.grevlex(), diffalg.MonomialOrder.lex(),
                   diffalg.MonomialOrder.block_elim({x1})):
-        assert callable(order.sort_key)
+        assert callable(order.packing)
 
 
 def test_buchberger_returns_a_list_of_the_basis():

@@ -419,6 +419,20 @@ def test_the_power_input_exits_3_at_the_term_budget(tmp_path, capsys,
         "exceeds the term budget 250000"})
 
 
+def test_a_power_of_a_two_term_coefficient_exits_3_at_the_term_budget(
+        tmp_path, capsys, monkeypatch):
+    # (t1 + 1)^100000 is a single term, but its coefficient squares its
+    # way to 513 by 513 t-monomials, each counted as a term
+    monkeypatch.delenv("DIFFALG_TERM_BUDGET", raising=False)
+    path = tmp_path / "t-power.ideal"
+    path.write_text("m=1 n=1 gamma=0 mode=rational\n"
+                    "(t1 + 1)^100000*x1_[0]\n")
+    code, out = invoke(capsys, ["prolong-variety", str(path), "--k", "1"])
+    assert (code, json.loads(out)) == (EXIT_RESOURCE, {
+        "error": "resource", "message": "a product of 513 by 513 terms "
+        "exceeds the term budget 250000"})
+
+
 @pytest.mark.parametrize("value", ["abc", "1e3", "-5", ""])
 @pytest.mark.parametrize("name,argv", [
     ("DIFFALG_BIT_BUDGET", ["bounds", "1", "2", "3"]),

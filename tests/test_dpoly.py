@@ -641,6 +641,28 @@ def test_the_term_budget_refuses_a_product_before_any_work(monkeypatch):
     one = parse_poly("2*x1_[0]", CONST1)
     _assert_same_product(a * one, reference_mul(a, one))
     _assert_same_product(one * a, reference_mul(one, a))
+    # in rational mode a term counts once per t-monomial of its
+    # coefficient's numerator, so a one-term operand is a shift, never
+    # refused, only when that numerator is one t-monomial
+    c = parse_poly("x1_[0] + t1*x2_[0] + 1", RAT1)
+    for text in ("2*x1_[0]", "t1^2/(t1 + 1)*x1_[0]"):
+        one = parse_poly(text, RAT1)
+        _assert_same_product(c * one, reference_mul(c, one))
+        _assert_same_product(one * one, reference_mul(one, one))
+    two = parse_poly("(t1 + 1)*x1_[0]", RAT1)
+    monkeypatch.setenv("DIFFALG_TERM_BUDGET", "6")
+    _assert_same_product(two * c, reference_mul(two, c))
+    monkeypatch.setenv("DIFFALG_TERM_BUDGET", "5")
+    monkeypatch.setattr(dpoly, "mono_mul", None)
+    with pytest.raises(ResourceBudgetError,
+                       match="a product of 2 by 3 terms exceeds the term "
+                             "budget 5"):
+        two * c
+    with pytest.raises(ResourceBudgetError,
+                       match="a product of 3 by 2 terms exceeds the term "
+                             "budget 5"):
+        c * two
+    monkeypatch.undo()
     monkeypatch.setenv("DIFFALG_TERM_BUDGET", "1e3")
     with pytest.raises(ContextError, match="DIFFALG_TERM_BUDGET"):
         a * b

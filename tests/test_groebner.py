@@ -7,16 +7,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from diffalg import groebner
 from diffalg.coeff import Coefficient, FieldMode
-from diffalg.dpoly import (Context, DiffPolynomial, mono_div, mono_lcm,
-                           mono_mul, parse_poly, print_poly, var_rank)
+from diffalg.dpoly import (Context, DiffPolynomial, mono_lcm, mono_mul,
+                           parse_poly, print_poly, var_rank)
 from diffalg.groebner import (DivisorBasis, IdealPresentation, MonomialOrder,
                               _reduce_basis, buchberger, elimination_ideal,
                               leading_term, normal_form, radical_member)
 from diffalg.kernels import KernelPresentation
 
 import helpers
-from helpers import (naive_normal_form, naive_reduce_basis,
-                     reference_buchberger, reference_normal_form)
+from helpers import (mono_div, naive_normal_form, naive_reduce_basis,
+                     reference_buchberger, reference_normal_form, sort_key)
 
 C3 = Context(n=3, m=1, mode=FieldMode("constants", 1))
 C2 = Context(n=2, m=1, mode=FieldMode("constants", 1))
@@ -224,7 +224,7 @@ _orders = st.one_of(
 @settings(max_examples=150, deadline=None)
 def test_sort_keys_match_dense_reference_orders(order, dense):
     kind, arg = order
-    key = _order(kind, arg).sort_key
+    key = sort_key(_order(kind, arg))
     reference = _reference_key(kind, arg)
     monos = {exps: _monomial(exps) for exps in dense}
     assert [monos[e] for e in sorted(dense, key=reference)] == \
@@ -473,7 +473,7 @@ def _unreduced_basis(rng, basis, order):
     nv = basis[0].ctx.nv
 
     def lead_key(g):
-        return order.sort_key(leading_term(g, order)[0])
+        return sort_key(order)(leading_term(g, order)[0])
 
     G = []
     for g in basis:
@@ -755,7 +755,7 @@ def test_packed_keys_match_tuple_monomials(kind):
     one, guards = packing.one, packing.guards
     assert [packing.decode(k) for k in keys] == monos
     assert not any(k & guards for k in keys)
-    assert sorted(monos, key=order.sort_key) == \
+    assert sorted(monos, key=sort_key(order)) == \
         [monos[i] for i in sorted(range(len(monos)), key=keys.__getitem__)]
     divides = 0
     for (a, ka), (b, kb) in itertools.product(zip(monos, keys), repeat=2):
@@ -766,6 +766,25 @@ def test_packed_keys_match_tuple_monomials(kind):
             divides += 1
             assert packing.decode(q) == mono_div(a, b)
     assert len(monos) < divides < len(monos) ** 2 // 2
+
+
+@pytest.mark.parametrize("kind", sorted(ORDERS) + ["block-two"])
+def test_leading_term_is_the_tuple_key_maximum(kind):
+    # leading_term takes the largest packed key over f's own variables and
+    # degree: the term whose tuple sort key is largest
+    order = (MonomialOrder.block_elim({Y, (1, (1,))}) if kind == "block-two"
+             else ORDERS[kind])
+    ctx = Context(n=4, m=1, mode=FieldMode("constants", 1))
+    rng = random.Random(17)
+    variables = XS + [W, (1, (1,)), (2, (2,))]
+    key = sort_key(order)
+    for top in (1, 3, 40):
+        for _ in range(20):
+            monos = _random_monomials(rng, variables, rng.randint(1, 8), top)
+            f = DiffPolynomial(ctx, {mono: Coefficient.from_int(n + 1, 0)
+                                     for n, mono in enumerate(monos)})
+            lm = max(f.terms, key=key)
+            assert leading_term(f, order) == (lm, f.terms[lm])
 
 
 def test_packed_keys_report_overflow():
@@ -1082,7 +1101,7 @@ def _check_sympy(sympy, kind, gens, got):
 
 @pytest.mark.parametrize("mode", ["constants", "rational"])
 @pytest.mark.parametrize("kind", sorted(ORDERS))
-@pytest.mark.parametrize("texts,top", [
+@pytest.mark.parametrize("texts,lcm_degree", [
     # the lcm x1_[0]^20*x2_[0]^20 has degree 40, over the limit 31 of the
     # narrowest slots, which the generators fit
     (["x1_[0]^20*x2_[0] - 1", "x1_[0]*x2_[0]^20 - 1"], 40),
@@ -1090,16 +1109,18 @@ def _check_sympy(sympy, kind, gens, got):
     # tail term x1_[0]^25 sets the guard bit of the x1 slot
     (["x2_[0]*x1_[0]^12 - x1_[0]^25", "x2_[0]^2 - x1_[0]^25"], None),
 ], ids=["lcm-degree", "tail-guard"])
-def test_s_pair_formation_widens_the_packing(sympy, monkeypatch, mode, kind,
-                                             texts, top):
+def test_s_pair_formation_widens_the_packing(monkeypatch, mode, kind, texts,
+                                             lcm_degree):
     ctx, order = _ctx(mode), ORDERS[kind]
     gens = [p(text, ctx) for text in texts]
+    limits = []  # of G's packing as each S-pair is formed
     tops = []  # of each _Widen out of S-pair formation and division
     real = groebner._s_remainder
 
-    def recording(*args):
+    def recording(G, *args):
+        limits.append(G.packing.limit)
         try:
-            return real(*args)
+            return real(G, *args)
         except groebner._Widen as widen:
             tops.append(widen.top)
             raise
@@ -1107,10 +1128,30 @@ def test_s_pair_formation_widens_the_packing(sympy, monkeypatch, mode, kind,
     monkeypatch.setattr(groebner, "_s_remainder", recording)
     got = buchberger(gens, order)
     monkeypatch.undo()
-    if top is not None or kind == "lex":
+    if lcm_degree is not None:
+        # the packing fits twice the largest lead degree before the first
+        # pair is queued, so the degree-40 lcm widens nothing
+        assert limits[0] >= lcm_degree and lcm_degree not in tops
+    elif kind == "lex":
         # the first S-pair widens as it is formed
-        assert tops[:1] == [top]
+        assert tops[:1] == [None]
     want = reference_buchberger(gens, order)
     assert [print_poly(g) for g in got] == [print_poly(g) for g in want]
     assert [_layout(g) for g in got] == [_layout(g) for g in want]
-    _check_sympy(sympy, kind, gens, got)
+    _check_sympy(pytest.importorskip("sympy"), kind, gens, got)
+
+
+@pytest.mark.parametrize("mode", ["constants", "rational"])
+def test_queued_pairs_are_keyed_again_when_the_packing_widens(mode):
+    # under lex the first pair, {0, 1}, widens the packing as it is formed
+    # (x1_[0]^12 times the tail term x1_[0]^25 sets a guard bit) while
+    # {0, 2} and {1, 2} are queued: they must sort against the pairs of
+    # later elements as in the loop on tuple keys
+    ctx = _ctx(mode)
+    gens = [p("x2_[0]*x1_[0]^12 - x1_[0]^25", ctx),
+            p("x2_[0]^2 - x1_[0]^25", ctx), p("x3_[0]*x2_[0] - x1_[0]", ctx)]
+    G = DivisorBasis(LEX, gens)
+    G.pack(2 * 13)  # as buchberger packs for the largest lead degree, 13
+    with pytest.raises(groebner._Widen):
+        groebner._s_remainder(G, 0, 1, mono_lcm(G.lms[0], G.lms[1]))
+    _check_pair_sequence(gens, LEX)

@@ -36,6 +36,16 @@ def test_the_int_power_row_exits_3_at_once(capsys):
     assert row[3:] == ["3", "99", "c1a76222feb5"]
 
 
+def test_the_t_power_row_exits_3_at_once(capsys):
+    # (t1 + 1)^100000 is one term whose coefficient squares its way to 513
+    # by 513 t-monomials, over the default term budget
+    script = load(ROOT / "scripts" / "slow_inputs.py", "slow_inputs")
+    assert script.main([str(ROOT), "--only", "t-power", "--cap", "60"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[:2] == ["t-power", "BEFORE"] and float(row[2]) < 30
+    assert row[3:] == ["3", "97", "92dc4c23f36e"]
+
+
 def test_only_finished_rows_are_compared(capsys):
     script = load(ROOT / "scripts" / "slow_inputs.py", "slow_inputs")
     assert not script.differs([(1.0, 0, b"x"), (2.0, 0, b"x")])
