@@ -32,9 +32,12 @@ already have popped it.  Bases, reduction order and, in rational mode,
 every coefficient operation are those of the loop that queues every pair
 and tests every divisor on tuple monomials (in constants mode an
 S-polynomial is a positive multiple of its).  `buchberger` also takes a
-reduced prefix of its input, with its leads, as iterated kernel
-prolongation produces it: a reduced basis plus new relations is completed
-without re-pairing or re-reducing the old elements.
+reduced prefix of its input as the DivisorBasis an earlier run filled, as
+iterated kernel prolongation produces it: a reduced basis plus new
+relations is completed without re-pairing or re-reducing the old
+elements, and from a copy of that basis, so while its packing lasts no
+prefix lead is derived and no prefix tail packed again, and each prefix
+element kept as it is reaches the result with its packed tail.
 """
 from __future__ import annotations
 
@@ -42,7 +45,6 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
-from itertools import zip_longest
 
 from .coeff import Coefficient
 from .dpoly import (MIN_WIDTH, Context, DiffPolynomial, mono_lcm,
@@ -119,33 +121,44 @@ class DivisorBasis:
     normal_form packs (`pack`) a basis `buchberger` did not fill when it
     first divides, and again, keeping valid keys, when a division leaves
     it; an inserted divisor gets its lm keyed or drops a misfit packing.
+    A filled basis can be carried into a later `buchberger` run as its
+    prefix, which starts from a `copy`.
     """
 
-    def __init__(self, order, polys=(), lms=()):
-        """The divisors polys, in order; `lms` holds the leading monomials
-        of the first len(lms) of them, so none of those is derived
-        again."""
+    def __init__(self, order, polys=()):
+        """The divisors polys, in order, each lead derived here."""
         self.order = order
         self.polys = []
         self.lms = []
         self.packing = None
         self.keys = []
         self.tails = []
-        for g, lm in zip_longest(polys, lms):
-            self.append(g, lm)
+        for g in polys:
+            self.append(g)
 
     def __len__(self):
         return len(self.polys)
 
-    def append(self, g, lm=None):
+    def copy(self, polys):
+        """A basis dividing by polys, which equal this basis's divisors
+        term for term (in this context or another), with its leads,
+        packing, lead keys and packed tails: none is derived again."""
+        basis = DivisorBasis(self.order)
+        basis.polys = list(polys)
+        basis.lms, basis.keys = list(self.lms), list(self.keys)
+        basis.packing, basis.tails = self.packing, list(self.tails)
+        return basis
+
+    def append(self, g, lm=None, tail=None):
         """Add the nonzero g, whose leading monomial lm is derived here
-        unless given, as the last divisor."""
+        unless given, as the last divisor; `insert` takes `tail`."""
         if lm is None:
             lm = leading_term(g, self.order)[0]
-        self.insert(len(self.polys), g, lm)
+        self.insert(len(self.polys), g, lm, tail)
 
-    def insert(self, k, g, lm):
-        """Put g, with leading monomial lm, at position k."""
+    def insert(self, k, g, lm, tail=None):
+        """Put g, with leading monomial lm, at position k; `tail`, when
+        given, is g's packed tail under this basis's packing."""
         self.polys.insert(k, g)
         self.lms.insert(k, lm)
         if self.packing is not None:
@@ -156,7 +169,7 @@ class DivisorBasis:
                 self.keys, self.tails = [], []
             else:
                 self.keys.insert(k, key)
-                self.tails.insert(k, None)
+                self.tails.insert(k, tail)
 
     def pack(self, top=0, terms=()):
         """Build the packing over the variables of the divisors and of the
@@ -415,7 +428,7 @@ def _s_remainder(G, i, j, lcm):
                           else _divide_ints(p, G, 1))
 
 
-def buchberger(gens, order, prefix=(), out=None):
+def buchberger(gens, order, prefix=None, out=None):
     """Reduced Groebner basis of the ideal generated by gens, as a list.
 
     Classic Buchberger with the coprimality and chain criteria, pairs taken
@@ -435,25 +448,33 @@ def buchberger(gens, order, prefix=(), out=None):
     together unless C was queued after P was popped, and then j is
     younger than a and b, so (a, b) < (i, j).
 
-    `prefix` holds the leading monomials of the first len(prefix) gens,
-    which may be a reduced basis under `order`, nonzero, monic and
-    ascending by lm, as this function returns it (and `out` received
-    those leads), so none of them is derived again.  Only pairs with a
-    later element are then queued (pairs within the prefix count as done
-    for the chain criterion), and the final reduction keeps each prefix
-    element as it is unless a new lead divides one of its terms.  The
-    result is the same basis as with no prefix.
+    `prefix`, when given, is the DivisorBasis `out` received from an
+    earlier run under `order`: a reduced basis, nonzero, monic and
+    ascending by lm, whose polynomials the first len(prefix) gens equal
+    term for term (they may be moved into another context).  G starts as
+    a copy of it, with its leads, packing, lead keys and packed tails, so
+    no lead is derived and no tail packed again while the packing lasts,
+    and only the later gens are appended.  Only pairs with a later element
+    are then queued (pairs within the prefix count as done for the chain
+    criterion), and the final reduction keeps each prefix element as it is
+    unless a new lead divides one of its terms.  The result is the same
+    basis as with no prefix.
 
     `out`, when given an empty DivisorBasis under `order`, receives the
-    result, with the leads the final reduction has in hand and the run's
-    packing, so dividing by it derives no leading term.
+    result, with the leads the final reduction has in hand, the run's
+    packing and the packed tails of the prefix elements kept as they are,
+    so dividing by it derives no leading term.
     Each S-polynomial remainder is added to the growing basis with its
     first term as lm: the division returns its terms in descending order.
     """
-    G = DivisorBasis(order, [g for g in gens if not g.is_zero()], prefix)
+    start = len(prefix) if prefix else 0
+    G = prefix.copy(gens[:start]) if start else DivisorBasis(order)
+    for g in gens[start:]:
+        if not g.is_zero():
+            G.append(g)
     if not G:
         return []
-    lms, start = G.lms, len(prefix)
+    lms = G.lms
     bits = {}  # a bit per variable of a lead
     masks = [_support_mask(lm, bits) for lm in lms]
     top = support((lms,))[1]  # the largest lead degree
@@ -537,15 +558,15 @@ def _reduce_basis(G, prefix=0, out=None):
     from scratch.
 
     `out`, when given an empty DivisorBasis, receives the result with its
-    lms and G's packing, as the kept elements do; the result is out.polys.
+    lms and G's packing, as the kept elements do, and each prefix element
+    kept as it is with its packed tail from G; the result is out.polys.
     """
     order, lms = G.order, G.lms
     divisors = DivisorBasis(order)  # the kept elements, in G order
     if out is None:
         out = DivisorBasis(order)
-    if len(G) > 1:
-        divisors.packing = out.packing = packing = G.packing or G.pack()
-        guards, one = packing.guards, packing.one
+    divisors.packing = out.packing = packing = G.packing or G.pack()
+    guards, one = packing.guards, packing.one
     keys = G.keys  # sort as the lms do
 
     def divided(k, among):
@@ -555,8 +576,8 @@ def _reduce_basis(G, prefix=0, out=None):
 
     kept = []  # indices into G of the kept elements, ascending
     new = []  # those from index prefix on
-    for i in sorted(range(len(G)), key=keys.__getitem__) if keys else (0,):
-        g = r = G.polys[i]
+    for i in sorted(range(len(G)), key=keys.__getitem__):
+        g = G.polys[i]
         lm = lms[i]
         if i < prefix:
             if new and divided(keys[i] + one, new):
@@ -568,10 +589,11 @@ def _reduce_basis(G, prefix=0, out=None):
         else:
             new.append(i)
             as_is = False
-        if not as_is:
-            r = (normal_form(g, divisors) if kept else g).scale(
-                g.terms[lm].inverse())
-        out.append(r, lm)
+        if as_is:
+            out.append(g, lm, G.tails[i])
+        else:
+            out.append((normal_form(g, divisors) if kept else g).scale(
+                g.terms[lm].inverse()), lm)
         k = bisect.bisect(kept, i)
         kept.insert(k, i)
         divisors.insert(k, g, lm)
@@ -586,17 +608,18 @@ class IdealPresentation:
     """Finite generator list plus the DivisorBasis of its reduced Groebner
     basis, computed once, which `normal_form` divides by.
 
-    `_prefix` is passed to `buchberger`: the leading monomials of the first
-    len(_prefix) generators, when those are a reduced basis under `order`
-    as `buchberger` returns it.  `_divisors`, when given, is the reduced
-    basis, a DivisorBasis under `order`.  Equality compares the context,
-    the generators and the order only, so no cache or hint changes it.
+    `_prefix` is passed to `buchberger`: the DivisorBasis of a reduced
+    basis under `order`, as `buchberger` fills it (another presentation's
+    `divisors`), whose polynomials the first len(_prefix) generators equal
+    term for term.  `_divisors`, when given, is the reduced basis, a
+    DivisorBasis under `order`.  Equality compares the context, the
+    generators and the order only, so no cache or hint changes it.
     """
 
     ctx: Context
     generators: list
     order: MonomialOrder = field(default_factory=MonomialOrder.grevlex)
-    _prefix: list = field(default=(), repr=False, compare=False)
+    _prefix: DivisorBasis = field(default=None, repr=False, compare=False)
     _divisors: DivisorBasis = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):

@@ -133,7 +133,8 @@ class KernelPresentation:
         g = math.prod(factors[1:], start=factors[0])
         ideal = self.ideal
         ctx2, gens = rabinowitsch(ideal.reduced_gb, g)
-        return IdealPresentation(ctx2, gens, ideal.order, _prefix=ideal.lms)
+        return IdealPresentation(ctx2, gens, ideal.order,
+                                  _prefix=ideal.divisors)
 
     def is_zero_mod(self, f):
         """Is f, a normal form under the kernel's basis, zero in the kernel's
@@ -203,6 +204,11 @@ def kernel_prolong_once(Kp):
     replaces it by the normal form of d*row - c*pivot: no lead of the
     kernel's basis has an unknown, so one division reduces each unknown's
     coefficient and the constant part.  A pivot row is its pivot relation.
+    Before the first row the kernel's basis is packed once, over its
+    variables and the unknowns, at its packing's width: the unknowns
+    outrank every lower level in lex, so its lead keys and packed tails
+    stay, and no row division widens for an unknown.  That basis, packed
+    tails and all, is the next level's `buchberger` prefix.
 
     The kernel returned is valid by construction and carries `validated`,
     so it is not checked again when it is prolonged in turn.  Let I be
@@ -225,6 +231,9 @@ def kernel_prolong_once(Kp):
     unknowns = [(i, xi) for xi in top for i in range(1, ctx.n + 1)]
     unknown_set = set(unknowns)
     reduce = Kp.ideal.normal_form
+    basis = Kp.ideal.divisors  # empty, with no packing, for the zero ideal
+    basis.pack(basis.packing.limit if basis.packing else 0,
+               [((u, 1),) for u in unknowns])
 
     rows = []  # (row, its coefficients by unknown, provenance)
     gb = Kp.ideal.reduced_gb
@@ -264,11 +273,12 @@ def kernel_prolong_once(Kp):
             return ProlongResult(status="obstructed", witness=witness)
 
     # gb is a reduced lex basis: as buchberger's prefix it is neither
-    # re-paired nor re-reduced, only completed with the pivot relations
+    # re-paired nor re-reduced, only completed with the pivot relations,
+    # under this level's packing while the new leads fit it
     next_kernel = KernelPresentation(
         ctx=ctx, r=r + 1,
         ideal=IdealPresentation(ctx, list(gb) + solved, MonomialOrder.lex(),
-                                _prefix=Kp.ideal.lms),
+                                _prefix=basis),
         inverted=localized.inverted)
     next_kernel.validated = True
     return ProlongResult(status="prolonged", next=next_kernel)

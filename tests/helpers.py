@@ -732,7 +732,7 @@ def reference_kernel_prolong_once(Kp):
     next_kernel = KernelPresentation(
         ctx=ctx, r=r + 1,
         ideal=IdealPresentation(ctx, new_gens, MonomialOrder.lex(),
-                                _prefix=Kp.ideal.lms),
+                                _prefix=Kp.ideal.divisors),
         inverted=localized.inverted)
     next_kernel.validated = True
     return ProlongResult(status="prolonged", next=next_kernel)

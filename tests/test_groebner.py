@@ -408,29 +408,62 @@ def test_ideal_normal_form_prepares_each_leading_term_once(monkeypatch):
 @pytest.mark.parametrize("mode", ["constants", "rational"])
 @pytest.mark.parametrize("kind", sorted(ORDERS))
 def test_buchberger_takes_the_prefix_leads(monkeypatch, mode, kind):
-    # completing a reduced prefix whose leads are handed over derives no
-    # lead of a prefix element, and gives the same basis and leads
+    # the reduced basis arrives with its run's packing, a one-element
+    # basis too, so dividing by it packs nothing; completing it as a
+    # prefix derives no lead of a prefix element, packs no prefix tail
+    # again and gives the same basis and leads as from scratch
     ctx, order = _ctx(mode), ORDERS[kind]
+    _check_prefix_basis(monkeypatch, ctx, order, [
+        "x2_[0] - x3_[0]^2", "x1_[0] - x3_[0]^3", "x4_[0]*x2_[0] + x1_[0]"])
+    _check_prefix_basis(monkeypatch, ctx, order, ["x1_[0]^2 - x2_[0]"])
+
+
+def _check_prefix_basis(monkeypatch, ctx, order, first_gens):
+    """Fill a DivisorBasis with the reduced basis of first_gens, divide
+    the sum of its leads by it, then complete it with one generator."""
     first = DivisorBasis(order)
-    gb = buchberger([p("x2_[0] - x3_[0]^2", ctx), p("x1_[0] - x3_[0]^3", ctx),
-                     p("x4_[0]*x2_[0] + x1_[0]", ctx)], order, out=first)
+    gb = buchberger([p(t, ctx) for t in first_gens], order, out=first)
+    assert first.packing is not None and len(first.keys) == len(gb)
+    packs = counting_packs(monkeypatch)
+    one = Coefficient.one(ctx.nv)
+    normal_form(DiffPolynomial(ctx, {lm: one for lm in first.lms}), first)
+    assert packs == []
+    monkeypatch.undo()
+    carried = [t for t in first.tails if t is not None]
+    assert carried
     gens = gb + [p("x1_[0]*x2_[0] - x4_[0]", ctx)]
     want_divisors = DivisorBasis(order)
     want = buchberger(gens, order, out=want_divisors)
-    calls = []
+    calls, packed = [], []
+    tail = DivisorBasis.tail
 
     def counting(f, order):
         calls.append(f)
         return leading_term(f, order)
 
+    def packing_tail(self, i):
+        if self.tails[i] is None and any(self.polys[i] is g for g in gb):
+            packed.append(i)
+        return tail(self, i)
+
     monkeypatch.setattr(groebner, "leading_term", counting)
+    monkeypatch.setattr(DivisorBasis, "tail", packing_tail)
     got_divisors = DivisorBasis(order)
-    got = buchberger(gens, order, first.lms, got_divisors)
+    got = buchberger(gens, order, first, got_divisors)
     monkeypatch.undo()
     assert calls and not [f for f in calls if any(f is g for g in gb)]
     assert [_layout(g) for g in got] == [_layout(g) for g in want]
     assert got_divisors.polys == got
     assert got_divisors.lms == want_divisors.lms
+    if len(gb) > 1:
+        # the new generator's variables are the prefix's (one element
+        # lacks x4_[0]), so its packing lasts: no prefix tail is packed
+        # again, and each prefix element kept as it is holds its tail object
+        assert got_divisors.packing is first.packing and packed == []
+        kept = [(t, first.tails[gb.index(g)]) for g, t in
+                zip(got_divisors.polys, got_divisors.tails)
+                if any(g is h for h in gb)]
+        assert kept and all(t is given for t, given in kept)
 
 
 @pytest.mark.parametrize("mode", ["constants", "rational"])
@@ -558,12 +591,17 @@ def test_buchberger_prefix_matches_from_scratch(mode, kind, data):
     ctx, order = _ctx(mode), ORDERS[kind]
     gens = data.draw(st.lists(_polys(ctx, 2, 3), min_size=1,
                               max_size=3 if mode == "constants" else 2))
-    gb = buchberger([g for g in gens if g], order)
+    first = DivisorBasis(order)
+    gb = buchberger([g for g in gens if g], order, out=first)
     assume(gb)
     new = data.draw(st.lists(st.one_of(_polys(ctx, 2, 3), _polys(ctx, 1, 2),
                                        _lead_dividing(ctx, gb)),
                              min_size=1, max_size=2))
-    _check_prefix(gb, new, order)
+    if data.draw(st.booleans(), label="prefix divided by first"):
+        # packs prefix tails, maybe under a wider packing, as a kernel's
+        # rows do before its basis is carried
+        normal_form(data.draw(_polys(ctx, 2, 3)) * gb[-1], first)
+    _check_prefix(first, new, order)
 
 
 @pytest.mark.parametrize("kind", sorted(ORDERS))
@@ -572,18 +610,17 @@ def test_buchberger_prefix_reorders_its_first_element(kind):
     # scratch the new, smaller x2_[0] is kept first, so the old element
     # comes out of normal_form in descending order: it must here too.
     ctx = _ctx("constants")
-    gb = buchberger([p("1 + x3_[0]", ctx)], ORDERS[kind])
+    first = DivisorBasis(ORDERS[kind])
+    gb = buchberger([p("1 + x3_[0]", ctx)], ORDERS[kind], out=first)
     assert _layout(gb[0])[0][0] == ()
-    _check_prefix(gb, [p("x2_[0] - 2", ctx)], ORDERS[kind])
+    _check_prefix(first, [p("x2_[0] - 2", ctx)], ORDERS[kind])
 
 
-def _lms(basis, order):
-    return [leading_term(g, order)[0] for g in basis]
-
-
-def _check_prefix(gb, new, order):
-    got = buchberger(gb + new, order, _lms(gb, order))
-    want = buchberger(gb + new, order)
+def _check_prefix(first, new, order):
+    """Completing the DivisorBasis `first`, which buchberger filled, with
+    the generators `new` gives the basis from scratch, term for term."""
+    got = buchberger(first.polys + new, order, first)
+    want = buchberger(first.polys + new, order)
     assert [print_poly(g) for g in got] == [print_poly(g) for g in want]
     assert [_layout(g) for g in got] == [_layout(g) for g in want]
 
@@ -620,14 +657,14 @@ def _monic(r):
     return r.scale(next(iter(r.terms.values())).inverse()) if r else r
 
 
-def _check_pair_sequence(gens, order, prefix=()):
+def _check_pair_sequence(gens, order, prefix=None):
     """buchberger reduces the same S-pairs in the same order as the loop
     that queues every pair, and returns the same basis; returns the
-    reference's coprime-pair questions.  `prefix` holds the leads of a
-    reduced prefix of gens."""
+    reference's coprime-pair questions.  `prefix`, when given, is the
+    DivisorBasis buchberger filled with a reduced prefix of gens."""
     queries = []
     want_log, want = _logged_buchberger(reference_buchberger, gens, order,
-                                        len(prefix), queries)
+                                        len(prefix) if prefix else 0, queries)
     got_log, got = _logged_buchberger(buchberger, gens, order, prefix)
     assert got_log == want_log
     assert [print_poly(g) for g in got] == [print_poly(g) for g in want]
@@ -648,12 +685,13 @@ def test_buchberger_pair_sequence_matches_reference(mode, kind, data):
                               max_size=4 if mode == "constants" else 2))
     gens = [g for g in gens if g]
     if data.draw(st.booleans(), label="reduced prefix"):
-        gb = buchberger(gens, order)
+        first = DivisorBasis(order)
+        gb = buchberger(gens, order, out=first)
         assume(gb)
         new = data.draw(st.lists(st.one_of(_polys(ctx, 2, 3),
                                            _lead_dividing(ctx, gb)),
                                  min_size=1, max_size=2))
-        _check_pair_sequence(gb + new, order, _lms(gb, order))
+        _check_pair_sequence(gb + new, order, first)
     else:
         _check_pair_sequence(gens, order)
 
@@ -1050,9 +1088,9 @@ def test_presentations_compare_by_generators_and_order():
     I.divisors
     assert I._divisors is not None and J._divisors is None
     assert I == J
-    K = IdealPresentation(C3, list(J.generators), MonomialOrder.lex(),
-                          _prefix=I.lms[:1])
-    assert K == J
+    K = IdealPresentation(C3, list(I.reduced_gb), MonomialOrder.lex(),
+                          _prefix=I.divisors)
+    assert K == IdealPresentation(C3, list(I.reduced_gb), MonomialOrder.lex())
     assert I != _twisted_cubic(MonomialOrder.grevlex())
     assert _twisted_cubic(MonomialOrder.block_elim({X})) != \
         _twisted_cubic(MonomialOrder.block_elim({Y}))

@@ -431,6 +431,75 @@ def test_prolongation_derives_no_lead_of_a_prefix(monkeypatch):
     assert not derived and not packs
 
 
+@pytest.mark.parametrize("text", [
+    "m=2 n=1 length=1 mode=constants\nx1_[1,0] - 2*x1_[0,0]^2\n"
+    "x1_[0,1] + x1_[0,0]^2\n",
+    "m=2 n=1 length=1 mode=rational\nx1_[1,0] - t1*x1_[0,0]\n"
+    "x1_[0,1] + t2*x1_[0,0]\n",
+    "m=1 n=1 length=1 mode=rational\nx1_[0]*x1_[1] - 3*t1\n",
+], ids=["riccati", "rational", "implicit"])
+@pytest.mark.parametrize("widened", [False, True])
+def test_prolongation_packs_the_basis_once_per_level(monkeypatch, text,
+                                                     widened):
+    # each level packs the kernel's basis once, at its width, before its
+    # rows, so no row division widens; the next level's basis completes
+    # that basis as its prefix under the same packing, and each prefix
+    # element it keeps as it is holds the tail object packed for it, so no
+    # prefix tail is packed twice over the levels.  A basis that an
+    # earlier division widened keeps its wider slots.
+    K = files.load_kernel_text(text)
+    K.ideal.reduced_gb
+    if widened:
+        v = K.ideal.lms[0][0][0]  # the first variable of the first lead
+        K.ideal.normal_form(DiffPolynomial.var(K.ctx, *v) ** 40)
+        assert K.ideal.divisors.packing.limit >= 40
+    packs, widens, packed = [], [], []
+    pack, divide, tail = (groebner.DivisorBasis.pack, groebner._divide,
+                          groebner.DivisorBasis.tail)
+
+    def counting_pack(self, *args):
+        packs.append(self)
+        return pack(self, *args)
+
+    def counting_divide(f, basis):
+        try:
+            return divide(f, basis)
+        except groebner._Widen:
+            widens.append(basis)
+            raise
+
+    def counting_tail(self, i):
+        if self.tails[i] is None:
+            packed.append(self.polys[i])  # kept alive: ids stay distinct
+        return tail(self, i)
+
+    monkeypatch.setattr(groebner.DivisorBasis, "pack", counting_pack)
+    monkeypatch.setattr(groebner, "_divide", counting_divide)
+    monkeypatch.setattr(groebner.DivisorBasis, "tail", counting_tail)
+    carried, prefixes = 0, []
+    for _ in range(3):
+        basis = K.ideal.divisors
+        prefixes += basis.polys
+        limit = basis.packing.limit
+        packs.clear()
+        widens.clear()
+        nxt = kernel_prolong_once(K).next
+        assert [b for b in packs if b is basis] == [basis]
+        assert not [b for b in widens if b is basis]
+        assert basis.packing.limit == limit
+        following = nxt.ideal.divisors
+        assert following.packing is basis.packing
+        for g, t in zip(following.polys, following.tails):
+            at = [i for i, h in enumerate(basis.polys) if g is h]
+            if at and basis.tails[at[0]] is not None:
+                assert t is basis.tails[at[0]]
+                carried += 1
+        K = nxt
+    assert carried
+    mine = [g for g in packed if any(g is h for h in prefixes)]
+    assert mine and len({id(g) for g in mine}) == len(mine)
+
+
 def recording_divisions(monkeypatch):
     """(dividend, basis, remainder) of every normal_form call."""
     calls = []
