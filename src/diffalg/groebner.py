@@ -174,15 +174,29 @@ class DivisorBasis:
     def pack(self, top=0, terms=()):
         """Build the packing over the variables of the divisors and of the
         monomials `terms`, for total degrees up to top or up to the
-        divisors' total degree, whichever is larger, and key every lm.
-        A key is a sum of weights, so the keys and packed tails stay when
-        the old packing had the same `one` and weighs every variable the
-        two share alike, as a lex packing gaining variables that outrank
-        its own does (a kernel's basis dividing a row's unknowns)."""
+        divisors' total degree, whichever is larger, and key every lm."""
         variables, most = support(g.terms for g in self.polys)
         variables |= support((terms,))[0]
-        old = self.packing
-        packing = self.packing = self.order.packing(variables, max(top, most))
+        return self._use(self.order.packing(variables, max(top, most)))
+
+    def extend(self, variables):
+        """Add the variables to the packing at its width, without reading
+        the divisors' terms, as a kernel's basis does for a level's
+        unknowns before dividing its rows; with no packing yet, `pack`
+        over them."""
+        if self.packing is None:
+            return self.pack(0, [((v, 1),) for v in variables])
+        return self._use(self.order.packing(
+            self.packing.weights.keys() | set(variables), self.packing.limit))
+
+    def _use(self, packing):
+        """Divide under packing from now on, keying every lm again unless
+        the keys stay.  A key is a sum of weights, so the keys and packed
+        tails stay when the old packing had the same `one` and weighs every
+        variable the two share alike, as a lex packing gaining variables
+        that outrank its own does (a kernel's basis dividing a row's
+        unknowns)."""
+        old, self.packing = self.packing, packing
         if old is None or old.one != packing.one or any(
                 packing.weights.get(v, w) != w for v, w in old.weights.items()):
             self.keys = packing.keys(self.lms, 0)[0]
@@ -454,11 +468,12 @@ def buchberger(gens, order, prefix=None, out=None):
     term for term (they may be moved into another context).  G starts as
     a copy of it, with its leads, packing, lead keys and packed tails, so
     no lead is derived and no tail packed again while the packing lasts,
-    and only the later gens are appended.  Only pairs with a later element
-    are then queued (pairs within the prefix count as done for the chain
-    criterion), and the final reduction keeps each prefix element as it is
-    unless a new lead divides one of its terms.  The result is the same
-    basis as with no prefix.
+    and only the later gens are appended.  Any packing will do: a division
+    or the final reduction that meets a term it does not fit packs G
+    again.  Only pairs with a later element are then queued (pairs within
+    the prefix count as done for the chain criterion), and the final
+    reduction keeps each prefix element as it is unless a new lead divides
+    one of its terms.  The result is the same basis as with no prefix.
 
     `out`, when given an empty DivisorBasis under `order`, receives the
     result, with the leads the final reduction has in hand, the run's
@@ -523,7 +538,7 @@ def buchberger(gens, order, prefix=None, out=None):
             masks.append(_support_mask(lms[-1], bits))
             top = max(top, sum(e for _, e in lms[-1]))
         sync(range(new, len(G)))
-    return _reduce_basis(G, start, out)
+    return _packed(G, (), _reduce_basis, G, start, out)
 
 
 def _support_mask(mono, bits):
@@ -557,15 +572,18 @@ def _reduce_basis(G, prefix=0, out=None):
     something is kept before it, it goes through normal_form as it would
     from scratch.
 
+    A prefix tail that G's packing does not fit raises _Widen before `out`
+    is touched, and buchberger runs the pass again under a packing built
+    over all of G (`_packed`): a carried prefix's packing is its earlier
+    run's, which the terms its final reduction made need not fit.
+
     `out`, when given an empty DivisorBasis, receives the result with its
     lms and G's packing, as the kept elements do, and each prefix element
-    kept as it is with its packed tail from G; the result is out.polys.
+    kept as it is with its packed tail from G.
     """
     order, lms = G.order, G.lms
     divisors = DivisorBasis(order)  # the kept elements, in G order
-    if out is None:
-        out = DivisorBasis(order)
-    divisors.packing = out.packing = packing = G.packing or G.pack()
+    divisors.packing = packing = G.packing or G.pack()
     guards, one = packing.guards, packing.one
     keys = G.keys  # sort as the lms do
 
@@ -576,6 +594,7 @@ def _reduce_basis(G, prefix=0, out=None):
 
     kept = []  # indices into G of the kept elements, ascending
     new = []  # those from index prefix on
+    reduced = []  # (element, lm, packed tail or None), ascending by lm
     for i in sorted(range(len(G)), key=keys.__getitem__):
         g = G.polys[i]
         lm = lms[i]
@@ -590,14 +609,18 @@ def _reduce_basis(G, prefix=0, out=None):
             new.append(i)
             as_is = False
         if as_is:
-            out.append(g, lm, G.tails[i])
+            reduced.append((g, lm, G.tails[i]))
         else:
-            out.append((normal_form(g, divisors) if kept else g).scale(
-                g.terms[lm].inverse()), lm)
+            reduced.append(((normal_form(g, divisors) if kept else g).scale(
+                g.terms[lm].inverse()), lm, None))
         k = bisect.bisect(kept, i)
         kept.insert(k, i)
         divisors.insert(k, g, lm)
-    return out.polys
+    if out is not None:
+        out.packing = packing
+        for r in reduced:
+            out.append(*r)
+    return [r for r, _, _ in reduced]
 
 
 # --- ideal presentations ------------------------------------------------------

@@ -204,11 +204,11 @@ def kernel_prolong_once(Kp):
     replaces it by the normal form of d*row - c*pivot: no lead of the
     kernel's basis has an unknown, so one division reduces each unknown's
     coefficient and the constant part.  A pivot row is its pivot relation.
-    Before the first row the kernel's basis is packed once, over its
-    variables and the unknowns, at its packing's width: the unknowns
-    outrank every lower level in lex, so its lead keys and packed tails
-    stay, and no row division widens for an unknown.  That basis, packed
-    tails and all, is the next level's `buchberger` prefix.
+    Before the first row the unknowns join the packing of the kernel's
+    basis, at its width (`DivisorBasis.extend`): they outrank every lower
+    level in lex, so its lead keys and packed tails stay, and no row
+    division widens for an unknown.  That basis, packed tails and all, is
+    the next level's `buchberger` prefix.
 
     The kernel returned is valid by construction and carries `validated`,
     so it is not checked again when it is prolonged in turn.  Let I be
@@ -231,9 +231,8 @@ def kernel_prolong_once(Kp):
     unknowns = [(i, xi) for xi in top for i in range(1, ctx.n + 1)]
     unknown_set = set(unknowns)
     reduce = Kp.ideal.normal_form
-    basis = Kp.ideal.divisors  # empty, with no packing, for the zero ideal
-    basis.pack(basis.packing.limit if basis.packing else 0,
-               [((u, 1),) for u in unknowns])
+    basis = Kp.ideal.divisors
+    basis.extend(unknowns)
 
     rows = []  # (row, its coefficients by unknown, provenance)
     gb = Kp.ideal.reduced_gb

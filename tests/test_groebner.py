@@ -604,6 +604,22 @@ def test_buchberger_prefix_matches_from_scratch(mode, kind, data):
     _check_prefix(first, new, order)
 
 
+@pytest.mark.parametrize("mode", ["constants", "rational"])
+def test_buchberger_prefix_past_its_packing(mode):
+    # the final reduction of [x2 - x1^5, x3 - x2^7] makes x3 - x1^35, past
+    # the packing its run hands over with it (limit 31); x1 - 1's lead is
+    # coprime to both, so completing with it queues no pair that could
+    # widen the packing, and the final reduction meets that tail first
+    ctx = _ctx(mode)
+    first = DivisorBasis(LEX)
+    gb = buchberger([p("x2_[0] - x1_[0]^5", ctx), p("x3_[0] - x2_[0]^7", ctx)],
+                    LEX, out=first)
+    assert [print_poly(g) for g in gb] == ["-x1_[0]^5 + x2_[0]",
+                                           "-x1_[0]^35 + x3_[0]"]
+    assert first.packing.limit < 35
+    _check_prefix(first, [p("x1_[0] - 1", ctx)], LEX)
+
+
 @pytest.mark.parametrize("kind", sorted(ORDERS))
 def test_buchberger_prefix_reorders_its_first_element(kind):
     # The lone element keeps its generator's ascending term order.  From

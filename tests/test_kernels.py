@@ -441,8 +441,9 @@ def test_prolongation_derives_no_lead_of_a_prefix(monkeypatch):
 @pytest.mark.parametrize("widened", [False, True])
 def test_prolongation_packs_the_basis_once_per_level(monkeypatch, text,
                                                      widened):
-    # each level packs the kernel's basis once, at its width, before its
-    # rows, so no row division widens; the next level's basis completes
+    # each level packs the kernel's basis once, before its rows, by
+    # extending its packing at its width without reading the divisors'
+    # terms, so no row division widens; the next level's basis completes
     # that basis as its prefix under the same packing, and each prefix
     # element it keeps as it is holds the tail object packed for it, so no
     # prefix tail is packed twice over the levels.  A basis that an
@@ -453,13 +454,18 @@ def test_prolongation_packs_the_basis_once_per_level(monkeypatch, text,
         v = K.ideal.lms[0][0][0]  # the first variable of the first lead
         K.ideal.normal_form(DiffPolynomial.var(K.ctx, *v) ** 40)
         assert K.ideal.divisors.packing.limit >= 40
-    packs, widens, packed = [], [], []
-    pack, divide, tail = (groebner.DivisorBasis.pack, groebner._divide,
-                          groebner.DivisorBasis.tail)
+    packs, uses, widens, packed = [], [], [], []
+    pack, use, divide, tail = (
+        groebner.DivisorBasis.pack, groebner.DivisorBasis._use,
+        groebner._divide, groebner.DivisorBasis.tail)
 
     def counting_pack(self, *args):
         packs.append(self)
         return pack(self, *args)
+
+    def counting_use(self, packing):
+        uses.append(self)
+        return use(self, packing)
 
     def counting_divide(f, basis):
         try:
@@ -474,6 +480,7 @@ def test_prolongation_packs_the_basis_once_per_level(monkeypatch, text,
         return tail(self, i)
 
     monkeypatch.setattr(groebner.DivisorBasis, "pack", counting_pack)
+    monkeypatch.setattr(groebner.DivisorBasis, "_use", counting_use)
     monkeypatch.setattr(groebner, "_divide", counting_divide)
     monkeypatch.setattr(groebner.DivisorBasis, "tail", counting_tail)
     carried, prefixes = 0, []
@@ -482,9 +489,11 @@ def test_prolongation_packs_the_basis_once_per_level(monkeypatch, text,
         prefixes += basis.polys
         limit = basis.packing.limit
         packs.clear()
+        uses.clear()
         widens.clear()
         nxt = kernel_prolong_once(K).next
-        assert [b for b in packs if b is basis] == [basis]
+        assert [b for b in uses if b is basis] == [basis]
+        assert not [b for b in packs if b is basis]
         assert not [b for b in widens if b is basis]
         assert basis.packing.limit == limit
         following = nxt.ideal.divisors
