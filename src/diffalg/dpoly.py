@@ -7,13 +7,14 @@ polynomial is a sparse map from monomials to Coefficients.  mono_mul and
 mono_lcm merge two rank-sorted tuples, with no dict and no re-sort.  The
 one other form is the packed key of a `Packing`: one integer per monomial,
 with a bit slot per variable, and the library's one encoding of a monomial
-order.  When no coefficient of either factor has a denominator,
-DiffPolynomial.__mul__ adds such keys instead of merging tuples and
-multiplies the coefficients on ints (`_integral_product`), with the same
-bytes (see __mul__), and groebner compares, multiplies and tests
-divisibility on them; each turns keys back into tuples once per term of
-its result.  print_poly sorts terms by their keys in the grevlex Packing,
-the comparator that division uses.
+order.  When both factors have more than one term and no coefficient of
+either has a denominator, DiffPolynomial.__mul__ adds such keys instead
+of merging tuples and multiplies the coefficients on ints
+(`_integral_product`), with the same bytes (see __mul__); every other
+product runs one `add_into` loop on tuples.  groebner compares, multiplies
+and tests divisibility on packed keys.  Each turns keys back into tuples
+once per term of its result.  print_poly sorts terms by their keys in the
+grevlex Packing, the comparator that division uses.
 
 Text grammar (also used for printing):
 
@@ -417,21 +418,22 @@ class DiffPolynomial:
         inserts it again at the end.  A product of two nonzero field
         elements is never zero, so a new monomial is always inserted.
 
-        With a single-term operand no two products meet; when its
-        numerator is one t-monomial the product is a shift of the other's
-        terms and never refused.  Otherwise a product of more pairs than
-        DIFFALG_TERM_BUDGET (default 250,000), by `_size`, raises
-        ResourceBudgetError before any work.  With two multi-term operands
-        and a denominator in either, `add_into` adds the products into one
-        dict in just this order, self's terms outer.
+        A product of more pairs than DIFFALG_TERM_BUDGET (default
+        250,000), by `_size`, raises ResourceBudgetError before any work,
+        unless an operand is a single term whose numerator is one
+        t-monomial: the product is then a shift of the other's terms.
 
-        With no denominator in either operand the loop runs on ints
-        (`_integral_product`), with the same bytes: a denominator-1
+        Two paths, chosen by operand size and by denominators.  With two
+        multi-term operands and no denominator in either the loop runs on
+        ints (`_integral_product`), with the same bytes: a denominator-1
         coefficient has one form per value, so the order of the integer
         additions does not matter; terms are inserted, removed and
         inserted again as above, so their dict order holds; and the order
         of the keys inside a num dict is never observable (render sorts,
-        _plead takes the max, == compares dicts).
+        _plead takes the max, == compares dicts).  Otherwise `add_into`
+        adds the products into one dict in just this order, self's terms
+        outer; with a single-term operand no two products meet, so each
+        term is its one product ca * cb.
         """
         if isinstance(other, int):
             other = DiffPolynomial.from_int(self.ctx, other)
@@ -446,11 +448,8 @@ class DiffPolynomial:
                 raise ResourceBudgetError("a product of %d by %d terms "
                                           "exceeds the term budget %d"
                                           % (na, nb, budget))
-        if len(a) == 1 or len(b) == 1:
-            return DiffPolynomial(ctx, {
-                mono_mul(ma, mb): ca * cb
-                for ma, ca in a.items() for mb, cb in b.items()})
-        terms = _integral_product(a, b, nv)
+        terms = (None if len(a) == 1 or len(b) == 1
+                 else _integral_product(a, b, nv))
         if terms is None:
             terms = add_into({}, ((mono_mul(ma, mb), ca * cb)
                                   for ma, ca in a.items()
@@ -671,12 +670,9 @@ class _Tokenizer:
                 self.pos += 1
                 i = self._scan_int()
                 self.tokens.append(("XVAR", (i, xi), start))
-            elif ch in "+-*/^(),":
+            elif ch in "+-*/^(),=" or ch in "&|" and self.formula_mode:
                 self.pos += 1
                 self.tokens.append((ch, ch, start))
-            elif ch == "=" :
-                self.pos += 1
-                self.tokens.append(("=", "=", start))
             elif ch == "!" and self.formula_mode:
                 self.pos += 1
                 if self.pos < len(text) and text[self.pos] == "=":
@@ -684,9 +680,6 @@ class _Tokenizer:
                     self.tokens.append(("!=", "!=", start))
                 else:
                     self.tokens.append(("!", "!", start))
-            elif ch in "&|" and self.formula_mode:
-                self.pos += 1
-                self.tokens.append((ch, ch, start))
             else:
                 self._error("unexpected character %r" % ch)
         self.tokens.append(("EOF", None, len(text)))
@@ -842,7 +835,12 @@ class _ExprParser:
         return None
 
     def parse_primary(self):
+        """An INT, a variable or a parenthesised poly.  A formula's bare
+        xI is the variable xI_[0,...,0] and takes the XVAR path, so it is
+        checked, and refused, as that token would be."""
         kind, payload, pos = self.tz.next()
+        if kind == "DVAR0":
+            kind, payload = "XVAR", (payload, (0,) * self.ctx.m)
         if kind == "INT":
             return DiffPolynomial.from_int(self.ctx, payload)
         if kind in ("XVAR", "TVAR"):
@@ -852,11 +850,6 @@ class _ExprParser:
             if kind == "XVAR":
                 return DiffPolynomial.var(self.ctx, *payload)
             return DiffPolynomial.base_var(self.ctx, payload)
-        if kind == "DVAR0":
-            if not 1 <= payload <= self.ctx.n:
-                raise ParseError("coordinate index %d out of range 1..%d"
-                                 % (payload, self.ctx.n), pos)
-            return DiffPolynomial.var(self.ctx, payload, (0,) * self.ctx.m)
         if kind == "(":
             value = self.parse_expr()
             self.tz.expect(")")

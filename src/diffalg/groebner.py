@@ -562,7 +562,10 @@ def _reduce_basis(G, prefix=0, out=None):
     normal_form's choice of divisor.  A constant sorts first and leaves the
     basis [1].  Every divisibility test is the guarded subtraction of
     normal_form on G's packed keys, and the kept elements, inserted under
-    G's packing, are divided by with it.
+    G's packing, are divided by with it and with the tails G packed under
+    it: none is packed again.  Once a division widens the kept elements'
+    packing, an element kept after it takes no tail from G; its tail is
+    packed under the new packing when first used.
 
     The first `prefix` elements of G are a reduced basis as `buchberger`
     returns it, so only kept leads from later elements can divide their lms
@@ -615,7 +618,8 @@ def _reduce_basis(G, prefix=0, out=None):
                 g.terms[lm].inverse()), lm, None))
         k = bisect.bisect(kept, i)
         kept.insert(k, i)
-        divisors.insert(k, g, lm)
+        divisors.insert(k, g, lm,
+                        G.tails[i] if divisors.packing is packing else None)
     if out is not None:
         out.packing = packing
         for r in reduced:

@@ -788,6 +788,31 @@ def test_only_decimal_digits_scan_as_numbers(tmp_path, capsys, poly, error):
             EXIT_USAGE, {"error": "usage", "message": "line 2: " + error})
 
 
+IDEAL_HEADER = "m=1 n=1 gamma=0 mode=constants\n"
+
+
+@pytest.mark.parametrize("argv,text,message", [
+    (["compile-formula", "{path}", "--m", "1"], "x0 + x1 = 0",
+     "coordinate index 0 out of range 1..1 (at position 0)"),
+    (["compile-formula", "{path}", "--m", "1"], "d[1]x0 = 0 & x2 != 1",
+     "coordinate index 0 out of range 1..2 (at position 0)"),
+    (["prolong-variety", "{path}", "--all"], IDEAL_HEADER + "x1_[0] & 1",
+     "line 2: unexpected character '&' (at position 7)"),
+    (["prolong-variety", "{path}", "--all"], IDEAL_HEADER + "x1_[0] = 1",
+     "line 2: expected 'EOF', found '=' (at position 7)"),
+], ids=["bare-x0", "derivative-of-x0", "ideal-and", "ideal-equals"])
+def test_formula_and_ideal_token_errors(tmp_path, capsys, argv, text,
+                                        message):
+    # a formula's bare x0 is refused as x0_[0] would be, at its own
+    # position; '&' scans only in a formula, and '=' scans everywhere but
+    # ends no polynomial
+    path = tmp_path / "input.txt"
+    path.write_text(text + "\n")
+    code, out = invoke(capsys, [a.format(path=path) for a in argv])
+    assert (code, json.loads(out)) == (
+        EXIT_USAGE, {"error": "usage", "message": message})
+
+
 @pytest.mark.parametrize("argv", [
     ["axiom-shape", "8001", "2"],
     ["gamma", "--m", "2", "--r", "9" * 4001],

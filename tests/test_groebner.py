@@ -620,6 +620,49 @@ def test_buchberger_prefix_past_its_packing(mode):
     _check_prefix(first, [p("x1_[0] - 1", ctx)], LEX)
 
 
+CYCLIC4 = ["x1_[0] + x2_[0] + x3_[0] + x4_[0]",
+           "x1_[0]*x2_[0] + x2_[0]*x3_[0] + x3_[0]*x4_[0] + x4_[0]*x1_[0]",
+           "x1_[0]*x2_[0]*x3_[0] + x2_[0]*x3_[0]*x4_[0]"
+           " + x3_[0]*x4_[0]*x1_[0] + x4_[0]*x1_[0]*x2_[0]",
+           "x1_[0]*x2_[0]*x3_[0]*x4_[0] - 1"]
+
+
+@pytest.mark.parametrize("mode", ["constants", "rational"])
+def test_buchberger_packs_each_tail_once_per_packing(monkeypatch, mode):
+    # cyclic-4 under lex packs, in its S-pairs, the tails of elements its
+    # final reduction keeps; the kept elements divide with those packed
+    # tails, so no tail is packed twice under one packing
+    packs = []
+    tail = DivisorBasis.tail
+
+    def counting(self, i):
+        if self.tails[i] is None:
+            packs.append((self.packing, self.polys[i]))
+        return tail(self, i)
+
+    monkeypatch.setattr(DivisorBasis, "tail", counting)
+    ctx = _ctx(mode)
+    buchberger([p(g, ctx) for g in CYCLIC4], LEX)
+    # packs holds every packing and polynomial, so no id is reused
+    keys = [(id(packing), id(g)) for packing, g in packs]
+    assert packs and len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("mode", ["constants", "rational"])
+def test_reduce_basis_after_its_kept_elements_widen(mode):
+    # the S-pair of x4 - x2 and x4*x1 - x1 packs x4 - x2's tail at limit
+    # 31; the final reduction of x3 - x2^7 by x2 - x1^5 then meets x1^35
+    # and packs the kept elements wider, so x4 - x2 joins them without G's
+    # packed tail, and x5 - x4 divides by it under the wider packing
+    ctx = Context(n=5, m=1, mode=FieldMode(mode, 1))
+    gens = [p(g, ctx) for g in ["x2_[0] - x1_[0]^5", "x3_[0] - x2_[0]^7",
+                                "x4_[0] - x2_[0]", "x4_[0]*x1_[0] - x1_[0]",
+                                "x5_[0] - x4_[0]"]]
+    assert [print_poly(g) for g in buchberger(gens, LEX)] == [
+        "x1_[0]^6 - x1_[0]", "-x1_[0]^5 + x2_[0]", "-x1_[0]^5 + x3_[0]",
+        "-x1_[0]^5 + x4_[0]", "-x1_[0]^5 + x5_[0]"]
+
+
 @pytest.mark.parametrize("kind", sorted(ORDERS))
 def test_buchberger_prefix_reorders_its_first_element(kind):
     # The lone element keeps its generator's ascending term order.  From

@@ -1,5 +1,6 @@
-"""`scripts/src_size.py` reports each diffalg module's lines, bytes and
-compiled size, and the deltas between two trees; here on two small trees."""
+"""`scripts/src_size.py` reports each diffalg module's lines, bytes,
+compiled size and code lines, and the deltas between two trees; here on
+two small trees."""
 import importlib.util
 import marshal
 from pathlib import Path
@@ -35,15 +36,55 @@ def code_size(text, name):
 
 A = "x = 1\n\n\ndef f():\n    return x\n"
 B = "y = 2\n"
+# every kind of line, with the code lines marked `# code` (a comment on a
+# code line leaves it code) but for the one that ends in a backslash; 11
+# of its 26 lines are code
+EVERY_KIND = '''"""Module docstring,
+over two lines."""
+# a comment-only line
+
+import sys  # code
+
+
+class K:  # code
+    """Class docstring."""
+
+    def f(self):  # code
+        """Function docstring
+
+        with a blank line inside."""
+        text = """a string that is  # code
+        # not a docstring, so every line of it is  # code
+        """  # code
+        return text + \\
+            "continued"  # code
+
+    async def g(self):  # code
+        'A docstring in single quotes.'
+        return "not a docstring either"  # code
+
+
+def h(): """a docstring on its def line"""  # code
+'''
 
 
 def test_one_tree_lists_each_module_then_the_totals(tmp_path):
     before = tree(tmp_path / "before", {"a.py": A, "b.py": B})
     assert SCRIPT.module_sizes(before) == {
-        "a.py": (5, len(A), code_size(A, "a.py")),
-        "b.py": (1, len(B), code_size(B, "b.py"))}
+        "a.py": (5, len(A), code_size(A, "a.py"), 3),
+        "b.py": (1, len(B), code_size(B, "b.py"), 1)}
     assert SCRIPT.rows(before)[-1] == ("total", [(
-        6, len(A) + len(B), code_size(A, "a.py") + code_size(B, "b.py"))])
+        6, len(A) + len(B), code_size(A, "a.py") + code_size(B, "b.py"), 4)])
+
+
+def test_code_lines_leave_out_blanks_comments_and_docstrings():
+    data = EVERY_KIND.encode()
+    marked = [n for n, line in enumerate(EVERY_KIND.splitlines(), 1)
+              if line.endswith(("# code", "\\"))]
+    assert len(EVERY_KIND.splitlines()) == 26 and len(marked) == 11
+    assert SCRIPT.code_lines(data) == 11
+    assert SCRIPT.code_lines(b"") == 0
+    assert SCRIPT.code_lines(b'"""A docstring."""\n# and a comment\n') == 0
 
 
 def test_two_trees_print_each_figure_with_its_delta(tmp_path, capsys):
@@ -52,7 +93,7 @@ def test_two_trees_print_each_figure_with_its_delta(tmp_path, capsys):
     after = tree(tmp_path / "after", {"a.py": shorter, "c.py": B})
     assert SCRIPT.main([before, after]) == 0
     out = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert out[0] == ["module", "lines", "bytes", "code"]
+    assert out[0] == ["module", "lines", "bytes", "code", "code-lines"]
     assert [row[0] for row in out[1:]] == ["a.py", "b.py", "c.py", "total"]
     # a module in one tree only counts as zero in the other
     assert out[2][:4] == ["b.py", "1", "->", "0"]
@@ -63,6 +104,7 @@ def test_two_trees_print_each_figure_with_its_delta(tmp_path, capsys):
     assert total[5:8] == [str(len(A) + len(B)), "->",
                           str(len(shorter) + len(B))]
     assert total[8] == "(%+d)" % delta
+    assert total[-4:] == ["4", "->", "2", "(-2)"]
 
 
 def test_the_compiled_size_does_not_depend_on_where_the_tree_is(tmp_path):
