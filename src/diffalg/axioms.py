@@ -15,7 +15,7 @@ not interpreted.  Primality is assumed, not verified.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 from .coeff import FieldMode
 from .dpoly import (Context, derivation_image, parse_poly, print_poly,
@@ -33,12 +33,23 @@ def axiom_shape(n, m):
     return coordinate_maps(n, m)
 
 
-@dataclass
 class ContainmentVerdict:
-    holds: bool
-    witnesses: list  # of {"generator": str, "k": int, "normal_form": str}
-    elimination_generators: list  # of str
-    note: str
+    """Whether the containment holds, its witnesses, a list of
+    {"generator": str, "k": int, "normal_form": str} dicts, the printed
+    elimination generators and a note."""
+
+    def __init__(self, holds, witnesses, elimination_generators, note):
+        self.holds = holds
+        self.witnesses = witnesses
+        self.elimination_generators = elimination_generators
+        self.note = note
+
+    def __eq__(self, other):
+        if other.__class__ is not ContainmentVerdict:
+            return NotImplemented
+        return (self.holds, self.witnesses, self.elimination_generators,
+                self.note) == (other.holds, other.witnesses,
+                               other.elimination_generators, other.note)
 
     def to_json(self):
         return {
@@ -97,20 +108,26 @@ def containment_check(W, kind):
 # --- quantifier-free differential formulas ------------------------------------
 
 
-@dataclass
 class DiffFormula:
     """A quantifier-free formula in derivatives, with its algebraic rewrite.
 
     The tree uses nodes ("and", a, b), ("or", a, b), ("not", a) and
     ("atom", poly, rel) with rel one of "eq"/"neq"; atom polynomials live
-    over the algebraic variables x_i^xi.
+    over the algebraic variables x_i^xi of the Context ctx.
     """
 
-    t: int
-    r: int
-    m: int
-    tree: tuple
-    ctx: Context
+    def __init__(self, t, r, m, tree, ctx):
+        self.t = t
+        self.r = r
+        self.m = m
+        self.tree = tree
+        self.ctx = ctx
+
+    def __eq__(self, other):
+        if other.__class__ is not DiffFormula:
+            return NotImplemented
+        return (self.t, self.r, self.m, self.tree, self.ctx) == (
+            other.t, other.r, other.m, other.tree, other.ctx)
 
     def atoms(self):
         out = []
@@ -191,21 +208,32 @@ class _FormulaParser:
         return ("atom", lhs - rhs, "eq" if kind == "=" else "neq")
 
 
-@dataclass
 class CompiledFormula:
-    formula: DiffFormula
-    n: int
-    algebraically_closed: bool
-    alpha: int = None
-    beta: int = None
-    resource_note: str = None
+    """A formula with the size of the axiom instance that would witness
+    it: alpha and beta, or the resource note that refused them, are None
+    unless given."""
+
+    def __init__(self, formula, n, algebraically_closed, alpha=None,
+                 beta=None, resource_note=None):
+        self.formula = formula
+        self.n = n
+        self.algebraically_closed = algebraically_closed
+        self.alpha = alpha
+        self.beta = beta
+        self.resource_note = resource_note
+
+    def __eq__(self, other):
+        if other.__class__ is not CompiledFormula:
+            return NotImplemented
+        return (self.formula, self.n, self.algebraically_closed, self.alpha,
+                self.beta, self.resource_note) == (
+            other.formula, other.n, other.algebraically_closed, other.alpha,
+            other.beta, other.resource_note)
 
 
 def compile_formula(rho_text, m):
     """Extract (t, r), rewrite derivatives as algebraic variables, size the
     axiom instance that would witness the formula."""
-    import math
-
     if m < 1:
         raise ContextError("m must be >= 1")
     tz = _Tokenizer(rho_text, formula_mode=True)

@@ -54,23 +54,33 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
-from .errors import ContextError, ResourceBudgetError
+from .errors import ContextError, ResourceBudgetError, immutable
 
 
-@dataclass(frozen=True)
 class FieldMode:
-    """Which base field we are over and how the derivations act on it."""
+    """Which base field we are over and how the derivations act on it.
+    Immutable, and equal and hashed by value."""
 
-    kind: str  # "constants" or "rational"
-    m: int
+    __slots__ = ("kind", "m")
 
-    def __post_init__(self):
-        if self.kind not in ("constants", "rational"):
-            raise ContextError("unknown field mode %r" % (self.kind,))
-        if self.m < 1:
+    def __init__(self, kind, m):
+        if kind not in ("constants", "rational"):
+            raise ContextError("unknown field mode %r" % (kind,))
+        if m < 1:
             raise ContextError("m must be >= 1")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "m", m)
+
+    __setattr__ = __delattr__ = immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not FieldMode:
+            return NotImplemented
+        return self.kind == other.kind and self.m == other.m
+
+    def __hash__(self):
+        return hash((self.kind, self.m))
 
     @property
     def base_vars(self):

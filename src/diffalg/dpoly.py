@@ -46,29 +46,41 @@ from __future__ import annotations
 import functools
 import operator
 import sys
-from dataclasses import dataclass
 
 from .bounds import _check_bits, bit_budget
-from .coeff import (Coefficient, FieldMode, add_into, from_integral,
-                    integral_num, t_guards, t_key)
-from .errors import ContextError, ParseError, ResourceBudgetError, env_budget
+from .coeff import (Coefficient, add_into, from_integral, integral_num,
+                    t_guards, t_key)
+from .errors import (ContextError, ParseError, ResourceBudgetError, env_budget,
+                     immutable)
 from .indices import deg, shift, index_sort_key
 
 
-@dataclass(frozen=True)
 class Context:
-    """Ambient data shared by the polynomials of one computation."""
+    """Ambient data shared by the polynomials of one computation.
+    Immutable, and equal and hashed by value."""
 
-    n: int
-    m: int
-    mode: FieldMode
+    __slots__ = ("n", "m", "mode")
 
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
+    def __init__(self, n, m, mode):
+        if n < 1 or m < 1:
             raise ContextError("n and m must be >= 1")
-        if self.mode.m != self.m:
+        if mode.m != m:
             raise ContextError("field mode has m=%d, context has m=%d"
-                               % (self.mode.m, self.m))
+                               % (mode.m, m))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "mode", mode)
+
+    __setattr__ = __delattr__ = immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not Context:
+            return NotImplemented
+        return self is other or (self.n == other.n and self.m == other.m
+                                 and self.mode == other.mode)
+
+    def __hash__(self):
+        return hash((self.n, self.m, self.mode))
 
     @property
     def nv(self):

@@ -1,5 +1,6 @@
-"""Error types shared across the library, the CLI exit-code mapping and
-the reader of the budget environment variables."""
+"""Error types shared across the library, the CLI exit-code mapping, the
+reader of the budget environment variables and the refusal to change an
+immutable record."""
 
 import os
 
@@ -41,6 +42,12 @@ def _size_text(value):
 
 class FileFormatError(ParseError):
     """Malformed ideal/kernel file."""
+
+
+def immutable(self, *args):
+    """__setattr__ and __delattr__ of a record whose fields never change:
+    its __init__ sets them through object.__setattr__."""
+    raise AttributeError("%s is immutable" % type(self).__name__)
 
 
 def env_budget(name, default):

@@ -44,11 +44,10 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass, field
 
 from .coeff import Coefficient
-from .dpoly import (MIN_WIDTH, Context, DiffPolynomial, mono_lcm,
-                    order_packing, support)
+from .dpoly import (MIN_WIDTH, DiffPolynomial, mono_lcm, order_packing,
+                    support)
 from .errors import ContextError
 
 
@@ -149,27 +148,30 @@ class DivisorBasis:
         basis.packing, basis.tails = self.packing, list(self.tails)
         return basis
 
-    def append(self, g, lm=None, tail=None):
+    def append(self, g, lm=None, tail=None, key=None):
         """Add the nonzero g, whose leading monomial lm is derived here
-        unless given, as the last divisor; `insert` takes `tail`."""
+        unless given, as the last divisor; `insert` takes `tail` and
+        `key`."""
         if lm is None:
             lm = leading_term(g, self.order)[0]
-        self.insert(len(self.polys), g, lm, tail)
+        self.insert(len(self.polys), g, lm, tail, key)
 
-    def insert(self, k, g, lm, tail=None):
-        """Put g, with leading monomial lm, at position k; `tail`, when
-        given, is g's packed tail under this basis's packing."""
+    def insert(self, k, g, lm, tail=None, key=None):
+        """Put g, with leading monomial lm, at position k; `tail` and `key`,
+        when given, are g's packed tail and lm's key (as in `keys`) under
+        this basis's packing, and lm is keyed here when key is None."""
         self.polys.insert(k, g)
         self.lms.insert(k, lm)
         if self.packing is not None:
-            try:
-                (key,) = _fit(self.packing, (lm,), 0)
-            except _Widen:
-                self.packing = None
-                self.keys, self.tails = [], []
-            else:
-                self.keys.insert(k, key)
-                self.tails.insert(k, tail)
+            if key is None:
+                try:
+                    (key,) = _fit(self.packing, (lm,), 0)
+                except _Widen:
+                    self.packing = None
+                    self.keys, self.tails = [], []
+                    return
+            self.keys.insert(k, key)
+            self.tails.insert(k, tail)
 
     def pack(self, top=0, terms=()):
         """Build the packing over the variables of the divisors and of the
@@ -562,10 +564,11 @@ def _reduce_basis(G, prefix=0, out=None):
     normal_form's choice of divisor.  A constant sorts first and leaves the
     basis [1].  Every divisibility test is the guarded subtraction of
     normal_form on G's packed keys, and the kept elements, inserted under
-    G's packing, are divided by with it and with the tails G packed under
-    it: none is packed again.  Once a division widens the kept elements'
-    packing, an element kept after it takes no tail from G; its tail is
-    packed under the new packing when first used.
+    G's packing, are divided by with it and with the lm keys and tails G
+    packed under it: none is keyed or packed again.  Once a division widens
+    the kept elements' packing, an element kept after it takes no key or
+    tail from G; its lm is keyed as it is inserted and its tail packed
+    under the new packing when first used.
 
     The first `prefix` elements of G are a reduced basis as `buchberger`
     returns it, so only kept leads from later elements can divide their lms
@@ -581,8 +584,8 @@ def _reduce_basis(G, prefix=0, out=None):
     run's, which the terms its final reduction made need not fit.
 
     `out`, when given an empty DivisorBasis, receives the result with its
-    lms and G's packing, as the kept elements do, and each prefix element
-    kept as it is with its packed tail from G.
+    lms, G's packing and G's keys of the lms, and each prefix element kept
+    as it is with its packed tail from G.
     """
     order, lms = G.order, G.lms
     divisors = DivisorBasis(order)  # the kept elements, in G order
@@ -597,7 +600,7 @@ def _reduce_basis(G, prefix=0, out=None):
 
     kept = []  # indices into G of the kept elements, ascending
     new = []  # those from index prefix on
-    reduced = []  # (element, lm, packed tail or None), ascending by lm
+    reduced = []  # (element, lm, packed tail or None, lm key), by lm
     for i in sorted(range(len(G)), key=keys.__getitem__):
         g = G.polys[i]
         lm = lms[i]
@@ -612,47 +615,55 @@ def _reduce_basis(G, prefix=0, out=None):
             new.append(i)
             as_is = False
         if as_is:
-            reduced.append((g, lm, G.tails[i]))
+            reduced.append((g, lm, G.tails[i], keys[i]))
         else:
             reduced.append(((normal_form(g, divisors) if kept else g).scale(
-                g.terms[lm].inverse()), lm, None))
+                g.terms[lm].inverse()), lm, None, keys[i]))
         k = bisect.bisect(kept, i)
         kept.insert(k, i)
-        divisors.insert(k, g, lm,
-                        G.tails[i] if divisors.packing is packing else None)
+        if divisors.packing is packing:
+            divisors.insert(k, g, lm, G.tails[i], keys[i])
+        else:
+            divisors.insert(k, g, lm)
     if out is not None:
         out.packing = packing
         for r in reduced:
             out.append(*r)
-    return [r for r, _, _ in reduced]
+    return [r[0] for r in reduced]
 
 
 # --- ideal presentations ------------------------------------------------------
 
 
-@dataclass
 class IdealPresentation:
     """Finite generator list plus the DivisorBasis of its reduced Groebner
     basis, computed once, which `normal_form` divides by.
 
-    `_prefix` is passed to `buchberger`: the DivisorBasis of a reduced
-    basis under `order`, as `buchberger` fills it (another presentation's
-    `divisors`), whose polynomials the first len(_prefix) generators equal
-    term for term.  `_divisors`, when given, is the reduced basis, a
-    DivisorBasis under `order`.  Equality compares the context, the
-    generators and the order only, so no cache or hint changes it.
+    `order` is grevlex unless given.  `_prefix` is passed to `buchberger`:
+    the DivisorBasis of a reduced basis under `order`, as `buchberger`
+    fills it (another presentation's `divisors`), whose polynomials the
+    first len(_prefix) generators equal term for term.  `_divisors`, when
+    given, is the reduced basis, a DivisorBasis under `order`.  Equality
+    compares the context, the generators and the order only, so no cache
+    or hint changes it; a presentation is not hashable.
     """
 
-    ctx: Context
-    generators: list
-    order: MonomialOrder = field(default_factory=MonomialOrder.grevlex)
-    _prefix: DivisorBasis = field(default=None, repr=False, compare=False)
-    _divisors: DivisorBasis = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, ctx, generators, order=None, _prefix=None,
+                 _divisors=None):
+        self.ctx = ctx
+        self.generators = generators
+        self.order = MonomialOrder.grevlex() if order is None else order
+        self._prefix = _prefix
+        self._divisors = _divisors
         for g in self.generators:
             if g.ctx != self.ctx:
                 raise ContextError("generator in wrong context")
+
+    def __eq__(self, other):
+        if other.__class__ is not IdealPresentation:
+            return NotImplemented
+        return (self.ctx, self.generators, self.order) == (
+            other.ctx, other.generators, other.order)
 
     @property
     def divisors(self):

@@ -8,9 +8,9 @@ Every coordinate layout in the library is derived from this one ordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import ContextError, ResourceBudgetError, _size_text, env_budget
+from .errors import (ContextError, ResourceBudgetError, _size_text, env_budget,
+                     immutable)
 from . import bounds
 
 
@@ -69,25 +69,39 @@ def gamma_set(m, r):
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class CoordinateMaps:
     """The shape of the (n, m) axiom-scheme instance: C = C_{1,m}^n, alpha,
     beta and the index bookkeeping for the ambient space K^{alpha(n,m)}.
+    Immutable, and equal and hashed by value.
 
     pi_indices select the Gamma(C-1) block, psi_indices the Gamma(1) block,
     and phi_blocks[k] maps the Gamma(C-1) block through xi -> xi + k
-    (block 0 being the identity / pi block).
+    (block 0 being the identity / pi block); all three and the layout are
+    tuples.
     """
 
-    n: int
-    m: int
-    C: int
-    alpha: int
-    beta: int
-    layout: tuple
-    pi_indices: tuple
-    psi_indices: tuple
-    phi_blocks: tuple
+    __slots__ = ("n", "m", "C", "alpha", "beta", "layout", "pi_indices",
+                 "psi_indices", "phi_blocks")
+
+    def __init__(self, n, m, C, alpha, beta, layout, pi_indices, psi_indices,
+                 phi_blocks):
+        for name, value in zip(self.__slots__, (
+                n, m, C, alpha, beta, layout, pi_indices, psi_indices,
+                phi_blocks)):
+            object.__setattr__(self, name, value)
+
+    __setattr__ = __delattr__ = immutable
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not CoordinateMaps:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 def axiom_sizes(n, m):

@@ -20,11 +20,10 @@ modulo that assumption.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import bounds
-from .dpoly import Context, DiffPolynomial, derivation_image, print_poly, var_rank
+from .dpoly import DiffPolynomial, derivation_image, print_poly, var_rank
 from .errors import (ContextError, DiffAlgError, ResourceBudgetError,
                      _size_text, env_budget)
 from .groebner import (IdealPresentation, MonomialOrder, normal_form,
@@ -40,19 +39,37 @@ class KernelValidationError(DiffAlgError):
         self.report = report
 
 
-@dataclass
 class ValidationReport:
-    valid: bool
-    violations: list  # of {"generator": str, "k": int, "normal_form": str}
+    """Whether a kernel meets the derivation-extension criterion, and the
+    violations, a list of {"generator": str, "k": int, "normal_form":
+    str} dicts."""
+
+    def __init__(self, valid, violations):
+        self.valid = valid
+        self.violations = violations
+
+    def __eq__(self, other):
+        if other.__class__ is not ValidationReport:
+            return NotImplemented
+        return (self.valid, self.violations) == (other.valid,
+                                                 other.violations)
 
 
-@dataclass
 class ObstructionWitness:
-    """An unsatisfiable linear relation found during prolongation."""
+    """An unsatisfiable linear relation found during prolongation: the
+    relation, the nonzero normal form of its constant part and its
+    provenance, the list of (generator index, k) pairs that fed it."""
 
-    relation: DiffPolynomial
-    normal_form: DiffPolynomial  # of the relation's constant part, nonzero
-    provenance: list  # of (generator index, k) pairs that fed the relation
+    def __init__(self, relation, normal_form, provenance):
+        self.relation = relation
+        self.normal_form = normal_form
+        self.provenance = provenance
+
+    def __eq__(self, other):
+        if other.__class__ is not ObstructionWitness:
+            return NotImplemented
+        return (self.relation, self.normal_form, self.provenance) == (
+            other.relation, other.normal_form, other.provenance)
 
     def to_json(self):
         return {
@@ -62,31 +79,39 @@ class ObstructionWitness:
         }
 
 
-@dataclass
 class ProlongResult:
-    status: str  # "prolonged" or "obstructed"
-    next: "KernelPresentation" = None
-    witness: ObstructionWitness = None
+    """The outcome of one prolongation: status "prolonged" with the next
+    kernel, or "obstructed" with the witness."""
+
+    def __init__(self, status, next=None, witness=None):
+        self.status = status
+        self.next = next
+        self.witness = witness
+
+    def __eq__(self, other):
+        if other.__class__ is not ProlongResult:
+            return NotImplemented
+        return (self.status, self.next, self.witness) == (
+            other.status, other.next, other.witness)
 
 
-@dataclass
 class KernelPresentation:
     """A length-r kernel: a lex ideal over the levels <= r, read in its
-    fraction field localized at `inverted`.
+    fraction field localized at `inverted`, a list, empty unless given.
 
     `validated` is set only by `kernel_prolong_once`, on the kernel it
     returns, which meets the derivation-extension criterion by
     construction; any other kernel is validated before it is prolonged.
+    It takes no part in equality, which compares ctx, r, the ideal and
+    `inverted`; a kernel is not hashable.
     """
 
-    ctx: Context
-    r: int
-    ideal: IdealPresentation
-    inverted: list = field(default_factory=list)
-    validated: bool = field(default=False, init=False, compare=False,
-                            repr=False)
-
-    def __post_init__(self):
+    def __init__(self, ctx, r, ideal, inverted=None):
+        self.ctx = ctx
+        self.r = r
+        self.ideal = ideal
+        self.inverted = [] if inverted is None else inverted
+        self.validated = False
         if self.r < 0:
             raise ContextError("kernel length must be >= 0")
         if self.ideal.ctx != self.ctx:
@@ -104,6 +129,16 @@ class KernelPresentation:
         if self.ideal.order.kind != "lex":
             self.ideal = IdealPresentation(self.ctx, self.ideal.generators,
                                            MonomialOrder.lex())
+
+    def __eq__(self, other):
+        if other.__class__ is not KernelPresentation:
+            return NotImplemented
+        return (self.ctx, self.r, self.ideal, self.inverted) == (
+            other.ctx, other.r, other.ideal, other.inverted)
+
+    def __repr__(self):
+        return "KernelPresentation(ctx=%r, r=%r, ideal=%r, inverted=%r)" % (
+            self.ctx, self.r, self.ideal, self.inverted)
 
     @property
     def n(self):

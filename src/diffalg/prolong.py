@@ -7,21 +7,26 @@ basis of the base ideal, which makes the presented system canonical.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dpoly import derivation_image
 from .errors import ContextError
-from .groebner import IdealPresentation
 from .indices import check_coordinates, unit_index
 
 
-@dataclass
 class ProlongationSystem:
-    """Base ideal together with the linearized derivative conditions."""
+    """Base ideal (an IdealPresentation) together with the linearized
+    derivative conditions: the derivations ks, a tuple, and the
+    generators, a list."""
 
-    base: IdealPresentation
-    ks: tuple
-    generators: list
+    def __init__(self, base, ks, generators):
+        self.base = base
+        self.ks = ks
+        self.generators = generators
+
+    def __eq__(self, other):
+        if other.__class__ is not ProlongationSystem:
+            return NotImplemented
+        return (self.base, self.ks, self.generators) == (
+            other.base, other.ks, other.generators)
 
 
 def prolong_one(I, k):

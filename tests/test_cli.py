@@ -205,6 +205,26 @@ def test_compile_formula_command(tmp_path, capsys):
     assert data["algebraically_closed"] is False
 
 
+@pytest.mark.parametrize("text,m,stdout", [
+    # a t variable picks rational mode
+    ("d[1]x1 = t1", "1",
+     '{"algebraically_closed":false,"alpha":2,"atoms":["d[1]x1 - t1 = 0"],'
+     '"beta":1,"m":1,"n":1,"r":1,"t":1}'),
+    # n = 20 at m = 3: the axiom sizes are refused, and the note says why
+    ("d[1,1,1]x2 = 0", "3",
+     '{"algebraically_closed":false,"alpha":null,"atoms":["d[1,1,1]x2 = 0"],'
+     '"beta":null,"m":3,"n":20,"r":3,"resource_note":"result needs about '
+     '6291454 bits, over the 1048576-bit budget","t":2}'),
+], ids=["rational-mode", "resource-note"])
+def test_compile_formula_stdout_pinned(tmp_path, capsys, monkeypatch, text,
+                                       m, stdout):
+    monkeypatch.delenv("DIFFALG_BIT_BUDGET", raising=False)
+    path = tmp_path / "rho.txt"
+    path.write_text(text + "\n")
+    assert invoke(capsys, ["compile-formula", str(path), "--m", m]) == (
+        EXIT_OK, stdout + "\n")
+
+
 def test_demo_counterexample_exit_code(capsys):
     code, out = invoke(capsys, ["demo", "counterexample"])
     assert code == EXIT_NEGATIVE

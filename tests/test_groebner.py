@@ -1,6 +1,8 @@
+import collections
 import itertools
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -646,6 +648,42 @@ def test_buchberger_packs_each_tail_once_per_packing(monkeypatch, mode):
     # packs holds every packing and polynomial, so no id is reused
     keys = [(id(packing), id(g)) for packing, g in packs]
     assert packs and len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex"])
+def test_buchberger_keys_each_lead_once(monkeypatch, kind):
+    # the final reduction hands G's lm keys to the kept elements and to
+    # `out`, so _fit keys a lead only as buchberger adds it to G; these
+    # are all the _fit calls of one cyclic-4 run, by caller and by whether
+    # the final reduction makes them
+    calls = collections.Counter()
+    reducing = []
+    fit, reduce_basis = groebner._fit, groebner._reduce_basis
+
+    def counting_fit(packing, monos, start=None):
+        calls[sys._getframe(1).f_code.co_name, bool(reducing)] += 1
+        return fit(packing, monos, start)
+
+    def counting_reduce_basis(*args):
+        reducing.append(args)
+        try:
+            return reduce_basis(*args)
+        finally:
+            reducing.pop()
+
+    monkeypatch.setattr(groebner, "_fit", counting_fit)
+    monkeypatch.setattr(groebner, "_reduce_basis", counting_reduce_basis)
+    out = DivisorBasis(ORDERS[kind])
+    ctx = _ctx("constants")
+    gb = buchberger([p(g, ctx) for g in CYCLIC4], ORDERS[kind], out=out)
+    assert out.polys == gb and out.keys == out.packing.keys(out.lms, 0)[0]
+    # keying each result lm twice more would add ("insert", True): 2 *
+    # len(gb), 14 under grevlex and 12 under lex
+    assert calls == {
+        "grevlex": {("insert", False): 6, ("_s_remainder", False): 11,
+                    ("tail", False): 10, ("_divide", True): 6},
+        "lex": {("insert", False): 10, ("_s_remainder", False): 20,
+                ("tail", False): 14, ("_divide", True): 5}}[kind]
 
 
 @pytest.mark.parametrize("mode", ["constants", "rational"])
