@@ -20,7 +20,7 @@ import math
 from .coeff import FieldMode
 from .dpoly import (Context, derivation_image, parse_poly, print_poly,
                     _ExprParser, _Tokenizer)
-from .errors import ContextError, ParseError, ResourceBudgetError
+from .errors import ContextError, ParseError, Record, ResourceBudgetError
 from .groebner import (IdealPresentation, elimination_ideal,
                        elimination_presentation)
 from .indices import (axiom_sizes, check_coordinates, coordinate_maps, deg,
@@ -33,23 +33,18 @@ def axiom_shape(n, m):
     return coordinate_maps(n, m)
 
 
-class ContainmentVerdict:
+class ContainmentVerdict(Record):
     """Whether the containment holds, its witnesses, a list of
     {"generator": str, "k": int, "normal_form": str} dicts, the printed
-    elimination generators and a note."""
+    elimination generators and a note.  A Record of all four."""
+
+    _fields = ("holds", "witnesses", "elimination_generators", "note")
 
     def __init__(self, holds, witnesses, elimination_generators, note):
         self.holds = holds
         self.witnesses = witnesses
         self.elimination_generators = elimination_generators
         self.note = note
-
-    def __eq__(self, other):
-        if other.__class__ is not ContainmentVerdict:
-            return NotImplemented
-        return (self.holds, self.witnesses, self.elimination_generators,
-                self.note) == (other.holds, other.witnesses,
-                               other.elimination_generators, other.note)
 
     def to_json(self):
         return {
@@ -108,13 +103,16 @@ def containment_check(W, kind):
 # --- quantifier-free differential formulas ------------------------------------
 
 
-class DiffFormula:
+class DiffFormula(Record):
     """A quantifier-free formula in derivatives, with its algebraic rewrite.
 
     The tree uses nodes ("and", a, b), ("or", a, b), ("not", a) and
     ("atom", poly, rel) with rel one of "eq"/"neq"; atom polynomials live
-    over the algebraic variables x_i^xi of the Context ctx.
+    over the algebraic variables x_i^xi of the Context ctx.  A Record of
+    t, r, m, the tree and ctx.
     """
+
+    _fields = ("t", "r", "m", "tree", "ctx")
 
     def __init__(self, t, r, m, tree, ctx):
         self.t = t
@@ -122,12 +120,6 @@ class DiffFormula:
         self.m = m
         self.tree = tree
         self.ctx = ctx
-
-    def __eq__(self, other):
-        if other.__class__ is not DiffFormula:
-            return NotImplemented
-        return (self.t, self.r, self.m, self.tree, self.ctx) == (
-            other.t, other.r, other.m, other.tree, other.ctx)
 
     def atoms(self):
         out = []
@@ -208,10 +200,13 @@ class _FormulaParser:
         return ("atom", lhs - rhs, "eq" if kind == "=" else "neq")
 
 
-class CompiledFormula:
+class CompiledFormula(Record):
     """A formula with the size of the axiom instance that would witness
     it: alpha and beta, or the resource note that refused them, are None
-    unless given."""
+    unless given.  A Record of all six fields."""
+
+    _fields = ("formula", "n", "algebraically_closed", "alpha", "beta",
+               "resource_note")
 
     def __init__(self, formula, n, algebraically_closed, alpha=None,
                  beta=None, resource_note=None):
@@ -221,14 +216,6 @@ class CompiledFormula:
         self.alpha = alpha
         self.beta = beta
         self.resource_note = resource_note
-
-    def __eq__(self, other):
-        if other.__class__ is not CompiledFormula:
-            return NotImplemented
-        return (self.formula, self.n, self.algebraically_closed, self.alpha,
-                self.beta, self.resource_note) == (
-            other.formula, other.n, other.algebraically_closed, other.alpha,
-            other.beta, other.resource_note)
 
 
 def compile_formula(rho_text, m):

@@ -124,8 +124,6 @@ def _cmd_compile_formula(args):
 
 
 def _cmd_demo(args):
-    if args.what != "counterexample":
-        raise ContextError("unknown demo %r" % args.what)
     report = counterexample_demo(args.mode)
     negative = report["kernel"]["status"] == "obstructed"
     return (EXIT_NEGATIVE if negative else EXIT_OK), report

@@ -55,14 +55,14 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import ContextError, ResourceBudgetError, immutable
+from .errors import ContextError, FrozenRecord, ResourceBudgetError
 
 
-class FieldMode:
-    """Which base field we are over and how the derivations act on it.
-    Immutable, and equal and hashed by value."""
+class FieldMode(FrozenRecord):
+    """Which base field we are over and how the derivations act on it: a
+    FrozenRecord of its kind and m."""
 
-    __slots__ = ("kind", "m")
+    __slots__ = _fields = ("kind", "m")
 
     def __init__(self, kind, m):
         if kind not in ("constants", "rational"):
@@ -71,16 +71,6 @@ class FieldMode:
             raise ContextError("m must be >= 1")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "m", m)
-
-    __setattr__ = __delattr__ = immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not FieldMode:
-            return NotImplemented
-        return self.kind == other.kind and self.m == other.m
-
-    def __hash__(self):
-        return hash((self.kind, self.m))
 
     @property
     def base_vars(self):
@@ -347,9 +337,6 @@ class Coefficient:
     def is_one(self):
         return self.num == self.den
 
-    def is_constant(self):
-        return _pis_const(self.num) and _pis_const(self.den)
-
     def __bool__(self):
         return bool(self.num)
 
@@ -455,9 +442,6 @@ class Coefficient:
         neg, text, _ = self.render()
         return "-" + text if neg else text
 
-    def __repr__(self):
-        return "Coefficient(%s)" % self
-
 
 def _raw(num, den, nv):
     """The rational-mode coefficient num/den, built without __init__, for
@@ -519,9 +503,6 @@ class _Q(Coefficient):
 
     def is_one(self):
         return self.num == 1 and self.den == 1
-
-    def is_constant(self):
-        return True
 
     def __eq__(self, other):
         if not isinstance(other, Coefficient):

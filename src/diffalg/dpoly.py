@@ -50,16 +50,16 @@ import sys
 from .bounds import _check_bits, bit_budget
 from .coeff import (Coefficient, add_into, from_integral, integral_num,
                     t_guards, t_key)
-from .errors import (ContextError, ParseError, ResourceBudgetError, env_budget,
-                     immutable)
+from .errors import (ContextError, FrozenRecord, ParseError,
+                     ResourceBudgetError, env_budget)
 from .indices import deg, shift, index_sort_key
 
 
-class Context:
-    """Ambient data shared by the polynomials of one computation.
-    Immutable, and equal and hashed by value."""
+class Context(FrozenRecord):
+    """Ambient data shared by the polynomials of one computation: a
+    FrozenRecord of n, m and the FieldMode."""
 
-    __slots__ = ("n", "m", "mode")
+    __slots__ = _fields = ("n", "m", "mode")
 
     def __init__(self, n, m, mode):
         if n < 1 or m < 1:
@@ -70,17 +70,6 @@ class Context:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "mode", mode)
-
-    __setattr__ = __delattr__ = immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not Context:
-            return NotImplemented
-        return self is other or (self.n == other.n and self.m == other.m
-                                 and self.mode == other.mode)
-
-    def __hash__(self):
-        return hash((self.n, self.m, self.mode))
 
     @property
     def nv(self):
@@ -420,9 +409,6 @@ class DiffPolynomial:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         """The product: for each term of self, then each of other, ca * cb
         (self's coefficient on the left) is added to the term it meets, in
@@ -447,10 +433,6 @@ class DiffPolynomial:
         outer; with a single-term operand no two products meet, so each
         term is its one product ca * cb.
         """
-        if isinstance(other, int):
-            other = DiffPolynomial.from_int(self.ctx, other)
-        if isinstance(other, Coefficient):
-            return self.scale(other)
         self._check(other)
         ctx, a, b, nv = self.ctx, self.terms, other.terms, self.ctx.nv
         if not (len(a) == 1 == _size(a, nv) or len(b) == 1 == _size(b, nv)):
@@ -467,8 +449,6 @@ class DiffPolynomial:
                                   for ma, ca in a.items()
                                   for mb, cb in b.items()))
         return DiffPolynomial(ctx, terms)
-
-    __rmul__ = __mul__
 
     def __pow__(self, e):
         if e < 0:

@@ -1,6 +1,6 @@
 """Error types shared across the library, the CLI exit-code mapping, the
-reader of the budget environment variables and the refusal to change an
-immutable record."""
+reader of the budget environment variables and the one equality rule of
+the library's value records, `Record` and `FrozenRecord`."""
 
 import os
 
@@ -44,10 +44,37 @@ class FileFormatError(ParseError):
     """Malformed ideal/kernel file."""
 
 
-def immutable(self, *args):
-    """__setattr__ and __delattr__ of a record whose fields never change:
-    its __init__ sets them through object.__setattr__."""
-    raise AttributeError("%s is immutable" % type(self).__name__)
+class Record:
+    """A value record: equal to a record of its own class whose fields,
+    named in `_fields`, are equal, and unequal to anything else, so a
+    tuple of the same values never compares equal.  Attributes not named
+    in `_fields` take no part.  Not hashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+
+class FrozenRecord(Record):
+    """A Record whose fields never change, hashed by their values: its
+    __init__ sets them through object.__setattr__."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, *args):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
 
 
 def env_budget(name, default):

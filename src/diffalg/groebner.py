@@ -48,22 +48,25 @@ import math
 from .coeff import Coefficient
 from .dpoly import (MIN_WIDTH, DiffPolynomial, mono_lcm, order_packing,
                     support)
-from .errors import ContextError
+from .errors import ContextError, FrozenRecord, Record
 
 
-class MonomialOrder:
+class MonomialOrder(FrozenRecord):
     """A total order on monomials: grevlex, lex, or a block order that
     compares the eliminated block first, by grevlex within each block.  Its
-    packings key monomials by integers that compare as it does.  Two
-    orders are equal when their kind and eliminated block are.
+    packings key monomials by integers that compare as it does.  A
+    FrozenRecord of its kind and its eliminated block, `leading`.
     """
+
+    __slots__ = _fields = ("kind", "leading")
 
     def __init__(self, kind, leading=None):
         if kind not in ("lex", "grevlex", "block"):
             raise ContextError("unknown monomial order %r" % (kind,))
-        self.kind = kind
+        object.__setattr__(self, "kind", kind)
         # leading (eliminated) variable block (block order only)
-        self.leading = frozenset(leading) if leading is not None else None
+        object.__setattr__(self, "leading", None if leading is None
+                           else frozenset(leading))
 
     @classmethod
     def grevlex(cls):
@@ -76,14 +79,6 @@ class MonomialOrder:
     @classmethod
     def block_elim(cls, eliminate):
         return cls("block", leading=eliminate)
-
-    def __eq__(self, other):
-        if not isinstance(other, MonomialOrder):
-            return NotImplemented
-        return (self.kind, self.leading) == (other.kind, other.leading)
-
-    def __hash__(self):
-        return hash((self.kind, self.leading))
 
     def packing(self, variables, top):
         """A Packing whose keys compare as this order does, over the
@@ -635,7 +630,7 @@ def _reduce_basis(G, prefix=0, out=None):
 # --- ideal presentations ------------------------------------------------------
 
 
-class IdealPresentation:
+class IdealPresentation(Record):
     """Finite generator list plus the DivisorBasis of its reduced Groebner
     basis, computed once, which `normal_form` divides by.
 
@@ -643,10 +638,12 @@ class IdealPresentation:
     the DivisorBasis of a reduced basis under `order`, as `buchberger`
     fills it (another presentation's `divisors`), whose polynomials the
     first len(_prefix) generators equal term for term.  `_divisors`, when
-    given, is the reduced basis, a DivisorBasis under `order`.  Equality
-    compares the context, the generators and the order only, so no cache
-    or hint changes it; a presentation is not hashable.
+    given, is the reduced basis, a DivisorBasis under `order`.  A Record
+    of the context, the generators and the order only, so no cache or hint
+    changes its equality.
     """
+
+    _fields = ("ctx", "generators", "order")
 
     def __init__(self, ctx, generators, order=None, _prefix=None,
                  _divisors=None):
@@ -658,12 +655,6 @@ class IdealPresentation:
         for g in self.generators:
             if g.ctx != self.ctx:
                 raise ContextError("generator in wrong context")
-
-    def __eq__(self, other):
-        if other.__class__ is not IdealPresentation:
-            return NotImplemented
-        return (self.ctx, self.generators, self.order) == (
-            other.ctx, other.generators, other.order)
 
     @property
     def divisors(self):

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import (ContextError, ResourceBudgetError, _size_text, env_budget,
-                     immutable)
+from .errors import (ContextError, FrozenRecord, ResourceBudgetError,
+                     _size_text, env_budget)
 from . import bounds
 
 
@@ -69,10 +69,10 @@ def gamma_set(m, r):
     return tuple(out)
 
 
-class CoordinateMaps:
+class CoordinateMaps(FrozenRecord):
     """The shape of the (n, m) axiom-scheme instance: C = C_{1,m}^n, alpha,
-    beta and the index bookkeeping for the ambient space K^{alpha(n,m)}.
-    Immutable, and equal and hashed by value.
+    beta and the index bookkeeping for the ambient space K^{alpha(n,m)}, a
+    FrozenRecord of all nine.
 
     pi_indices select the Gamma(C-1) block, psi_indices the Gamma(1) block,
     and phi_blocks[k] maps the Gamma(C-1) block through xi -> xi + k
@@ -80,8 +80,8 @@ class CoordinateMaps:
     tuples.
     """
 
-    __slots__ = ("n", "m", "C", "alpha", "beta", "layout", "pi_indices",
-                 "psi_indices", "phi_blocks")
+    __slots__ = _fields = ("n", "m", "C", "alpha", "beta", "layout",
+                           "pi_indices", "psi_indices", "phi_blocks")
 
     def __init__(self, n, m, C, alpha, beta, layout, pi_indices, psi_indices,
                  phi_blocks):
@@ -89,19 +89,6 @@ class CoordinateMaps:
                 n, m, C, alpha, beta, layout, pi_indices, psi_indices,
                 phi_blocks)):
             object.__setattr__(self, name, value)
-
-    __setattr__ = __delattr__ = immutable
-
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not CoordinateMaps:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
 
 def axiom_sizes(n, m):

@@ -24,7 +24,7 @@ from functools import cached_property
 
 from . import bounds
 from .dpoly import DiffPolynomial, derivation_image, print_poly, var_rank
-from .errors import (ContextError, DiffAlgError, ResourceBudgetError,
+from .errors import (ContextError, DiffAlgError, Record, ResourceBudgetError,
                      _size_text, env_budget)
 from .groebner import (IdealPresentation, MonomialOrder, normal_form,
                        rabinowitsch)
@@ -39,37 +39,30 @@ class KernelValidationError(DiffAlgError):
         self.report = report
 
 
-class ValidationReport:
+class ValidationReport(Record):
     """Whether a kernel meets the derivation-extension criterion, and the
     violations, a list of {"generator": str, "k": int, "normal_form":
-    str} dicts."""
+    str} dicts.  A Record of both."""
+
+    _fields = ("valid", "violations")
 
     def __init__(self, valid, violations):
         self.valid = valid
         self.violations = violations
 
-    def __eq__(self, other):
-        if other.__class__ is not ValidationReport:
-            return NotImplemented
-        return (self.valid, self.violations) == (other.valid,
-                                                 other.violations)
 
-
-class ObstructionWitness:
+class ObstructionWitness(Record):
     """An unsatisfiable linear relation found during prolongation: the
     relation, the nonzero normal form of its constant part and its
-    provenance, the list of (generator index, k) pairs that fed it."""
+    provenance, the list of (generator index, k) pairs that fed it.  A
+    Record of all three."""
+
+    _fields = ("relation", "normal_form", "provenance")
 
     def __init__(self, relation, normal_form, provenance):
         self.relation = relation
         self.normal_form = normal_form
         self.provenance = provenance
-
-    def __eq__(self, other):
-        if other.__class__ is not ObstructionWitness:
-            return NotImplemented
-        return (self.relation, self.normal_form, self.provenance) == (
-            other.relation, other.normal_form, other.provenance)
 
     def to_json(self):
         return {
@@ -79,32 +72,30 @@ class ObstructionWitness:
         }
 
 
-class ProlongResult:
+class ProlongResult(Record):
     """The outcome of one prolongation: status "prolonged" with the next
-    kernel, or "obstructed" with the witness."""
+    kernel, or "obstructed" with the witness.  A Record of all three."""
+
+    _fields = ("status", "next", "witness")
 
     def __init__(self, status, next=None, witness=None):
         self.status = status
         self.next = next
         self.witness = witness
 
-    def __eq__(self, other):
-        if other.__class__ is not ProlongResult:
-            return NotImplemented
-        return (self.status, self.next, self.witness) == (
-            other.status, other.next, other.witness)
 
-
-class KernelPresentation:
+class KernelPresentation(Record):
     """A length-r kernel: a lex ideal over the levels <= r, read in its
     fraction field localized at `inverted`, a list, empty unless given.
 
     `validated` is set only by `kernel_prolong_once`, on the kernel it
     returns, which meets the derivation-extension criterion by
     construction; any other kernel is validated before it is prolonged.
-    It takes no part in equality, which compares ctx, r, the ideal and
-    `inverted`; a kernel is not hashable.
+    It takes no part in equality: a kernel is a Record of ctx, r, the
+    ideal and `inverted`.
     """
+
+    _fields = ("ctx", "r", "ideal", "inverted")
 
     def __init__(self, ctx, r, ideal, inverted=None):
         self.ctx = ctx
@@ -129,12 +120,6 @@ class KernelPresentation:
         if self.ideal.order.kind != "lex":
             self.ideal = IdealPresentation(self.ctx, self.ideal.generators,
                                            MonomialOrder.lex())
-
-    def __eq__(self, other):
-        if other.__class__ is not KernelPresentation:
-            return NotImplemented
-        return (self.ctx, self.r, self.ideal, self.inverted) == (
-            other.ctx, other.r, other.ideal, other.inverted)
 
     def __repr__(self):
         return "KernelPresentation(ctx=%r, r=%r, ideal=%r, inverted=%r)" % (

@@ -8,25 +8,21 @@ basis of the base ideal, which makes the presented system canonical.
 from __future__ import annotations
 
 from .dpoly import derivation_image
-from .errors import ContextError
+from .errors import ContextError, Record
 from .indices import check_coordinates, unit_index
 
 
-class ProlongationSystem:
+class ProlongationSystem(Record):
     """Base ideal (an IdealPresentation) together with the linearized
     derivative conditions: the derivations ks, a tuple, and the
-    generators, a list."""
+    generators, a list.  A Record of all three."""
+
+    _fields = ("base", "ks", "generators")
 
     def __init__(self, base, ks, generators):
         self.base = base
         self.ks = ks
         self.generators = generators
-
-    def __eq__(self, other):
-        if other.__class__ is not ProlongationSystem:
-            return NotImplemented
-        return (self.base, self.ks, self.generators) == (
-            other.base, other.ks, other.generators)
 
 
 def prolong_one(I, k):

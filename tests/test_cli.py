@@ -215,7 +215,11 @@ def test_compile_formula_command(tmp_path, capsys):
      '{"algebraically_closed":false,"alpha":null,"atoms":["d[1,1,1]x2 = 0"],'
      '"beta":null,"m":3,"n":20,"r":3,"resource_note":"result needs about '
      '6291454 bits, over the 1048576-bit budget","t":2}'),
-], ids=["rational-mode", "resource-note"])
+    # '(' opens no sub-formula here, so the parser backtracks to an atom
+    ("(x1 + 1)*x1 = 0", "1",
+     '{"algebraically_closed":true,"alpha":null,"atoms":["x1^2 + x1 = 0"],'
+     '"beta":null,"m":1,"n":1,"r":0,"t":1}'),
+], ids=["rational-mode", "resource-note", "parenthesised-arithmetic"])
 def test_compile_formula_stdout_pinned(tmp_path, capsys, monkeypatch, text,
                                        m, stdout):
     monkeypatch.delenv("DIFFALG_BIT_BUDGET", raising=False)
@@ -556,8 +560,11 @@ def test_ideal_file_roundtrip():
     (["bounds", "0", "2", "3000000"], EXIT_OK,
      '{"closed_form":0,"closed_form_agrees":true,"m":2,"n":3000000,'
      '"r":0,"value":0}'),
+    (["bounds", "2", "7", "1"], EXIT_RESOURCE,
+     '{"error": "resource", "message": "Ackermann recursion too deep: the '
+     'value is over the 1048576-bit budget"}'),
 ], ids=["m1", "m3-r0", "m2-over-budget", "m4-recursion-over-budget",
-        "m2-r0"])
+        "m2-r0", "m7-ackermann-too-deep"])
 def test_bounds_large_n_is_fast(capsys, monkeypatch, argv, code, stdout):
     monkeypatch.delenv("DIFFALG_BIT_BUDGET", raising=False)
     start = time.perf_counter()
@@ -820,7 +827,24 @@ IDEAL_HEADER = "m=1 n=1 gamma=0 mode=constants\n"
      "line 2: unexpected character '&' (at position 7)"),
     (["prolong-variety", "{path}", "--all"], IDEAL_HEADER + "x1_[0] = 1",
      "line 2: expected 'EOF', found '=' (at position 7)"),
-], ids=["bare-x0", "derivative-of-x0", "ideal-and", "ideal-equals"])
+    (["prolong-variety", "{path}", "--k", "1"], "m=1 n\nx1_[0]",
+     "bad header field 'n'"),
+    (["prolong-variety", "{path}", "--all"], "m=1 gamma=0\nx1_[0]",
+     "bad or missing header field: 'n'"),
+    (["prolong-variety", "{path}", "--all"], IDEAL_HEADER + "x1_0",
+     "line 2: expected '[' (at position 3)"),
+    (["prolong-variety", "{path}", "--all"], IDEAL_HEADER + "x1 + 1",
+     "line 2: expected '_[' after x1 (at position 2)"),
+    (["prolong-variety", "{path}", "--all"], IDEAL_HEADER + "x_[0]",
+     "line 2: expected a number (at position 1)"),
+    (["compile-formula", "{path}", "--m", "1"], "d[1]y1 = 0",
+     "expected 'x' after d[...] (at position 4)"),
+    (["compile-formula", "{path}", "--m", "1"], "x1 + 1",
+     "expected '=' or '!=' in atom (at position 6)"),
+], ids=["bare-x0", "derivative-of-x0", "ideal-and", "ideal-equals",
+        "header-key-without-value", "header-without-n", "index-without-[",
+        "variable-without-index", "variable-without-number",
+        "derivative-of-y", "atom-without-relation"])
 def test_formula_and_ideal_token_errors(tmp_path, capsys, argv, text,
                                         message):
     # a formula's bare x0 is refused as x0_[0] would be, at its own
@@ -829,8 +853,8 @@ def test_formula_and_ideal_token_errors(tmp_path, capsys, argv, text,
     path = tmp_path / "input.txt"
     path.write_text(text + "\n")
     code, out = invoke(capsys, [a.format(path=path) for a in argv])
-    assert (code, json.loads(out)) == (
-        EXIT_USAGE, {"error": "usage", "message": message})
+    assert (code, out) == (EXIT_USAGE, json.dumps(
+        {"error": "usage", "message": message}) + "\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,14 +3,17 @@ are immutable, which defaults their constructors fill in, and which
 fields take part in a presentation's equality."""
 import pytest
 
-from diffalg.axioms import CompiledFormula, compile_formula
+from diffalg.axioms import (CompiledFormula, ContainmentVerdict,
+                            compile_formula, containment_check)
 from diffalg.coeff import FieldMode
 from diffalg.dpoly import Context, parse_poly
 from diffalg.errors import ContextError
 from diffalg.groebner import IdealPresentation, MonomialOrder
 from diffalg.indices import coordinate_maps
-from diffalg.kernels import (KernelPresentation, ProlongResult,
-                             ValidationReport, kernel_prolong_once)
+from diffalg.kernels import (KernelPresentation, ObstructionWitness,
+                             ProlongResult, ValidationReport,
+                             kernel_prolong_once)
+from diffalg.prolong import ProlongationSystem, prolong_delta
 
 C1 = Context(n=1, m=1, mode=FieldMode("constants", 1))
 
@@ -31,6 +34,7 @@ def test_field_modes_and_contexts_are_equal_and_hash_alike_by_value():
     assert FieldMode("rational", 1) != FieldMode("rational", 2)
     # a record of another class, or a tuple of the same values, is unequal
     assert a != (2, 1, a.mode) and a.mode != ("rational", 1)
+    assert MonomialOrder.lex() != ("lex", None)
     assert coordinate_maps(2, 1) == coordinate_maps(2, 1)
     assert hash(coordinate_maps(2, 1)) == hash(coordinate_maps(2, 1))
     assert coordinate_maps(2, 1) != coordinate_maps(1, 2)
@@ -39,9 +43,10 @@ def test_field_modes_and_contexts_are_equal_and_hash_alike_by_value():
 @pytest.mark.parametrize("record,name", [
     (C1, "n"), (C1, "mode"), (FieldMode("constants", 1), "m"),
     (FieldMode("constants", 1), "kind"), (coordinate_maps(1, 1), "alpha"),
-    (coordinate_maps(1, 1), "layout")],
+    (coordinate_maps(1, 1), "layout"), (MonomialOrder.lex(), "kind"),
+    (MonomialOrder.block_elim([(1, (0,))]), "leading")],
     ids=["context-n", "context-mode", "mode-m", "mode-kind", "maps-alpha",
-         "maps-layout"])
+         "maps-layout", "order-kind", "order-leading"])
 def test_contexts_modes_and_coordinate_maps_are_immutable(record, name):
     before = getattr(record, name)
     with pytest.raises(AttributeError):
@@ -137,3 +142,22 @@ def test_result_records_compare_field_by_field():
         "d[1]x1 = x1", 1)
     assert compile_formula("d[1]x1 = x1", 1) != compile_formula(
         "d[1]x1 = 2*x1", 1)
+    M2 = Context(n=1, m=2, mode=FieldMode("constants", 2))
+    counterexample = KernelPresentation(M2, 1, IdealPresentation(
+        M2, [parse_poly("x1_[1,0] - 1", M2),
+             parse_poly("x1_[0,1] - x1_[0,0]", M2)]))
+    witness = kernel_prolong_once(counterexample).witness
+    assert witness == kernel_prolong_once(counterexample).witness
+    assert witness != ObstructionWitness(witness.relation,
+                                         witness.normal_form, [])
+    W = IdealPresentation(C1, [parse_poly("x1_[0]", C1),
+                               parse_poly("x1_[1] - 1", C1)])
+    verdict = containment_check(W, "naive")
+    assert verdict == containment_check(W, "naive") and not verdict.holds
+    assert verdict != ContainmentVerdict(
+        True, verdict.witnesses, verdict.elimination_generators, verdict.note)
+    base = IdealPresentation(C1, [parse_poly("x1_[0]^2 - 1", C1)])
+    system = prolong_delta(base)
+    assert system == prolong_delta(IdealPresentation(C1, list(
+        base.generators)))
+    assert system != ProlongationSystem(base, system.ks, [])
