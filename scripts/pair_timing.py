@@ -10,14 +10,15 @@ diffalg packages are loaded into this one process, each from its own src/.
 Every round builds the jobs of a fresh variant for each tree and runs each
 job on both, alternating which tree goes first.  It prints, per job family
 (the job name without its trailing ``-<n>``), the median over the family's
-jobs of each job's median time, and the ratio AFTER / BEFORE; the next
-line sums the per-job medians over all jobs, and the last one counts the
-rounds in which AFTER's jobs took less time in total than BEFORE's, which
-tells a ratio that repeats from one that a single round moved.  Each
-``--family NAME`` (it may be repeated) keeps only that family's jobs, and
-``--jobs START:STOP`` then keeps a slice of what is left.  It exits 1
-when any job's rendered output differs between the trees, and 2 when no
-job is left to run.
+jobs of each job's median time, the ratio AFTER / BEFORE and, as "won",
+the rounds in which AFTER's jobs of the family took less time in total
+than BEFORE's, which tells a ratio that repeats from one that a single
+round moved; the next line sums the per-job medians over all jobs, with
+the rounds won over all jobs, and the last one counts those rounds
+again.  Each ``--family NAME`` (it may be repeated) keeps only that
+family's jobs, and ``--jobs START:STOP`` then keeps a slice of what is
+left.  It exits 1 when any job's rendered output differs between the
+trees, and 2 when no job is left to run.
 
 Times are raw perf_counter seconds in one process, with no calibration
 loop, so they serve for sizing only; a claimed gain still comes from
@@ -118,28 +119,42 @@ def pair_times(rounds_of_jobs):
     return times, differ, totals
 
 
+def rounds_won(jobs):
+    """The rounds in which AFTER took less time in total over jobs, a list
+    of ([before s per round], [after s per round])."""
+    before = [sum(r) for r in zip(*(b for b, _ in jobs))]
+    after = [sum(r) for r in zip(*(a for _, a in jobs))]
+    return sum(a < b for b, a in zip(before, after))
+
+
 def report(times, totals):
-    """Lines of per-family median job times (ms) and AFTER / BEFORE, and
+    """Lines of per-family median job times (ms), AFTER / BEFORE and the
+    rounds the family's total AFTER beat, then the same over all jobs, and
     the count of rounds whose totals AFTER beat."""
     families = {}
-    for name, (before, after) in times.items():
-        families.setdefault(family(name), []).append(
-            (statistics.median(before), statistics.median(after)))
+    for name, sides in times.items():
+        families.setdefault(family(name), []).append(sides)
+    rounds = len(totals)
 
-    def row(label, count, b, a):
-        return "%-22s %5d %10.3f %10.3f %7.3f" % (
-            label, count, 1e3 * b, 1e3 * a, a / b if b else 0)
+    def row(label, count, b, a, won):
+        return "%-22s %5d %10.3f %10.3f %7.3f %7s" % (
+            label, count, 1e3 * b, 1e3 * a, a / b if b else 0,
+            "%d/%d" % (won, rounds))
 
-    lines = ["%-22s %5s %10s %10s %7s"
-             % ("family", "jobs", "before_ms", "after_ms", "ratio")]
-    for fam, meds in sorted(families.items()):
-        lines.append(row(fam, len(meds), statistics.median(b for b, _ in meds),
-                         statistics.median(a for _, a in meds)))
-    meds = [m for ms in families.values() for m in ms]
-    lines.append(row("all (sum)", len(meds), sum(b for b, _ in meds),
-                     sum(a for _, a in meds)))
-    lines.append("after faster in %d of %d rounds"
-                 % (sum(a < b for b, a in totals), len(totals)))
+    lines = ["%-22s %5s %10s %10s %7s %7s"
+             % ("family", "jobs", "before_ms", "after_ms", "ratio", "won")]
+    medians = []
+    for fam, jobs in sorted(families.items()):
+        meds = [(statistics.median(b), statistics.median(a)) for b, a in jobs]
+        medians += meds
+        lines.append(row(fam, len(meds),
+                         statistics.median(b for b, _ in meds),
+                         statistics.median(a for _, a in meds),
+                         rounds_won(jobs)))
+    won = sum(a < b for b, a in totals)
+    lines.append(row("all (sum)", len(medians), sum(b for b, _ in medians),
+                     sum(a for _, a in medians), won))
+    lines.append("after faster in %d of %d rounds" % (won, rounds))
     return lines
 
 

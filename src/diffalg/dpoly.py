@@ -463,9 +463,7 @@ class DiffPolynomial:
         return result
 
     def scale(self, c):
-        """c * self; self itself when c is one."""
-        if c.is_zero():
-            return DiffPolynomial.zero(self.ctx)
+        """c * self, c nonzero; self itself when c is one."""
         if c.is_one():
             return self
         return DiffPolynomial(self.ctx,

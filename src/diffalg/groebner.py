@@ -23,6 +23,9 @@ reduction tests and divides with that basis's packing, and it fills the
 reduced basis, with the leads the final reduction has and that packing,
 into the caller's DivisorBasis (`IdealPresentation`'s): no division
 re-derives a lead, and a dividend over the basis's variables packs nothing.
+`image_normal_form` likewise forms a D_k-image (dpoly.derivation_image)
+on a basis's packed keys and divides it in place, as a kernel's
+validation and rows need: no tuple-keyed image is built.
 
 `buchberger` gives each variable of its leads a bit of a support mask
 and never queues a pair whose masks are disjoint (coprime leads).  The
@@ -45,10 +48,11 @@ import bisect
 import heapq
 import math
 
-from .coeff import Coefficient
+from .coeff import Coefficient, add_into
 from .dpoly import (MIN_WIDTH, DiffPolynomial, mono_lcm, order_packing,
-                    support)
+                    support, var_rank)
 from .errors import ContextError, FrozenRecord, Record
+from .indices import shift
 
 
 class MonomialOrder(FrozenRecord):
@@ -437,6 +441,49 @@ def _s_remainder(G, i, j, lcm):
         _add_shifted(p, key - lk, k, tail, G.packing.guards)
     return DiffPolynomial(ctx, _divide_coefficients(p, G) if rational
                           else _divide_ints(p, G, 1))
+
+
+def image_normal_form(f, k, basis):
+    """normal_form(derivation_image(f, k), basis), basis nonempty, with
+    the image formed on basis.packing's keys and divided in place.
+
+    The term c*x^mono of f adds e*c (c itself when e is 1), for each
+    variable v of mono with exponent e, at mono/v * x^(xi+k), whose key is
+    mono's plus weights[(i, xi+k)] - weights[v]: the image has f's total
+    degrees, so no slot leaves 0..limit.  The additions meet per key in
+    derivation_image's order, by add_into's rule (rational forms depend on
+    it): each nonzero c.derive(k) first, in rational mode, then per v in
+    ascending var_rank the terms holding v, in f's order.  A shifted
+    variable the packing lacks raises _Widen, and `_packed` builds the
+    packing again over the divisors' variables, f's and the shifted ones.
+    """
+    groups = {}  # v: [(position of the term in f, its addition)]
+    for pos, (mono, c) in enumerate(f.terms.items()):
+        for v, e in mono:
+            groups.setdefault(v, []).append(
+                (pos, c if e == 1 else c.scale_int(e)))
+    ups = [(v, (v[0], shift(v[1], k)), groups[v])
+           for v in sorted(groups, key=var_rank)]
+    terms = [*f.terms, *[((up, 1),) for _, up, _ in ups]]
+    return _packed(basis, terms, _divide_image, f, k, ups, basis)
+
+
+def _divide_image(f, k, ups, basis):
+    """image_normal_form's image and division under basis.packing; raises
+    _Widen as _divide does."""
+    packing = basis.packing
+    weights = packing.weights
+    keys = _fit(packing, f.terms)
+    rational = f.ctx.mode.kind == "rational"
+    p = {key: dc for key, c in zip(keys, f.terms.values())
+         if (dc := c.derive(k))} if rational else {}
+    for v, up, group in ups:
+        if up not in weights:
+            raise _Widen(packing.limit)
+        w = weights[up] - weights[v]
+        add_into(p, ((keys[pos] + w, c) for pos, c in group))
+    return DiffPolynomial(f.ctx, _divide_coefficients(p, basis) if rational
+                          else _divide_ints(p, basis))
 
 
 def buchberger(gens, order, prefix=None, out=None):

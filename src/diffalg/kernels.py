@@ -12,6 +12,9 @@ of the `inverted` set (the pivot denominators so far): ideal + (1 - g*z).
 `kernel_validate` is the one derivation-extension check; the prolongation
 runs it on every input it did not produce itself (its results are valid
 by construction) and builds its rows from the top-level generators only.
+Both take each D_k-image's normal form in one step,
+`groebner.image_normal_form`, which forms the image on the packed keys
+of the kernel's basis and divides it there.
 
 Primality of the presented ideal is assumed, not verified: the obstruction
 verdict is sound regardless, but a "prolonged" verdict is certified only
@@ -23,11 +26,11 @@ import math
 from functools import cached_property
 
 from . import bounds
-from .dpoly import DiffPolynomial, derivation_image, print_poly, var_rank
+from .dpoly import DiffPolynomial, print_poly, var_rank
 from .errors import (ContextError, DiffAlgError, Record, ResourceBudgetError,
                      _size_text, env_budget)
-from .groebner import (IdealPresentation, MonomialOrder, normal_form,
-                       rabinowitsch)
+from .groebner import (IdealPresentation, MonomialOrder, image_normal_form,
+                       normal_form, rabinowitsch)
 from .indices import check_coordinates, check_gamma, deg, gamma_set
 
 
@@ -182,11 +185,12 @@ def kernel_validate(Kp):
     """
     check_gamma(Kp.m, Kp.r)
     violations = []
-    for f in Kp.ideal.reduced_gb:
+    basis = Kp.ideal.divisors
+    for f in basis.polys:
         if f.max_level() > Kp.r - 1:
             continue
         for k in range(1, Kp.m + 1):
-            nf = Kp.ideal.normal_form(derivation_image(f, k))
+            nf = image_normal_form(f, k, basis)
             if not Kp.is_zero_mod(nf):
                 violations.append(violation(f, k, nf))
     return ValidationReport(valid=not violations, violations=violations)
@@ -220,15 +224,16 @@ def kernel_prolong_once(Kp):
     one has no level-(r+1) unknown, so it never pivots, and its constant,
     zero in the kernel's field once validated, stays zero.
 
-    Each row is the normal form of a D_k-image, and an elimination step
-    replaces it by the normal form of d*row - c*pivot: no lead of the
-    kernel's basis has an unknown, so one division reduces each unknown's
-    coefficient and the constant part.  A pivot row is its pivot relation.
-    Before the first row the unknowns join the packing of the kernel's
-    basis, at its width (`DivisorBasis.extend`): they outrank every lower
-    level in lex, so its lead keys and packed tails stay, and no row
-    division widens for an unknown.  That basis, packed tails and all, is
-    the next level's `buchberger` prefix.
+    Each row is the normal form of a D_k-image, formed on the packed keys
+    of the kernel's basis and divided there (`image_normal_form`), and an
+    elimination step replaces it by the normal form of d*row - c*pivot: no
+    lead of the kernel's basis has an unknown, so one division reduces
+    each unknown's coefficient and the constant part.  A pivot row is its
+    pivot relation.  Before the first row the unknowns join the packing of
+    the kernel's basis, at its width (`DivisorBasis.extend`): they outrank
+    every lower level in lex, so its lead keys and packed tails stay, and
+    no row widens the packing for an unknown.  That basis, packed tails
+    and all, is the next level's `buchberger` prefix.
 
     The kernel returned is valid by construction and carries `validated`,
     so it is not checked again when it is prolonged in turn.  Let I be
@@ -260,7 +265,7 @@ def kernel_prolong_once(Kp):
         if f.max_level() != r:
             continue
         for k in range(1, ctx.m + 1):
-            row = reduce(derivation_image(f, k))
+            row = image_normal_form(f, k, basis)
             if row:
                 rows.append((row, _split(row, unknown_set)[0], {(idx, k)}))
 

@@ -606,6 +606,12 @@ def _partial_derivative(f, v):
     return DiffPolynomial(f.ctx, terms)
 
 
+def _coefficient_forms(f):
+    """f's terms in order, each coefficient as the numerator and
+    denominator it holds: two rational forms of one value differ here."""
+    return [(mono, c.num, c.den) for mono, c in f.terms.items()]
+
+
 def reference_derivation_image(f, k):
     """Reference D_k-image: f^{delta_k} plus, per variable in ascending
     var_rank, the partial derivative times the shifted variable, each added

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import diffalg
-from diffalg import coeff, kernels, prolong
+from diffalg import cli, coeff, kernels, prolong
 from diffalg.cli import (EXIT_NEGATIVE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
                          run)
 from diffalg.files import load_ideal_text, load_kernel_text
@@ -577,7 +577,7 @@ INPUT_TOO_LONG = "integer of 5000 digits is over the 4300-digit limit"
 OUTPUT_TOO_LONG = "an output integer is over the 4300-digit int-to-str limit"
 
 
-@pytest.mark.parametrize("argv,text,code,error", [
+OVERSIZED = [
     (["prolong-variety", "{path}", "--all"],
      "m=1 n=1 gamma=0 mode=constants\nx1_[0] - " + BIG, EXIT_USAGE,
      {"error": "usage",
@@ -595,17 +595,53 @@ OUTPUT_TOO_LONG = "an output integer is over the 4300-digit int-to-str limit"
     (["prolong-variety", "{path}", "--all"],
      "m=1 n=1 gamma=0 mode=constants\nx1_[0] - 2^15000", EXIT_RESOURCE,
      {"error": "resource", "message": OUTPUT_TOO_LONG}),
-], ids=["ideal-literal", "kernel-literal", "formula-literal", "bounds-value",
-        "formula-alpha", "generator-coefficient"])
-def test_oversized_integers_are_error_exits(tmp_path, argv, text, code,
-                                            error):
+]
+OVERSIZED_IDS = ["ideal-literal", "kernel-literal", "formula-literal",
+                 "bounds-value", "formula-alpha", "generator-coefficient"]
+
+
+def oversized_argv(tmp_path, argv, text):
+    """argv with {path} naming a file that holds text, when text is given."""
     path = tmp_path / "input.txt"
     if text is not None:
         path.write_text(text + "\n")
-    proc = run_cli_process([a.format(path=path) for a in argv])
+    return [a.format(path=path) for a in argv]
+
+
+@pytest.mark.parametrize("argv,text,code,error", OVERSIZED, ids=OVERSIZED_IDS)
+def test_oversized_integers_are_error_exits(tmp_path, argv, text, code,
+                                            error):
+    proc = run_cli_process(oversized_argv(tmp_path, argv, text))
     assert proc.stderr == ""
     assert proc.returncode == code
     assert json.loads(proc.stdout) == error
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default int-to-str digit limit, for this test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv,text,code,error", OVERSIZED, ids=OVERSIZED_IDS)
+def test_oversized_integers_are_error_exits_in_process(
+        tmp_path, capsys, default_digit_limit, argv, text, code, error):
+    # the same exits from run(), in this process
+    code_got, out = invoke(capsys, oversized_argv(tmp_path, argv, text))
+    assert (code_got, json.loads(out)) == (code, error)
+
+
+def test_main_exits_with_the_run_code(capsys, monkeypatch,
+                                      default_digit_limit):
+    monkeypatch.setattr(sys, "argv", ["diffalg", "bounds", "1", "2", "20000"])
+    with pytest.raises(SystemExit) as exit_:
+        cli.main()
+    assert exit_.value.code == EXIT_RESOURCE
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "resource", "message": OUTPUT_TOO_LONG}
 
 
 def test_an_integer_power_over_the_bit_budget_exits_3(tmp_path, capsys,
@@ -727,7 +763,7 @@ def test_kernel_commands_refuse_before_they_validate(
     # an invalid kernel whose next level is over the budget exits 3, not 1,
     # and neither command computes a D_k-image of an over-budget kernel
     monkeypatch.setenv("DIFFALG_COORD_BUDGET", str(budget))
-    images = counting_calls(monkeypatch, kernels, "derivation_image")
+    images = counting_calls(monkeypatch, kernels, "image_normal_form")
     validations = counting_calls(monkeypatch, kernels, "kernel_validate")
     path = tmp_path / "k.kernel"
     path.write_text(KERNEL_INVALID)

@@ -11,10 +11,11 @@ from diffalg.dpoly import (Context, DiffPolynomial, derivation_image,
                            mono_lcm, mono_mul, parse_poly, print_poly,
                            var_rank)
 from diffalg.errors import ContextError, ParseError, ResourceBudgetError
-from helpers import (from_tkeys, reference_derivation_image,
-                     reference_mono_lcm, reference_mono_mul, reference_mul,
-                     reference_parse_poly, reference_pow,
-                     reference_print_poly, reference_render, to_tkeys)
+from helpers import (_coefficient_forms, from_tkeys,
+                     reference_derivation_image, reference_mono_lcm,
+                     reference_mono_mul, reference_mul, reference_parse_poly,
+                     reference_pow, reference_print_poly, reference_render,
+                     to_tkeys)
 
 CONST2 = Context(n=1, m=2, mode=FieldMode("constants", 2))
 RAT2 = Context(n=2, m=2, mode=FieldMode("rational", 2))
@@ -345,10 +346,6 @@ _image_terms = st.lists(st.tuples(
     st.lists(st.sampled_from([(i, xi) for i in (1, 2)
                               for xi in _indices(2, 1)]), max_size=3)),
     min_size=1, max_size=5)
-
-
-def _coefficient_forms(f):
-    return [(mono, c.num, c.den) for mono, c in f.terms.items()]
 
 
 @given(terms=_image_terms, k=st.sampled_from([1, 2]))

@@ -9,16 +9,18 @@ from hypothesis import assume, given, settings, strategies as st
 
 from diffalg import groebner
 from diffalg.coeff import Coefficient, FieldMode
-from diffalg.dpoly import (Context, DiffPolynomial, mono_lcm, mono_mul,
-                           parse_poly, print_poly, var_rank)
+from diffalg.dpoly import (Context, DiffPolynomial, derivation_image,
+                           mono_lcm, mono_mul, parse_poly, print_poly,
+                           var_rank)
 from diffalg.groebner import (DivisorBasis, IdealPresentation, MonomialOrder,
                               _reduce_basis, buchberger, elimination_ideal,
                               leading_term, normal_form, radical_member)
 from diffalg.kernels import KernelPresentation
 
 import helpers
-from helpers import (mono_div, naive_normal_form, naive_reduce_basis,
-                     reference_buchberger, reference_normal_form, sort_key)
+from helpers import (_coefficient_forms, mono_div, naive_normal_form,
+                     naive_reduce_basis, reference_buchberger,
+                     reference_normal_form, sort_key)
 
 C3 = Context(n=3, m=1, mode=FieldMode("constants", 1))
 C2 = Context(n=2, m=1, mode=FieldMode("constants", 1))
@@ -1111,6 +1113,75 @@ def test_normal_form_widens_the_packing(kind, mode):
     assert divisors.packing.limit >= 2 ** 70
     for f in (first, g):
         _check_against_reference(normal_form(f, divisors), f, divisors)
+
+
+# --- image_normal_form against the divided D_k-image -----------------------
+
+# the level-1 variables: the D_1-images of x1..x3 and a lead or tail term
+# of some generated bases
+SHIFTED = [(1, (1,)), (2, (1,)), (3, (1,))]
+
+
+def _check_image(f, basis):
+    """image_normal_form(f, 1, basis) against normal_form of the D_1-image
+    by a fresh basis over the same divisors: the same terms in the same
+    order, each coefficient in the same form."""
+    got = groebner.image_normal_form(f, 1, basis)
+    want = normal_form(derivation_image(f, 1),
+                       DivisorBasis(basis.order, basis.polys))
+    assert _layout(got) == _layout(want)
+    assert _coefficient_forms(got) == _coefficient_forms(want)
+    return got
+
+
+@pytest.mark.parametrize("mode", ["constants", "rational"])
+@pytest.mark.parametrize("kind", sorted(ORDERS))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_image_normal_form_matches_the_divided_image(mode, kind, data):
+    ctx, order = _ctx(mode), ORDERS[kind]
+    gens = data.draw(st.lists(_polys(ctx, 2, 3, XS + SHIFTED), min_size=1,
+                              max_size=3 if mode == "constants" else 2))
+    gens = [g for g in gens if g]
+    assume(gens)
+    f = data.draw(_polys(ctx, 3, 4, XS + SHIFTED[:1]))
+    for basis in (gens, buchberger(gens, order)):
+        # never packed; then packed over x1..x3 alone, which lacks every
+        # shifted variable; then as the first image left it
+        never = DivisorBasis(order, basis)
+        _check_image(f, never)
+        _check_image(f, never)
+        lacking = DivisorBasis(order, basis)
+        lacking.pack(0, [((v, 1),) for v in XS])
+        _check_image(f, lacking)
+
+
+@pytest.mark.parametrize("mode", ["constants", "rational"])
+def test_image_normal_form_widens_a_slot_at_its_limit(mode):
+    # x1_[0]^31 fits the narrowest slots (limit 31) and so does its image
+    # 31*x1_[0]^30*x1_[1], but dividing by x1_[1] - x1_[0]^2 makes
+    # x1_[0]^32, whose key has a guard bit set: the slots double in width
+    ctx = _ctx(mode)
+    basis = DivisorBasis(LEX, [p("x1_[1] - x1_[0]^2", ctx)])
+    basis.pack()
+    assert basis.packing.limit == 31
+    got = _check_image(p("x1_[0]^31 + x2_[0]", ctx), basis)
+    assert basis.packing.limit == 2 ** 10 - 1
+    assert print_poly(got) == "31*x1_[0]^32 + x2_[1]"
+
+
+def test_image_normal_form_adds_to_a_derived_coefficient():
+    # the image's x1_[1]*x2_[1] term takes the first term's derived
+    # coefficient 1/(t1 + 1)^2, then -1/(t1 + 1)^2 from x1_[0]*x2_[1] (the
+    # sum is zero), then 1/(t1 + 2) from x2_[0]*x1_[1]: in that order the
+    # coefficient is 1/(t1 + 2); any other order leaves a degree-5
+    # denominator
+    ctx = _ctx("rational")
+    f = p("-1/(t1 + 1)*x1_[1]*x2_[1] - 1/(t1 + 1)^2*x1_[0]*x2_[1]"
+          " + 1/(t1 + 2)*x1_[1]*x2_[0]", ctx)
+    got = _check_image(f, DivisorBasis(LEX, [p("x1_[2] - x2_[0]", ctx)]))
+    c = got.terms[(((1, (1,)), 1), ((2, (1,)), 1))]
+    assert (c.num, c.den) == ({0: 1}, {1: 1, 0: 2})
 
 
 @pytest.mark.parametrize("kind", sorted(ORDERS))

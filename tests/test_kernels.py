@@ -575,23 +575,27 @@ def test_validate_divides_each_image_once(monkeypatch):
             (SATURATION_DECIDES, [parse_poly("x1_[0]", C1)], 1)):
         K = make_kernel(C1, 2, texts, inverted)
         own = K.ideal.divisors
-        images = []
-        image = kernels.derivation_image
+        images = []  # (f, k, basis, remainder) of each image division
+        divide = kernels.image_normal_form
 
-        def recording(f, k):
-            images.append(image(f, k))
-            return images[-1]
+        def recording(f, k, basis):
+            images.append((f, k, basis, divide(f, k, basis)))
+            return images[-1][3]
 
-        monkeypatch.setattr(kernels, "derivation_image", recording)
+        monkeypatch.setattr(kernels, "image_normal_form", recording)
         calls = recording_divisions(monkeypatch)
         report = kernel_validate(K)
         monkeypatch.undo()
-        # building the saturation basis divides the inverted elements
-        mine = [(f, nf) for f, basis, nf in calls if basis is own
-                and not any(f is h for h in inverted)]
+        # building the saturation basis divides the inverted elements, and
+        # no image is divided by the kernel's basis again
+        assert not [f for f, basis, _ in calls if basis is own
+                    and not any(f is h for h in inverted)]
+        mine = [(derivation_image(f, k), nf) for f, k, basis, nf in images
+                if basis is own]
         assert len(images) == count
         assert len(mine) == len(images)
-        assert all(f is img for (f, _), img in zip(mine, images))
+        assert all(groebner.normal_form(img, own).terms == nf.terms
+                   for img, nf in mine)
         nonzero = [nf for _, nf in mine if nf]
         assert nonzero
         sat = K._saturation_basis
@@ -776,16 +780,22 @@ def test_named_kernels_match_the_split_rows(name):
 
 
 def counted_prolong_once(monkeypatch, prolong_once, K):
-    """The printed dividends of every normal_form call that prolong_once(K)
-    makes, in order, and its result."""
+    """The printed dividends of every division that prolong_once(K) makes,
+    in order, and its result: each normal_form call's, and the D_k-image
+    of each image_normal_form call."""
     dividends = []
 
     def counting(f, basis):
         dividends.append(print_poly(f))
         return real(f, basis)
 
-    real = groebner.normal_form
+    def counting_image(f, k, basis):
+        dividends.append(print_poly(derivation_image(f, k)))
+        return real_image(f, k, basis)
+
+    real, real_image = groebner.normal_form, kernels.image_normal_form
     monkeypatch.setattr(groebner, "normal_form", counting)
+    monkeypatch.setattr(kernels, "image_normal_form", counting_image)
     result = prolong_once(K)
     monkeypatch.undo()
     return dividends, result

@@ -32,7 +32,7 @@ def test_two_copies_of_one_tree_agree_on_a_job_slice(capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert out[0].split() == ["family", "jobs", "before_ms", "after_ms",
-                              "ratio"]
+                              "ratio", "won"]
     assert out[-2].startswith("all (sum)") and int(out[-2].split()[2]) == 12
     assert re.fullmatch(r"after faster in [0-2] of 2 rounds", out[-1])
     assert not any(line.startswith("output differs") for line in out)
@@ -51,6 +51,8 @@ def test_one_family_runs_alone(capsys):
         ["large-input", "4"], ["all", "(sum)"]]
     assert int(out[-2].split()[2]) == 4
     assert re.fullmatch(r"after faster in [01] of 1 rounds", out[-1])
+    assert out[-1].split()[3] == out[-2].split()[-1][0] == \
+        out[1].split()[-1][0]
     with pytest.raises(SystemExit) as exit_:
         SCRIPT.main([str(ROOT), str(ROOT), "--rounds", "1",
                      "--family", "no-such-family"])
@@ -113,3 +115,7 @@ def test_rounds_won_compare_each_rounds_totals(monkeypatch):
     lines = SCRIPT.report(times, totals)
     assert lines[-1] == "after faster in 2 of 4 rounds"
     assert lines[-2].startswith("all (sum)")
+    # per family: a's after wins round 4 alone, b's rounds 1-3
+    assert lines[0].split()[-1] == "won"
+    assert [line.split()[-1] for line in lines[1:-1]] == ["1/4", "3/4",
+                                                          "2/4"]
