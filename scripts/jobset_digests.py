@@ -36,16 +36,24 @@ def jobset_digest(api, module, seed, variant):
     return digest.hexdigest()
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    tree = os.path.abspath(argv[0] if argv else
-                           os.path.join(os.path.dirname(__file__), os.pardir))
+def workloads(tree):
+    """(api, [(workload, module)]): tree's diffalg package, with its cli
+    and files modules loaded, and its bench workload modules, imported
+    with TREE/src and TREE/bench put first on sys.path."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "bench")]
     api = importlib.import_module("diffalg")
     importlib.import_module("diffalg.cli")
     importlib.import_module("diffalg.files")
-    for name, module_name in WORKLOADS:
-        module = importlib.import_module(module_name)
+    return api, [(name, importlib.import_module(module_name))
+                 for name, module_name in WORKLOADS]
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    tree = os.path.abspath(argv[0] if argv else
+                           os.path.join(os.path.dirname(__file__), os.pardir))
+    api, modules = workloads(tree)
+    for name, module in modules:
         for seed in SEEDS:
             for variant in VARIANTS:
                 print(name, seed, variant,

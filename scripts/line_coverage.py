@@ -47,12 +47,9 @@ def executable_lines(path):
     return lines
 
 
-def trace_tests(tree, out):
-    """Run the tier-1 tests of tree under the tracer, in this process, and
-    write {module: [reached line, ...]} to out as JSON; pytest's exit
-    code."""
-    import pytest
-
+def line_tracer(tree):
+    """(tracer, reached): a ``sys.settrace`` function that adds each line
+    of tree's src/diffalg that runs to reached, {filename: set of lines}."""
     package = os.path.realpath(os.path.join(tree, "src", "diffalg")) + os.sep
     reached = {}  # filename -> set of reached lines
     ours = {}     # filename -> its set in reached, or None
@@ -73,6 +70,26 @@ def trace_tests(tree, out):
             return None
         lines.add(frame.f_lineno)
         return local
+
+    return tracer, reached
+
+
+def write_reached(tree, reached, out):
+    """Write line_tracer's reached lines to out as JSON, {module path
+    under src/diffalg: [line, ...]}."""
+    package = os.path.realpath(os.path.join(tree, "src", "diffalg"))
+    Path(out).write_text(json.dumps({
+        os.path.relpath(os.path.realpath(f), package): sorted(lines)
+        for f, lines in reached.items()}))
+
+
+def trace_tests(tree, out):
+    """Run the tier-1 tests of tree under the tracer, in this process, and
+    write the lines they reach to out (write_reached); pytest's exit
+    code."""
+    import pytest
+
+    tracer, reached = line_tracer(tree)
 
     class Rearm:
         """Arms the tracer again before each phase of each test."""
@@ -96,9 +113,7 @@ def trace_tests(tree, out):
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    report = {os.path.relpath(os.path.realpath(f), package): sorted(lines)
-              for f, lines in reached.items()}
-    Path(out).write_text(json.dumps(report))
+    write_reached(tree, reached, out)
     return int(code)
 
 
@@ -115,30 +130,28 @@ def unreached(tree, reached):
     return out
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="the lines of src/diffalg no tier-1 test reaches")
-    parser.add_argument("tree", nargs="?", default=str(HERE))
-    parser.add_argument("--trace-into", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    tree = os.path.abspath(args.tree)
-    if args.trace_into:
-        return trace_tests(tree, args.trace_into)
-    if not Path(tree, "src", "diffalg").is_dir():
-        print("%s: no src/diffalg there" % tree, file=sys.stderr)
-        return 2
+def run_traced(script, tree):
+    """(child process, reached lines or None): run `script tree
+    --trace-into OUT` in a child python, from a temporary directory and
+    with tree's src/ first on PYTHONPATH, and read the lines it wrote to
+    OUT."""
     with tempfile.TemporaryDirectory() as work:
         out = os.path.join(work, "reached.json")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
             os.path.join(tree, "src"), os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run([sys.executable, os.path.abspath(__file__),
+        proc = subprocess.run([sys.executable, os.path.abspath(script),
                                tree, "--trace-into", out],
                               cwd=work, env=env, capture_output=True,
                               text=True)
         if not os.path.exists(out):
-            sys.stderr.write(proc.stdout + proc.stderr)
-            return 2
-        reached = json.loads(Path(out).read_text())
+            return proc, None
+        return proc, json.loads(Path(out).read_text())
+
+
+def report(tree, reached):
+    """Print each unreached line of tree's src/diffalg as
+    ``module:line: source``, then the unreached and executable lines per
+    module and in total."""
     rows = unreached(tree, reached)
     for name, lines, _ in rows:
         source = Path(tree, "src", "diffalg", name).read_text().splitlines()
@@ -151,6 +164,25 @@ def main(argv=None):
     width = max(len(name) for name, _, _ in counts)
     for name, count, total in counts:
         print("%s  %5d of %5d" % (name.ljust(width), count, total))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description="the lines of src/diffalg no tier-1 test reaches")
+    parser.add_argument("tree", nargs="?", default=str(HERE))
+    parser.add_argument("--trace-into", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    tree = os.path.abspath(args.tree)
+    if args.trace_into:
+        return trace_tests(tree, args.trace_into)
+    if not Path(tree, "src", "diffalg").is_dir():
+        print("%s: no src/diffalg there" % tree, file=sys.stderr)
+        return 2
+    proc, reached = run_traced(__file__, tree)
+    if reached is None:
+        sys.stderr.write(proc.stdout + proc.stderr)
+        return 2
+    report(tree, reached)
     summary = proc.stdout.strip().splitlines()
     print("pytest: %s" % (summary[-1] if summary else "no output"))
     return 1 if proc.returncode else 0

@@ -12,8 +12,6 @@ from .errors import ContextError, ResourceBudgetError, _size_text, env_budget
 # Looping more than this many times in the C^1 recursion is hopeless anyway.
 MAX_RECURSION_STEPS = 1 << 20
 
-_ack_memo = {}
-
 
 def bit_budget():
     return env_budget("DIFFALG_BIT_BUDGET", 1 << 20)
@@ -32,7 +30,7 @@ def _pow2(e, budget):
 
 
 def ackermann(x, y):
-    """A(x, y) with closed forms for x <= 3 and memoized recursion above.
+    """A(x, y) with closed forms for x <= 3 and the recursion above.
 
     The closed forms (y+1, y+2, 2y+3, 2^{y+3}-3) each follow from the
     recursion by induction on y.
@@ -61,15 +59,9 @@ def _ackermann(x, y, budget):
         return 2 * y + 3
     if x == 3:
         return _pow2(y + 3, budget) - 3
-    key = (x, y)
-    if key in _ack_memo:
-        return _ack_memo[key]
     if y == 0:
-        val = _ackermann(x - 1, 1, budget)
-    else:
-        val = _ackermann(x - 1, _ackermann(x, y - 1, budget), budget)
-    _ack_memo[key] = val
-    return val
+        return _ackermann(x - 1, 1, budget)
+    return _ackermann(x - 1, _ackermann(x, y - 1, budget), budget)
 
 
 def _c1_recursive(r, m, budget):

@@ -496,6 +496,9 @@ def buchberger(gens, order, prefix=None, out=None):
     ascending by lm.  G's packing fits twice the largest lead degree, so
     every lcm of two leads has a key; when it changes, the queued pairs are
     keyed again in place, and stay a heap, as keys compare as the order.
+    One rule covers every packing G outgrows: an S-pair, or the final
+    reduction, that meets a term it does not fit packs G again and runs
+    again whole (`_packed`).
 
     A pair whose leads are coprime (disjoint support masks) is never
     queued.  The chain criterion skips C = (i, j) when lm_k divides lcm(C)
@@ -512,9 +515,8 @@ def buchberger(gens, order, prefix=None, out=None):
     term for term (they may be moved into another context).  G starts as
     a copy of it, with its leads, packing, lead keys and packed tails, so
     no lead is derived and no tail packed again while the packing lasts,
-    and only the later gens are appended.  Any packing will do: a division
-    or the final reduction that meets a term it does not fit packs G
-    again.  Only pairs with a later element are then queued (pairs within
+    and only the later gens are appended.  Any packing will do, by that
+    rule.  Only pairs with a later element are then queued (pairs within
     the prefix count as done for the chain criterion), and the final
     reduction keeps each prefix element as it is unless a new lead divides
     one of its terms.  The result is the same basis as with no prefix.
@@ -606,24 +608,22 @@ def _reduce_basis(G, prefix=0, out=None):
     normal_form's choice of divisor.  A constant sorts first and leaves the
     basis [1].  Every divisibility test is the guarded subtraction of
     normal_form on G's packed keys, and the kept elements, inserted under
-    G's packing, are divided by with it and with the lm keys and tails G
-    packed under it: none is keyed or packed again.  Once a division widens
-    the kept elements' packing, an element kept after it takes no key or
-    tail from G; its lm is keyed as it is inserted and its tail packed
-    under the new packing when first used.
+    G's packing, are divided (`_divide`) with it and with the lm keys and
+    tails G packed under it: none is keyed or packed again.
 
     The first `prefix` elements of G are a reduced basis as `buchberger`
     returns it, so only kept leads from later elements can divide their lms
     or terms.  One that no such lead divides is kept as it is: normal_form
     would return its terms unchanged, in the descending order they already
     have.  Element 0 alone may keep its generator's term order, so once
-    something is kept before it, it goes through normal_form as it would
-    from scratch.
+    something is kept before it, it is divided as it would be from scratch.
 
-    A prefix tail that G's packing does not fit raises _Widen before `out`
-    is touched, and buchberger runs the pass again under a packing built
-    over all of G (`_packed`): a carried prefix's packing is its earlier
-    run's, which the terms its final reduction made need not fit.
+    G's packing is the one packing of the pass.  A division that leaves
+    it, or a prefix tail it does not fit, raises _Widen before `out` is
+    touched, and buchberger packs G again and runs the pass again
+    (`_packed`), as it does an S-pair: a carried prefix's packing is its
+    earlier run's, and neither it nor the packing of G's own run need fit
+    the terms a tail reduction makes.
 
     `out`, when given an empty DivisorBasis, receives the result with its
     lms, G's packing and G's keys of the lms, and each prefix element kept
@@ -631,7 +631,7 @@ def _reduce_basis(G, prefix=0, out=None):
     """
     order, lms = G.order, G.lms
     divisors = DivisorBasis(order)  # the kept elements, in G order
-    divisors.packing = packing = G.packing or G.pack()
+    divisors.packing = packing = G.packing
     guards, one = packing.guards, packing.one
     keys = G.keys  # sort as the lms do
 
@@ -659,14 +659,11 @@ def _reduce_basis(G, prefix=0, out=None):
         if as_is:
             reduced.append((g, lm, G.tails[i], keys[i]))
         else:
-            reduced.append(((normal_form(g, divisors) if kept else g).scale(
+            reduced.append(((_divide(g, divisors) if kept else g).scale(
                 g.terms[lm].inverse()), lm, None, keys[i]))
         k = bisect.bisect(kept, i)
         kept.insert(k, i)
-        if divisors.packing is packing:
-            divisors.insert(k, g, lm, G.tails[i], keys[i])
-        else:
-            divisors.insert(k, g, lm)
+        divisors.insert(k, g, lm, G.tails[i], keys[i])
     if out is not None:
         out.packing = packing
         for r in reduced:

@@ -254,6 +254,8 @@ def test_compile_formula_errors():
         compile_formula("d[1]x1 = 0", 2)  # index arity mismatch
     with pytest.raises(ParseError):
         compile_formula("d[1]x1 + = 0", 1)
+    with pytest.raises(ContextError, match="^m must be >= 1$"):
+        compile_formula("d[1]x1 = 0", 0)
 
 
 def test_demo_verdicts():

@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import diffalg
-from diffalg import cli, coeff, kernels, prolong
+from diffalg import bounds, cli, coeff, kernels, prolong
 from diffalg.cli import (EXIT_NEGATIVE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
                          run)
 from diffalg.files import load_ideal_text, load_kernel_text
@@ -642,6 +643,27 @@ def test_main_exits_with_the_run_code(capsys, monkeypatch,
     assert exit_.value.code == EXIT_RESOURCE
     assert json.loads(capsys.readouterr().out) == {
         "error": "resource", "message": OUTPUT_TOO_LONG}
+
+
+def test_module_run_as_a_script_exits_with_the_run_code(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["diffalg", "bounds", "2", "3", "1"])
+    monkeypatch.delitem(sys.modules, "diffalg.cli")
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("diffalg.cli", run_name="__main__")
+    assert exit_.value.code == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["value"] == 9
+
+
+def test_an_unrelated_value_error_is_raised_again(capsys, monkeypatch):
+    # only the int-to-str refusal is an exit code; any other ValueError is
+    # a fault, so it reaches the caller
+    def failing(r, m, n):
+        raise ValueError("unrelated")
+
+    monkeypatch.setattr(bounds, "bound_C", failing)
+    with pytest.raises(ValueError, match="^unrelated$"):
+        run(["bounds", "2", "3", "1"])
+    assert capsys.readouterr().out == ""
 
 
 def test_an_integer_power_over_the_bit_budget_exits_3(tmp_path, capsys,

@@ -227,6 +227,30 @@ def test_constants_mode_errors():
             mixed()
 
 
+def test_rational_mode_argument_checks():
+    # the rational-mode refusals, which no parsed input reaches
+    zero, t1 = Coefficient.zero(1), t(1, 1)
+    with pytest.raises(ZeroDivisionError, match="^zero denominator$"):
+        Coefficient(t1.num, zero.num, 1)
+    with pytest.raises(ContextError,
+                       match=r"^base variable t2 out of range 1\.\.1$"):
+        t(2, 1)
+    with pytest.raises(ZeroDivisionError,
+                       match="^division by zero coefficient$"):
+        t1 / zero
+    with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+        zero.inverse()
+    with pytest.raises(ContextError,
+                       match=r"^derivation index 2 out of range 1\.\.1$"):
+        t1.derive(2)
+
+
+def test_equality_with_another_type_is_left_to_it():
+    for c in (Q(3, 2), t(1, 1)):
+        assert c.__eq__(3) is NotImplemented
+        assert c != "3/2" and not c == 3
+
+
 # --- rational-mode shortcuts against the full reduction ---------------------
 
 def _int_polys(nv):

@@ -77,6 +77,35 @@ def test_eq_compares_values_and_checks_the_context():
     assert DiffPolynomial(RAT1, {X1: c}) != DiffPolynomial(RAT1, {X2: c})
     with pytest.raises(ContextError):
         parse_poly("x1_[0]", RAT1) == parse_poly("x1_[0]", RAT1.with_n(3))
+    f = parse_poly("x1_[0]", RAT1)
+    assert f.__eq__(1) is NotImplemented
+    assert f != "x1_[0]" and not f == 1
+
+
+def test_argument_checks():
+    # the refusals of the library calls the loaders and the parser rule out
+    f = parse_poly("x1_[0]", CONST1)
+    with pytest.raises(ContextError,
+                       match=r"^coordinate index 3 out of range 1\.\.2$"):
+        CONST1.check_var((3, (0,)))
+    with pytest.raises(ContextError,
+                       match=r"^multi-index \(0, 0\) must have length 1$"):
+        CONST1.check_var((1, (0, 0)))
+    with pytest.raises(ContextError,
+                       match="^base variable t1 needs rational mode$"):
+        DiffPolynomial.base_var(CONST1, 1)
+    with pytest.raises(ContextError, match="^polynomial is not constant$"):
+        f.constant_value()
+    with pytest.raises(ContextError, match="^negative exponent$"):
+        f ** -1
+    with pytest.raises(ContextError,
+                       match=r"^derivation index 2 out of range 1\.\.1$"):
+        f.coeff_derivative(2)
+    with pytest.raises(ContextError,
+                       match=r"^point missing values for \['x1_\[0\]'\]$"):
+        f.evaluate({})
+    with pytest.raises(ContextError, match="^incompatible context$"):
+        f.with_context(RAT1)
 
 
 def test_parse_unclosed_bracket():

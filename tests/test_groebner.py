@@ -12,6 +12,7 @@ from diffalg.coeff import Coefficient, FieldMode
 from diffalg.dpoly import (Context, DiffPolynomial, derivation_image,
                            mono_lcm, mono_mul, parse_poly, print_poly,
                            var_rank)
+from diffalg.errors import ContextError
 from diffalg.groebner import (DivisorBasis, IdealPresentation, MonomialOrder,
                               _reduce_basis, buchberger, elimination_ideal,
                               leading_term, normal_form, radical_member)
@@ -131,6 +132,15 @@ def test_unit_ideal_collapses_to_one():
     gb = I.reduced_gb
     assert len(gb) == 1 and gb[0].is_constant()
     assert I.reduced_gb == [p("1", C1)]
+
+
+def test_argument_checks():
+    with pytest.raises(ContextError, match="^unknown monomial order 'foo'$"):
+        MonomialOrder("foo")
+    I = IdealPresentation(C2, [p("x1_[0] - 1", C2)])
+    for call in (I.normal_form, lambda f: radical_member(f, I)):
+        with pytest.raises(ContextError, match="^polynomial in wrong context$"):
+            call(p("x1_[0]"))
 
 
 def _random_poly(rng, ctx):
@@ -529,7 +539,10 @@ def _unreduced_basis(rng, basis, order):
 
 
 def _check_reduce_basis(G, basis, order):
-    got = _reduce_basis(DivisorBasis(order, G))
+    # the pass runs as buchberger runs it: G packed first, and packed again
+    # and the pass run again on a widen
+    divisors = DivisorBasis(order, G)
+    got = groebner._packed(divisors, (), _reduce_basis, divisors, 0)
     want = naive_reduce_basis(G, order)
     assert [print_poly(g) for g in got] == [print_poly(g) for g in want]
     assert got == basis
@@ -549,14 +562,10 @@ def test_reduce_basis_matches_naive_reference(mode, kind, data):
     _check_reduce_basis(_unreduced_basis(rng, basis, order), basis, order)
 
 
-@pytest.mark.parametrize("kind", sorted(ORDERS))
-def test_reduce_basis_keeps_the_rational_forms(kind):
-    # Three rational generators give bases where several kept leads divide
-    # one tail term and sums build uncancelled factors: on some of these
-    # seeds, tail reduction against the already reduced elements, or
-    # against the kept ones in lm order, would print a coefficient in
-    # another form than the reference.
-    ctx, order = _ctx("rational"), ORDERS[kind]
+def _rational_systems():
+    """(rng, gens) for each of 40 seeded systems of three rational
+    generators, rng as drawing gens left it."""
+    ctx = _ctx("rational")
     for seed in range(40):
         rng = random.Random(seed)
         gens = []
@@ -566,6 +575,18 @@ def test_reduce_basis_keeps_the_rational_forms(kind):
                 c = DiffPolynomial.const(ctx, _random_coefficient(rng, ctx.nv))
                 f = f + _times_variables(rng, c)
             gens.append(f)
+        yield rng, gens
+
+
+@pytest.mark.parametrize("kind", sorted(ORDERS))
+def test_reduce_basis_keeps_the_rational_forms(kind):
+    # Three rational generators give bases where several kept leads divide
+    # one tail term and sums build uncancelled factors: on some of these
+    # seeds, tail reduction against the already reduced elements, or
+    # against the kept ones in lm order, would print a coefficient in
+    # another form than the reference.
+    order = ORDERS[kind]
+    for rng, gens in _rational_systems():
         basis = buchberger(gens, order)
         if basis:
             _check_reduce_basis(_unreduced_basis(rng, basis, order), basis,
@@ -609,19 +630,33 @@ def test_buchberger_prefix_matches_from_scratch(mode, kind, data):
 
 
 @pytest.mark.parametrize("mode", ["constants", "rational"])
-def test_buchberger_prefix_past_its_packing(mode):
-    # the final reduction of [x2 - x1^5, x3 - x2^7] makes x3 - x1^35, past
-    # the packing its run hands over with it (limit 31); x1 - 1's lead is
-    # coprime to both, so completing with it queues no pair that could
-    # widen the packing, and the final reduction meets that tail first
+def test_buchberger_prefix_past_its_packing(monkeypatch, mode):
+    # the final reduction of [x2 - x1^5, x3 - x2^7] makes x3 - x1^35, which
+    # widens G's packing (limit 31) and runs the pass again, so the packing
+    # handed over with it fits x1^35; x1 - 1's lead is coprime to both, so
+    # completing with it queues no pair that could widen the packing
     ctx = _ctx(mode)
     first = DivisorBasis(LEX)
     gb = buchberger([p("x2_[0] - x1_[0]^5", ctx), p("x3_[0] - x2_[0]^7", ctx)],
                     LEX, out=first)
     assert [print_poly(g) for g in gb] == ["-x1_[0]^5 + x2_[0]",
                                            "-x1_[0]^35 + x3_[0]"]
-    assert first.packing.limit < 35
+    assert first.packing.limit >= 35
     _check_prefix(first, [p("x1_[0] - 1", ctx)], LEX)
+    # here each slot of the handed-over packing (limit 31) fits the tail
+    # x1^20*x2^20 but its total degree does not: the final reduction meets
+    # that tail first and runs again under a wider packing
+    first = DivisorBasis(LEX)
+    gb = buchberger([p("x3_[0] - x1_[0]^4*x2_[0]^4", ctx),
+                     p("x4_[0] - x3_[0]^5", ctx)], LEX, out=first)
+    assert [print_poly(g) for g in gb] == ["-x1_[0]^4*x2_[0]^4 + x3_[0]",
+                                           "-x1_[0]^20*x2_[0]^20 + x4_[0]"]
+    assert first.packing.limit == 31
+    runs = capturing_runs(monkeypatch)
+    _check_prefix(first, [p("x1_[0] - 1", ctx)], LEX)
+    # twice on one G with the prefix, then once from scratch
+    assert len(runs) == 3 and runs[0] is runs[1] is not runs[2]
+    assert runs[0].packing.limit == 63
 
 
 CYCLIC4 = ["x1_[0] + x2_[0] + x3_[0] + x4_[0]",
@@ -689,18 +724,22 @@ def test_buchberger_keys_each_lead_once(monkeypatch, kind):
 
 
 @pytest.mark.parametrize("mode", ["constants", "rational"])
-def test_reduce_basis_after_its_kept_elements_widen(mode):
+def test_reduce_basis_after_its_kept_elements_widen(monkeypatch, mode):
     # the S-pair of x4 - x2 and x4*x1 - x1 packs x4 - x2's tail at limit
-    # 31; the final reduction of x3 - x2^7 by x2 - x1^5 then meets x1^35
-    # and packs the kept elements wider, so x4 - x2 joins them without G's
-    # packed tail, and x5 - x4 divides by it under the wider packing
+    # 31; the final reduction of x3 - x2^7 by x2 - x1^5 then meets x1^35,
+    # which leaves G's packing: G is packed wider and the pass runs again,
+    # so x4 - x2 joins the kept elements with the tail packed under the
+    # new packing, and x5 - x4 divides by it under that packing
     ctx = Context(n=5, m=1, mode=FieldMode(mode, 1))
     gens = [p(g, ctx) for g in ["x2_[0] - x1_[0]^5", "x3_[0] - x2_[0]^7",
                                 "x4_[0] - x2_[0]", "x4_[0]*x1_[0] - x1_[0]",
                                 "x5_[0] - x4_[0]"]]
+    runs = capturing_runs(monkeypatch)
     assert [print_poly(g) for g in buchberger(gens, LEX)] == [
         "x1_[0]^6 - x1_[0]", "-x1_[0]^5 + x2_[0]", "-x1_[0]^5 + x3_[0]",
         "-x1_[0]^5 + x4_[0]", "-x1_[0]^5 + x5_[0]"]
+    assert len(runs) == 2 and runs[0] is runs[1]
+    assert runs[0].packing.limit == 1023
 
 
 @pytest.mark.parametrize("kind", sorted(ORDERS))
@@ -1286,23 +1325,43 @@ def test_buchberger_matches_sympy(sympy, kind, gens):
     _check_sympy(sympy, kind, gens, buchberger(gens, ORDERS[kind]))
 
 
+@pytest.mark.parametrize("kind", sorted(ORDERS))
+def test_rational_buchberger_matches_sympy(sympy, kind):
+    # the value oracle for rational mode: each basis of the seeded rational
+    # systems is sympy's over QQ(t1), whatever form its coefficients print in
+    for _, gens in _rational_systems():
+        _check_sympy(sympy, kind, gens, buchberger(gens, ORDERS[kind]))
+
+
 def _check_sympy(sympy, kind, gens, got):
-    """got is sympy's reduced basis of gens under the order `kind`."""
+    """got is sympy's reduced basis of gens under the order `kind`, over
+    QQ, or over QQ(t1) in rational mode, compared by value: two elements
+    agree when they have the same monomials and each difference of two
+    coefficients cancels to 0."""
     from sympy.polys.orderings import ProductOrder, grevlex
 
-    # diffalg ranks x3 above x2 above x1
-    x3, x2, x1 = xs = sympy.symbols("x3 x2 x1")
+    # diffalg ranks x4 above x3 above x2 above x1
+    x4, x3, x2, x1 = xs = sympy.symbols("x4 x3 x2 x1")
     order = kind
     if kind == "block":
-        xs = (x1, x3, x2)
+        xs = (x1, x4, x3, x2)
         order = ProductOrder((grevlex, lambda m: m[:1]),
                              (grevlex, lambda m: m[1:]))
+    domain = (sympy.QQ.frac_field(sympy.Symbol("t1"))
+              if gens[0].ctx.mode.kind == "rational" else sympy.QQ)
     want = sympy.groebner([_sympy_expr(g, sympy) for g in gens], *xs,
-                          order=order, domain="QQ").exprs
-    got = [_sympy_expr(g, sympy) for g in got]
+                          order=order, domain=domain).exprs
+
+    def terms(f):
+        return sympy.Poly(f, *xs).as_dict()  # {exponents: coefficient}
+
+    want = [terms(w) for w in want]
     assert len(got) == len(want)
     for g in got:
-        assert any(sympy.expand(g - w) == 0 for w in want), g
+        g = terms(_sympy_expr(g, sympy))
+        assert any(g.keys() == w.keys() and all(
+            sympy.cancel(c - w[m]) == 0 for m, c in g.items())
+            for w in want), g
 
 
 @pytest.mark.parametrize("mode", ["constants", "rational"])

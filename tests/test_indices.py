@@ -3,14 +3,24 @@ import math
 import pytest
 
 from diffalg.errors import ContextError, ResourceBudgetError
-from diffalg.indices import (coordinate_maps, deg, gamma_set, shift,
-                             unit_index)
+from diffalg.indices import (axiom_sizes, check_gamma, coordinate_maps, deg,
+                             gamma_set, shift, unit_index)
 
 from helpers import reference_gamma_set
 
 
 def test_gamma_m2_r1():
     assert gamma_set(2, 1) == ((0, 0), (1, 0), (0, 1))
+
+
+def test_argument_checks():
+    with pytest.raises(ContextError,
+                       match=r"^derivation index 0 out of range 1\.\.2$"):
+        unit_index(0, 2)
+    with pytest.raises(ContextError, match="^r must be >= 0, got -1$"):
+        check_gamma(1, -1)
+    with pytest.raises(ContextError, match="^n and m must be >= 1$"):
+        axiom_sizes(0, 1)
 
 
 def test_gamma_m3_r2_count():

@@ -25,6 +25,13 @@ def test_prolong_one_constants():
     assert gens_text(system) == ["x1_[0]^2 - 1", "2*x1_[0]*x1_[1]"]
 
 
+def test_prolong_one_refuses_a_derivation_out_of_range():
+    I = IdealPresentation(C1, [parse_poly("x1_[0]^2 - 1", C1)])
+    with pytest.raises(ContextError,
+                       match=r"^derivation index 2 out of range 1\.\.1$"):
+        prolong_one(I, 2)
+
+
 def test_prolong_one_rational():
     I = IdealPresentation(R1, [parse_poly("x1_[0]^2 - t1", R1)])
     system = prolong_one(I, 1)
