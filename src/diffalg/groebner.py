@@ -14,9 +14,11 @@ monomial, with a guard bit per slot, so that comparing two terms,
 multiplying a tail term by a quotient and testing whether a lead divides
 a term are each one integer operation; a divisor's tail is packed when
 it is first used, and `_add_shifted` adds it, times a term, into a
-dividend.  Over K = Q (constants mode) the coefficients are ints too:
-each divisor's tail is packed as its primitive integer multiple, and the
-dividend carries one denominator; rational mode divides on Coefficients.
+dividend.  Only a basis's first packing reads its divisors' terms: it
+then grows by what a division meets that does not fit.  Over K = Q
+(constants mode) the coefficients are ints too: each divisor's tail is
+packed as its primitive integer multiple, and the dividend carries one
+denominator; rational mode divides on Coefficients.
 `buchberger` grows one DivisorBasis as it adds S-polynomial remainders,
 each formed on that basis's packed keys and divided in place, its final
 reduction tests and divides with that basis's packing, and it fills the
@@ -108,19 +110,21 @@ class DivisorBasis:
     - `polys[i]` with `lms[i]`, its leading monomial (lc, its leading
       coefficient, is `polys[i].terms[lms[i]]`);
     - once the basis divides, `packing`, a Packing for the order over the
-      variables of the divisors and of the dividend it was built for,
-      wide enough for all of their monomials, with `keys[i]`, the key
-      of lm minus `packing.one`, and `tails[i]`, packed when the divisor is
-      first used (None until then): (a, [(key of the tail monomial minus
+      variables of the divisors and of the monomials divisions met, wide
+      enough for all of them, with `keys[i]`, the key of lm minus
+      `packing.one`, and `tails[i]`, packed when the divisor is first used
+      (None until then): (a, [(key of the tail monomial minus
       `packing.one`, b), ...]).  In rational mode a is lc and each b the
       tail term's Coefficient; in constants mode a*x^lm + sum(b*x^m) is the
       divisor's primitive integer multiple, a > 0 and every b an int.
 
-    normal_form packs (`pack`) a basis `buchberger` did not fill when it
-    first divides, and again, keeping valid keys, when a division leaves
-    it; an inserted divisor gets its lm keyed or drops a misfit packing.
-    A filled basis can be carried into a later `buchberger` run as its
-    prefix, which starts from a `copy`.
+    normal_form packs (`pack`) a basis `buchberger` did not fill over its
+    divisors when it first divides, and grows the packing by what did not
+    fit, keeping valid keys, when a division leaves it.  While a basis has
+    a packing every lm is keyed in it (an inserted divisor's lm is keyed,
+    or a misfit packing dropped), so growing it reads no divisor; a tail's
+    variables are met as it is first packed.  A filled basis can be
+    carried into a later `buchberger` run as its prefix, from a `copy`.
     """
 
     def __init__(self, order, polys=()):
@@ -173,22 +177,16 @@ class DivisorBasis:
             self.tails.insert(k, tail)
 
     def pack(self, top=0, terms=()):
-        """Build the packing over the variables of the divisors and of the
-        monomials `terms`, for total degrees up to top or up to the
-        divisors' total degree, whichever is larger, and key every lm."""
-        variables, most = support(g.terms for g in self.polys)
-        variables |= support((terms,))[0]
-        return self._use(self.order.packing(variables, max(top, most)))
-
-    def extend(self, variables):
-        """Add the variables to the packing at its width, without reading
-        the divisors' terms, as a kernel's basis does for a level's
-        unknowns before dividing its rows; with no packing yet, `pack`
-        over them."""
+        """Build the packing over the variables of the monomials `terms`
+        and of the packing in use, for total degrees up to top or up to its
+        limit, whichever is larger, and key every lm; with no packing in
+        use, over the divisors' variables and up to their total degree."""
+        variables = support((terms,))[0]
         if self.packing is None:
-            return self.pack(0, [((v, 1),) for v in variables])
-        return self._use(self.order.packing(
-            self.packing.weights.keys() | set(variables), self.packing.limit))
+            more, most = support(g.terms for g in self.polys)
+        else:
+            more, most = self.packing.weights.keys(), self.packing.limit
+        return self._use(self.order.packing(variables | more, max(top, most)))
 
     def _use(self, packing):
         """Divide under packing from now on, keying every lm again unless
@@ -237,24 +235,25 @@ def _primitive(lc, tail):
 
 
 class _Widen(Exception):
-    """A division left its basis's packing: build it again, for total
-    degrees up to `top`, or with slots twice as wide when top is None."""
+    """A division left its basis's packing: grow it by the variables of
+    `monos`, the monomials that did not fit, for total degrees up to
+    `top`, or with slots twice as wide when top is None."""
 
-    def __init__(self, top):
+    def __init__(self, top, monos=()):
         super().__init__(top)
-        self.top = top
+        self.top, self.monos = top, monos
 
 
 def _fit(packing, monos, start=None):
-    """packing.keys(monos, start)'s keys; raises _Widen when a monomial has
-    a variable the packing lacks (build it again, as wide) or a total
-    degree over its limit."""
+    """packing.keys(monos, start)'s keys; raises _Widen naming monos when
+    a monomial has a variable the packing lacks (grow it, as wide) or a
+    total degree over its limit."""
     try:
         keys, top = packing.keys(monos, start)
     except KeyError:
-        raise _Widen(packing.limit) from None
+        raise _Widen(packing.limit, monos) from None
     if top > packing.limit:
-        raise _Widen(top)
+        raise _Widen(top, monos)
     return keys
 
 
@@ -286,36 +285,35 @@ def normal_form(f, basis):
     Each remainder term is built once, as the reduced pair of c/D.  (The
     loop also starts from ints over a given D: buchberger's S-polynomials.)
 
-    The first division builds the packing over the divisors' variables
-    and f's.  A term of a later f, or a divisor tail (of a divisor added
-    after the packing was built), with a variable the packing lacks
-    rebuilds it over the divisors' variables and f's at the same width,
-    and the division starts over.  A product key with a guard bit set, or
-    a divisor tail or a term of f of too high a degree, means a slot is
-    too narrow: the packing is built again, wider, and the division starts
-    over, which repeats the same coefficient operations.
+    The first division builds the packing over the divisors.  A term of
+    f, or a divisor tail as it is first packed, with a variable the
+    packing lacks grows it by the variables of those monomials at the same
+    width, and the division starts over.  A product key with a guard bit
+    set, or a divisor tail or a term of f of too high a degree, means a
+    slot is too narrow: the packing is built again, wider, and the
+    division starts over, which repeats the same coefficient operations.
     The remainder's terms are in descending order.
     """
     if not basis:
         return f
     if not f.terms:
         return DiffPolynomial(f.ctx, {})
-    return _packed(basis, f.terms, _divide, f, basis)
+    return _packed(basis, _divide, f, basis)
 
 
-def _packed(basis, terms, divide, *args):
-    """divide(*args) under basis.packing, built first over the divisors'
-    variables and the monomials `terms` when the basis has none; on
-    _Widen the packing is built again and divide runs again."""
+def _packed(basis, divide, *args):
+    """divide(*args) under basis.packing, built first over the divisors
+    when the basis has none; on _Widen the packing grows by the widen's
+    monomials, at the width it asks for, and divide runs again."""
     if basis.packing is None:
-        basis.pack(0, terms)
+        basis.pack()
     while True:
         try:
             return divide(*args)
         except _Widen as widen:
             top = widen.top
             basis.pack((basis.packing.limit + 1) ** 2 - 1 if top is None
-                       else top, terms)
+                       else top, widen.monos)
 
 
 def _divide(f, basis):
@@ -454,8 +452,9 @@ def image_normal_form(f, k, basis):
     derivation_image's order, by add_into's rule (rational forms depend on
     it): each nonzero c.derive(k) first, in rational mode, then per v in
     ascending var_rank the terms holding v, in f's order.  A shifted
-    variable the packing lacks raises _Widen, and `_packed` builds the
-    packing again over the divisors' variables, f's and the shifted ones.
+    variable the packing lacks raises _Widen naming the shifted unit
+    monomials, and `_packed` grows the packing by them, as normal_form
+    grows it by f's terms.
     """
     groups = {}  # v: [(position of the term in f, its addition)]
     for pos, (mono, c) in enumerate(f.terms.items()):
@@ -464,8 +463,7 @@ def image_normal_form(f, k, basis):
                 (pos, c if e == 1 else c.scale_int(e)))
     ups = [(v, (v[0], shift(v[1], k)), groups[v])
            for v in sorted(groups, key=var_rank)]
-    terms = [*f.terms, *[((up, 1),) for _, up, _ in ups]]
-    return _packed(basis, terms, _divide_image, f, k, ups, basis)
+    return _packed(basis, _divide_image, f, k, ups, basis)
 
 
 def _divide_image(f, k, ups, basis):
@@ -479,7 +477,7 @@ def _divide_image(f, k, ups, basis):
          if (dc := c.derive(k))} if rational else {}
     for v, up, group in ups:
         if up not in weights:
-            raise _Widen(packing.limit)
+            raise _Widen(packing.limit, [((up, 1),) for _, up, _ in ups])
         w = weights[up] - weights[v]
         add_into(p, ((keys[pos] + w, c) for pos, c in group))
     return DiffPolynomial(f.ctx, _divide_coefficients(p, basis) if rational
@@ -578,13 +576,13 @@ def buchberger(gens, order, prefix=None, out=None):
                and popped(i, k) and popped(j, k) for k in range(len(G))):
             continue
         new = len(G)
-        s = _packed(G, (), _s_remainder, G, i, j, lcm)
+        s = _packed(G, _s_remainder, G, i, j, lcm)
         if s:
             G.append(s, next(iter(s.terms)))
             masks.append(_support_mask(lms[-1], bits))
             top = max(top, sum(e for _, e in lms[-1]))
         sync(range(new, len(G)))
-    return _packed(G, (), _reduce_basis, G, start, out)
+    return _packed(G, _reduce_basis, G, start, out)
 
 
 def _support_mask(mono, bits):

@@ -229,11 +229,11 @@ def kernel_prolong_once(Kp):
     elimination step replaces it by the normal form of d*row - c*pivot: no
     lead of the kernel's basis has an unknown, so one division reduces
     each unknown's coefficient and the constant part.  A pivot row is its
-    pivot relation.  Before the first row the unknowns join the packing of
-    the kernel's basis, at its width (`DivisorBasis.extend`): they outrank
-    every lower level in lex, so its lead keys and packed tails stay, and
-    no row widens the packing for an unknown.  That basis, packed tails
-    and all, is the next level's `buchberger` prefix.
+    pivot relation.  Before the first row the kernel's basis grows its
+    packing by the unknowns, at its width, reading no divisor (`pack`):
+    they outrank every lower level in lex, so its lead keys and packed
+    tails stay, and no row widens the packing for an unknown.  That basis,
+    packed tails and all, is the next level's `buchberger` prefix.
 
     The kernel returned is valid by construction and carries `validated`,
     so it is not checked again when it is prolonged in turn.  Let I be
@@ -257,7 +257,7 @@ def kernel_prolong_once(Kp):
     unknown_set = set(unknowns)
     reduce = Kp.ideal.normal_form
     basis = Kp.ideal.divisors
-    basis.extend(unknowns)
+    basis.pack(0, [((u, 1),) for u in unknowns])
 
     rows = []  # (row, its coefficients by unknown, provenance)
     gb = Kp.ideal.reduced_gb

@@ -583,7 +583,7 @@ def reference_buchberger(gens, order, prefix=0, coprime_queries=None):
         G.append(s)
         for k in range(t):
             push(k, t)
-    return groebner._packed(G, (), groebner._reduce_basis, G, prefix)
+    return groebner._packed(G, groebner._reduce_basis, G, prefix)
 
 
 def _partial_derivative(f, v):

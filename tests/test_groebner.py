@@ -542,7 +542,7 @@ def _check_reduce_basis(G, basis, order):
     # the pass runs as buchberger runs it: G packed first, and packed again
     # and the pass run again on a widen
     divisors = DivisorBasis(order, G)
-    got = groebner._packed(divisors, (), _reduce_basis, divisors, 0)
+    got = groebner._packed(divisors, _reduce_basis, divisors, 0)
     want = naive_reduce_basis(G, order)
     assert [print_poly(g) for g in got] == [print_poly(g) for g in want]
     assert got == basis
@@ -564,7 +564,10 @@ def test_reduce_basis_matches_naive_reference(mode, kind, data):
 
 def _rational_systems():
     """(rng, gens) for each of 40 seeded systems of three rational
-    generators, rng as drawing gens left it."""
+    generators, then for the same draw with every constant term dropped,
+    so that the origin is a common zero and the ideal is proper (most of
+    the first systems generate the unit ideal); rng as drawing gens, or
+    checking the system before, left it."""
     ctx = _ctx("rational")
     for seed in range(40):
         rng = random.Random(seed)
@@ -576,6 +579,8 @@ def _rational_systems():
                 f = f + _times_variables(rng, c)
             gens.append(f)
         yield rng, gens
+        yield rng, [DiffPolynomial(ctx, {m: c for m, c in g.terms.items()
+                                         if m}) for g in gens]
 
 
 @pytest.mark.parametrize("kind", sorted(ORDERS))
@@ -1184,15 +1189,32 @@ def test_image_normal_form_matches_the_divided_image(mode, kind, data):
     gens = [g for g in gens if g]
     assume(gens)
     f = data.draw(_polys(ctx, 3, 4, XS + SHIFTED[:1]))
+    ups = {(i, (xi[0] + 1,)) for i, xi in f.variables()}
+    use = DivisorBasis._use
     for basis in (gens, buchberger(gens, order)):
-        # never packed; then packed over x1..x3 alone, which lacks every
-        # shifted variable; then as the first image left it
+        # never packed; then as the first image left it; then packed over
+        # x1..x3 and f's variables, which lack the shifted ones of f's
+        # variables that no divisor has: they join the packing at its
+        # width in one re-pack
         never = DivisorBasis(order, basis)
         _check_image(f, never)
         _check_image(f, never)
         lacking = DivisorBasis(order, basis)
-        lacking.pack(0, [((v, 1),) for v in XS])
-        _check_image(f, lacking)
+        lacking.pack(0, [*f.terms, *[((v, 1),) for v in XS]])
+        limit = lacking.packing.limit
+        missing = ups - set(lacking.packing.weights)
+        repacks = []
+
+        def counting(self, packing):
+            if self is lacking and packing.limit == limit:
+                repacks.append(packing)
+            return use(self, packing)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(DivisorBasis, "_use", counting)
+            _check_image(f, lacking)
+        assert len(repacks) == (1 if missing else 0)
+        assert all(missing <= set(packing.weights) for packing in repacks)
 
 
 @pytest.mark.parametrize("mode", ["constants", "rational"])
@@ -1221,6 +1243,39 @@ def test_image_normal_form_adds_to_a_derived_coefficient():
     got = _check_image(f, DivisorBasis(LEX, [p("x1_[2] - x2_[0]", ctx)]))
     c = got.terms[(((1, (1,)), 1), ((2, (1,)), 1))]
     assert (c.num, c.den) == ({0: 1}, {1: 1, 0: 2})
+
+
+@pytest.mark.parametrize("mode", ["constants", "rational"])
+@pytest.mark.parametrize("kind", sorted(ORDERS))
+def test_a_tail_variable_grows_the_packing_alone(monkeypatch, mode, kind):
+    # x2 is in no lead and in no dividend: the packing first meets it when
+    # the tail of x1*x3 - x2 is packed, and grows by it at its width
+    # without reading a divisor's terms (the block order eliminates x3, so
+    # that x3^2 and x1*x3 lead under every order)
+    ctx = _ctx(mode)
+    order = MonomialOrder.block_elim({Z}) if kind == "block" else ORDERS[kind]
+    divisors = DivisorBasis(order, [p("x3_[0]^2 - x1_[0]", ctx)])
+    packing = divisors.pack()
+    divisors.append(p("x1_[0]*x3_[0] - x2_[0]", ctx))
+    assert divisors.packing is packing and Y not in packing.weights
+    read = []  # the term dicts support reads
+    support = groebner.support
+
+    def reading(term_dicts):
+        term_dicts = list(term_dicts)
+        read.extend(term_dicts)
+        return support(term_dicts)
+
+    monkeypatch.setattr(groebner, "support", reading)
+    packs = counting_packs(monkeypatch)
+    f = p("x1_[0]^2*x3_[0] + x3_[0]^3", ctx)
+    got = normal_form(f, divisors)
+    monkeypatch.undo()
+    assert len(packs) == 1
+    assert not [t for t in read if any(t is g.terms for g in divisors.polys)]
+    assert set(divisors.packing.weights) == {X, Y, Z}
+    assert divisors.packing.limit == packing.limit
+    _check_against_reference(got, f, divisors)
 
 
 @pytest.mark.parametrize("kind", sorted(ORDERS))

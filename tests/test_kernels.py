@@ -441,12 +441,12 @@ def test_prolongation_derives_no_lead_of_a_prefix(monkeypatch):
 @pytest.mark.parametrize("widened", [False, True])
 def test_prolongation_packs_the_basis_once_per_level(monkeypatch, text,
                                                      widened):
-    # each level packs the kernel's basis once, before its rows, by
-    # extending its packing at its width without reading the divisors'
-    # terms, so no row division widens; the next level's basis completes
-    # that basis as its prefix under the same packing, and each prefix
-    # element it keeps as it is holds the tail object packed for it, so no
-    # prefix tail is packed twice over the levels.  A basis that an
+    # each level packs the kernel's basis once, before its rows, growing
+    # its packing by the level's unknowns at its width without reading the
+    # divisors' terms, so no row division widens; the next level's basis
+    # completes that basis as its prefix under the same packing, and each
+    # prefix element it keeps as it is holds the tail object packed for
+    # it, so no prefix tail is packed twice over the levels.  A basis that an
     # earlier division widened keeps its wider slots.
     K = files.load_kernel_text(text)
     K.ideal.reduced_gb
@@ -455,13 +455,24 @@ def test_prolongation_packs_the_basis_once_per_level(monkeypatch, text,
         K.ideal.normal_form(DiffPolynomial.var(K.ctx, *v) ** 40)
         assert K.ideal.divisors.packing.limit >= 40
     packs, uses, widens, packed = [], [], [], []
-    pack, use, divide, tail = (
+    reading = [None]  # the term dicts support reads within a pack call
+    pack, use, divide, tail, support = (
         groebner.DivisorBasis.pack, groebner.DivisorBasis._use,
-        groebner._divide, groebner.DivisorBasis.tail)
+        groebner._divide, groebner.DivisorBasis.tail, groebner.support)
 
     def counting_pack(self, *args):
-        packs.append(self)
-        return pack(self, *args)
+        packs.append((self, []))
+        reading[0] = packs[-1][1]
+        try:
+            return pack(self, *args)
+        finally:
+            reading[0] = None
+
+    def reading_support(term_dicts):
+        term_dicts = list(term_dicts)
+        if reading[0] is not None:
+            reading[0].extend(term_dicts)
+        return support(term_dicts)
 
     def counting_use(self, packing):
         uses.append(self)
@@ -483,6 +494,7 @@ def test_prolongation_packs_the_basis_once_per_level(monkeypatch, text,
     monkeypatch.setattr(groebner.DivisorBasis, "_use", counting_use)
     monkeypatch.setattr(groebner, "_divide", counting_divide)
     monkeypatch.setattr(groebner.DivisorBasis, "tail", counting_tail)
+    monkeypatch.setattr(groebner, "support", reading_support)
     carried, prefixes = 0, []
     for _ in range(3):
         basis = K.ideal.divisors
@@ -493,7 +505,8 @@ def test_prolongation_packs_the_basis_once_per_level(monkeypatch, text,
         widens.clear()
         nxt = kernel_prolong_once(K).next
         assert [b for b in uses if b is basis] == [basis]
-        assert not [b for b in packs if b is basis]
+        (read,) = [read for b, read in packs if b is basis]
+        assert not [t for t in read if any(t is g.terms for g in basis.polys)]
         assert not [b for b in widens if b is basis]
         assert basis.packing.limit == limit
         following = nxt.ideal.divisors
